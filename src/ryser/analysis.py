@@ -2,10 +2,12 @@
 classification of addable edges.
 
 An extremal uniform hypergraph (k sides, k-uniform, cover number k-1)
-is minimal when deleting any single edge drops the cover number; the
-reducer deletes, in ascending edge order, any edge whose removal keeps
-the cover number, and certifies both the deletions and the criticality
-of every surviving edge with solver results.
+is minimal when deleting any single edge drops the cover number.  The
+reducer tries every edge once, in scan order, and deletes it when its
+removal keeps the cover number.  Deleting edges never raises the cover
+number, so an edge found critical stays critical: the size-(k-2) cover
+found when it was tried still covers the final hypergraph without it,
+and that scan result is its criticality certificate.
 
 Addable-edge classification enumerates every covering transversal of
 the extension hypergraph with at most one fresh vertex (a candidate
@@ -18,6 +20,7 @@ or a violation of that pattern.
 """
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -71,10 +74,13 @@ def minimize(
     jobs: int = 1,
     order: str = "asc",
 ) -> MinimizationTrace:
-    """Delete edges (least index first; "desc" scans from the highest
-    index instead) while the cover number stays at sides-1; certify
-    every deletion and the criticality of every kept edge.  Any scan
-    order reaches a minimal hypergraph, possibly a different one."""
+    """Try each edge once (least index first; "desc" scans from the
+    highest index instead) and delete it when the cover number stays at
+    sides-1.  Each deletion is certified by the cover of the hypergraph
+    it leaves; each kept edge by the cover of size sides-2 found when it
+    was tried, which also covers the final hypergraph without that edge.
+    Makes 1 + num_edges cover calls.  Any scan order reaches a minimal
+    hypergraph, possibly a different one."""
     if order not in ("asc", "desc"):
         raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
     k = h.num_sides
@@ -91,29 +97,24 @@ def minimize(
     cur = h
     orig = list(range(h.num_edges))
     deleted = []
-    while True:
-        hit = None
-        scan = range(cur.num_edges) if order == "asc" else range(cur.num_edges - 1, -1, -1)
-        for pos in scan:
-            trial = cur.without_edge(pos)
-            res = cover_number(trial, upper_hint=target, timeout=timeout, jobs=jobs)
-            if res.tau == target:
-                hit = (pos, trial, res)
-                break
-        if hit is None:
-            break
-        pos, trial, res = hit
-        deleted.append(DeletedEdge(orig[pos], cur.edges[pos], cur.edge_labels[pos], res))
-        cur = trial
-        del orig[pos]
+    kept_certs = {}
+    scan = range(h.num_edges) if order == "asc" else range(h.num_edges - 1, -1, -1)
+    for i in scan:
+        pos = orig.index(i)
+        trial = cur.without_edge(pos)
+        res = cover_number(trial, upper_hint=target, timeout=timeout, jobs=jobs)
+        if res.tau == target:
+            deleted.append(DeletedEdge(i, cur.edges[pos], cur.edge_labels[pos], res))
+            cur = trial
+            del orig[pos]
+        else:
+            kept_certs[i] = res
 
-    kept = []
-    for pos in range(cur.num_edges):
-        res = cover_number(cur.without_edge(pos), upper_hint=target - 1,
-                           timeout=timeout, jobs=jobs)
-        assert res.tau == target - 1
-        kept.append(KeptEdge(pos, orig[pos], cur.edges[pos], cur.edge_labels[pos], res))
-    return MinimizationTrace(initial, cur, tuple(deleted), tuple(kept))
+    kept = tuple(
+        KeptEdge(pos, i, cur.edges[pos], cur.edge_labels[pos], kept_certs[i])
+        for pos, i in enumerate(orig)
+    )
+    return MinimizationTrace(initial, cur, tuple(deleted), kept)
 
 
 # --- fingerprints & isomorphism -------------------------------------------
@@ -180,12 +181,8 @@ def exact_isomorphic(a: PartiteHypergraph, b: PartiteHypergraph) -> IsoResult:
         return no
 
     k = a.num_sides
-    deg_a = {v: d for side in range(k)
-             for v, d in zip(((side, p) for p in range(len(a.sides[side]))),
-                             _per_vertex_degrees(a, side))}
-    deg_b = {v: d for side in range(k)
-             for v, d in zip(((side, p) for p in range(len(b.sides[side]))),
-                             _per_vertex_degrees(b, side))}
+    deg_a = Counter(v for e in a.edges for v in e)
+    deg_b = Counter(v for e in b.edges for v in e)
     co_a = _codegrees(a)
     co_b = _codegrees(b)
     b_edge_sets = set(b.edge_sets)
@@ -239,15 +236,6 @@ def exact_isomorphic(a: PartiteHypergraph, b: PartiteHypergraph) -> IsoResult:
     if assign_side(0):
         return IsoResult(True, tuple(side_perm), tuple(sorted(mapping.items())))
     return no
-
-
-def _per_vertex_degrees(h, side):
-    deg = [0] * len(h.sides[side])
-    for e in h.edges:
-        for s, p in e:
-            if s == side:
-                deg[p] += 1
-    return deg
 
 
 # --- addable-edge classification ------------------------------------------

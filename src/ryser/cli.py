@@ -66,12 +66,8 @@ def default_timeout() -> float:
         raise ConfigError(f"RYSER_TIMEOUT_SECS={raw!r} is not a number") from None
 
 
-def resolve_timeout(flag_value, cfg_value=None):
-    if flag_value is not None:
-        return flag_value
-    if cfg_value is not None:
-        return float(cfg_value)
-    return default_timeout()
+def resolve_timeout(value):
+    return default_timeout() if value is None else float(value)
 
 
 def factor_prime_power(q: int):
@@ -92,10 +88,12 @@ def build_truncation(q: int, vertex=None):
     return truncate(build_plane(FiniteField(*factor_prime_power(q))), vertex)
 
 
-def _finish(args, command, parameters, inputs, checks, artifacts=None):
+def _finish(args, command, parameters, inputs, checks, artifacts=None, spec=None):
     report = make_report(command, parameters, inputs, checks)
     if artifacts:
         report["artifacts"] = artifacts
+    if spec is not None:
+        report["spec"] = spec
     json_path = getattr(args, "json", None)
     if json_path:
         write_json_atomic(json_path, report)
@@ -263,13 +261,9 @@ def cmd_construct(args):
     text = dumps_rhg(h)
     write_rhg(h, args.out)
     print(f"wrote {args.out}: {h.num_sides} sides, {h.num_edges} edges")
-    report_extra = {"spec": spec_block(spec, args.base)}
-    rep = make_report("construct", vars_params(args), [input_entry(args.base)], checks)
-    rep.update(report_extra)
-    rep["artifacts"] = [_artifact_entry(args.out, text)]
-    if args.json:
-        write_json_atomic(args.json, rep)
-    return EXIT_PASS if rep["overall"] != "fail" else EXIT_FAIL
+    return _finish(args, "construct", vars_params(args), [input_entry(args.base)], checks,
+                   artifacts=[_artifact_entry(args.out, text)],
+                   spec=spec_block(spec, args.base))
 
 
 def vars_params(args):
@@ -489,9 +483,14 @@ def cmd_profiles(args):
 
 # --- pipeline ---
 
-_CONFIG_KEYS = {
-    "q", "vertex", "s_edge", "f", "f_edges", "profile", "relaxed_profile",
-    "all_checks", "minimize", "maximal_check", "out_dir", "jobs", "timeout",
+# The pipeline's settings, which are also the keys a config may hold, with
+# their defaults.  A flag given on the command line wins over the config
+# value, which wins over the default.
+_PIPELINE_SETTINGS = {
+    "q": None, "vertex": None, "s_edge": 0, "f": "default", "f_edges": None,
+    "profile": None, "relaxed_profile": False, "all_checks": False,
+    "minimize": False, "maximal_check": False, "out_dir": None, "jobs": 1,
+    "timeout": None,
 }
 
 
@@ -503,7 +502,7 @@ def load_config(path):
         raise ConfigError(f"cannot read config {path}: {e}") from None
     if not isinstance(data, dict):
         raise ConfigError("config must be a JSON object")
-    unknown = set(data) - _CONFIG_KEYS
+    unknown = set(data) - _PIPELINE_SETTINGS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     return data
@@ -511,23 +510,30 @@ def load_config(path):
 
 def cmd_pipeline(args):
     cfg = load_config(args.config) if args.config else {}
-    q = args.q if args.q is not None else cfg.get("q")
-    if q is None:
+    given = {k: v for k, v in vars(args).items() if v is not None}
+    # --f-edges and --profile choose the F mode as well as giving its value
+    for key, f_mode in (("f_edges", "edges"), ("profile", "profile")):
+        if key in given:
+            given["f"] = f_mode
+    opt = {key: given.get(key, cfg.get(key, default))
+           for key, default in _PIPELINE_SETTINGS.items()}
+    if opt["q"] is None:
         raise ConfigError("pipeline needs --q or a config with q")
-    q = int(q)
-    vertex = args.vertex if args.vertex is not None else cfg.get("vertex")
-    s_edge = args.s_edge if args.s_edge is not None else int(cfg.get("s_edge", 0))
-    jobs = args.jobs if args.jobs != 1 else int(cfg.get("jobs", 1))
-    timeout = resolve_timeout(args.timeout, cfg.get("timeout"))
-    mode = "default"
-    if args.f_edges or cfg.get("f") == "edges":
-        mode = "edges"
-    if args.profile or cfg.get("f") == "profile":
-        mode = "profile"
-    relaxed = args.relaxed_profile or bool(cfg.get("relaxed_profile"))
-    do_min = args.minimize or bool(cfg.get("minimize")) or args.all_checks or bool(cfg.get("all_checks"))
-    do_max = args.maximal_check or bool(cfg.get("maximal_check")) or args.all_checks or bool(cfg.get("all_checks"))
-    out_dir = args.out_dir or cfg.get("out_dir")
+    q = int(opt["q"])
+    vertex = opt["vertex"]
+    s_edge = int(opt["s_edge"])
+    jobs = int(opt["jobs"])
+    timeout = resolve_timeout(opt["timeout"])
+    mode = opt["f"]
+    mode_value = {"default": None, "edges": "f_edges", "profile": "profile"}
+    if mode not in mode_value:
+        raise ConfigError(f"f must be 'default', 'edges' or 'profile', got {mode!r}")
+    if mode_value[mode] and opt[mode_value[mode]] is None:
+        raise ConfigError(f"f={mode!r} needs a {mode_value[mode]} value")
+    relaxed = bool(opt["relaxed_profile"])
+    do_min = bool(opt["minimize"] or opt["all_checks"])
+    do_max = bool(opt["maximal_check"] or opt["all_checks"])
+    out_dir = opt["out_dir"]
 
     t = build_truncation(q, vertex)
     r = q + 1
@@ -556,13 +562,13 @@ def cmd_pipeline(args):
     checks.append(c)
 
     if mode == "edges":
-        f_edges_text = args.f_edges or cfg.get("f_edges")
+        f_edges_text = opt["f_edges"]
         if isinstance(f_edges_text, list):
             spec = ConstructionSpec(t, s_edge, tuple(int(x) for x in f_edges_text))
         else:
             spec = ConstructionSpec(t, s_edge, parse_f_edges(f_edges_text, r))
     elif mode == "profile":
-        x_text = args.profile or cfg.get("profile")
+        x_text = opt["profile"]
         x = tuple(int(v) for v in x_text.split(",")) if isinstance(x_text, str) \
             else tuple(int(v) for v in x_text)
         spec = select_f_by_profile(t, s_edge, DegreeProfile(r, x), strict=not relaxed)
@@ -836,19 +842,19 @@ def build_parser():
 
     p = sub.add_parser("pipeline", help="plane -> truncate -> construct -> verify")
     p.add_argument("--config", help="JSON config file (flags override it)")
+    # every pipeline flag defaults to None, meaning "not given"
     p.add_argument("--q", type=int)
-    p.add_argument("--vertex", type=int, default=None)
-    p.add_argument("--s-edge", type=int, default=None)
-    p.add_argument("--f-default", action="store_true")
-    p.add_argument("--f-edges", metavar="i:e,...")
-    p.add_argument("--profile", metavar="x1,x2,...")
-    p.add_argument("--relaxed-profile", action="store_true")
-    p.add_argument("--all-checks", action="store_true")
-    p.add_argument("--minimize", action="store_true")
-    p.add_argument("--maximal-check", action="store_true")
+    p.add_argument("--vertex", type=int)
+    p.add_argument("--s-edge", type=int)
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--f-default", dest="f", action="store_const", const="default")
+    g.add_argument("--f-edges", metavar="i:e,...")
+    g.add_argument("--profile", metavar="x1,x2,...")
+    for flag in ("--relaxed-profile", "--all-checks", "--minimize", "--maximal-check"):
+        p.add_argument(flag, action="store_true", default=None)
     p.add_argument("--out-dir")
     _add_common(p)
-    p.set_defaults(func=cmd_pipeline)
+    p.set_defaults(func=cmd_pipeline, jobs=None)
 
     p = sub.add_parser("corpus", help="emit the standard desk-scale corpus")
     p.add_argument("--out", required=True)

@@ -85,9 +85,11 @@ class _Deadline:
 
 
 def _budget_search(masks, sizes, gid_lists, budget, collect, deadline,
-                   chosen=(), chosen_mask=0, excluded=0):
+                   chosen=(), chosen_mask=0, excluded=0, tasks=None):
     """Exhaustive search for covers of size <= budget extending `chosen`
-    and avoiding `excluded`.  Returns (first_found, solutions, nodes)."""
+    and avoiding `excluded`.  Returns (first_found, solutions, nodes).
+    Given a `tasks` list, the root's branches are appended to it as
+    (chosen, chosen_mask, excluded) instead of being searched."""
     first = None
     sols = [] if collect else None
     nodes = 0
@@ -124,11 +126,13 @@ def _budget_search(masks, sizes, gid_lists, budget, collect, deadline,
         for g in gid_lists[branch]:
             bit = 1 << g
             if not bit & acc:
-                if rec(chosen + (g,), chosen_mask | bit, acc):
+                if child(chosen + (g,), chosen_mask | bit, acc):
                     return True
             acc |= bit
         return False
 
+    # list.append returns None, which the branch loop reads as "go on"
+    child = rec if tasks is None else lambda *branch: tasks.append(branch)
     rec(tuple(chosen), chosen_mask, excluded)
     return first, sols, nodes
 
@@ -141,54 +145,26 @@ def _subtree_task(args):
                           chosen, chosen_mask, excluded)
 
 
-def _root_tasks(masks, sizes, gid_lists, budget, excluded=0):
-    """Replicate the root branching step so subtrees can run independently.
-    Returns None when the root itself decides the run (prune or leaf)."""
-    m = len(masks)
-    uncovered = [i for i in range(m) if masks[i]]
-    if not uncovered:
-        return None
-    union = 0
-    lb = 0
-    for i in uncovered:
-        if not masks[i] & union:
-            union |= masks[i]
-            lb += 1
-    if lb > budget:
-        return None
-    branch = min(uncovered, key=lambda i: (sizes[i], i))
-    tasks = []
-    acc = excluded
-    for g in gid_lists[branch]:
-        bit = 1 << g
-        if not bit & acc:
-            tasks.append(((g,), bit, acc))
-        acc |= bit
-    return tasks
-
-
-def _attempt(masks, sizes, gid_lists, budget, collect, deadline, jobs, pool):
-    """One exhaustive budget run; returns (first_found, solutions, nodes)."""
+def _attempt(masks, sizes, gid_lists, budget, collect, deadline, pool):
+    """One exhaustive budget run; returns (first_found, solutions, nodes).
+    With a pool, the root's branches run as separate tasks, merged in
+    branch order."""
     deadline.check(force=True)
-    if jobs <= 1 or pool is None:
-        return _budget_search(masks, sizes, gid_lists, budget, collect, deadline)
-    tasks = _root_tasks(masks, sizes, gid_lists, budget)
-    if tasks is None:
-        return None, ([] if collect else None), 1
-    seconds = deadline.remaining()
-    argses = [
-        (masks, sizes, gid_lists, budget, collect, seconds, chosen, cmask, excl)
-        for chosen, cmask, excl in tasks
-    ]
-    first = None
-    sols = [] if collect else None
-    nodes = 1
-    for tfirst, tsols, tnodes in pool.map(_subtree_task, argses):
-        nodes += tnodes
-        if first is None and tfirst is not None:
-            first = tfirst
-        if collect and tsols:
-            sols.extend(tsols)
+    tasks = None if pool is None else []
+    first, sols, nodes = _budget_search(masks, sizes, gid_lists, budget, collect,
+                                        deadline, tasks=tasks)
+    if tasks:
+        seconds = deadline.remaining()
+        argses = [
+            (masks, sizes, gid_lists, budget, collect, seconds, *task)
+            for task in tasks
+        ]
+        for tfirst, tsols, tnodes in pool.map(_subtree_task, argses):
+            nodes += tnodes
+            if first is None:
+                first = tfirst
+            if collect:
+                sols.extend(tsols)
     return first, sols, nodes
 
 
@@ -223,7 +199,7 @@ def cover_number(
         witness = None
         while True:
             first, _, nodes = _attempt(masks, sizes, gid_lists, budget, False,
-                                       deadline, jobs, pool)
+                                       deadline, pool)
             nodes_total += nodes
             if first is not None:
                 size = len(first)
@@ -245,7 +221,7 @@ def cover_number(
         all_covers = None
         if enumerate_all:
             first, sols, nodes = _attempt(masks, sizes, gid_lists, tau, True,
-                                          deadline, jobs, pool)
+                                          deadline, pool)
             nodes_total += nodes
             witness = first
             all_covers = tuple(sorted(

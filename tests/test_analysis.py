@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from ryser import analysis
 from ryser.analysis import (
     ExtensionClassification,
     classify_extensions,
@@ -14,7 +15,14 @@ from ryser.analysis import (
     maximal_closure_description,
     minimize,
 )
-from ryser.construct import ConstructionSpec, build_extension, uniformize
+from ryser.construct import (
+    ConstructionSpec,
+    DegreeProfile,
+    build_extension,
+    select_f_by_profile,
+    select_f_default,
+    uniformize,
+)
 from ryser.errors import NotExtremalError, TooLargeError, ViolationsPresentError
 from ryser.gf import FiniteField
 from ryser.hypergraph import PartiteHypergraph
@@ -69,6 +77,57 @@ def test_minimize_q3(q3_setup):
         assert d.cert.tau == 4
     # deleted + kept account for all original edges
     assert len(trace.deleted) + len(trace.kept) == u.num_edges
+
+
+def restart_minimize(h, order):
+    """Reference reduction: delete the first deletable edge in scan
+    order, then rescan from the start, until no edge is deletable.
+    Returns the final hypergraph and (original index, certificate) per
+    deletion."""
+    target = h.num_sides - 1
+    cur, orig, deleted = h, list(range(h.num_edges)), []
+    while True:
+        scan = range(cur.num_edges) if order == "asc" else range(cur.num_edges - 1, -1, -1)
+        for pos in scan:
+            res = cover_number(cur.without_edge(pos), upper_hint=target)
+            if res.tau == target:
+                deleted.append((orig[pos], res))
+                cur = cur.without_edge(pos)
+                del orig[pos]
+                break
+        else:
+            return cur, deleted
+
+
+@pytest.mark.parametrize("order", ["asc", "desc"])
+@pytest.mark.parametrize("f_mode", ["default", "profile"])
+@pytest.mark.parametrize("q", [3, 4])
+def test_minimize_single_pass_matches_restart_loop(q, f_mode, order, monkeypatch):
+    t = make_t(q)
+    if f_mode == "default":
+        spec = select_f_default(t, 0)
+    else:
+        spec = select_f_by_profile(t, 0, DegreeProfile(q + 1, (1,)), strict=False)
+    u = uniformize(build_extension(spec))
+    calls = []
+
+    def counting_cover_number(*args, **kwargs):
+        calls.append(args[0])
+        return cover_number(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "cover_number", counting_cover_number)
+    trace = minimize(u, order=order)
+    assert len(calls) == 1 + u.num_edges
+
+    final, deleted = restart_minimize(u, order)
+    assert trace.final == final
+    assert [(d.original_index, d.cert) for d in trace.deleted] == deleted
+    assert [k.final_index for k in trace.kept] == list(range(final.num_edges))
+    for k in trace.kept:
+        assert u.edges[k.original_index] == k.vertices == final.edges[k.final_index]
+        witness = set(k.cert.witness)
+        assert k.cert.tau == len(witness) == trace.target_tau - 1
+        assert all(witness & set(e) for e in final.without_edge(k.final_index).edges)
 
 
 def test_minimize_rejects_non_extremal():

@@ -183,6 +183,34 @@ def test_pipeline_config_file(tmp_path):
     unknown = tmp_path / "unk.json"
     unknown.write_text(json.dumps({"q": 3, "mystery": 1}))
     assert run("pipeline", "--config", unknown) == 2
+    for bad_f in ({"f": "sideways"}, {"f": "edges"}, {"f": "profile"}):
+        cfg.write_text(json.dumps({"q": 3, **bad_f}))
+        assert run("pipeline", "--config", cfg) == 2
+
+
+def test_pipeline_f_default_flag_overrides_config(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 3, "f": "profile", "profile": "1",
+                               "relaxed_profile": True}))
+    rep = tmp_path / "p.json"
+    assert run("pipeline", "--config", cfg, "--f-default", "--json", rep) == 0
+    assert load(rep)["parameters"]["f_mode"] == "default"
+
+
+def test_pipeline_jobs_flag_overrides_config(tmp_path, monkeypatch):
+    from ryser import cli, solver
+
+    jobs_seen = []
+
+    def spy(*args, **kwargs):
+        jobs_seen.append(kwargs["jobs"])
+        return solver.cover_number(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "cover_number", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 3, "f": "default", "jobs": 2}))
+    assert run("pipeline", "--config", cfg, "--jobs", 1) == 0
+    assert jobs_seen and set(jobs_seen) == {1}
 
 
 def test_maximal_check_q4_full_pass(tmp_path):
