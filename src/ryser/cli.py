@@ -715,7 +715,7 @@ def corpus_generate(out_dir, jobs=1, timeout=None):
     t26 = build_truncation(25)
     for x1 in (4, 5):
         spec = select_f_by_profile(t26, 0, DegreeProfile(26, (x1,)), strict=True)
-        h = build_extension(spec, check=True, check_cover_uniqueness=False)
+        h = build_extension(spec, timeout=timeout, jobs=jobs)
         emit(extract_pair_subhypergraph(h), f"pairs_r26_x{x1}.rhg")
     return items
 

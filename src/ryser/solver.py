@@ -6,13 +6,19 @@ branch on the uncovered edge of minimum size, over its vertices in
 global order, excluding earlier branch vertices deeper in the tree so
 every cover is generated exactly once.  A failed budget-b run is the
 proof that no cover of size <= b exists, which makes the reported tau
-exact.  The lower bound at each node is a greedily built disjoint-edge
-family among the uncovered edges.
+exact.  The lower bound, at the root and at every node, is the
+degree-sum bound of hitting set: with k picks left, a node is pruned
+when the k largest uncovered-edge degrees among the vertices not yet
+excluded sum to less than the number of uncovered edges, or when some
+uncovered edge has no such vertex.  Degrees are read by popcount from
+per-vertex masks of incident edges.  On intersecting inputs, where no
+two edges are disjoint, this is the bound that prunes; a disjoint-edge
+count never exceeds 1 there.
 
 All tie-breaking is by smallest global vertex index / smallest edge
 index, so identical inputs give identical certificates.  With jobs > 1
 the root branches of each budget run are distributed across processes
-and merged in branch order, leaving tau, witness and enumeration
+and read in branch order, leaving tau, witness and enumeration
 identical to the single-worker run.
 """
 
@@ -21,7 +27,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import EmptyHypergraphError, NonUniformError, SolverTimeout, TooLargeError
 from .hypergraph import PartiteHypergraph
@@ -54,15 +60,31 @@ class RatioReport:
     is_ryser_extremal: bool
 
 
-def _greedy_disjoint_bound(masks, indices):
-    union = 0
-    lb = 0
-    for i in indices:
-        m = masks[i]
-        if not m & union:
-            union |= m
-            lb += 1
-    return lb
+def _degree_bound(incidence, uncovered, excluded):
+    """Fewest free vertices that could cover every edge in `uncovered`:
+    the smallest k whose k largest uncovered-edge degrees, over the
+    vertices not in `excluded`, sum to at least the number of uncovered
+    edges.  None when some uncovered edge has no free vertex left.
+    `incidence` lists (vertex bit, mask of the edges through it)."""
+    degrees = []
+    reach = 0
+    for bit, inc in incidence:
+        if not bit & excluded:
+            hit = inc & uncovered
+            if hit:
+                reach |= hit
+                degrees.append(hit.bit_count())
+    if reach != uncovered:
+        return None
+    need = uncovered.bit_count()
+    degrees.sort(reverse=True)
+    picks = 0
+    for d in degrees:
+        if need <= 0:
+            break
+        need -= d
+        picks += 1
+    return picks
 
 
 class _Deadline:
@@ -84,22 +106,44 @@ class _Deadline:
                 raise SolverTimeout("cover search exceeded its wall-clock budget")
 
 
-def _budget_search(masks, sizes, gid_lists, budget, collect, deadline,
-                   chosen=(), chosen_mask=0, excluded=0, tasks=None):
-    """Exhaustive search for covers of size <= budget extending `chosen`
-    and avoiding `excluded`.  Returns (first_found, solutions, nodes).
+class _Instance(NamedTuple):
+    """The static search data of one hypergraph, built once per call."""
+    gid_lists: tuple     # per edge, the global ids of its vertices in order
+    incidence: tuple     # per global id, (vertex bit, mask of the edges through it)
+    size_classes: tuple  # masks of the edges of each size, smallest size first
+
+
+def _instance(h):
+    gid_lists = tuple(tuple(h.gid(v) for v in e) for e in h.edges)
+    inc = [0] * h.num_vertices
+    classes = {}
+    for i, gids in enumerate(gid_lists):
+        bit = 1 << i
+        for g in gids:
+            inc[g] |= bit
+        classes[len(gids)] = classes.get(len(gids), 0) | bit
+    return _Instance(
+        gid_lists,
+        tuple((1 << g, mask) for g, mask in enumerate(inc)),
+        tuple(classes[size] for size in sorted(classes)),
+    )
+
+
+def _budget_search(inst, budget, collect, deadline, node=None, tasks=None):
+    """Exhaustive search for covers of size <= budget below `node`, a
+    (chosen, uncovered edge mask, excluded vertex mask) triple that
+    defaults to the root.  Returns (first_found, solutions, nodes).
     Given a `tasks` list, the root's branches are appended to it as
-    (chosen, chosen_mask, excluded) instead of being searched."""
+    nodes instead of being searched."""
+    gid_lists, incidence, size_classes = inst
     first = None
     sols = [] if collect else None
     nodes = 0
-    m = len(masks)
 
-    def rec(chosen, chosen_mask, excluded):
+    def rec(chosen, uncovered, excluded):
         nonlocal first, nodes
         nodes += 1
         deadline.check()
-        uncovered = [i for i in range(m) if not masks[i] & chosen_mask]
         if not uncovered:
             sol = tuple(chosen)
             if first is None:
@@ -110,61 +154,64 @@ def _budget_search(masks, sizes, gid_lists, budget, collect, deadline,
             return True
         if len(chosen) >= budget:
             return False
-        union = 0
-        lb = 0
-        for i in uncovered:
-            emask = masks[i]
-            if not emask & ~excluded:
-                return False  # some edge can no longer be covered here
-            if not emask & union:
-                union |= emask
-                lb += 1
-        if len(chosen) + lb > budget:
+        lb = _degree_bound(incidence, uncovered, excluded)
+        if lb is None or len(chosen) + lb > budget:
             return False
-        branch = min(uncovered, key=lambda i: (sizes[i], i))
+        # branch on the uncovered edge of smallest (size, index)
+        for cls in size_classes:
+            branch = uncovered & cls
+            if branch:
+                break
+        branch = (branch & -branch).bit_length() - 1
         acc = excluded
         for g in gid_lists[branch]:
-            bit = 1 << g
+            bit, inc = incidence[g]
             if not bit & acc:
-                if child(chosen + (g,), chosen_mask | bit, acc):
+                if child(chosen + (g,), uncovered & ~inc, acc):
                     return True
             acc |= bit
         return False
 
     # list.append returns None, which the branch loop reads as "go on"
     child = rec if tasks is None else lambda *branch: tasks.append(branch)
-    rec(tuple(chosen), chosen_mask, excluded)
+    if node is None:
+        node = ((), (1 << len(gid_lists)) - 1, 0)
+    rec(*node)
     return first, sols, nodes
 
 
-def _subtree_task(args):
+def _subtree_task(inst, budget, collect, seconds, node):
     """Process-pool entry: run one root branch with a fresh deadline."""
-    masks, sizes, gid_lists, budget, collect, seconds, chosen, chosen_mask, excluded = args
-    deadline = _Deadline(seconds)
-    return _budget_search(masks, sizes, gid_lists, budget, collect, deadline,
-                          chosen, chosen_mask, excluded)
+    return _budget_search(inst, budget, collect, _Deadline(seconds), node)
 
 
-def _attempt(masks, sizes, gid_lists, budget, collect, deadline, pool):
+def _attempt(inst, budget, collect, deadline, pool):
     """One exhaustive budget run; returns (first_found, solutions, nodes).
-    With a pool, the root's branches run as separate tasks, merged in
-    branch order."""
+    With a pool, the root's branches run as separate tasks, read in
+    branch order; a decide run stops at the first branch with a cover,
+    cancelling the branches not yet started, so the witness and the node
+    count are those of the serial run."""
     deadline.check(force=True)
     tasks = None if pool is None else []
-    first, sols, nodes = _budget_search(masks, sizes, gid_lists, budget, collect,
-                                        deadline, tasks=tasks)
+    first, sols, nodes = _budget_search(inst, budget, collect, deadline, tasks=tasks)
     if tasks:
         seconds = deadline.remaining()
-        argses = [
-            (masks, sizes, gid_lists, budget, collect, seconds, *task)
-            for task in tasks
-        ]
-        for tfirst, tsols, tnodes in pool.map(_subtree_task, argses):
+        futures = [pool.submit(_subtree_task, inst, budget, collect, seconds, node)
+                   for node in tasks]
+        for fut in futures:
+            tfirst, tsols, tnodes = fut.result()
             nodes += tnodes
             if first is None:
                 first = tfirst
             if collect:
                 sols.extend(tsols)
+            elif first is not None:
+                # The serial search never enters the later branches, so
+                # their results, errors included, are not read; those
+                # already running finish unread.
+                for later in futures:
+                    later.cancel()
+                break
     return first, sols, nodes
 
 
@@ -179,9 +226,7 @@ def cover_number(
     cover.  Raises SolverTimeout if the wall-clock budget runs out."""
     if h.num_edges == 0:
         raise EmptyHypergraphError("cover number is undefined without edges")
-    masks = h.edge_masks
-    sizes = tuple(len(e) for e in h.edges)
-    gid_lists = tuple(tuple(h.gid(v) for v in e) for e in h.edges)
+    inst = _instance(h)
     deadline = _Deadline(timeout)
     n = h.num_vertices
 
@@ -189,7 +234,7 @@ def cover_number(
     try:
         if jobs > 1:
             pool = ProcessPoolExecutor(max_workers=jobs)
-        lb = _greedy_disjoint_bound(masks, range(len(masks)))
+        lb = _degree_bound(inst.incidence, (1 << h.num_edges) - 1, 0)
         budget = max(lb, upper_hint) if upper_hint is not None else lb
         budget = min(budget, n)
         known_fail = lb - 1  # sizes below lb are impossible by the bound
@@ -198,8 +243,7 @@ def cover_number(
         tau = None
         witness = None
         while True:
-            first, _, nodes = _attempt(masks, sizes, gid_lists, budget, False,
-                                       deadline, pool)
+            first, _, nodes = _attempt(inst, budget, False, deadline, pool)
             nodes_total += nodes
             if first is not None:
                 size = len(first)
@@ -220,8 +264,7 @@ def cover_number(
 
         all_covers = None
         if enumerate_all:
-            first, sols, nodes = _attempt(masks, sizes, gid_lists, tau, True,
-                                          deadline, pool)
+            first, sols, nodes = _attempt(inst, tau, True, deadline, pool)
             nodes_total += nodes
             witness = first
             all_covers = tuple(sorted(

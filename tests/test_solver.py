@@ -1,7 +1,13 @@
 """Exact solver: certificates, enumeration completeness, oracle agreement."""
 
-import pytest
+import random
+from itertools import combinations
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ryser.construct import build_extension, select_f_default, uniformize
 from ryser.errors import EmptyHypergraphError, NonUniformError, SolverTimeout, TooLargeError
 from ryser.gf import FiniteField
 from ryser.hypergraph import PartiteHypergraph, is_intersecting
@@ -157,6 +163,15 @@ def test_determinism_and_jobs(t4):
     d = cover_number(t4, jobs=2)
     e = cover_number(t4)
     assert (d.tau, d.witness) == (e.tau, e.witness)
+    # a decide run reads root branches in order and stops at the first
+    # cover, so it searches exactly what the serial run searches
+    t6 = truncate(build_plane(FiniteField(5)))
+    for h, hint in ((t6, 5), (uniformize(build_extension(select_f_default(t6, 0), check=False)), 6)):
+        serial = cover_number(h, upper_hint=hint)
+        pooled = cover_number(h, upper_hint=hint, jobs=2)
+        assert (pooled.tau, pooled.witness, pooled.nodes_explored) == \
+            (serial.tau, serial.witness, serial.nodes_explored)
+    assert c.nodes_explored == a.nodes_explored
 
 
 def test_timeout_raises():
@@ -166,8 +181,6 @@ def test_timeout_raises():
 
 
 def test_enumeration_matches_subset_scan(t3, t4):
-    from itertools import combinations
-
     for h in (t3, t4.without_edge(0), truncate(build_plane(FiniteField(3)), 5).without_edge(2)):
         res = cover_number(h, enumerate_all=True)
         verts = list(h.vertices())
@@ -190,3 +203,59 @@ def test_witness_covers_always(t4):
         for cov in res.all_min_covers:
             assert covers(h, cov)
             assert len(cov) == res.tau
+
+
+@st.composite
+def partite_hypergraphs(draw):
+    """2-4 sides of up to 5 vertices, up to 12 distinct edges of one size
+    or two consecutive sizes.  About half of the draws are intersecting:
+    part of a relabelled truncated plane, then random edges that meet
+    every edge kept so far.  The seed drives Python's generator, since
+    hypothesis's small-value bias made nearly every greedy intersecting
+    draw a star."""
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    k = rnd.randint(2, 4)
+    intersecting = rnd.random() < 0.5
+    edges = []
+    if intersecting:
+        side_sizes = [rnd.randint(k - 1, 5) for _ in range(k)]
+        sizes = rnd.choice(((k,), (k - 1, k)))
+        if k > 2:  # the truncation of PG(2, k-1) has k sides and tau = k-1
+            relabel = [rnd.sample(range(n), k - 1) for n in side_sizes]
+            for e in truncate(build_plane(FiniteField(k - 1))).edges:
+                if rnd.random() < 0.7:
+                    edges.append(frozenset((s, relabel[s][p]) for s, p in e))
+    else:
+        side_sizes = [rnd.randint(1, 5) for _ in range(k)]
+        small = rnd.randint(1, k)
+        sizes = (small, small + 1) if small < k and rnd.random() < 0.5 else (small,)
+    for _ in range(rnd.randint(1, 12)):
+        if len(edges) == 12:
+            break
+        chosen_sides = rnd.sample(range(k), rnd.choice(sizes))
+        e = frozenset((s, rnd.randrange(side_sizes[s])) for s in chosen_sides)
+        if e not in edges and not (intersecting and any(not e & f for f in edges)):
+            edges.append(e)
+    sides = [[f"{s}.{p}" for p in range(n)] for s, n in enumerate(side_sizes)]
+    return PartiteHypergraph(sides, [sorted(e) for e in edges])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(partite_hypergraphs())
+def test_cover_number_matches_subset_enumeration(h):
+    res = cover_number(h, enumerate_all=True)
+    assert res.tau == brute_force_cover_oracle(h)
+    expect = {c for c in combinations(h.vertices(), res.tau) if covers(h, c)}
+    assert set(res.all_min_covers) == expect
+    assert len(res.all_min_covers) == len(expect)
+    assert cover_number(h).witness in expect
+
+
+def test_node_count_ceilings():
+    # The degree-sum bound settles these in a few dozen nodes (8 and 49
+    # when written); a search that needs ten times that has lost pruning.
+    t8 = truncate(build_plane(FiniteField(7)))
+    assert cover_number(t8, upper_hint=7).nodes_explored <= 50
+    t6 = truncate(build_plane(FiniteField(5)))
+    ext = build_extension(select_f_default(t6, 0), check=False)
+    assert cover_number(ext, upper_hint=6).nodes_explored <= 490
