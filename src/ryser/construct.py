@@ -176,6 +176,7 @@ def build_extension(
     r = base.num_sides
     anchor = spec.anchor_vertices()
     anchor_side = {v: v[0] for v in anchor}
+    anchor_set = frozenset(anchor)
 
     sides = base.sides + (tuple(f"{MIRROR_LABEL_PREFIX}{i+1}" for i in range(r)),)
     edges = []
@@ -183,7 +184,7 @@ def build_extension(
     for idx, eset in enumerate(base.edge_sets):
         if idx == spec.s_edge:
             continue
-        common = eset & frozenset(anchor)
+        common = eset & anchor_set
         (si,) = {anchor_side[v] for v in common}
         edges.append(tuple(sorted(base.edges[idx])) + (spec.mirror_vertex(si),))
         labels.append(f"E1({idx})")

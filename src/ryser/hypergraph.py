@@ -10,6 +10,7 @@ consecutive sizes).
 """
 
 import os
+import re
 import tempfile
 from collections import Counter
 from dataclasses import dataclass
@@ -45,24 +46,29 @@ class PartiteHypergraph:
 
     def __init__(self, sides, edges, edge_labels=None, name=""):
         self.sides = tuple(tuple(str(x) for x in side) for side in sides)
-        k = len(self.sides)
+        # Valid vertices map to themselves, so a well-formed tuple or list
+        # edge is canonicalized by lookups.  Anything else, iterators
+        # included (a failed lookup would have consumed them), takes
+        # _checked_edge, which raises exactly as the per-vertex loop does.
+        table = {(s, p): (s, p) for s, side in enumerate(self.sides) for p in range(len(side))}
+        lookup = table.__getitem__
         canon = []
         seen = set()
         for e in edges:
-            vs = tuple(sorted((int(s), int(p)) for s, p in e))
-            if not vs:
-                raise UniformityError("empty edge")
-            used = set()
-            for s, p in vs:
-                if not (0 <= s < k) or not (0 <= p < len(self.sides[s])):
-                    raise ValueError(f"vertex {s}.{p} out of range")
-                if s in used:
-                    raise PartitenessError(f"edge {vs} has two vertices in side {s}")
-                used.add(s)
-            fs = frozenset(vs)
-            if fs in seen:
+            vs = None
+            if isinstance(e, (tuple, list)):
+                try:
+                    vs = tuple(sorted(map(lookup, e)))
+                except (KeyError, TypeError):
+                    pass
+                else:
+                    if not vs or len({s for s, _ in vs}) != len(vs):
+                        vs = None
+            if vs is None:
+                vs = _checked_edge(e, self.sides)
+            if vs in seen:
                 raise DuplicateEdgeError(f"duplicate edge {vs}")
-            seen.add(fs)
+            seen.add(vs)
             canon.append(vs)
         self.edges = tuple(canon)
         sizes = {len(e) for e in self.edges}
@@ -181,21 +187,48 @@ class PartiteHypergraph:
         )
 
 
+def _checked_edge(e, sides):
+    """Canonical sorted vertex tuple of one edge, converting and checking
+    vertex by vertex; raises on the first bad vertex in sorted order."""
+    k = len(sides)
+    vs = tuple(sorted((int(s), int(p)) for s, p in e))
+    if not vs:
+        raise UniformityError("empty edge")
+    used = set()
+    for s, p in vs:
+        if not (0 <= s < k) or not (0 <= p < len(sides[s])):
+            raise ValueError(f"vertex {s}.{p} out of range")
+        if s in used:
+            raise PartitenessError(f"edge {vs} has two vertices in side {s}")
+        used.add(s)
+    return vs
+
+
 # --- predicates & statistics ---
 
 
 def is_intersecting(h: PartiteHypergraph):
     """(True, None) if every pair of edges shares a vertex, else
-    (False, (i, j)) with a disjoint witness pair."""
+    (False, (i, j)) with the first disjoint pair in (i, j) order.
+
+    Each edge ORs the incident-edge masks of its vertices, so the cost is
+    O(m*r) mask operations rather than m^2/2 pair tests."""
     if h.num_edges == 0:
         raise EmptyHypergraphError("intersecting is undefined without edges")
-    masks = h.edge_masks
-    m = len(masks)
-    for i in range(m):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            if not mi & masks[j]:
-                return False, (i, j)
+    off = h.offsets
+    incident = [0] * off[-1]
+    for i, e in enumerate(h.edges):
+        bit = 1 << i
+        for s, p in e:
+            incident[off[s] + p] |= bit
+    full = (1 << h.num_edges) - 1
+    for i, e in enumerate(h.edges):
+        meet = 0
+        for s, p in e:
+            meet |= incident[off[s] + p]
+        missed = (full ^ meet) >> (i + 1)
+        if missed:
+            return False, (i, i + (missed & -missed).bit_length())
     return True, None
 
 
@@ -252,8 +285,9 @@ def dumps_rhg(h: PartiteHypergraph) -> str:
         for lab in side:
             _check_label_token(lab, "vertex label")
         lines.append(" ".join(["s", str(i), *side]))
+    ref = [[vid_str((s, p)) for p in range(len(side))] for s, side in enumerate(h.sides)]
     for e, lab in zip(h.edges, h.edge_labels):
-        refs = " ".join(vid_str(v) for v in e)
+        refs = " ".join([ref[s][p] for s, p in e])
         if lab is None:
             lines.append(f"e {refs}")
         else:
@@ -262,30 +296,40 @@ def dumps_rhg(h: PartiteHypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
+# One match per token: a quoted label, an unterminated quote, a comment
+# start, or a bare word running to the next whitespace.
+_TOKEN = re.compile(r'"([^"]*)"|(")|(#)|([^\s"#]\S*)')
+
+
 def _tokenize(line, lineno):
     """Split into (text, was_quoted) tokens; '#' outside quotes ends the line."""
     out = []
-    i, n = 0, len(line)
-    while i < n:
-        c = line[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c == "#":
+    for quoted, unterminated, comment, word in _TOKEN.findall(line):
+        if word:
+            out.append((word, False))
+        elif comment:
             break
-        if c == '"':
-            j = line.find('"', i + 1)
-            if j < 0:
-                raise ParseError("unterminated quoted label", lineno)
-            out.append((line[i + 1:j], True))
-            i = j + 1
+        elif unterminated:
+            raise ParseError("unterminated quoted label", lineno)
         else:
-            j = i
-            while j < n and not line[j].isspace():
-                j += 1
-            out.append((line[i:j], False))
-            i = j
+            out.append((quoted, True))
     return out
+
+
+def _edge_vertices(toks, sides, lineno):
+    """Vertex refs of an edge line, parsed and range-checked one by one."""
+    verts = []
+    for t, quoted in toks:
+        if quoted:
+            raise ParseError("quoted label must come first in an edge line", lineno)
+        try:
+            v = parse_vid(t)
+        except ValueError:
+            raise ParseError(f"bad vertex ref {t!r}", lineno) from None
+        if not (0 <= v[0] < len(sides)) or not (0 <= v[1] < len(sides[v[0]])):
+            raise ParseError(f"vertex ref {t} out of range", lineno)
+        verts.append(v)
+    return verts
 
 
 def loads_rhg(text: str, name: str = "") -> PartiteHypergraph:
@@ -293,6 +337,7 @@ def loads_rhg(text: str, name: str = "") -> PartiteHypergraph:
     edges = []
     labels = []
     num_sides = None
+    refs = None  # "s.p" -> (s, p) for every vertex, once the sides are read
     seen_edges = {}
     stage = "header"
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -329,6 +374,8 @@ def loads_rhg(text: str, name: str = "") -> PartiteHypergraph:
                         f"got {len(sides)} side lines, header says {num_sides}", lineno
                     )
                 stage = "edges"
+                refs = {vid_str((s, p)): (s, p)
+                        for s, side in enumerate(sides) for p in range(len(side))}
             rest = toks[1:]
             label = None
             if rest and rest[0][1]:
@@ -336,26 +383,18 @@ def loads_rhg(text: str, name: str = "") -> PartiteHypergraph:
                 rest = rest[1:]
             if not rest:
                 raise ParseError("edge with no vertices", lineno)
-            verts = []
-            for t, quoted in rest:
-                if quoted:
-                    raise ParseError("quoted label must come first in an edge line", lineno)
-                try:
-                    v = parse_vid(t)
-                except ValueError:
-                    raise ParseError(f"bad vertex ref {t!r}", lineno) from None
-                if not (0 <= v[0] < num_sides) or not (0 <= v[1] < len(sides[v[0]])):
-                    raise ParseError(f"vertex ref {t} out of range", lineno)
-                verts.append(v)
-            vset = frozenset(verts)
-            if len(vset) != len(verts) or len({s for s, _ in verts}) != len(verts):
+            verts = [None if quoted else refs.get(t) for t, quoted in rest]
+            if None in verts:
+                verts = _edge_vertices(rest, sides, lineno)
+            if len({s for s, _ in verts}) != len(verts):
                 raise PartitenessError(f"line {lineno}: edge repeats a side")
-            if vset in seen_edges:
+            vs = tuple(sorted(verts))
+            if vs in seen_edges:
                 raise DuplicateEdgeError(
-                    f"line {lineno}: duplicates edge from line {seen_edges[vset]}"
+                    f"line {lineno}: duplicates edge from line {seen_edges[vs]}"
                 )
-            seen_edges[vset] = lineno
-            edges.append(tuple(sorted(verts)))
+            seen_edges[vs] = lineno
+            edges.append(vs)
             labels.append(label)
         else:
             raise ParseError(f"unknown directive {head!r}", lineno)

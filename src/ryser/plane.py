@@ -4,7 +4,8 @@ Bruck-Ryser order-exclusion test.
 Points and lines are homogeneous coordinate triples over GF(q),
 normalized so the first nonzero coordinate is 1, ordered
 lexicographically by element index.  A point lies on a line iff the
-coordinate dot product vanishes.
+coordinate dot product vanishes; `build_plane` solves that equation for
+each line's points.
 """
 
 from dataclasses import dataclass
@@ -50,18 +51,36 @@ def _normalized_triples(q):
 
 
 def build_plane(field: FiniteField) -> ProjectivePlane:
-    """Construct PG(2,q) with deterministic point/line ordering."""
-    triples = _normalized_triples(field.q)
-    add, mul = field.add, field.mul
+    """Construct PG(2,q) with deterministic point/line ordering.
+
+    Each line's q+1 points are solved from its equation au + bv + cw = 0
+    rather than searched for, and a normalized triple maps to its index
+    in the sorted point list by (0,0,1) -> 0, (0,1,c) -> 1+c and
+    (1,b,c) -> 1+q+bq+c.
+    """
+    q = field.q
+    triples = _normalized_triples(q)
+    add, mul, neg = field.add, field.mul, field.neg
     line_points = []
     line_masks = []
     for u, v, w in triples:
-        pts = []
+        if w:
+            # c = -(u + bv)/w on (1,b,c), and c = -v/w on (0,1,c).
+            k = neg(field.inv(w))
+            pts = [1 + mul(v, k)]
+            pts += [1 + q + b * q + mul(add(u, mul(b, v)), k) for b in range(q)]
+        elif v:
+            # a = 1 forces b = -u/v with c free; a = 0 forces b = 0.
+            b = mul(neg(u), field.inv(v))
+            pts = [0]
+            pts += range(1 + q + b * q, 1 + 2 * q + b * q)
+        else:
+            # u != 0 forces a = 0: the point (0,0,1) and every (0,1,c).
+            pts = list(range(q + 1))
+        pts.sort()
         mask = 0
-        for pi, (a, b, c) in enumerate(triples):
-            if add(add(mul(a, u), mul(b, v)), mul(c, w)) == 0:
-                pts.append(pi)
-                mask |= 1 << pi
+        for pi in pts:
+            mask |= 1 << pi
         line_points.append(tuple(pts))
         line_masks.append(mask)
     return ProjectivePlane(

@@ -217,7 +217,9 @@ def _check_matching_cert(cert, h, problems, where):
 def recheck_report(report, base_dir="."):
     """Re-verify a report's digests and certificates against its input
     files.  Witness validity is checked directly; search optimality is
-    not re-proved.  Returns a list of problems (empty = consistent)."""
+    not re-proved.  A passing cover, matching or intersecting certificate
+    with no input hypergraph to check it against is a problem.  Returns
+    a list of problems (empty = consistent)."""
     problems = []
     hypergraphs = {}
     for entry in report.get("inputs", []):
@@ -240,15 +242,17 @@ def recheck_report(report, base_dir="."):
             continue
         where = chk["name"]
         kind = cert.get("kind")
-        if kind == "cover" and h is not None:
+        if kind in ("cover", "matching", "intersecting") and h is None:
+            problems.append(f"{where}: no input hypergraph to check the {kind} certificate against")
+        elif kind == "cover":
             _check_cover_cert(cert, h, problems, where)
-        elif kind == "matching" and h is not None:
+        elif kind == "matching":
             _check_matching_cert(cert, h, problems, where)
         elif kind == "ratio":
             extremal = cert["tau"] == (cert["r"] - 1) * cert["nu"]
             if cert["is_ryser_extremal"] != extremal:
                 problems.append(f"{where}: extremality flag inconsistent")
-        elif kind == "intersecting" and h is not None:
+        elif kind == "intersecting":
             if cert["intersecting"] is False:
                 i, j = cert["disjoint_pair"]
                 if set(h.edges[i]) & set(h.edges[j]):

@@ -61,6 +61,18 @@ def test_verify_report_schema(t4_file, tmp_path):
     assert recheck_report(rep, base_dir=".") == []
 
 
+def test_recheck_flags_certificates_without_input(tmp_path):
+    rep_path = tmp_path / "pipe.json"
+    assert run("pipeline", "--q", 5, "--f-default", "--out-dir", tmp_path / "arts",
+               "--json", rep_path) == 0
+    rep = load(rep_path)
+    assert rep["inputs"] == []
+    ext = next(c for c in rep["checks"] if c["name"] == "extension-cover-number")
+    ext["certificate"]["witness"] = ext["certificate"]["witness"][:1]
+    problems = recheck_report(rep, base_dir=tmp_path)
+    assert any(p.startswith("extension-cover-number:") for p in problems)
+
+
 def test_verify_ratio(t4_file, tmp_path):
     rep_path = tmp_path / "ratio.json"
     assert run("verify", t4_file, "--ratio", "--json", rep_path) == 0

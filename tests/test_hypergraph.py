@@ -1,6 +1,10 @@
 """PartiteHypergraph construction rules, predicates, and .rhg round trips."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ryser.errors import (
     DuplicateEdgeError,
@@ -12,6 +16,7 @@ from ryser.errors import (
 from ryser.gf import FiniteField
 from ryser.hypergraph import (
     PartiteHypergraph,
+    _tokenize,
     degree_stats,
     dumps_rhg,
     intersection_size_profile,
@@ -159,3 +164,214 @@ def test_without_and_with_edge(t4):
     h2 = h.with_edge(t4.edges[0], label="back")
     assert h2.num_edges == 9
     assert h2.edge_labels[-1] == "back"
+
+
+# --- fast paths against the slow code they replaced ---
+
+
+def outcome(f, *args):
+    """Result of f, or the type name and message of what it raised."""
+    try:
+        return f(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the result
+        return type(exc).__name__, str(exc)
+
+
+def reference_tokenize(line, lineno):
+    """Character-by-character tokenizer."""
+    out = []
+    i, n = 0, len(line)
+    while i < n:
+        c = line[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c == "#":
+            break
+        if c == '"':
+            j = line.find('"', i + 1)
+            if j < 0:
+                raise ParseError("unterminated quoted label", lineno)
+            out.append((line[i + 1:j], True))
+            i = j + 1
+        else:
+            j = i
+            while j < n and not line[j].isspace():
+                j += 1
+            out.append((line[i:j], False))
+            i = j
+    return out
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(st.text(alphabet=' \t"#ab.1\x0b\x1c', max_size=24))
+def test_tokenize_matches_character_loop(line):
+    assert outcome(_tokenize, line, 7) == outcome(reference_tokenize, line, 7)
+
+
+def reference_is_intersecting(h):
+    """Every pair of edge masks in (i, j) order."""
+    masks = h.edge_masks
+    for i in range(len(masks)):
+        for j in range(i + 1, len(masks)):
+            if not masks[i] & masks[j]:
+                return False, (i, j)
+    return True, None
+
+
+@st.composite
+def small_partite_hypergraphs(draw):
+    """1-4 sides of 1-3 vertices and up to 40 distinct edges of one size;
+    with few vertices per side, about a third of the draws intersect."""
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    k = rnd.randint(1, 4)
+    side_sizes = [rnd.randint(1, 3) for _ in range(k)]
+    size = rnd.randint(max(1, k - 1), k)
+    edges = []
+    for _ in range(rnd.randint(1, 40)):
+        e = tuple(sorted((s, rnd.randrange(side_sizes[s])) for s in rnd.sample(range(k), size)))
+        if e not in edges:
+            edges.append(e)
+    return PartiteHypergraph([["x"] * n for n in side_sizes], edges)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(small_partite_hypergraphs())
+def test_is_intersecting_matches_pair_scan(h):
+    assert is_intersecting(h) == reference_is_intersecting(h)
+
+
+def test_is_intersecting_witness_on_planes():
+    t = truncate(build_plane(FiniteField(2, 3)))
+    assert is_intersecting(t) == (True, None)
+    # a transversal that is no line misses some lines; the witness pairs
+    # the first of them with the new last edge
+    extra = ((0, 1),) + tuple((s, 0) for s in range(1, t.num_sides))
+    assert extra not in t.edges
+    h = t.with_edge(extra)
+    ok, witness = is_intersecting(h)
+    assert not ok and witness[1] == h.num_edges - 1
+    assert (ok, witness) == reference_is_intersecting(h)
+
+
+def reference_canonical_edges(sides, edges):
+    """Per-vertex conversion and checks of every edge, in input order,
+    then the edge-size profile."""
+    k = len(sides)
+    canon = []
+    seen = set()
+    for e in edges:
+        vs = tuple(sorted((int(s), int(p)) for s, p in e))
+        if not vs:
+            raise UniformityError("empty edge")
+        used = set()
+        for s, p in vs:
+            if not (0 <= s < k) or not (0 <= p < len(sides[s])):
+                raise ValueError(f"vertex {s}.{p} out of range")
+            if s in used:
+                raise PartitenessError(f"edge {vs} has two vertices in side {s}")
+            used.add(s)
+        if frozenset(vs) in seen:
+            raise DuplicateEdgeError(f"duplicate edge {vs}")
+        seen.add(frozenset(vs))
+        canon.append(vs)
+    sizes = {len(e) for e in canon}
+    if len(sizes) > 1 and (len(sizes) > 2 or max(sizes) - min(sizes) != 1):
+        raise UniformityError(f"edge sizes {sorted(sizes)} are not one size or two consecutive sizes")
+    return tuple(canon)
+
+
+SIDES = [["a", "b"], ["c", "d"], ["e"]]
+COORDS = [0, 1, 2, 3, -1, 0.0, 1.5, True, "1", "x"]
+
+
+@st.composite
+def raw_edges(draw):
+    """Edges of tuple or list vertices whose coordinates may be out of
+    range, floats, bools or strings, with repeats and duplicates."""
+    valid = st.sampled_from([(s, p) for s, side in enumerate(SIDES) for p in range(len(side))])
+    odd = st.tuples(st.sampled_from(COORDS), st.sampled_from(COORDS))
+    listed = st.lists(st.sampled_from(COORDS[:3]), min_size=2, max_size=2)
+    vertex = valid | valid | odd | listed
+    edge = st.lists(vertex, max_size=4)
+    edges = draw(st.lists(edge, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        edges.append(list(reversed(draw(st.sampled_from(edges)))))
+    return edges
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(raw_edges())
+def test_constructor_matches_per_vertex_checks(edges):
+    got = outcome(lambda: PartiteHypergraph(SIDES, edges).edges)
+    assert got == outcome(reference_canonical_edges, SIDES, edges)
+
+
+@pytest.mark.parametrize("edges,error,message", [
+    ([[(0, 0), (3, 0)]], ValueError, "vertex 3.0 out of range"),
+    ([[(0, 0), (1, 2)]], ValueError, "vertex 1.2 out of range"),
+    ([[(0, 0), (-1, 0)]], ValueError, "vertex -1.0 out of range"),
+    ([[(0, 0), (0, 1)]], PartitenessError, "edge ((0, 0), (0, 1)) has two vertices in side 0"),
+    ([[(0, 0), (1, 0)], [(1, 0), (0, 0)]], DuplicateEdgeError, "duplicate edge ((0, 0), (1, 0))"),
+    ([[]], UniformityError, "empty edge"),
+    ([[[0, 0], [1, 0]], [[1, 0], [0, 0]]], DuplicateEdgeError, "duplicate edge ((0, 0), (1, 0))"),
+    ([[(0.5, 0), (0, 1)]], PartitenessError, "edge ((0, 0), (0, 1)) has two vertices in side 0"),
+    ([[("0", "0"), ("1", "1")], [(0, 0), (1, 1)]], DuplicateEdgeError,
+     "duplicate edge ((0, 0), (1, 1))"),
+    ([[("x", "0")]], ValueError, "invalid literal for int() with base 10: 'x'"),
+    # out of range and a repeated side: the first in sorted order wins
+    ([[(0, 0), (9, 0), (1, 0), (1, 1)]], PartitenessError,
+     "edge ((0, 0), (1, 0), (1, 1), (9, 0)) has two vertices in side 1"),
+    ([[(0, 9), (0, 0), (1, 0)]], ValueError, "vertex 0.9 out of range"),
+    ([[(0, 0, 0)]], ValueError, "too many values to unpack (expected 2)"),
+    ([[0]], TypeError, "cannot unpack non-iterable int object"),
+    ([5], TypeError, "'int' object is not iterable"),
+    ([[(0, 0)], [(1, 0), (0, 0), (2, 0)]], UniformityError,
+     "edge sizes [1, 3] are not one size or two consecutive sizes"),
+])
+def test_constructor_error_messages(edges, error, message):
+    with pytest.raises(error) as ei:
+        PartiteHypergraph(SIDES, edges)
+    assert type(ei.value) is error and str(ei.value) == message
+
+
+def test_constructor_converts_like_int():
+    h = PartiteHypergraph(SIDES, [[(0, 0.0), (1.5, 1)], [(True, 0), ("0", "1")]])
+    assert h.edges == (((0, 0), (1, 1)), ((0, 1), (1, 0)))
+
+
+RHG_HEAD = "rhg 1 3\ns 0 a b\ns 1 c d\ns 2 e\n"
+
+
+@pytest.mark.parametrize("body,error,message", [
+    ("e 0.0 3.0\n", ParseError, "line 5: vertex ref 3.0 out of range"),
+    ("e 0.0 1.2\n", ParseError, "line 5: vertex ref 1.2 out of range"),
+    ("e 0.0 1.5\n", ParseError, "line 5: vertex ref 1.5 out of range"),
+    ("e 0.0 0.1\n", PartitenessError, "line 5: edge repeats a side"),
+    ("e 0.0 0.0\n", PartitenessError, "line 5: edge repeats a side"),
+    ("e 0.0 1.0\ne 1.0 0.0\n", DuplicateEdgeError, "line 6: duplicates edge from line 5"),
+    ("e 0.0 1.0\n\ne 2.0\ne 00.0 1.0\n", DuplicateEdgeError,
+     "line 8: duplicates edge from line 5"),
+    ("e\n", ParseError, "line 5: edge with no vertices"),
+    ('e "lab"\n', ParseError, "line 5: edge with no vertices"),
+    ('e 0.0 "lab"\n', ParseError, "line 5: quoted label must come first in an edge line"),
+    ("e 0.0 1.x\n", ParseError, "line 5: bad vertex ref '1.x'"),
+    ("e 0.0 [1,0]\n", ParseError, "line 5: bad vertex ref '[1,0]'"),
+    ("e 0.0 1.0.0\n", ParseError, "line 5: bad vertex ref '1.0.0'"),
+    # out of range and a repeated side: refs are checked in file order
+    ("e 1.0 9.0 1.1\n", ParseError, "line 5: vertex ref 9.0 out of range"),
+    ("e 1.0 1.1 9.0\n", ParseError, "line 5: vertex ref 9.0 out of range"),
+    ("e 0.0 1.0\ns 3 x\n", ParseError, "line 6: side line after edge lines"),
+    ('e "unterminated 0.0\n', ParseError, "line 5: unterminated quoted label"),
+    ("e 0.0\ne 0.1 1.1 2.0\n", UniformityError,
+     "edge sizes [1, 3] are not one size or two consecutive sizes"),
+])
+def test_rhg_error_messages(body, error, message):
+    with pytest.raises(error) as ei:
+        loads_rhg(RHG_HEAD + body)
+    assert type(ei.value) is error and str(ei.value) == message
+
+
+def test_rhg_reads_noncanonical_refs():
+    h = loads_rhg(RHG_HEAD + "e 0.0 +1.0 2.0\ne 00.1 1.01\n")
+    assert h.edges == (((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1)))

@@ -54,6 +54,61 @@ def test_incidence_axioms_exhaustive(q):
             assert (point_masks[i] & point_masks[j]).bit_count() == 1
 
 
+PRIME_POWERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
+
+
+def reference_plane(field):
+    """Points and per-line incident points by testing every point against
+    every line: the slow construction `build_plane` must reproduce."""
+    q = field.q
+    pts = sorted(
+        [(0, 0, 1)] + [(0, 1, c) for c in range(q)]
+        + [(1, b, c) for b in range(q) for c in range(q)]
+    )
+    add, mul = field.add, field.mul
+    line_points = tuple(
+        tuple(
+            pi for pi, (a, b, c) in enumerate(pts)
+            if add(add(mul(a, u), mul(b, v)), mul(c, w)) == 0
+        )
+        for u, v, w in pts
+    )
+    return tuple(pts), line_points
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+def test_build_plane_matches_dot_product_incidence(q):
+    pp = make_plane(q)
+    points, line_points = reference_plane(pp.field)
+    assert pp.points == points
+    assert pp.lines == points
+    assert pp.line_points == line_points
+    assert pp.line_masks == tuple(sum(1 << p for p in pts) for pts in line_points)
+
+
+class CountingField(FiniteField):
+    """GF(p^k) that counts its multiplications."""
+
+    def __init__(self, p, k=1):
+        super().__init__(p, k)
+        self.muls = 0
+
+    def mul(self, a, b):
+        self.muls += 1
+        return super().mul(a, b)
+
+
+def test_build_plane_multiplication_ceiling():
+    # Solving each line's equation costs O(q) products per line; testing
+    # every point against every line took about 1.7 M at q = 27.
+    field = CountingField(3, 3)
+    pp = build_plane(field)
+    q = field.q
+    assert field.muls <= 3 * (q * q + q + 1) * (q + 1)
+    ref = make_plane(27)
+    assert (pp.points, pp.line_points, pp.line_masks) == (ref.points, ref.line_points, ref.line_masks)
+
+
 def test_build_deterministic():
     a = make_plane(3)
     b = make_plane(3)
