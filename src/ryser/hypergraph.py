@@ -4,9 +4,10 @@ statistics, and the line-oriented .rhg file format.
 Vertices are (side, pos) pairs.  Edges are stored as sorted vertex
 tuples plus a parallel bitmask over the side-major global numbering, so
 intersection tests are single AND operations.  Instances are immutable
-after construction; every construction path re-validates partiteness,
+after construction.  The constructor validates partiteness,
 duplicate-freeness and the edge-size profile (all one size, or two
-consecutive sizes).
+consecutive sizes); the .rhg loader and `without_edge`, whose edges are
+canonical already, re-check only the edge-size profile.
 """
 
 import os
@@ -45,12 +46,12 @@ class PartiteHypergraph:
     __slots__ = ("sides", "edges", "edge_labels", "name", "_masks", "_offsets", "_edge_sets")
 
     def __init__(self, sides, edges, edge_labels=None, name=""):
-        self.sides = tuple(tuple(str(x) for x in side) for side in sides)
+        sides = tuple(tuple(str(x) for x in side) for side in sides)
         # Valid vertices map to themselves, so a well-formed tuple or list
         # edge is canonicalized by lookups.  Anything else, iterators
         # included (a failed lookup would have consumed them), takes
         # _checked_edge, which raises exactly as the per-vertex loop does.
-        table = {(s, p): (s, p) for s, side in enumerate(self.sides) for p in range(len(side))}
+        table = {(s, p): (s, p) for s, side in enumerate(sides) for p in range(len(side))}
         lookup = table.__getitem__
         canon = []
         seen = set()
@@ -65,22 +66,36 @@ class PartiteHypergraph:
                     if not vs or len({s for s, _ in vs}) != len(vs):
                         vs = None
             if vs is None:
-                vs = _checked_edge(e, self.sides)
+                vs = _checked_edge(e, sides)
             if vs in seen:
                 raise DuplicateEdgeError(f"duplicate edge {vs}")
             seen.add(vs)
             canon.append(vs)
-        self.edges = tuple(canon)
-        sizes = {len(e) for e in self.edges}
-        if len(sizes) > 1 and (len(sizes) > 2 or max(sizes) - min(sizes) != 1):
-            raise UniformityError(f"edge sizes {sorted(sizes)} are not one size or two consecutive sizes")
         if edge_labels is None:
-            self.edge_labels = (None,) * len(self.edges)
+            labels = (None,) * len(canon)
         else:
             labels = tuple(None if l is None else str(l) for l in edge_labels)
-            if len(labels) != len(self.edges):
-                raise ValueError("edge_labels length mismatch")
-            self.edge_labels = labels
+        self._init_canonical(sides, tuple(canon), labels, name)
+
+    @classmethod
+    def _from_canonical(cls, sides, edges, edge_labels, name):
+        """Instance from tuples the caller has already canonicalized: sides
+        of str labels, edges as sorted in-range vertex tuples with one
+        vertex per side and no duplicates, labels of str or None.  Only the
+        edge-size profile and the label count are checked."""
+        h = cls.__new__(cls)
+        h._init_canonical(sides, edges, edge_labels, name)
+        return h
+
+    def _init_canonical(self, sides, edges, edge_labels, name):
+        sizes = {len(e) for e in edges}
+        if len(sizes) > 1 and (len(sizes) > 2 or max(sizes) - min(sizes) != 1):
+            raise UniformityError(f"edge sizes {sorted(sizes)} are not one size or two consecutive sizes")
+        if len(edge_labels) != len(edges):
+            raise ValueError("edge_labels length mismatch")
+        self.sides = sides
+        self.edges = edges
+        self.edge_labels = edge_labels
         self.name = name
         self._masks = None
         self._offsets = None
@@ -155,9 +170,12 @@ class PartiteHypergraph:
     # --- derived copies ---
 
     def without_edge(self, index: int) -> "PartiteHypergraph":
-        edges = self.edges[:index] + self.edges[index + 1:]
-        labels = self.edge_labels[:index] + self.edge_labels[index + 1:]
-        return PartiteHypergraph(self.sides, edges, labels, name=self.name)
+        """Copy without edge `index`, a list index: negative counts from
+        the end, out of range raises IndexError."""
+        i = range(len(self.edges))[index]
+        edges = self.edges[:i] + self.edges[i + 1:]
+        labels = self.edge_labels[:i] + self.edge_labels[i + 1:]
+        return PartiteHypergraph._from_canonical(self.sides, edges, labels, self.name)
 
     def with_edge(self, vertices, label=None) -> "PartiteHypergraph":
         return PartiteHypergraph(
@@ -277,6 +295,8 @@ def _check_label_token(text, what):
         raise ValueError(f'{what} {text!r} contains a double quote')
     if what == "vertex label" and (not text or any(c.isspace() for c in text) or text.startswith("#")):
         raise ValueError(f"{what} {text!r} must be nonempty, unquoted-safe")
+    if "".join(text.splitlines()) != text:
+        raise ValueError(f"{what} {text!r} contains a line break")
 
 
 def dumps_rhg(h: PartiteHypergraph) -> str:
@@ -316,6 +336,29 @@ def _tokenize(line, lineno):
     return out
 
 
+def _split_edge_line(line):
+    """(label or None, vertex refs) of an edge line with at least one ref,
+    no '#' and no '"' other than around one label right after the 'e',
+    read with str.split; None for any other line.  _tokenize reads these
+    lines into the same tokens: str.split and its regular expression agree
+    on what is whitespace, and without '#' or '"' every token is a bare
+    word."""
+    if "#" in line:
+        return None
+    quotes = line.count('"')
+    if quotes == 0:
+        words = line.split()
+        if len(words) > 1 and words[0] == "e":
+            return None, words[1:]
+    elif quotes == 2:
+        head, label, tail = line.split('"')
+        words = tail.split()
+        # the opening quote must start a token, so whitespace precedes it
+        if words and head.split() == ["e"] and head[-1].isspace():
+            return label, words
+    return None
+
+
 def _edge_vertices(toks, sides, lineno):
     """Vertex refs of an edge line, parsed and range-checked one by one."""
     verts = []
@@ -332,50 +375,68 @@ def _edge_vertices(toks, sides, lineno):
     return verts
 
 
+def _ref_table(sides, num_sides, lineno):
+    """"s.p" -> (s, p) for every vertex, built at the first edge line."""
+    if len(sides) != num_sides:
+        raise ParseError(f"got {len(sides)} side lines, header says {num_sides}", lineno)
+    return {vid_str((s, p)): (s, p) for s, side in enumerate(sides) for p in range(len(side))}
+
+
 def loads_rhg(text: str, name: str = "") -> PartiteHypergraph:
+    """Parse .rhg text, checking every edge once, with line-numbered errors.
+
+    After the header, a line that _split_edge_line reads and whose refs
+    are all in the ref table skips the tokenizer.  Every other line goes
+    through _tokenize, and a ref the table lacks through _edge_vertices."""
     sides = []
     edges = []
     labels = []
     num_sides = None
-    refs = None  # "s.p" -> (s, p) for every vertex, once the sides are read
+    refs = None  # set at the first edge line; side lines may not follow
     seen_edges = {}
-    stage = "header"
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(raw, lineno)
-        if not toks:
-            continue
-        head = toks[0][0]
-        if stage == "header":
-            if head != "rhg" or len(toks) != 3 or toks[1][0] != "1":
-                raise ParseError("expected header 'rhg 1 <num_sides>'", lineno)
-            try:
-                num_sides = int(toks[2][0])
-            except ValueError:
-                raise ParseError("bad side count in header", lineno) from None
-            if num_sides < 1:
-                raise ParseError("side count must be >= 1", lineno)
-            stage = "sides"
-        elif head == "s":
-            if stage != "sides":
-                raise ParseError("side line after edge lines", lineno)
-            if len(toks) < 2 or toks[1][1]:
-                raise ParseError("expected 's <side_index> <labels...>'", lineno)
-            try:
-                idx = int(toks[1][0])
-            except ValueError:
-                raise ParseError("bad side index", lineno) from None
-            if idx != len(sides):
-                raise ParseError(f"side index {idx}, expected {len(sides)}", lineno)
-            sides.append(tuple(t for t, _ in toks[2:]))
-        elif head == "e":
-            if stage == "sides":
-                if len(sides) != num_sides:
-                    raise ParseError(
-                        f"got {len(sides)} side lines, header says {num_sides}", lineno
-                    )
-                stage = "edges"
-                refs = {vid_str((s, p)): (s, p)
-                        for s, side in enumerate(sides) for p in range(len(side))}
+        verts = None
+        if num_sides is not None:
+            split = _split_edge_line(raw)
+            if split is not None:
+                if refs is None:
+                    refs = _ref_table(sides, num_sides, lineno)
+                label, words = split
+                verts = [*map(refs.get, words)]
+                if None in verts:
+                    verts = None
+        if verts is None:
+            toks = _tokenize(raw, lineno)
+            if not toks:
+                continue
+            head = toks[0][0]
+            if num_sides is None:
+                if head != "rhg" or len(toks) != 3 or toks[1][0] != "1":
+                    raise ParseError("expected header 'rhg 1 <num_sides>'", lineno)
+                try:
+                    num_sides = int(toks[2][0])
+                except ValueError:
+                    raise ParseError("bad side count in header", lineno) from None
+                if num_sides < 1:
+                    raise ParseError("side count must be >= 1", lineno)
+                continue
+            if head == "s":
+                if refs is not None:
+                    raise ParseError("side line after edge lines", lineno)
+                if len(toks) < 2 or toks[1][1]:
+                    raise ParseError("expected 's <side_index> <labels...>'", lineno)
+                try:
+                    idx = int(toks[1][0])
+                except ValueError:
+                    raise ParseError("bad side index", lineno) from None
+                if idx != len(sides):
+                    raise ParseError(f"side index {idx}, expected {len(sides)}", lineno)
+                sides.append(tuple(t for t, _ in toks[2:]))
+                continue
+            if head != "e":
+                raise ParseError(f"unknown directive {head!r}", lineno)
+            if refs is None:
+                refs = _ref_table(sides, num_sides, lineno)
             rest = toks[1:]
             label = None
             if rest and rest[0][1]:
@@ -386,23 +447,20 @@ def loads_rhg(text: str, name: str = "") -> PartiteHypergraph:
             verts = [None if quoted else refs.get(t) for t, quoted in rest]
             if None in verts:
                 verts = _edge_vertices(rest, sides, lineno)
-            if len({s for s, _ in verts}) != len(verts):
-                raise PartitenessError(f"line {lineno}: edge repeats a side")
-            vs = tuple(sorted(verts))
-            if vs in seen_edges:
-                raise DuplicateEdgeError(
-                    f"line {lineno}: duplicates edge from line {seen_edges[vs]}"
-                )
-            seen_edges[vs] = lineno
-            edges.append(vs)
-            labels.append(label)
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno)
+        vs = tuple(sorted(verts))
+        if len(dict(vs)) != len(vs):  # one key per side
+            raise PartitenessError(f"line {lineno}: edge repeats a side")
+        if seen_edges.setdefault(vs, lineno) != lineno:
+            raise DuplicateEdgeError(
+                f"line {lineno}: duplicates edge from line {seen_edges[vs]}"
+            )
+        edges.append(vs)
+        labels.append(label)
     if num_sides is None:
         raise ParseError("empty file", 1)
-    if stage == "sides" and len(sides) != num_sides:
+    if refs is None and len(sides) != num_sides:
         raise ParseError(f"got {len(sides)} side lines, header says {num_sides}", lineno)
-    return PartiteHypergraph(sides, edges, labels, name=name)
+    return PartiteHypergraph._from_canonical(tuple(sides), tuple(edges), tuple(labels), name)
 
 
 def atomic_write_text(path, text: str):

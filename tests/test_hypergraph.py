@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ryser import hypergraph
+from ryser.construct import build_extension, select_f_default, uniformize
 from ryser.errors import (
     DuplicateEdgeError,
     EmptyHypergraphError,
@@ -16,6 +18,7 @@ from ryser.errors import (
 from ryser.gf import FiniteField
 from ryser.hypergraph import (
     PartiteHypergraph,
+    _edge_vertices,
     _tokenize,
     degree_stats,
     dumps_rhg,
@@ -148,6 +151,14 @@ def test_rhg_parse_errors():
     with pytest.raises(ParseError) as ei:
         loads_rhg("rhg 1 2\ns 0 a\ns 1 b\ne 0.0 zz\n")
     assert "line 4" in str(ei.value)
+
+
+@pytest.mark.parametrize("label", ["a\nb", "a\rb", "a\x1cb", "a\u2028b", "a\x85b", "ab\r\n"])
+def test_rhg_rejects_edge_label_with_line_break(label):
+    h = PartiteHypergraph([["a"], ["b"]], [[(0, 0), (1, 0)]], edge_labels=[label])
+    with pytest.raises(ValueError) as ei:
+        dumps_rhg(h)
+    assert str(ei.value) == f"edge label {label!r} contains a line break"
 
 
 def test_rhg_partiteness_and_duplicates():
@@ -375,3 +386,168 @@ def test_rhg_error_messages(body, error, message):
 def test_rhg_reads_noncanonical_refs():
     h = loads_rhg(RHG_HEAD + "e 0.0 +1.0 2.0\ne 00.1 1.01\n")
     assert h.edges == (((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1)))
+
+
+def reference_loads_rhg(text, name=""):
+    """The loader that tokenizes every line, checks each edge and then
+    passes the edges to the public constructor, which checks them again."""
+    sides = []
+    edges = []
+    labels = []
+    num_sides = None
+    refs = None
+    seen_edges = {}
+    stage = "header"
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        toks = _tokenize(raw, lineno)
+        if not toks:
+            continue
+        head = toks[0][0]
+        if stage == "header":
+            if head != "rhg" or len(toks) != 3 or toks[1][0] != "1":
+                raise ParseError("expected header 'rhg 1 <num_sides>'", lineno)
+            try:
+                num_sides = int(toks[2][0])
+            except ValueError:
+                raise ParseError("bad side count in header", lineno) from None
+            if num_sides < 1:
+                raise ParseError("side count must be >= 1", lineno)
+            stage = "sides"
+        elif head == "s":
+            if stage != "sides":
+                raise ParseError("side line after edge lines", lineno)
+            if len(toks) < 2 or toks[1][1]:
+                raise ParseError("expected 's <side_index> <labels...>'", lineno)
+            try:
+                idx = int(toks[1][0])
+            except ValueError:
+                raise ParseError("bad side index", lineno) from None
+            if idx != len(sides):
+                raise ParseError(f"side index {idx}, expected {len(sides)}", lineno)
+            sides.append(tuple(t for t, _ in toks[2:]))
+        elif head == "e":
+            if stage == "sides":
+                if len(sides) != num_sides:
+                    raise ParseError(
+                        f"got {len(sides)} side lines, header says {num_sides}", lineno
+                    )
+                stage = "edges"
+                refs = {f"{s}.{p}": (s, p)
+                        for s, side in enumerate(sides) for p in range(len(side))}
+            rest = toks[1:]
+            label = None
+            if rest and rest[0][1]:
+                label = rest[0][0]
+                rest = rest[1:]
+            if not rest:
+                raise ParseError("edge with no vertices", lineno)
+            verts = [None if quoted else refs.get(t) for t, quoted in rest]
+            if None in verts:
+                verts = _edge_vertices(rest, sides, lineno)
+            if len({s for s, _ in verts}) != len(verts):
+                raise PartitenessError(f"line {lineno}: edge repeats a side")
+            vs = tuple(sorted(verts))
+            if vs in seen_edges:
+                raise DuplicateEdgeError(
+                    f"line {lineno}: duplicates edge from line {seen_edges[vs]}"
+                )
+            seen_edges[vs] = lineno
+            edges.append(vs)
+            labels.append(label)
+        else:
+            raise ParseError(f"unknown directive {head!r}", lineno)
+    if num_sides is None:
+        raise ParseError("empty file", 1)
+    if stage == "sides" and len(sides) != num_sides:
+        raise ParseError(f"got {len(sides)} side lines, header says {num_sides}", lineno)
+    return PartiteHypergraph(sides, edges, labels, name=name)
+
+
+RHG_BAD_REFS = ["3.0", "1.2", "2.1", "-1.0", "01.0", "+1.0", "1_0.0", "1.x", "zz", "1.0.0", "."]
+RHG_SEPS = [" ", " ", " ", "  ", "\t", " \t "]
+
+
+@st.composite
+def rhg_texts(draw):
+    """.rhg texts over sides of sizes 2, 2, 1, mostly well-formed, with now
+    and then: labels holding spaces, tabs, '#', '\\x0b' or '\\x1c', labels
+    glued to the 'e', trailing comments, quoted tokens after the label,
+    unterminated quotes, out-of-range, malformed and non-canonical refs,
+    repeated or missing sides, duplicate edges and mixed edge sizes."""
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    rare = lambda: rnd.random() < 0.03  # noqa: E731
+    sep = lambda: rnd.choice(RHG_SEPS)  # noqa: E731
+    lines = ["rhg 1 3" if not rare() else rnd.choice(["rhg 1 2", "rhg 1 x", "# c\nrhg 1 3"])]
+    side_order = [0, 1, 2] if not rare() else [rnd.randrange(4) for _ in range(rnd.randrange(5))]
+    for s in side_order:
+        lines.append(sep().join(["s", str(s), *"abcde"[:2 if s < 2 else 1]]))
+    size = rnd.randint(1, 2)
+    edges = []
+    for _ in range(rnd.randrange(9)):
+        if edges and rare():
+            words = list(rnd.choice(edges))
+            words[1:] = reversed(words[1:])
+        else:
+            k = size + rnd.randrange(2) if not rare() else rnd.randrange(5)
+            refs = [f"{s}.{rnd.randrange(2 if s < 2 else 1)}" for s in rnd.sample(range(3), min(k, 3))]
+            refs += ["0.0"] * (k - len(refs))
+            if refs and rare():
+                refs[rnd.randrange(len(refs))] = rnd.choice(RHG_BAD_REFS)
+            if refs and rare():
+                refs.insert(rnd.randrange(len(refs) + 1), '"q"')
+            head = "e"
+            if rnd.random() < 0.7:
+                label = "".join(rnd.choice("ab #\t") for _ in range(rnd.randrange(5)))
+                if rare():
+                    label += rnd.choice(["\x0b", "\x1c"]) + label
+                head += ("" if rare() else sep()) + '"' + label + ('"' if not rare() else "")
+            words = [head, *refs]
+            edges.append(words)
+        line = sep().join(words)
+        if rare():
+            line = sep() + line
+        if rare():
+            line += rnd.choice([" # tail", "#tail", '"', " x"])
+        lines.append(line)
+        if rare():
+            lines.append(rnd.choice(["", "  ", "# note", "s 3 x", "e"]))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(rhg_texts())
+def test_loader_matches_reference_loader(text):
+    def parsed(load):
+        h = load(text)
+        return h.sides, h.edges, h.edge_labels
+    assert outcome(parsed, loads_rhg) == outcome(parsed, reference_loads_rhg)
+
+
+def test_rhg_edge_lines_skip_tokenizer(monkeypatch):
+    t = truncate(build_plane(FiniteField(3, 2)))
+    u = uniformize(build_extension(select_f_default(t, 0), check=False))
+    text = dumps_rhg(u)
+    calls = []
+    tokenize = hypergraph._tokenize
+    monkeypatch.setattr(hypergraph, "_tokenize", lambda *a: calls.append(a) or tokenize(*a))
+    back = loads_rhg(text)
+    assert len(calls) <= 1 + u.num_sides
+    assert back == u and hash(back) == hash(u)
+    assert back == PartiteHypergraph(u.sides, u.edges, u.edge_labels)
+
+
+def test_without_edge_checks_size_profile(t4):
+    assert t4.without_edge(-1).edges == t4.edges[:-1]
+    with pytest.raises(IndexError):
+        t4.without_edge(t4.num_edges)
+    h = PartiteHypergraph(SIDES, [[(0, 0)], [(0, 1), (1, 0)]])
+    # no instance the constructor accepts loses its size profile by losing
+    # an edge, so give one a third edge size directly
+    h.edges += (((0, 1), (1, 1), (2, 0)),)
+    h.edge_labels += (None,)
+    with pytest.raises(UniformityError) as ei:
+        h.without_edge(1)
+    assert str(ei.value) == "edge sizes [1, 3] are not one size or two consecutive sizes"
+    h.edge_labels += (None,)
+    with pytest.raises(ValueError, match="^edge_labels length mismatch$"):
+        h.without_edge(2)
