@@ -523,6 +523,8 @@ def cmd_pipeline(args):
     vertex = opt["vertex"]
     s_edge = int(opt["s_edge"])
     jobs = int(opt["jobs"])
+    if jobs < 1:
+        raise ConfigError(f"jobs must be at least 1, got {jobs}")
     timeout = resolve_timeout(opt["timeout"])
     mode = opt["f"]
     mode_value = {"default": None, "edges": "f_edges", "profile": "profile"}
@@ -737,6 +739,13 @@ def cmd_corpus(args):
 # --- parser ---
 
 
+def positive_int(text):
+    jobs = int(text)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def _add_common(p, timeout=True, jobs=True):
     p.add_argument("--json", metavar="PATH", help="write a JSON report here")
     if timeout:
@@ -744,7 +753,8 @@ def _add_common(p, timeout=True, jobs=True):
                        help="solver wall-clock budget in seconds "
                             "(default: RYSER_TIMEOUT_SECS or 60)")
     if jobs:
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for searches")
+        p.add_argument("--jobs", type=positive_int, default=1,
+                       help="worker processes for searches (at least 1)")
 
 
 def build_parser():

@@ -2,7 +2,7 @@
 
 The cover search is exhaustive branch-and-bound over bitmask edges:
 probe an increasing (or hint-seeded) size budget; within a budget,
-branch on the uncovered edge of minimum size, over its vertices in
+branch on the uncovered edge of minimum free size, over its vertices in
 global order, excluding earlier branch vertices deeper in the tree so
 every cover is generated exactly once.  A failed budget-b run is the
 proof that no cover of size <= b exists, which makes the reported tau
@@ -14,6 +14,20 @@ uncovered edge has no such vertex.  Degrees are read by popcount from
 per-vertex masks of incident edges.  On intersecting inputs, where no
 two edges are disjoint, this is the bound that prunes; a disjoint-edge
 count never exceeds 1 there.
+
+A degree-1 vertex is dominated by any other vertex of its edge: swapping
+it for that vertex leaves a cover of no greater size.  Decide runs
+therefore start with the dominated vertices excluded (in an edge made
+only of degree-1 vertices, all but the first); this keeps tau and every
+refutation, and drops the tail vertices `uniformize` adds.  Enumerations
+exclude none, so they still return every minimum cover.  An edge's free
+size, the branching key, is its size less its dominated vertices, fixed
+per call: a uniformized edge is then branched on when its mixed original
+would be, and the search is the mixed extension's.
+
+The matching search branches on edge inclusion in index order and
+carries the mask of the edges disjoint from all edges taken so far; its
+bound is the popcount of that mask above the current index.
 
 All tie-breaking is by smallest global vertex index / smallest edge
 index, so identical inputs give identical certificates.  With jobs > 1
@@ -110,32 +124,55 @@ class _Instance(NamedTuple):
     """The static search data of one hypergraph, built once per call."""
     gid_lists: tuple     # per edge, the global ids of its vertices in order
     incidence: tuple     # per global id, (vertex bit, mask of the edges through it)
-    size_classes: tuple  # masks of the edges of each size, smallest size first
+    size_classes: tuple  # masks of the edges of each free size, smallest first
+    dominated: int       # mask of the vertices a decide run never picks
 
 
-def _instance(h):
-    gid_lists = tuple(tuple(h.gid(v) for v in e) for e in h.edges)
+def _gids_and_incidence(h):
+    """Per edge, the global ids of its vertices in order, and per global
+    id, the mask of the edges through it."""
+    off = h.offsets
+    gid_lists = tuple(tuple(off[s] + p for s, p in e) for e in h.edges)
     inc = [0] * h.num_vertices
-    classes = {}
     for i, gids in enumerate(gid_lists):
         bit = 1 << i
         for g in gids:
             inc[g] |= bit
-        classes[len(gids)] = classes.get(len(gids), 0) | bit
+    return gid_lists, inc
+
+
+def _instance(h):
+    gid_lists, inc = _gids_and_incidence(h)
+    # A degree-1 vertex covers only its own edge, so any other vertex of
+    # that edge does at least as well.  An edge of degree-1 vertices
+    # keeps its first (edges list their vertices in global order).
+    dominated = 0
+    classes = {}
+    for i, gids in enumerate(gid_lists):
+        tails = [g for g in gids if inc[g] == 1 << i]
+        if len(tails) == len(gids):
+            tails = tails[1:]
+        for g in tails:
+            dominated |= 1 << g
+        free = len(gids) - len(tails)
+        classes[free] = classes.get(free, 0) | 1 << i
     return _Instance(
         gid_lists,
         tuple((1 << g, mask) for g, mask in enumerate(inc)),
         tuple(classes[size] for size in sorted(classes)),
+        dominated,
     )
 
 
 def _budget_search(inst, budget, collect, deadline, node=None, tasks=None):
     """Exhaustive search for covers of size <= budget below `node`, a
     (chosen, uncovered edge mask, excluded vertex mask) triple that
-    defaults to the root.  Returns (first_found, solutions, nodes).
+    defaults to the root.  The root of a decide run excludes the
+    dominated vertices; that of an enumeration excludes none, so that
+    every minimum cover is found.  Returns (first_found, solutions, nodes).
     Given a `tasks` list, the root's branches are appended to it as
     nodes instead of being searched."""
-    gid_lists, incidence, size_classes = inst
+    gid_lists, incidence, size_classes, dominated = inst
     first = None
     sols = [] if collect else None
     nodes = 0
@@ -157,7 +194,7 @@ def _budget_search(inst, budget, collect, deadline, node=None, tasks=None):
         lb = _degree_bound(incidence, uncovered, excluded)
         if lb is None or len(chosen) + lb > budget:
             return False
-        # branch on the uncovered edge of smallest (size, index)
+        # branch on the uncovered edge of smallest (free size, index)
         for cls in size_classes:
             branch = uncovered & cls
             if branch:
@@ -175,7 +212,7 @@ def _budget_search(inst, budget, collect, deadline, node=None, tasks=None):
     # list.append returns None, which the branch loop reads as "go on"
     child = rec if tasks is None else lambda *branch: tasks.append(branch)
     if node is None:
-        node = ((), (1 << len(gid_lists)) - 1, 0)
+        node = ((), (1 << len(gid_lists)) - 1, 0 if collect else dominated)
     rec(*node)
     return first, sols, nodes
 
@@ -282,14 +319,23 @@ def matching_number(
     timeout: Optional[float] = DEFAULT_TIMEOUT,
 ) -> MatchingResult:
     """Exact maximum matching size via branch-and-bound over edge
-    inclusion in index order."""
-    masks = h.edge_masks
-    m = len(masks)
+    inclusion in index order.  A node carries the mask of the edges
+    disjoint from every edge taken so far; its bound is the number of
+    those edges not yet decided."""
+    m = h.num_edges
+    gid_lists, inc = _gids_and_incidence(h)
+    full = (1 << m) - 1
+    apart = []  # per edge, the mask of the edges disjoint from it
+    for gids in gid_lists:
+        meets = 0
+        for g in gids:
+            meets |= inc[g]
+        apart.append(full & ~meets)
     deadline = _Deadline(timeout)
     best = []
     nodes = 0
 
-    def rec(i, cur_mask, cur):
+    def rec(i, avail, cur):
         nonlocal best, nodes
         nodes += 1
         deadline.check()
@@ -297,16 +343,15 @@ def matching_number(
             if len(cur) > len(best):
                 best = list(cur)
             return
-        compatible = sum(1 for j in range(i, m) if not masks[j] & cur_mask)
-        if len(cur) + compatible <= len(best):
+        if len(cur) + (avail >> i).bit_count() <= len(best):
             return
-        if not masks[i] & cur_mask:
+        if avail >> i & 1:
             cur.append(i)
-            rec(i + 1, cur_mask | masks[i], cur)
+            rec(i + 1, avail & apart[i], cur)
             cur.pop()
-        rec(i + 1, cur_mask, cur)
+        rec(i + 1, avail, cur)
 
-    rec(0, 0, [])
+    rec(0, full, [])
     return MatchingResult(len(best), tuple(best), nodes)
 
 

@@ -225,6 +225,33 @@ def test_pipeline_jobs_flag_overrides_config(tmp_path, monkeypatch):
     assert jobs_seen and set(jobs_seen) == {1}
 
 
+def test_jobs_below_one_rejected(t4_file, tmp_path, monkeypatch):
+    from ryser import solver
+
+    pools = []
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", lambda **k: pools.append(k))
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"base": str(t4_file), "s_edge": 0, "f_edges": [1, 2, 3, 4]}))
+    commands = (
+        ("construct", "--base", t4_file, "--s-edge", 0, "--f-default", "--out", tmp_path / "x.rhg"),
+        ("verify", t4_file, "--tau"),
+        ("minimize", t4_file),
+        ("maximal-check", t4_file, "--spec", spec),
+        ("pipeline", "--q", 3),
+        ("corpus", "--out", tmp_path / "corpus"),
+    )
+    cfg = tmp_path / "cfg.json"
+    for jobs in (0, -1):
+        for argv in commands:
+            with pytest.raises(SystemExit) as e:
+                run(*argv, "--jobs", jobs)
+            assert e.value.code == 2, argv
+        cfg.write_text(json.dumps({"q": 3, "jobs": jobs}))
+        assert run("pipeline", "--config", cfg) == 2
+    assert pools == []
+    assert not (tmp_path / "x.rhg").exists() and not (tmp_path / "corpus").exists()
+
+
 def test_maximal_check_q4_full_pass(tmp_path):
     t5 = tmp_path / "t5.rhg"
     assert run("truncate", "--q", 4, "--out", t5) == 0

@@ -13,6 +13,8 @@ from ryser.gf import FiniteField
 from ryser.hypergraph import PartiteHypergraph, is_intersecting
 from ryser.plane import build_plane, truncate
 from ryser.solver import (
+    MatchingResult,
+    _Deadline,
     brute_force_cover_oracle,
     cover_number,
     matching_number,
@@ -259,3 +261,130 @@ def test_node_count_ceilings():
     t6 = truncate(build_plane(FiniteField(5)))
     ext = build_extension(select_f_default(t6, 0), check=False)
     assert cover_number(ext, upper_hint=6).nodes_explored <= 490
+
+
+def test_uniformized_node_ceilings():
+    # A decide run never picks the degree-1 tail vertices that uniformize
+    # adds and branches on the edges they lengthen first, so it searches
+    # the tree of the mixed extension (49 and 81 nodes when written;
+    # 267 and 987 before tails were skipped).
+    for q, ceiling in ((5, 60), (7, 100)):
+        t = truncate(build_plane(FiniteField(q)))
+        u = uniformize(build_extension(select_f_default(t, 0), check=False))
+        assert cover_number(u, upper_hint=q + 1).nodes_explored <= ceiling
+
+
+def dominated_vertices(h):
+    """The degree-1 vertices of each edge that has a vertex of larger
+    degree; in an edge of degree-1 vertices, all but its first."""
+    degree = {}
+    for e in h.edges:
+        for v in e:
+            degree[v] = degree.get(v, 0) + 1
+    out = set()
+    for e in h.edges:
+        tails = [v for v in e if degree[v] == 1]
+        out.update(tails[1:] if len(tails) == len(e) else tails)
+    return out
+
+
+@st.composite
+def hypergraphs_with_tails(draw):
+    """2-4 sides over a few shared vertices, and up to 7 distinct edges
+    of one size or two consecutive sizes that each take a fresh degree-1
+    vertex in a chosen side with probability 0.4; about one edge in four
+    is made of fresh vertices only, so that most draws are not
+    intersecting."""
+    rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
+    k = rnd.randint(2, 4)
+    small = rnd.randint(1, k)
+    sizes = (small, small + 1) if small < k and rnd.random() < 0.5 else (small,)
+    shared = [rnd.randint(1, 3) for _ in range(k)]
+    sides = [[f"{s}.{p}" for p in range(n)] for s, n in enumerate(shared)]
+    fresh_left = 20 - sum(shared)
+    edges = set()
+    for _ in range(rnd.randint(1, 7)):
+        chosen = rnd.sample(range(k), rnd.choice(sizes))
+        isolated = rnd.random() < 0.25
+        e = []
+        for s in chosen:
+            if fresh_left and (isolated or rnd.random() < 0.4):
+                fresh_left -= 1
+                sides[s].append(f"t{len(sides[s])}")
+                e.append((s, len(sides[s]) - 1))
+            else:
+                e.append((s, rnd.randrange(shared[s])))
+        edges.add(tuple(sorted(e)))
+    return PartiteHypergraph(sides, sorted(edges))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(hypergraphs_with_tails())
+def test_dominated_tails_match_oracle(h):
+    res = cover_number(h, enumerate_all=True)
+    assert res.tau == brute_force_cover_oracle(h)
+    expect = {c for c in combinations(h.vertices(), res.tau) if covers(h, c)}
+    assert set(res.all_min_covers) == expect
+    assert len(res.all_min_covers) == len(expect)
+    decide = cover_number(h)
+    assert decide.tau == res.tau
+    assert decide.witness in expect
+    assert not set(decide.witness) & dominated_vertices(h)
+
+
+def test_dominated_tails_pool_matches_serial():
+    t6 = truncate(build_plane(FiniteField(5)))
+    u = uniformize(build_extension(select_f_default(t6, 3), check=False))
+    tails = dominated_vertices(u)
+    assert tails
+    serial = cover_number(u)
+    pooled = cover_number(u, jobs=2)
+    assert (pooled.tau, pooled.witness, pooled.nodes_explored) == \
+        (serial.tau, serial.witness, serial.nodes_explored)
+    assert serial.tau == 6 and not set(serial.witness) & tails
+
+
+def reference_matching_number(h, timeout=None):
+    """matching_number as it was before its bound was read from a carried
+    edge mask: every node recounts the compatible later edges."""
+    masks = h.edge_masks
+    m = len(masks)
+    deadline = _Deadline(timeout)
+    best = []
+    nodes = 0
+
+    def rec(i, cur_mask, cur):
+        nonlocal best, nodes
+        nodes += 1
+        deadline.check()
+        if i == m:
+            if len(cur) > len(best):
+                best = list(cur)
+            return
+        compatible = sum(1 for j in range(i, m) if not masks[j] & cur_mask)
+        if len(cur) + compatible <= len(best):
+            return
+        if not masks[i] & cur_mask:
+            cur.append(i)
+            rec(i + 1, cur_mask | masks[i], cur)
+            cur.pop()
+        rec(i + 1, cur_mask, cur)
+
+    rec(0, 0, [])
+    return MatchingResult(len(best), tuple(best), nodes)
+
+
+@st.composite
+def disjoint_unions(draw):
+    """The disjoint union of up to three random hypergraphs with the edge
+    sizes of the first, so that nu reaches 3 and more."""
+    parts = draw(st.lists(st.one_of(partite_hypergraphs(), hypergraphs_with_tails()),
+                          min_size=1, max_size=3))
+    sizes = {len(e) for e in parts[0].edges}
+    return disjoint_union([h for h in parts if {len(e) for e in h.edges} == sizes])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(disjoint_unions())
+def test_matching_number_matches_reference(h):
+    assert matching_number(h) == reference_matching_number(h)
