@@ -214,12 +214,51 @@ def _check_matching_cert(cert, h, problems, where):
         problems.append(f"{where}: witness size differs from nu")
 
 
+def _check_minimization_cert(cert, h, problems, where):
+    """Replay a `ryser minimize` certificate: the final hypergraph is the
+    input less the deleted edges, and each kept edge's witness is a set
+    of target_tau - 1 vertices that covers every other final edge but
+    not that one, so deleting the edge would lower tau."""
+    deleted = [d["original_index"] for d in cert["deleted"]]
+    kept = [k["original_index"] for k in cert["kept"]]
+    if sorted(deleted + kept) != list(range(h.num_edges)):
+        problems.append(f"{where}: deleted and kept edges do not partition "
+                        f"the input's {h.num_edges} edges")
+        return
+    target = cert["target_tau"]
+    for entry in cert["deleted"] + cert["kept"]:
+        if entry["label"] != h.edge_labels[entry["original_index"]]:
+            problems.append(f"{where}: edge {entry['original_index']} label differs from the input's")
+    for d in cert["deleted"]:
+        if d["tau_after"] != target:
+            problems.append(f"{where}: deleting edge {d['original_index']} changes tau")
+    final = [(i, set(h.edges[i])) for i in sorted(kept)]
+    for k in cert["kept"]:
+        i = k["original_index"]
+        witness = {parse_vid(t) for t in k["witness_without"]}
+        if k["tau_without"] != target - 1:
+            problems.append(f"{where}: kept edge {i} has tau_without "
+                            f"{k['tau_without']}, expected {target - 1}")
+        elif len(witness) != target - 1:
+            problems.append(f"{where}: kept edge {i} witness has "
+                            f"{len(witness)} vertices, expected {target - 1}")
+        elif not all(witness & e for j, e in final if j != i):
+            problems.append(f"{where}: kept edge {i} witness does not cover "
+                            f"the final hypergraph without that edge")
+        elif witness & set(h.edges[i]):
+            problems.append(f"{where}: kept edge {i} witness covers the whole "
+                            f"final hypergraph with fewer than {target} vertices")
+
+
 def recheck_report(report, base_dir="."):
     """Re-verify a report's digests and certificates against its input
     files.  Witness validity is checked directly; search optimality is
-    not re-proved.  A passing cover, matching or intersecting certificate
-    with no input hypergraph to check it against is a problem.  Returns
-    a list of problems (empty = consistent)."""
+    not re-proved.  A minimization certificate with per-edge entries is
+    replayed against the input: its final hypergraph, and each kept
+    edge's witness of criticality.  A passing cover, matching,
+    intersecting or per-edge minimization certificate with no input
+    hypergraph to check it against is a problem.  Returns a list of
+    problems (empty = consistent)."""
     problems = []
     hypergraphs = {}
     for entry in report.get("inputs", []):
@@ -242,12 +281,16 @@ def recheck_report(report, base_dir="."):
             continue
         where = chk["name"]
         kind = cert.get("kind")
-        if kind in ("cover", "matching", "intersecting") and h is None:
+        if kind == "minimization" and not isinstance(cert.get("deleted"), list):
+            continue  # the pipeline's summary holds counts only
+        if kind in ("cover", "matching", "intersecting", "minimization") and h is None:
             problems.append(f"{where}: no input hypergraph to check the {kind} certificate against")
         elif kind == "cover":
             _check_cover_cert(cert, h, problems, where)
         elif kind == "matching":
             _check_matching_cert(cert, h, problems, where)
+        elif kind == "minimization":
+            _check_minimization_cert(cert, h, problems, where)
         elif kind == "ratio":
             extremal = cert["tau"] == (cert["r"] - 1) * cert["nu"]
             if cert["is_ryser_extremal"] != extremal:

@@ -15,6 +15,18 @@ per-vertex masks of incident edges.  On intersecting inputs, where no
 two edges are disjoint, this is the bound that prunes; a disjoint-edge
 count never exceeds 1 there.
 
+A node that passes ranks its free vertices by degree, walking only the
+vertices its parent ranked, and tests each branch child's bound before
+entering it.  The parent's degrees bound the child's from above, so the
+child test walks the ranking, recounts each vertex's degree on the
+child's uncovered edges, and stops once its k-1 largest are at least
+the next parent degree.  With one pick left the test is whether a free
+vertex of one uncovered edge (the branch edge) meets every uncovered
+edge, which is O(r).  A child that fails is counted as one node and not
+entered; a child that passes runs the full test, dead-edge check
+included.  So every prune, witness, enumeration and node count is that
+of a search that enters every child.
+
 A degree-1 vertex is dominated by any other vertex of its edge: swapping
 it for that vertex leaves a cover of no greater size.  Decide runs
 therefore start with the dominated vertices excluded (in an edge made
@@ -39,6 +51,7 @@ identical to the single-worker run.
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from heapq import heappush, heapreplace
 from itertools import combinations
 from math import comb
 from typing import NamedTuple, Optional
@@ -74,31 +87,70 @@ class RatioReport:
     is_ryser_extremal: bool
 
 
-def _degree_bound(incidence, uncovered, excluded):
-    """Fewest free vertices that could cover every edge in `uncovered`:
-    the smallest k whose k largest uncovered-edge degrees, over the
-    vertices not in `excluded`, sum to at least the number of uncovered
-    edges.  None when some uncovered edge has no free vertex left.
-    `incidence` lists (vertex bit, mask of the edges through it)."""
-    degrees = []
+def _ranked_degrees(candidates, uncovered, excluded):
+    """(degree, vertex bit, incident-edge mask) of every vertex of
+    `candidates` not in `excluded` that meets `uncovered`, largest degree
+    first, where a degree counts uncovered edges.  None when some
+    uncovered edge has no such vertex.  `candidates` lists (any, vertex
+    bit, incident-edge mask) and holds every vertex that may meet
+    `uncovered`: the whole incidence list, or the ranking of a node
+    whose uncovered edges include these."""
+    ranked = []
     reach = 0
-    for bit, inc in incidence:
+    for _, bit, inc in candidates:
         if not bit & excluded:
             hit = inc & uncovered
             if hit:
                 reach |= hit
-                degrees.append(hit.bit_count())
+                ranked.append((hit.bit_count(), bit, inc))
     if reach != uncovered:
         return None
+    ranked.sort(reverse=True)
+    return ranked
+
+
+def _degree_sum_fits(ranked, uncovered, excluded, picks):
+    """The degree-sum bound of hitting set: whether the `picks` largest
+    degrees on `uncovered`, over the vertices of `ranked` not in
+    `excluded`, sum to at least the number of uncovered edges.  `ranked`
+    lists (degree bound, vertex bit, incident-edge mask), largest bound
+    first, each bound at least the vertex's degree on `uncovered`; the
+    walk stops once the kept degrees are all at least the next bound,
+    since no later vertex can then displace one of them.  At one pick the
+    test is whether one entry meets every uncovered edge, and the
+    entries need no order: any uncovered edge's vertices will do, since
+    such a vertex lies on every uncovered edge."""
     need = uncovered.bit_count()
-    degrees.sort(reverse=True)
-    picks = 0
-    for d in degrees:
-        if need <= 0:
+    if not need:
+        return True
+    if picks == 1:
+        # one vertex must meet every uncovered edge
+        for _, bit, inc in ranked:
+            if not bit & excluded and inc & uncovered == uncovered:
+                return True
+        return False
+    if picks <= 0:
+        return False
+    kept = []  # min-heap of the `picks` largest degrees so far
+    room = picks
+    total = 0
+    for bound, bit, inc in ranked:
+        if not room and kept[0] >= bound:
             break
-        need -= d
-        picks += 1
-    return picks
+        if bit & excluded:
+            continue
+        d = (inc & uncovered).bit_count()
+        if room:
+            room -= 1
+            heappush(kept, d)
+            total += d
+        elif d > kept[0]:
+            total += d - heapreplace(kept, d)
+        else:
+            continue
+        if total >= need:
+            return True
+    return False
 
 
 class _Deadline:
@@ -123,7 +175,7 @@ class _Deadline:
 class _Instance(NamedTuple):
     """The static search data of one hypergraph, built once per call."""
     gid_lists: tuple     # per edge, the global ids of its vertices in order
-    incidence: tuple     # per global id, (vertex bit, mask of the edges through it)
+    incidence: tuple     # per global id, (degree, vertex bit, mask of the edges through it)
     size_classes: tuple  # masks of the edges of each free size, smallest first
     dominated: int       # mask of the vertices a decide run never picks
 
@@ -132,12 +184,13 @@ def _gids_and_incidence(h):
     """Per edge, the global ids of its vertices in order, and per global
     id, the mask of the edges through it."""
     off = h.offsets
-    gid_lists = tuple(tuple(off[s] + p for s, p in e) for e in h.edges)
+    gid_lists = tuple([tuple([off[s] + p for s, p in e]) for e in h.edges])
     inc = [0] * h.num_vertices
-    for i, gids in enumerate(gid_lists):
-        bit = 1 << i
+    bit = 1
+    for gids in gid_lists:
         for g in gids:
             inc[g] |= bit
+        bit <<= 1
     return gid_lists, inc
 
 
@@ -148,17 +201,19 @@ def _instance(h):
     # keeps its first (edges list their vertices in global order).
     dominated = 0
     classes = {}
-    for i, gids in enumerate(gid_lists):
-        tails = [g for g in gids if inc[g] == 1 << i]
+    bit = 1
+    for gids in gid_lists:
+        tails = [g for g in gids if inc[g] == bit]
         if len(tails) == len(gids):
-            tails = tails[1:]
+            del tails[0]
         for g in tails:
             dominated |= 1 << g
         free = len(gids) - len(tails)
-        classes[free] = classes.get(free, 0) | 1 << i
+        classes[free] = classes.get(free, 0) | bit
+        bit <<= 1
     return _Instance(
         gid_lists,
-        tuple((1 << g, mask) for g, mask in enumerate(inc)),
+        tuple((mask.bit_count(), 1 << g, mask) for g, mask in enumerate(inc)),
         tuple(classes[size] for size in sorted(classes)),
         dominated,
     )
@@ -171,13 +226,32 @@ def _budget_search(inst, budget, collect, deadline, node=None, tasks=None):
     dominated vertices; that of an enumeration excludes none, so that
     every minimum cover is found.  Returns (first_found, solutions, nodes).
     Given a `tasks` list, the root's branches are appended to it as
-    nodes instead of being searched."""
+    nodes instead of being searched.
+
+    A node that passes its bound tests each branch child's bound before
+    entering it, from the degrees it has ranked; a child that fails is
+    counted as one node and never entered, so the tree, the order and
+    the node count are those of a search that enters every child."""
     gid_lists, incidence, size_classes, dominated = inst
     first = None
     sols = [] if collect else None
     nodes = 0
 
-    def rec(chosen, uncovered, excluded):
+    def branch_edge(uncovered):
+        # the uncovered edge of smallest (free size, index)
+        for cls in size_classes:
+            branch = uncovered & cls
+            if branch:
+                return (branch & -branch).bit_length() - 1
+
+    def fits(uncovered, excluded, picks, ranked):
+        # With one pick left, only a vertex that meets every uncovered
+        # edge fits, and it lies on the branch edge.
+        if picks == 1 and uncovered:
+            ranked = map(incidence.__getitem__, gid_lists[branch_edge(uncovered)])
+        return _degree_sum_fits(ranked, uncovered, excluded, picks)
+
+    def rec(chosen, uncovered, excluded, candidates=incidence):
         nonlocal first, nodes
         nodes += 1
         deadline.check()
@@ -189,28 +263,31 @@ def _budget_search(inst, budget, collect, deadline, node=None, tasks=None):
                 sols.append(sol)
                 return False
             return True
-        if len(chosen) >= budget:
+        picks = budget - len(chosen)
+        if picks <= 0:
             return False
-        lb = _degree_bound(incidence, uncovered, excluded)
-        if lb is None or len(chosen) + lb > budget:
+        ranked = None  # with one pick left the children are leaves
+        if picks > 1:
+            ranked = _ranked_degrees(candidates, uncovered, excluded)
+            if ranked is None:
+                return False
+        if not fits(uncovered, excluded, picks, ranked):
             return False
-        # branch on the uncovered edge of smallest (free size, index)
-        for cls in size_classes:
-            branch = uncovered & cls
-            if branch:
-                break
-        branch = (branch & -branch).bit_length() - 1
         acc = excluded
-        for g in gid_lists[branch]:
-            bit, inc = incidence[g]
+        for g in gid_lists[branch_edge(uncovered)]:
+            _, bit, inc = incidence[g]
             if not bit & acc:
-                if child(chosen + (g,), uncovered & ~inc, acc):
+                rest = uncovered & ~inc
+                if tasks is not None:
+                    # a root branch becomes a task that runs its own test
+                    tasks.append((chosen + (g,), rest, acc))
+                elif not fits(rest, acc | bit, picks - 1, ranked):
+                    nodes += 1  # the child, refuted without being entered
+                elif rec(chosen + (g,), rest, acc, ranked):
                     return True
             acc |= bit
         return False
 
-    # list.append returns None, which the branch loop reads as "go on"
-    child = rec if tasks is None else lambda *branch: tasks.append(branch)
     if node is None:
         node = ((), (1 << len(gid_lists)) - 1, 0 if collect else dominated)
     rec(*node)
@@ -260,7 +337,10 @@ def cover_number(
     jobs: int = 1,
 ) -> CoverResult:
     """Exact minimum vertex cover with witness; optionally every minimum
-    cover.  Raises SolverTimeout if the wall-clock budget runs out."""
+    cover.  Raises SolverTimeout if the wall-clock budget runs out, and
+    ValueError for `jobs` below 1."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if h.num_edges == 0:
         raise EmptyHypergraphError("cover number is undefined without edges")
     inst = _instance(h)
@@ -271,7 +351,11 @@ def cover_number(
     try:
         if jobs > 1:
             pool = ProcessPoolExecutor(max_workers=jobs)
-        lb = _degree_bound(inst.incidence, (1 << h.num_edges) - 1, 0)
+        everything = (1 << h.num_edges) - 1
+        ranked = _ranked_degrees(inst.incidence, everything, 0)
+        lb = 1
+        while not _degree_sum_fits(ranked, everything, 0, lb):
+            lb += 1
         budget = max(lb, upper_hint) if upper_hint is not None else lb
         budget = min(budget, n)
         known_fail = lb - 1  # sizes below lb are impossible by the bound

@@ -136,6 +136,46 @@ def test_construct_uniformize_and_minimize(t4_file, tmp_path):
     assert run("verify", m_path, "--tau") == 0
 
 
+def test_recheck_replays_minimization(t4_file, tmp_path):
+    u_path = tmp_path / "u.rhg"
+    assert run("construct", "--base", t4_file, "--s-edge", 0, "--f-default",
+               "--uniformize", "--out", u_path) == 0
+    rep_path = tmp_path / "min.json"
+    assert run("minimize", u_path, "--report", rep_path) == 0
+    rep = load(rep_path)
+    assert recheck_report(rep, base_dir=".") == []
+    cert = rep["checks"][0]["certificate"]
+    assert cert["deleted"] and len(cert["kept"]) > 1
+
+    def problems_after(change):
+        bad = json.loads(json.dumps(rep))
+        change(bad["checks"][0]["certificate"])
+        return recheck_report(bad, base_dir=".")
+
+    def cut_witness(c):
+        c["kept"][0]["witness_without"] = c["kept"][0]["witness_without"][:1]
+
+    def borrow_witness(c):
+        # another kept edge's witness misses that edge, not this one
+        c["kept"][0]["witness_without"] = c["kept"][1]["witness_without"]
+
+    def keep_a_deleted_edge(c):
+        c["kept"].append(dict(c["kept"][0], original_index=c["deleted"].pop()["original_index"]))
+
+    def drop_a_kept_edge(c):
+        c["kept"].pop()
+
+    for change, expect in ((cut_witness, "witness has 1 vertices, expected 3"),
+                           (borrow_witness, "does not cover"),
+                           (keep_a_deleted_edge, "label differs"),
+                           (drop_a_kept_edge, "do not partition")):
+        problems = problems_after(change)
+        assert any(p.startswith("minimality-reduction:") and expect in p
+                   for p in problems), (change.__name__, problems)
+    rep["inputs"] = []
+    assert any("no input hypergraph" in p for p in recheck_report(rep, base_dir="."))
+
+
 def test_construct_explicit_and_profile(t4_file, tmp_path):
     rep = tmp_path / "r.json"
     out = tmp_path / "x.rhg"

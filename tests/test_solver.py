@@ -1,20 +1,28 @@
 """Exact solver: certificates, enumeration completeness, oracle agreement."""
 
 import random
+from concurrent.futures import Future, ProcessPoolExecutor
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ryser.construct import build_extension, select_f_default, uniformize
+from ryser import solver
+from ryser.analysis import classify_extensions, minimize
+from ryser.construct import build_extension, select_f_default, uniformize, validate_spec
 from ryser.errors import EmptyHypergraphError, NonUniformError, SolverTimeout, TooLargeError
 from ryser.gf import FiniteField
 from ryser.hypergraph import PartiteHypergraph, is_intersecting
 from ryser.plane import build_plane, truncate
 from ryser.solver import (
     MatchingResult,
+    _attempt,
+    _budget_search,
     _Deadline,
+    _degree_sum_fits,
+    _instance,
+    _ranked_degrees,
     brute_force_cover_oracle,
     cover_number,
     matching_number,
@@ -388,3 +396,200 @@ def disjoint_unions(draw):
 @given(disjoint_unions())
 def test_matching_number_matches_reference(h):
     assert matching_number(h) == reference_matching_number(h)
+
+
+@pytest.mark.filterwarnings("ignore:uniformity r=4")
+def test_jobs_below_one_rejected_before_any_pool(t4, monkeypatch):
+    pools = []
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", lambda **k: pools.append(k))
+    spec = select_f_default(t4, 0)
+    ext = build_extension(spec, check=False)
+    uni = uniformize(ext)
+    calls = (
+        lambda jobs: cover_number(t4, jobs=jobs),
+        lambda jobs: verify_ryser_ratio(t4, jobs=jobs),
+        lambda jobs: validate_spec(spec, jobs=jobs),
+        lambda jobs: minimize(uni, jobs=jobs),
+        lambda jobs: classify_extensions(ext, spec, jobs=jobs),
+    )
+    for jobs in (0, -3):
+        for call in calls:
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                call(jobs)
+    assert pools == []
+
+
+def reference_degree_bound(incidence, uncovered, excluded):
+    """The degree-sum bound as a node computed it before children were
+    tested in their parent: the smallest k whose k largest uncovered-edge
+    degrees over the vertices not in `excluded` reach the number of
+    uncovered edges; None when an uncovered edge has no such vertex.
+    `incidence` lists (vertex bit, incident-edge mask)."""
+    degrees = []
+    reach = 0
+    for bit, inc in incidence:
+        if not bit & excluded:
+            hit = inc & uncovered
+            if hit:
+                reach |= hit
+                degrees.append(hit.bit_count())
+    if reach != uncovered:
+        return None
+    need = uncovered.bit_count()
+    degrees.sort(reverse=True)
+    picks = 0
+    for d in degrees:
+        if need <= 0:
+            break
+        need -= d
+        picks += 1
+    return picks
+
+
+def reference_budget_search(inst, budget, collect, deadline):
+    """_budget_search as it was before children were tested in their
+    parent, searching from the root: every child is entered and runs
+    the full O(V) bound.  Takes the same instance, its incidence entries
+    read as (bit, mask)."""
+    gid_lists, incidence, size_classes, dominated = inst
+    incidence = tuple((bit, inc) for _, bit, inc in incidence)
+    first = None
+    sols = [] if collect else None
+    nodes = 0
+
+    def rec(chosen, uncovered, excluded):
+        nonlocal first, nodes
+        nodes += 1
+        deadline.check()
+        if not uncovered:
+            sol = tuple(chosen)
+            if first is None:
+                first = sol
+            if collect:
+                sols.append(sol)
+                return False
+            return True
+        if len(chosen) >= budget:
+            return False
+        lb = reference_degree_bound(incidence, uncovered, excluded)
+        if lb is None or len(chosen) + lb > budget:
+            return False
+        for cls in size_classes:
+            branch = uncovered & cls
+            if branch:
+                break
+        branch = (branch & -branch).bit_length() - 1
+        acc = excluded
+        for g in gid_lists[branch]:
+            bit, inc = incidence[g]
+            if not bit & acc:
+                if rec(chosen + (g,), uncovered & ~inc, acc):
+                    return True
+            acc |= bit
+        return False
+
+    rec((), (1 << len(gid_lists)) - 1, 0 if collect else dominated)
+    return first, sols, nodes
+
+
+def any_hypergraph():
+    return st.one_of(partite_hypergraphs(), hypergraphs_with_tails())
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_hypergraph())
+def test_budget_search_matches_reference(h):
+    # The same tree, order and node count as a search that enters every
+    # child, for decide runs and enumerations at every budget up to tau + 1.
+    inst = _instance(h)
+    tau = brute_force_cover_oracle(h)
+    for budget in range(min(tau + 1, h.num_vertices) + 1):
+        for collect in (False, True):
+            got = _budget_search(inst, budget, collect, _Deadline(None))
+            want = reference_budget_search(inst, budget, collect, _Deadline(None))
+            assert got == want, (budget, collect)
+
+
+class InlineExecutor:
+    """A pool that runs each task when it is submitted."""
+
+    def submit(self, fn, *args):
+        fut = Future()
+        fut.set_result(fn(*args))
+        return fut
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_hypergraph())
+def test_pool_path_matches_serial(h):
+    inst = _instance(h)
+    tau = brute_force_cover_oracle(h)
+    for budget in range(min(tau + 1, h.num_vertices) + 1):
+        for collect in (False, True):
+            serial = _attempt(inst, budget, collect, _Deadline(None), None)
+            pooled = _attempt(inst, budget, collect, _Deadline(None), InlineExecutor())
+            assert pooled == serial, (budget, collect)
+
+
+@pytest.fixture(scope="module")
+def two_workers():
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        yield pool
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(h=any_hypergraph())
+def test_two_workers_match_one(h, two_workers):
+    inst = _instance(h)
+    tau = brute_force_cover_oracle(h)
+    for collect in (False, True):
+        for budget in (tau - 1, tau):
+            serial = _attempt(inst, budget, collect, _Deadline(None), None)
+            pooled = _attempt(inst, budget, collect, _Deadline(None), two_workers)
+            assert pooled == serial, (budget, collect)
+    a = cover_number(h, enumerate_all=True)
+    b = cover_number(h, enumerate_all=True, jobs=2)
+    assert a == b
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_hypergraph(), st.integers(0, 2 ** 32 - 1))
+def test_child_test_matches_degree_bound(h, seed):
+    # A parent ranks its free vertices once; each branch child's bound is
+    # then read from that ranking (or, with one pick left, from any one
+    # uncovered edge of the child).  The test is the degree-sum condition
+    # on the child, and agrees with the child's own bound whenever the
+    # child has no dead edge.
+    rnd = random.Random(seed)
+    inst = _instance(h)
+    pairs = tuple((bit, inc) for _, bit, inc in inst.incidence)
+    n, m = h.num_vertices, h.num_edges
+    uncovered = (1 << m) - 1
+    for g in rnd.sample(range(n), rnd.randint(0, min(3, n))):
+        uncovered &= ~inst.incidence[g][2]
+    excluded = sum(1 << g for g in range(n) if rnd.random() < 0.2)
+    ranked = _ranked_degrees(inst.incidence, uncovered, excluded)
+    if not uncovered or ranked is None:
+        return
+    assert ranked == sorted(ranked, reverse=True)
+    branch = rnd.choice([i for i in range(m) if uncovered >> i & 1])
+    acc = excluded
+    for g in inst.gid_lists[branch]:
+        _, bit, inc = inst.incidence[g]
+        if bit & acc:
+            continue
+        rest = uncovered & ~inc
+        child_excluded = acc | bit
+        bound = reference_degree_bound(pairs, rest, acc)
+        for picks in range(5):
+            passes = _degree_sum_fits(ranked, rest, child_excluded, picks)
+            if picks == 1 and rest:
+                edge = rnd.choice([i for i in range(m) if rest >> i & 1])
+                entries = [inst.incidence[v] for v in inst.gid_lists[edge]]
+                assert _degree_sum_fits(entries, rest, child_excluded, 1) == passes
+            if bound is not None:
+                assert passes == (bound <= picks), (picks, bound)
+            degrees = sorted(((inc & rest).bit_count() for _, b, inc in inst.incidence
+                              if not b & child_excluded), reverse=True)
+            assert passes == (sum(degrees[:picks]) >= rest.bit_count())
+        acc |= bit
