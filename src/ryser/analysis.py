@@ -20,7 +20,6 @@ or a violation of that pattern.
 """
 
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -181,8 +180,8 @@ def exact_isomorphic(a: PartiteHypergraph, b: PartiteHypergraph) -> IsoResult:
         return no
 
     k = a.num_sides
-    deg_a = Counter(v for e in a.edges for v in e)
-    deg_b = Counter(v for e in b.edges for v in e)
+    deg_a = [inc.bit_count() for inc in a.incidence_masks]
+    deg_b = [inc.bit_count() for inc in b.incidence_masks]
     co_a = _codegrees(a)
     co_b = _codegrees(b)
     b_edge_sets = set(b.edge_sets)
@@ -219,9 +218,10 @@ def exact_isomorphic(a: PartiteHypergraph, b: PartiteHypergraph) -> IsoResult:
         if p == len(a.sides[si]):
             return assign_side(si + 1)
         u = (si, p)
+        du = deg_a[a.offsets[si] + p]
         for q in range(len(b.sides[tj])):
             w = (tj, q)
-            if w in used or deg_a[u] != deg_b[w]:
+            if w in used or deg_b[b.offsets[tj] + q] != du:
                 continue
             if any(co(co_a, u, x) != co(co_b, w, y) for x, y in mapping.items()):
                 continue
@@ -267,22 +267,16 @@ def _covering_transversals(h, skip_side):
     skip_side whose union meets every edge, by backtracking with
     suffix-cover pruning.  Yields sorted vertex tuples in lexicographic
     order."""
-    m = h.num_edges
-    full = (1 << m) - 1
-    vert_edges = {}
-    for ei, e in enumerate(h.edges):
-        for v in e:
-            vert_edges[v] = vert_edges.get(v, 0) | (1 << ei)
+    full = (1 << h.num_edges) - 1
+    inc = h.incidence_masks
+    off = h.offsets
     active = [s for s in range(h.num_sides) if s != skip_side]
-    side_union = []
-    for s in active:
-        u = 0
-        for p in range(len(h.sides[s])):
-            u |= vert_edges.get((s, p), 0)
-        side_union.append(u)
-    suffix = [0] * (len(active) + 1)
+    suffix = [0] * (len(active) + 1)  # the edges met by the sides from i on
     for i in range(len(active) - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | side_union[i]
+        s = active[i]
+        suffix[i] = suffix[i + 1]
+        for mask in inc[off[s]:off[s + 1]]:
+            suffix[i] |= mask
 
     picks = []
 
@@ -295,9 +289,8 @@ def _covering_transversals(h, skip_side):
             return
         s = active[i]
         for p in range(len(h.sides[s])):
-            v = (s, p)
-            picks.append(v)
-            yield from rec(i + 1, covered | vert_edges.get(v, 0))
+            picks.append((s, p))
+            yield from rec(i + 1, covered | inc[off[s] + p])
             picks.pop()
 
     yield from rec(0, 0)

@@ -43,7 +43,8 @@ class PartiteHypergraph:
     display metadata only.
     """
 
-    __slots__ = ("sides", "edges", "edge_labels", "name", "_masks", "_offsets", "_edge_sets")
+    __slots__ = ("sides", "edges", "edge_labels", "name", "_masks", "_offsets", "_edge_sets",
+                 "_incidence")
 
     def __init__(self, sides, edges, edge_labels=None, name=""):
         sides = tuple(tuple(str(x) for x in side) for side in sides)
@@ -100,6 +101,7 @@ class PartiteHypergraph:
         self._masks = None
         self._offsets = None
         self._edge_sets = None
+        self._incidence = None
 
     # --- structure ---
 
@@ -151,6 +153,21 @@ class PartiteHypergraph:
                 sum(1 << (off[s] + p) for s, p in e) for e in self.edges
             )
         return self._masks
+
+    @property
+    def incidence_masks(self):
+        """Per global vertex id, the mask of the edges through that vertex;
+        its popcount is the vertex's degree."""
+        if self._incidence is None:
+            off = self.offsets
+            inc = [0] * off[-1]
+            bit = 1
+            for e in self.edges:
+                for s, p in e:
+                    inc[off[s] + p] |= bit
+                bit <<= 1
+            self._incidence = tuple(inc)
+        return self._incidence
 
     @property
     def edge_sets(self):
@@ -234,11 +251,7 @@ def is_intersecting(h: PartiteHypergraph):
     if h.num_edges == 0:
         raise EmptyHypergraphError("intersecting is undefined without edges")
     off = h.offsets
-    incident = [0] * off[-1]
-    for i, e in enumerate(h.edges):
-        bit = 1 << i
-        for s, p in e:
-            incident[off[s] + p] |= bit
+    incident = h.incidence_masks
     full = (1 << h.num_edges) - 1
     for i, e in enumerate(h.edges):
         meet = 0

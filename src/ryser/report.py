@@ -14,6 +14,7 @@ import os
 import time
 
 from . import __version__
+from .errors import SolverTimeout
 from .hypergraph import atomic_write_text, parse_vid, read_rhg, vid_str
 
 SCHEMA_ID = "ryser-report/1"
@@ -72,7 +73,9 @@ def sha256_file(path) -> str:
 
 
 class Check:
-    """One named check: time it, record status and certificate."""
+    """One named check: time it, record status and certificate.  A
+    SolverTimeout raised inside the check is recorded as status
+    "timeout", with its text as the detail, and goes no further."""
 
     def __init__(self, name):
         self.name = name
@@ -88,6 +91,9 @@ class Check:
 
     def __exit__(self, exc_type, exc, tb):
         self.wall_time_s = round(time.monotonic() - self._t0, 6)
+        if isinstance(exc, SolverTimeout):
+            self.status, self.detail = "timeout", str(exc)
+            return True
         return False
 
     def ok(self, condition, certificate=None, detail=None):
@@ -100,10 +106,6 @@ class Check:
         self.status = "skipped"
         self.detail = detail
         self.certificate = certificate
-
-    def timeout(self, detail=None):
-        self.status = "timeout"
-        self.detail = detail
 
     def as_dict(self):
         out = {"name": self.name, "status": self.status, "wall_time_s": self.wall_time_s}
@@ -184,6 +186,21 @@ def intersecting_certificate(ok, witness):
     return out
 
 
+def classification_certificate(cls):
+    """An addable-edge classification: counts per kind and the first 20
+    violations of the twin patterns."""
+    return {
+        "kind": "extension-classification",
+        "r": cls.r,
+        "counts": cls.counts,
+        "violations": [
+            {"fresh_side": v.fresh_side,
+             "vertices": [vid_str(x) for x in v.vertices]}
+            for v in cls.violations[:20]
+        ],
+    }
+
+
 # --- offline re-validation ---
 
 
@@ -212,6 +229,30 @@ def _check_matching_cert(cert, h, problems, where):
         used |= masks[ei]
     if len(cert["witness_edges"]) != cert["nu"]:
         problems.append(f"{where}: witness size differs from nu")
+
+
+def minimization_certificate(trace):
+    """The per-edge certificate of `ryser minimize`, which
+    _check_minimization_cert replays: each deleted edge with the cover
+    number after its deletion, each kept edge with the smaller cover
+    found without it."""
+    return {
+        "kind": "minimization",
+        "target_tau": trace.target_tau,
+        "deleted": [
+            {"original_index": d.original_index,
+             "label": d.label,
+             "tau_after": d.cert.tau}
+            for d in trace.deleted
+        ],
+        "kept": [
+            {"original_index": k.original_index,
+             "label": k.label,
+             "tau_without": k.cert.tau,
+             "witness_without": [vid_str(v) for v in k.cert.witness]}
+            for k in trace.kept
+        ],
+    }
 
 
 def _check_minimization_cert(cert, h, problems, where):

@@ -180,22 +180,10 @@ class _Instance(NamedTuple):
     dominated: int       # mask of the vertices a decide run never picks
 
 
-def _gids_and_incidence(h):
-    """Per edge, the global ids of its vertices in order, and per global
-    id, the mask of the edges through it."""
+def _instance(h):
     off = h.offsets
     gid_lists = tuple([tuple([off[s] + p for s, p in e]) for e in h.edges])
-    inc = [0] * h.num_vertices
-    bit = 1
-    for gids in gid_lists:
-        for g in gids:
-            inc[g] |= bit
-        bit <<= 1
-    return gid_lists, inc
-
-
-def _instance(h):
-    gid_lists, inc = _gids_and_incidence(h)
+    inc = h.incidence_masks
     # A degree-1 vertex covers only its own edge, so any other vertex of
     # that edge does at least as well.  An edge of degree-1 vertices
     # keeps its first (edges list their vertices in global order).
@@ -407,13 +395,14 @@ def matching_number(
     disjoint from every edge taken so far; its bound is the number of
     those edges not yet decided."""
     m = h.num_edges
-    gid_lists, inc = _gids_and_incidence(h)
+    off = h.offsets
+    inc = h.incidence_masks
     full = (1 << m) - 1
     apart = []  # per edge, the mask of the edges disjoint from it
-    for gids in gid_lists:
+    for e in h.edges:
         meets = 0
-        for g in gids:
-            meets |= inc[g]
+        for s, p in e:
+            meets |= inc[off[s] + p]
         apart.append(full & ~meets)
     deadline = _Deadline(timeout)
     best = []

@@ -358,3 +358,106 @@ def test_corpus_roundtrip(tmp_path):
         assert h.num_sides == expected["num_sides"]
         assert h.num_edges == expected["num_edges"]
         assert expected["intersecting"] is True
+
+
+def test_check_records_a_timeout_and_passes_other_errors_on():
+    from ryser.errors import SolverTimeout
+    from ryser.report import Check
+
+    with Check("search") as c:
+        raise SolverTimeout("out of time")
+    assert (c.status, c.detail) == ("timeout", "out of time")
+    with pytest.raises(ValueError):
+        with Check("other"):
+            raise ValueError("bad")
+
+
+# the checks of each subcommand that run a search
+SEARCHING = {
+    "construct": {"construction-preconditions"},
+    "minimize": {"minimality-reduction"},
+    "maximal-check": {"addable-edge-classification"},
+    "pipeline": {"base-properties", "base-cover-uniqueness", "extension-cover-number",
+                 "ryser-ratio", "minimality-reduction", "addable-edge-classification"},
+}
+
+
+@pytest.fixture(scope="module")
+def t4_extension(t4_file, tmp_path_factory):
+    """An extension of the q=3 truncation, its construct report as spec,
+    and its uniformized form."""
+    d = tmp_path_factory.mktemp("ext")
+    h, spec, u = d / "h.rhg", d / "spec.json", d / "u.rhg"
+    assert run("construct", "--base", t4_file, "--s-edge", 0, "--f-default",
+               "--out", h, "--report", spec) == 0
+    assert run("construct", "--base", t4_file, "--s-edge", 0, "--f-default",
+               "--uniformize", "--out", u) == 0
+    return h, spec, u
+
+
+@pytest.mark.filterwarnings("ignore:uniformity r=4")
+@pytest.mark.parametrize("command", sorted(SEARCHING))
+def test_timeouts_in_every_searching_subcommand(t4_file, t4_extension, tmp_path, command):
+    h, spec, u = t4_extension
+    out = tmp_path / "out.rhg"
+    argv = {
+        "construct": ("construct", "--base", t4_file, "--s-edge", 0,
+                      "--f-default", "--out", out),
+        "minimize": ("minimize", u, "--out", out),
+        "maximal-check": ("maximal-check", h, "--spec", spec),
+        "pipeline": ("pipeline", "--q", 3, "--f-default", "--all-checks",
+                     "--out-dir", tmp_path / "arts"),
+    }[command]
+    rep_path = tmp_path / "rep.json"
+    assert run(*argv, "--timeout", 0, "--json", rep_path) == 3
+    rep = load(rep_path)
+    jsonschema.validate(rep, REPORT_SCHEMA)
+    assert rep["overall"] == "timeout"
+    statuses = {c["name"]: c["status"] for c in rep["checks"]}
+    assert {name for name, s in statuses.items() if s == "timeout"} == SEARCHING[command]
+    assert all(s == "pass" for name, s in statuses.items() if name not in SEARCHING[command])
+    assert not out.exists()
+
+
+def test_artifact_digests_match_the_files(t4_file, tmp_path):
+    from ryser.report import sha256_file
+
+    u = tmp_path / "u.rhg"
+    commands = (
+        ("truncate", "--q", 3, "--out", tmp_path / "t.rhg"),
+        ("construct", "--base", t4_file, "--s-edge", 0, "--f-default", "--uniformize",
+         "--out", u),
+        ("minimize", u, "--out", tmp_path / "m.rhg"),
+        ("pipeline", "--q", 3, "--f-default", "--minimize", "--out-dir", tmp_path / "arts"),
+    )
+    for i, argv in enumerate(commands):
+        rep_path = tmp_path / f"rep{i}.json"
+        assert run(*argv, "--json", rep_path) == 0
+        artifacts = load(rep_path)["artifacts"]
+        assert len(artifacts) == (4 if argv[0] == "pipeline" else 1)
+        for a in artifacts:
+            assert a["sha256"] == sha256_file(a["path"]), (argv[0], a["path"])
+
+
+@pytest.mark.parametrize("config", [
+    {"q": "x"},
+    {"q": 3, "jobs": "two"},
+    {"q": 3, "timeout": "soon"},
+    {"q": 3, "vertex": "1"},
+    {"q": 3, "s_edge": 99},
+])
+def test_malformed_pipeline_config_is_a_config_error(tmp_path, capsys, config):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run("pipeline", "--config", cfg, "--out-dir", tmp_path / "arts") == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "arts").exists()
+
+
+@pytest.mark.parametrize("selection", [("--f-default",), ("--profile", "1", "--relaxed-profile")])
+def test_construct_anchor_outside_the_edges_is_a_config_error(t4_file, tmp_path, capsys,
+                                                               selection):
+    out = tmp_path / "x.rhg"
+    assert run("construct", "--base", t4_file, "--s-edge", 99, *selection, "--out", out) == 2
+    assert "s_edge 99 is not an edge index" in capsys.readouterr().err
+    assert not out.exists()

@@ -252,6 +252,19 @@ def test_is_intersecting_matches_pair_scan(h):
     assert is_intersecting(h) == reference_is_intersecting(h)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(small_partite_hypergraphs())
+def test_incidence_masks_transpose_edge_masks(h):
+    inc = h.incidence_masks
+    assert len(inc) == h.num_vertices
+    for g, mask in enumerate(inc):
+        assert mask == sum(1 << i for i, em in enumerate(h.edge_masks) if em >> g & 1)
+    assert h.incidence_masks is inc
+    if h.num_edges > 1:
+        rest = h.without_edge(0)
+        assert rest.incidence_masks == tuple(m >> 1 for m in inc)
+
+
 def test_is_intersecting_witness_on_planes():
     t = truncate(build_plane(FiniteField(2, 3)))
     assert is_intersecting(t) == (True, None)
