@@ -355,8 +355,10 @@ def load_spec_json(path):
             data = json.load(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read spec file {path}: {e}") from None
-    if "spec" in data:
+    if isinstance(data, dict) and "spec" in data:
         data = data["spec"]
+    if not isinstance(data, dict):
+        raise ConfigError(f"spec file {path} holds no JSON object")
     for key in ("base", "s_edge", "f_edges"):
         if key not in data:
             raise ConfigError(f"spec file {path} lacks key {key!r}")
@@ -364,7 +366,20 @@ def load_spec_json(path):
     if not os.path.isabs(base_path):
         base_path = os.path.join(os.path.dirname(os.path.abspath(path)), base_path)
     base = read_rhg(base_path)
-    return ConstructionSpec(base, int(data["s_edge"]), tuple(int(x) for x in data["f_edges"])), base_path
+    try:
+        s_edge = int(data["s_edge"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"spec file {path}: s_edge must be an integer, "
+                          f"got {data['s_edge']!r}") from None
+    if not isinstance(data["f_edges"], list):
+        raise ConfigError(f"spec file {path}: f_edges must be a list, got {data['f_edges']!r}")
+    spec = make_spec(base, s_edge, "edges", data["f_edges"], True)
+    # maximal-check builds the extension unchecked, so every index must be valid here
+    m = base.num_edges
+    if len(spec.f_edges) != base.num_sides or not all(0 <= e < m for e in spec.f_edges):
+        raise ConfigError(f"spec file {path}: f_edges {list(spec.f_edges)} must be "
+                          f"{base.num_sides} edge indices 0..{m - 1}")
+    return spec, base_path
 
 
 def cmd_maximal_check(args):

@@ -48,7 +48,7 @@ class ConstructionSpec:
 
     def anchor_vertices(self):
         """Anchor vertices ordered by side: element i lies in side i."""
-        return tuple(sorted(self.base.edges[self.s_edge]))
+        return self.base.edges[self.s_edge]
 
     def mirror_vertex(self, side: int):
         """Mirror vertex v_{side+1}, placed in the new final side."""
@@ -93,11 +93,11 @@ def validate_spec(
     if not 0 <= spec.s_edge < base.num_edges:
         out.append(Violation("anchor-index", f"edge index {spec.s_edge} out of range"))
         return out
-    anchor_set = base.edge_sets[spec.s_edge]
-    for i, eset in enumerate(base.edge_sets):
+    anchor_set = frozenset(base.edges[spec.s_edge])
+    for i, e in enumerate(base.edges):
         if i == spec.s_edge:
             continue
-        k = len(anchor_set & eset)
+        k = len(anchor_set.intersection(e))
         if k != 1:
             out.append(Violation(
                 "anchor-intersection",
@@ -112,7 +112,7 @@ def validate_spec(
         if not 0 <= fe < base.num_edges:
             out.append(Violation("selected-index", f"F_{i+1} edge index {fe} out of range"))
             return out
-        fset = base.edge_sets[fe]
+        fset = frozenset(base.edges[fe])
         fsets.append(fset)
         if anchor[i] not in fset:
             out.append(Violation(
@@ -175,36 +175,38 @@ def build_extension(
     base = spec.base
     r = base.num_sides
     anchor = spec.anchor_vertices()
-    anchor_side = {v: v[0] for v in anchor}
     anchor_set = frozenset(anchor)
+    mirror = tuple(spec.mirror_vertex(i) for i in range(r))
 
+    # Every edge is canonical as built: base edges are, a mirror vertex
+    # (final side) sorts last, E1 edges gain one and E2 edges none, and
+    # the E3 edges have distinct ones.  An edge that does not meet the
+    # anchor in exactly one vertex fails the unpacking below.
     sides = base.sides + (tuple(f"{MIRROR_LABEL_PREFIX}{i+1}" for i in range(r)),)
     edges = []
     labels = []
-    for idx, eset in enumerate(base.edge_sets):
+    for idx, e in enumerate(base.edges):
         if idx == spec.s_edge:
             continue
-        common = eset & anchor_set
-        (si,) = {anchor_side[v] for v in common}
-        edges.append(tuple(sorted(base.edges[idx])) + (spec.mirror_vertex(si),))
+        ((si, _),) = anchor_set.intersection(e)
+        edges.append(e + (mirror[si],))
         labels.append(f"E1({idx})")
     seen = {}
     for i in range(r):
-        fset = base.edge_sets[spec.f_edges[i]]
-        if fset in seen:
-            pos = seen[fset]
+        f = base.edges[spec.f_edges[i]]
+        if f in seen:
+            pos = seen[f]
             labels[pos] = labels[pos][:-1] + f",{i+1})"
             continue
-        seen[fset] = len(edges)
-        edges.append(tuple(sorted(fset)))
+        seen[f] = len(edges)
+        edges.append(f)
         labels.append(f"E2({i+1})")
     for i in range(r):
-        fset = base.edge_sets[spec.f_edges[i]]
-        shifted = tuple(sorted(fset - {anchor[i]})) + (spec.mirror_vertex(i),)
-        edges.append(shifted)
+        f = base.edges[spec.f_edges[i]]
+        edges.append(tuple(v for v in f if v != anchor[i]) + (mirror[i],))
         labels.append(f"E3({i+1})")
     name = f"{base.name}-ext" if base.name else "ext"
-    return PartiteHypergraph(sides, edges, labels, name=name)
+    return PartiteHypergraph._from_canonical(sides, tuple(edges), tuple(labels), name)
 
 
 def cover_mirror(cover, spec: ConstructionSpec) -> frozenset:
@@ -253,25 +255,35 @@ def uniformize(h: PartiteHypergraph) -> PartiteHypergraph:
             counter += 1
         pos = len(side_labels[missed])
         side_labels[missed].append(label)
-        new_edges.append(tuple(sorted(e + ((missed, pos),))))
+        # a fresh vertex in the one side e misses: canonical, and no
+        # edge can repeat
+        new_edges.append(e[:missed] + ((missed, pos),) + e[missed:])
     name = f"{h.name}-u" if h.name else "uniformized"
-    return PartiteHypergraph(side_labels, new_edges, h.edge_labels, name=name)
+    return PartiteHypergraph._from_canonical(tuple(map(tuple, side_labels)), tuple(new_edges),
+                                             h.edge_labels, name)
+
+
+def _edges_through(base, v, s_edge):
+    """Mask of the edges through vertex v other than edge s_edge."""
+    mask = base.incidence_masks[base.gid(v)]
+    return mask & ~(1 << s_edge) if s_edge >= 0 else mask
+
+
+def _lowest(mask):
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
 
 
 def select_f_default(base: PartiteHypergraph, s_edge: int) -> ConstructionSpec:
     """Default selection: F_i is the least-indexed edge other than the
     anchor through the side-i anchor vertex."""
-    r = base.num_sides
-    anchor = tuple(sorted(base.edges[s_edge]))
+    anchor = base.edges[s_edge]
     f = []
-    for i in range(r):
-        hits = [
-            e for e, es in enumerate(base.edge_sets)
-            if anchor[i] in es and e != s_edge
-        ]
+    for i in range(base.num_sides):
+        hits = _edges_through(base, anchor[i], s_edge)
         if not hits:
             raise LineNotFoundError(f"no edge other than the anchor through {anchor[i]}")
-        f.append(hits[0])
+        f.append(_lowest(hits))
     return ConstructionSpec(base, s_edge, tuple(f))
 
 
@@ -344,7 +356,7 @@ def select_f_by_profile(
     if errs:
         raise InvalidProfileError("; ".join(errs))
 
-    anchor = tuple(sorted(base.edges[s_edge]))
+    anchor = base.edges[s_edge]
     connectors = [
         (0, p) for p in range(len(base.sides[0])) if (0, p) != anchor[0]
     ]
@@ -354,22 +366,21 @@ def select_f_by_profile(
             f"first side has only {len(connectors)} non-anchor vertices, need {t1}"
         )
 
+    inc = base.incidence_masks
+
     def unique_edge_through(u, v):
-        hits = [i for i, es in enumerate(base.edge_sets) if u in es and v in es]
-        if len(hits) != 1:
+        hits = inc[base.gid(u)] & inc[base.gid(v)]
+        if hits.bit_count() != 1:
             raise LineNotFoundError(
-                f"expected exactly one edge through {u} and {v}, found {len(hits)}"
+                f"expected exactly one edge through {u} and {v}, found {hits.bit_count()}"
             )
-        return hits[0]
+        return _lowest(hits)
 
     f = [None] * r
-    first = [
-        i for i, es in enumerate(base.edge_sets)
-        if anchor[0] in es and i != s_edge
-    ]
+    first = _edges_through(base, anchor[0], s_edge)
     if not first:
         raise LineNotFoundError("no edge other than the anchor passes through s_1")
-    f[0] = first[0]
+    f[0] = _lowest(first)
 
     block_sizes = list(profile.x) + [profile.x_last]
     side = 1
@@ -424,6 +435,6 @@ def extract_pair_subhypergraph(h: PartiteHypergraph) -> PartiteHypergraph:
         if lab.startswith("E2(") or lab.startswith("E3(")
     ]
     name = f"{h.name}-pairs" if h.name else "pairs"
-    return PartiteHypergraph(
-        h.sides, [e for e, _ in keep], [lab for _, lab in keep], name=name
+    return PartiteHypergraph._from_canonical(
+        h.sides, tuple(e for e, _ in keep), tuple(lab for _, lab in keep), name
     )

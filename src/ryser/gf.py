@@ -80,6 +80,19 @@ def least_irreducible(p: int, k: int):
     raise AssertionError("no irreducible polynomial found")  # cannot happen
 
 
+def _add_rows(p, k):
+    """Addition table of GF(p^k), digit by digit: with n = p^j, the
+    element a + n*t (a < n, t < p) adds as the table of the first j
+    digits plus n times the sum of the top digits mod p."""
+    rows = [(0,)]
+    n = 1
+    for _ in range(k):
+        rows = [tuple(x + n * ((t + u) % p) for u in range(p) for x in rows[a])
+                for t in range(p) for a in range(n)]
+        n *= p
+    return tuple(rows)
+
+
 class FiniteField:
     """GF(p^k) with deterministic construction; immutable once built."""
 
@@ -99,12 +112,32 @@ class FiniteField:
         self.mul_table = None
         self._inv = None
         if q <= TABLE_LIMIT:
-            self.add_table = tuple(tuple(self._add_raw(a, b) for b in range(q)) for a in range(q))
-            self.mul_table = tuple(tuple(self._mul_raw(a, b) for b in range(q)) for a in range(q))
-            inv = [0] * q
-            for a in range(1, q):
-                inv[a] = self.mul_table[a].index(1)
-            self._inv = tuple(inv)
+            self.add_table = _add_rows(p, k)
+            self.mul_table, self._inv = self._mul_rows()
+
+    def _mul_rows(self):
+        """Multiplication table and inverses from the log/antilog tables of
+        the least primitive element, so O(q) polynomial products, not q^2.
+        Elements from 2 up are tried in order; powering one stops at its
+        first return to 1, so a non-primitive try costs its order."""
+        q = self.q
+        for g in range(2, q) if q > 2 else (1,):
+            exp = [1]
+            x = g
+            while x != 1:
+                exp.append(x)
+                x = self._mul_raw(x, g)
+            if len(exp) == q - 1:
+                break
+        log = [0] * q
+        for i, a in enumerate(exp):
+            log[a] = i
+        exp += exp          # exp[i + j] for logs i, j < q - 1
+        nonzero_logs = log[1:]
+        rows = [(0,) * q]
+        rows += [(0, *map(exp[log[a]:].__getitem__, nonzero_logs)) for a in range(1, q)]
+        inv = (0, *(exp[q - 1 - log[a]] for a in range(1, q)))
+        return tuple(rows), inv
 
     # --- element codec ---
 

@@ -6,8 +6,11 @@ tuples plus a parallel bitmask over the side-major global numbering, so
 intersection tests are single AND operations.  Instances are immutable
 after construction.  The constructor validates partiteness,
 duplicate-freeness and the edge-size profile (all one size, or two
-consecutive sizes); the .rhg loader and `without_edge`, whose edges are
-canonical already, re-check only the edge-size profile.
+consecutive sizes).  Builders whose edges are canonical already go
+through `_from_canonical`, which re-checks only the edge-size profile:
+`loads_rhg`, `without_edge`, `plane.truncate`,
+`construct.build_extension`, `construct.uniformize` and
+`construct.extract_pair_subhypergraph`.
 """
 
 import os

@@ -10,8 +10,9 @@ each line's points.
 
 from dataclasses import dataclass
 from math import isqrt
+from operator import itemgetter
 
-from .errors import InvalidPointIndexError
+from .errors import DuplicateEdgeError, InvalidPointIndexError, PartitenessError
 from .gf import FiniteField
 from .hypergraph import PartiteHypergraph
 
@@ -56,40 +57,42 @@ def build_plane(field: FiniteField) -> ProjectivePlane:
     Each line's q+1 points are solved from its equation au + bv + cw = 0
     rather than searched for, and a normalized triple maps to its index
     in the sorted point list by (0,0,1) -> 0, (0,1,c) -> 1+c and
-    (1,b,c) -> 1+q+bq+c.
+    (1,b,c) -> 1+q+bq+c.  Each line's points come out ascending.  A
+    field with tables is read row by row; above TABLE_LIMIT the field's
+    add/mul methods are called instead.
     """
     q = field.q
     triples = _normalized_triples(q)
-    add, mul, neg = field.add, field.mul, field.neg
-    line_points = []
-    line_masks = []
-    for u, v, w in triples:
-        if w:
-            # c = -(u + bv)/w on (1,b,c), and c = -v/w on (0,1,c).
-            k = neg(field.inv(w))
-            pts = [1 + mul(v, k)]
-            pts += [1 + q + b * q + mul(add(u, mul(b, v)), k) for b in range(q)]
-        elif v:
-            # a = 1 forces b = -u/v with c free; a = 0 forces b = 0.
-            b = mul(neg(u), field.inv(v))
-            pts = [0]
-            pts += range(1 + q + b * q, 1 + 2 * q + b * q)
-        else:
-            # u != 0 forces a = 0: the point (0,0,1) and every (0,1,c).
-            pts = list(range(q + 1))
-        pts.sort()
-        mask = 0
-        for pi in pts:
-            mask |= 1 << pi
-        line_points.append(tuple(pts))
-        line_masks.append(mask)
+    line_points = [_line_points(field, q, u, v, w) for u, v, w in triples]
+    bits = [1 << i for i in range(len(triples))]
     return ProjectivePlane(
         field=field,
         points=triples,
         lines=triples,
         line_points=tuple(line_points),
-        line_masks=tuple(line_masks),
+        line_masks=tuple(sum(itemgetter(*pts)(bits)) for pts in line_points),
     )
+
+
+def _line_points(field, q, u, v, w):
+    """Ascending point indices of the line (u, v, w)."""
+    if w:
+        # c = -(u + bv)/w on (1,b,c), and c = -v/w on (0,1,c).
+        if field.mul_table is not None:
+            add, mul = field.add_table, field.mul_table
+            by_k = mul[mul[field.p - 1][field.inv(w)]]     # -x is (p-1)x
+            add_u = add[u]
+            return (1 + by_k[v], *[first + by_k[add_u[bv]] for first, bv
+                                   in zip(range(1 + q, 1 + q + q * q, q), mul[v])])
+        add, mul = field.add, field.mul
+        k = field.neg(field.inv(w))
+        return (1 + mul(v, k), *(1 + q + b * q + mul(add(u, mul(b, v)), k) for b in range(q)))
+    if v:
+        # a = 1 forces b = -u/v with c free; a = 0 forces b = 0.
+        b = field.mul(field.neg(u), field.inv(v))
+        return (0, *range(1 + q + b * q, 1 + 2 * q + b * q))
+    # u != 0 forces a = 0: the point (0,0,1) and every (0,1,c).
+    return tuple(range(q + 1))
 
 
 def truncate(plane: ProjectivePlane, vertex: int | None = None) -> PartiteHypergraph:
@@ -97,7 +100,10 @@ def truncate(plane: ProjectivePlane, vertex: int | None = None) -> PartiteHyperg
     lines become the sides, the remaining lines the edges.
 
     Returns an r-partite r-uniform intersecting hypergraph with r = q+1
-    sides of q vertices each and q^2 edges.
+    sides of q vertices each and q^2 edges.  Each edge is laid out by
+    side, so it is canonical as built; a line that meets a pencil line
+    twice or misses one raises PartitenessError, and two lines on the
+    same points raise DuplicateEdgeError (neither occurs in a plane).
     """
     v = 0 if vertex is None else vertex
     n = len(plane.points)
@@ -106,24 +112,35 @@ def truncate(plane: ProjectivePlane, vertex: int | None = None) -> PartiteHyperg
 
     pencil = plane.lines_through(v)
     sides = []
-    place = {}  # point index -> (side, pos)
+    slot = {}  # point index -> (side, (side, pos))
     for side, li in enumerate(pencil):
         labels = []
         for p in plane.line_points[li]:
             if p == v:
                 continue
-            place[p] = (side, len(labels))
+            slot[p] = (side, (side, len(labels)))
             labels.append(plane.point_label(p))
         sides.append(tuple(labels))
 
+    k = len(pencil)
+    in_pencil = set(pencil)
     edges = []
+    seen = set()
     for li, pts in enumerate(plane.line_points):
-        if li in pencil:
+        if li in in_pencil:
             continue
-        edges.append(tuple(sorted(place[p] for p in pts)))
+        by_side = dict(map(slot.__getitem__, pts))
+        if len(by_side) != k or len(pts) != k:
+            raise PartitenessError(f"line {li} does not meet each of the {k} pencil lines once")
+        e = tuple(map(by_side.__getitem__, range(k)))
+        if e in seen:
+            raise DuplicateEdgeError(f"duplicate edge {e}")
+        seen.add(e)
+        edges.append(e)
 
     r = plane.q + 1
-    return PartiteHypergraph(sides, edges, name=f"T{r}")
+    return PartiteHypergraph._from_canonical(tuple(sides), tuple(edges), (None,) * len(edges),
+                                             f"T{r}")
 
 
 def bruck_ryser_excluded(n: int) -> bool:

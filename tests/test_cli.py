@@ -461,3 +461,39 @@ def test_construct_anchor_outside_the_edges_is_a_config_error(t4_file, tmp_path,
     assert run("construct", "--base", t4_file, "--s-edge", 99, *selection, "--out", out) == 2
     assert "s_edge 99 is not an edge index" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("fields", [
+    {"s_edge": "x"},
+    {"s_edge": 99},
+    {"s_edge": -1},
+    {"f_edges": [99, 2, 3, 4]},
+    {"f_edges": [-1, 2, 3, 4]},
+    {"f_edges": [1, 2, 3]},
+    {"f_edges": ["a", 2, 3, 4]},
+    {"f_edges": "1,2,3,4"},
+])
+def test_malformed_maximal_check_spec_is_a_config_error(t4_file, t4_extension, tmp_path,
+                                                        capsys, fields):
+    h, _, _ = t4_extension
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"base": str(t4_file), "s_edge": 0, "f_edges": [1, 2, 3, 4],
+                                **fields}))
+    report = tmp_path / "rep.json"
+    assert run("maximal-check", h, "--spec", spec, "--json", report) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not report.exists()
+
+
+def test_python_dash_m_runs_the_command_line():
+    import os
+    import subprocess
+    import sys
+
+    import ryser
+
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ryser.__file__))}
+    done = subprocess.run([sys.executable, "-m", "ryser", "field", "--p", "2", "--k", "2"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert "GF(4)" in done.stdout

@@ -135,3 +135,19 @@ def test_least_irreducible_is_irreducible_and_least():
     for r in (0, 1):
         val = sum(c * r ** i for i, c in enumerate(m)) % 2
         assert val != 0
+
+
+PRIME_POWERS_TO_64 = [
+    (p, k) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61)
+    for k in range(1, 7) if p ** k <= 64
+]
+
+
+@pytest.mark.parametrize("p,k", PRIME_POWERS_TO_64)
+def test_log_tables_equal_the_polynomial_arithmetic(p, k):
+    f = FiniteField(p, k)
+    q = f.q
+    elems = range(q)
+    assert f.add_table == tuple(tuple(f._add_raw(a, b) for b in elems) for a in elems)
+    assert f.mul_table == tuple(tuple(f._mul_raw(a, b) for b in elems) for a in elems)
+    assert [f._mul_raw(a, f.inv(a)) for a in range(1, q)] == [1] * (q - 1)

@@ -1,8 +1,10 @@
 """Projective planes, truncations, and the Bruck-Ryser exclusion test."""
 
+import dataclasses
+
 import pytest
 
-from ryser.errors import InvalidPointIndexError
+from ryser.errors import DuplicateEdgeError, InvalidPointIndexError, PartitenessError
 from ryser.gf import FiniteField
 from ryser.plane import bruck_ryser_excluded, build_plane, truncate
 
@@ -181,3 +183,47 @@ def test_bruck_ryser_values():
     assert bruck_ryser_excluded(21) is True     # 21 = 1 mod 4, not a sum of two squares
     with pytest.raises(ValueError):
         bruck_ryser_excluded(1)
+
+
+@pytest.mark.parametrize("p,k", [(3, 3), (2, 5)])
+def test_build_plane_table_path_equals_the_method_path(p, k):
+    tables = CountingField(p, k)
+    methods = CountingField(p, k)
+    methods.add_table = methods.mul_table = methods._inv = None
+    a, b = build_plane(tables), build_plane(methods)
+    assert (a.points, a.lines, a.line_points, a.line_masks) == \
+        (b.points, b.lines, b.line_points, b.line_masks)
+    q = tables.q
+    assert tables.muls <= q < q * q <= methods.muls
+
+
+def replace_line(pg, li, pts):
+    """pg with line li's points replaced: no longer a projective plane."""
+    pts = tuple(sorted(pts))
+    return dataclasses.replace(
+        pg,
+        line_points=pg.line_points[:li] + (pts,) + pg.line_points[li + 1:],
+        line_masks=pg.line_masks[:li] + (sum(1 << p for p in pts),) + pg.line_masks[li + 1:],
+    )
+
+
+def test_truncate_rejects_a_hand_built_non_plane():
+    pg = make_plane(3)
+    v = 0
+    pencil = pg.lines_through(v)
+    other = [li for li in range(len(pg.lines)) if li not in pencil]
+    li = other[0]
+    side0 = [p for p in pg.line_points[pencil[0]] if p != v]
+    side1 = [p for p in pg.line_points[pencil[1]] if p != v]
+    # the points of pencil line 1 are all off line li but one
+    keep = [p for p in pg.line_points[li] if p not in side0 and p not in side1]
+    twice = replace_line(pg, li, keep + side0[:2])           # meets pencil line 0 twice
+    with pytest.raises(PartitenessError):
+        truncate(twice, v)
+    missed = replace_line(pg, li, keep + side0[:1])           # misses pencil line 1
+    with pytest.raises(PartitenessError):
+        truncate(missed, v)
+    same = replace_line(pg, li, pg.line_points[other[1]])     # two lines, one point set
+    with pytest.raises(DuplicateEdgeError):
+        truncate(same, v)
+    assert truncate(replace_line(pg, li, pg.line_points[li]), v) == truncate(pg, v)
