@@ -4,10 +4,15 @@ classification of addable edges.
 An extremal uniform hypergraph (k sides, k-uniform, cover number k-1)
 is minimal when deleting any single edge drops the cover number.  The
 reducer tries every edge once, in scan order, and deletes it when its
-removal keeps the cover number.  Deleting edges never raises the cover
-number, so an edge found critical stays critical: the size-(k-2) cover
-found when it was tried still covers the final hypergraph without it,
-and that scan result is its criticality certificate.
+removal keeps the cover number.  It makes one `cover_number` call, for
+the input, and then one decide run per edge at budget k-2 on the
+input's search instance.  Deleting one edge lowers the cover number by
+at most one, and a (k-2)-set that covers the rest cannot meet the
+tried edge, so that one run decides the edge.  Deleting edges never
+raises the cover number, so an edge found critical stays critical: the
+size-(k-2) cover found when it was tried still covers the final
+hypergraph without it, and that scan result is its criticality
+certificate.
 
 Addable-edge classification enumerates every covering transversal of
 the extension hypergraph with at most one fresh vertex (a candidate
@@ -32,7 +37,14 @@ from .errors import (
     ViolationsPresentError,
 )
 from .hypergraph import PartiteHypergraph, degree_stats, is_intersecting
-from .solver import DEFAULT_TIMEOUT, CoverResult, cover_number
+from .solver import (
+    DEFAULT_TIMEOUT,
+    CoverResult,
+    _instance,
+    cover_number,
+    cover_without_edge,
+    worker_pool,
+)
 
 
 # --- minimality -----------------------------------------------------------
@@ -43,7 +55,8 @@ class DeletedEdge:
     original_index: int
     vertices: tuple
     label: Optional[str]
-    cert: CoverResult        # cover number right after this deletion
+    cert: CoverResult        # cover number right after this deletion: the
+                             # input's witness, and the refuted run's nodes
 
 
 @dataclass(frozen=True)
@@ -75,11 +88,13 @@ def minimize(
 ) -> MinimizationTrace:
     """Try each edge once (least index first; "desc" scans from the
     highest index instead) and delete it when the cover number stays at
-    sides-1.  Each deletion is certified by the cover of the hypergraph
-    it leaves; each kept edge by the cover of size sides-2 found when it
-    was tried, which also covers the final hypergraph without that edge.
-    Makes 1 + num_edges cover calls.  Any scan order reaches a minimal
-    hypergraph, possibly a different one."""
+    sides-1.  Makes one `cover_number` call, for the input, then one
+    `cover_without_edge` decide run per edge at budget sides-2; with
+    jobs > 1 they share one process pool.  A deleted edge is certified
+    by the input's minimum cover, which covers what is left; a kept edge
+    by the cover of size sides-2 found without it, which also covers the
+    final hypergraph without that edge.  Any scan order reaches a
+    minimal hypergraph, possibly a different one."""
     if order not in ("asc", "desc"):
         raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
     k = h.num_sides
@@ -89,31 +104,36 @@ def minimize(
     ok, wit = is_intersecting(h)
     if not ok:
         raise NotExtremalError(f"input is not intersecting (edges {wit[0]}, {wit[1]})")
-    initial = cover_number(h, upper_hint=target, timeout=timeout, jobs=jobs)
-    if initial.tau != target:
-        raise NotExtremalError(f"cover number is {initial.tau}, expected {target}")
 
-    cur = h
-    orig = list(range(h.num_edges))
-    deleted = []
-    kept_certs = {}
-    scan = range(h.num_edges) if order == "asc" else range(h.num_edges - 1, -1, -1)
-    for i in scan:
-        pos = orig.index(i)
-        trial = cur.without_edge(pos)
-        res = cover_number(trial, upper_hint=target, timeout=timeout, jobs=jobs)
-        if res.tau == target:
-            deleted.append(DeletedEdge(i, cur.edges[pos], cur.edge_labels[pos], res))
-            cur = trial
-            del orig[pos]
-        else:
-            kept_certs[i] = res
+    with worker_pool(jobs) as pool:
+        initial = cover_number(h, upper_hint=target, timeout=timeout, pool=pool)
+        if initial.tau != target:
+            raise NotExtremalError(f"cover number is {initial.tau}, expected {target}")
+        inst = _instance(h)
+        alive = (1 << h.num_edges) - 1
+        deleted = []
+        kept_certs = {}
+        scan = range(h.num_edges) if order == "asc" else range(h.num_edges - 1, -1, -1)
+        for i in scan:
+            witness, nodes = cover_without_edge(inst, alive, i, target - 1, timeout, pool)
+            if witness is None:
+                cert = CoverResult(target, initial.witness, None, nodes)
+                deleted.append(DeletedEdge(i, h.edges[i], h.edge_labels[i], cert))
+                alive &= ~(1 << i)
+            else:
+                wit_vids = tuple(h.vid(g) for g in sorted(witness))
+                kept_certs[i] = CoverResult(target - 1, wit_vids, None, nodes)
 
+    orig = [i for i in range(h.num_edges) if alive >> i & 1]
+    final = PartiteHypergraph._from_canonical(
+        h.sides, tuple(h.edges[i] for i in orig),
+        tuple(h.edge_labels[i] for i in orig), h.name,
+    )
     kept = tuple(
-        KeptEdge(pos, i, cur.edges[pos], cur.edge_labels[pos], kept_certs[i])
+        KeptEdge(pos, i, h.edges[i], h.edge_labels[i], kept_certs[i])
         for pos, i in enumerate(orig)
     )
-    return MinimizationTrace(initial, cur, tuple(deleted), kept)
+    return MinimizationTrace(initial, final, tuple(deleted), kept)
 
 
 # --- fingerprints & isomorphism -------------------------------------------

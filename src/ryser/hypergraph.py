@@ -47,7 +47,7 @@ class PartiteHypergraph:
     """
 
     __slots__ = ("sides", "edges", "edge_labels", "name", "_masks", "_offsets", "_edge_sets",
-                 "_incidence")
+                 "_incidence", "_intersecting")
 
     def __init__(self, sides, edges, edge_labels=None, name=""):
         sides = tuple(tuple(str(x) for x in side) for side in sides)
@@ -105,6 +105,7 @@ class PartiteHypergraph:
         self._offsets = None
         self._edge_sets = None
         self._incidence = None
+        self._intersecting = None
 
     # --- structure ---
 
@@ -250,7 +251,14 @@ def is_intersecting(h: PartiteHypergraph):
     (False, (i, j)) with the first disjoint pair in (i, j) order.
 
     Each edge ORs the incident-edge masks of its vertices, so the cost is
-    O(m*r) mask operations rather than m^2/2 pair tests."""
+    O(m*r) mask operations rather than m^2/2 pair tests.  The answer is
+    kept on the hypergraph, so later calls return it at once."""
+    if h._intersecting is None:
+        h._intersecting = _first_disjoint_pair(h)
+    return h._intersecting
+
+
+def _first_disjoint_pair(h):
     if h.num_edges == 0:
         raise EmptyHypergraphError("intersecting is undefined without edges")
     off = h.offsets

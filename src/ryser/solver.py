@@ -41,6 +41,10 @@ The matching search branches on edge inclusion in index order and
 carries the mask of the edges disjoint from all edges taken so far; its
 bound is the popcount of that mask above the current index.
 
+`cover_without_edge` decides whether deleting one edge lowers the
+cover number with one decide run on the whole hypergraph's instance,
+from a root node that drops the edge and excludes its vertices.
+
 All tie-breaking is by smallest global vertex index / smallest edge
 index, so identical inputs give identical certificates.  With jobs > 1
 the root branches of each budget run are distributed across processes
@@ -50,6 +54,7 @@ identical to the single-worker run.
 
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from itertools import combinations
@@ -287,15 +292,16 @@ def _subtree_task(inst, budget, collect, seconds, node):
     return _budget_search(inst, budget, collect, _Deadline(seconds), node)
 
 
-def _attempt(inst, budget, collect, deadline, pool):
-    """One exhaustive budget run; returns (first_found, solutions, nodes).
-    With a pool, the root's branches run as separate tasks, read in
-    branch order; a decide run stops at the first branch with a cover,
-    cancelling the branches not yet started, so the witness and the node
-    count are those of the serial run."""
+def _attempt(inst, budget, collect, deadline, pool, node=None):
+    """One exhaustive budget run below `node` (default the root); returns
+    (first_found, solutions, nodes).  With a pool, the node's branches
+    run as separate tasks, read in branch order; a decide run stops at
+    the first branch with a cover, cancelling the branches not yet
+    started, so the witness and the node count are those of the serial
+    run."""
     deadline.check(force=True)
     tasks = None if pool is None else []
-    first, sols, nodes = _budget_search(inst, budget, collect, deadline, tasks=tasks)
+    first, sols, nodes = _budget_search(inst, budget, collect, deadline, node, tasks)
     if tasks:
         seconds = deadline.remaining()
         futures = [pool.submit(_subtree_task, inst, budget, collect, seconds, node)
@@ -317,28 +323,43 @@ def _attempt(inst, budget, collect, deadline, pool):
     return first, sols, nodes
 
 
+@contextmanager
+def worker_pool(jobs):
+    """A process pool of `jobs` workers for cover searches to share, or
+    None for one worker.  Raises ValueError for `jobs` below 1, before
+    any pool exists."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if jobs == 1:
+        yield None
+        return
+    pool = ProcessPoolExecutor(max_workers=jobs)
+    try:
+        yield pool
+    finally:
+        pool.shutdown()
+
+
 def cover_number(
     h: PartiteHypergraph,
     enumerate_all: bool = False,
     upper_hint: Optional[int] = None,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
     jobs: int = 1,
+    pool=None,
 ) -> CoverResult:
     """Exact minimum vertex cover with witness; optionally every minimum
-    cover.  Raises SolverTimeout if the wall-clock budget runs out, and
+    cover.  The search runs in `pool`, an open `worker_pool`, when one
+    is given, and otherwise in a pool of `jobs` workers of its own.
+    Raises SolverTimeout if the wall-clock budget runs out, and
     ValueError for `jobs` below 1."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if h.num_edges == 0:
-        raise EmptyHypergraphError("cover number is undefined without edges")
-    inst = _instance(h)
-    deadline = _Deadline(timeout)
-    n = h.num_vertices
+    with nullcontext(pool) if pool is not None else worker_pool(jobs) as pool:
+        if h.num_edges == 0:
+            raise EmptyHypergraphError("cover number is undefined without edges")
+        inst = _instance(h)
+        deadline = _Deadline(timeout)
+        n = h.num_vertices
 
-    pool = None
-    try:
-        if jobs > 1:
-            pool = ProcessPoolExecutor(max_workers=jobs)
         everything = (1 << h.num_edges) - 1
         ranked = _ranked_degrees(inst.incidence, everything, 0)
         lb = 1
@@ -381,9 +402,27 @@ def cover_number(
             ))
         wit_vids = tuple(h.vid(g) for g in sorted(witness))
         return CoverResult(tau, wit_vids, all_covers, nodes_total)
-    finally:
-        if pool is not None:
-            pool.shutdown()
+
+
+def cover_without_edge(inst, alive, edge, budget, timeout, pool):
+    """One decide run at `budget` for a cover of the `alive` edges (a
+    mask) other than `edge` that avoids the vertices of `edge` and the
+    dominated ones.  Returns (the cover's global ids or None, nodes
+    explored).
+
+    `inst` is the `_instance` of a hypergraph, and its `alive` edges
+    must have cover number budget + 1.  A cover is then found exactly
+    when deleting `edge` lowers the cover number: a `budget`-set that
+    covers the other edges and meets `edge` would cover them all.  A
+    dominated vertex of such a set can be swapped for a vertex of its
+    edge that is not dominated, and that vertex is not on `edge` either,
+    by the same argument."""
+    excluded = inst.dominated
+    for g in inst.gid_lists[edge]:
+        excluded |= 1 << g
+    node = ((), alive & ~(1 << edge), excluded)
+    first, _, nodes = _attempt(inst, budget, False, _Deadline(timeout), pool, node)
+    return first, nodes
 
 
 def matching_number(

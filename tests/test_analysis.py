@@ -1,10 +1,14 @@
 """Minimization traces, fingerprints, isomorphism, extension classes."""
 
 import random
+from concurrent.futures import ProcessPoolExecutor
+from functools import lru_cache
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ryser import analysis
+from ryser import analysis, solver
 from ryser.analysis import (
     ExtensionClassification,
     classify_extensions,
@@ -117,17 +121,78 @@ def test_minimize_single_pass_matches_restart_loop(q, f_mode, order, monkeypatch
 
     monkeypatch.setattr(analysis, "cover_number", counting_cover_number)
     trace = minimize(u, order=order)
-    assert len(calls) == 1 + u.num_edges
+    # one cover_number call, for the input; each edge is then one decide run
+    assert calls == [u]
 
+    target = trace.target_tau
     final, deleted = restart_minimize(u, order)
     assert trace.final == final
-    assert [(d.original_index, d.cert) for d in trace.deleted] == deleted
+    assert [(d.original_index, d.cert.tau) for d in trace.deleted] == [
+        (i, res.tau) for i, res in deleted
+    ]
+    left = u
+    for d in trace.deleted:
+        # the input's minimum cover certifies the cover number left
+        left = left.without_edge(left.edges.index(d.vertices))
+        witness = set(d.cert.witness)
+        assert d.cert.tau == len(witness) == target
+        assert all(witness & set(e) for e in left.edges)
+    assert left == final
     assert [k.final_index for k in trace.kept] == list(range(final.num_edges))
     for k in trace.kept:
         assert u.edges[k.original_index] == k.vertices == final.edges[k.final_index]
         witness = set(k.cert.witness)
-        assert k.cert.tau == len(witness) == trace.target_tau - 1
-        assert all(witness & set(e) for e in final.without_edge(k.final_index).edges)
+        assert k.cert.tau == len(witness) == target - 1
+        assert not witness & set(k.vertices)
+        rest = final.without_edge(k.final_index)
+        assert all(witness & set(e) for e in rest.edges)
+        assert cover_number(rest).tau == target - 1
+
+
+@lru_cache(maxsize=None)
+def plane(q):
+    return build_plane(FiniteField(*{3: (3, 1), 4: (2, 2)}[q]))
+
+
+@st.composite
+def shuffled_extensions(draw):
+    """A uniformized extension of a truncation of PG(2, q), q in {3, 4},
+    at a random point and anchor, default or profile F, with its edges
+    in a random order."""
+    q = draw(st.sampled_from([3, 4]))
+    t = truncate(plane(q), draw(st.integers(0, q * q + q)))
+    anchor = draw(st.integers(0, q * q - 1))
+    if draw(st.booleans()):
+        spec = select_f_default(t, anchor)
+    else:
+        spec = select_f_by_profile(t, anchor, DegreeProfile(q + 1, (1,)), strict=False)
+    u = uniformize(build_extension(spec))
+    perm = draw(st.permutations(range(u.num_edges)))
+    return PartiteHypergraph(u.sides, [u.edges[i] for i in perm],
+                             [u.edge_labels[i] for i in perm], name=u.name)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(shuffled_extensions())
+def test_minimize_matches_restart_loop_on_random_extensions(u):
+    traces = {order: minimize(u, order=order) for order in ("asc", "desc")}
+    for order, trace in traces.items():
+        final, deleted = restart_minimize(u, order)
+        assert trace.final == final
+        assert [d.original_index for d in trace.deleted] == [i for i, _ in deleted]
+
+    opened = []
+
+    def counting_pool(**kwargs):
+        opened.append(kwargs)
+        return ProcessPoolExecutor(**kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "ProcessPoolExecutor", counting_pool)
+        pooled = minimize(u, jobs=2)
+    assert opened == [{"max_workers": 2}]
+    # the same trace, kept witnesses and node counts included
+    assert pooled == traces["asc"]
 
 
 def test_minimize_rejects_non_extremal():

@@ -5,7 +5,9 @@ import json
 import jsonschema
 import pytest
 
+from ryser.analysis import minimize
 from ryser.cli import corpus_generate, main
+from ryser.hypergraph import PartiteHypergraph, write_rhg
 from ryser.report import REPORT_SCHEMA, recheck_report
 
 
@@ -134,6 +136,22 @@ def test_construct_uniformize_and_minimize(t4_file, tmp_path):
     assert cert["target_tau"] == 4
     assert all(k["tau_without"] == 3 for k in cert["kept"])
     assert run("verify", m_path, "--tau") == 0
+
+
+def test_minimize_star_keeps_its_last_edge(tmp_path):
+    # the last edge's trial leaves no edge, which the empty set covers
+    star = PartiteHypergraph([["a"], ["b", "c"]], [((0, 0), (1, 0)), ((0, 0), (1, 1))])
+    path = tmp_path / "star.rhg"
+    write_rhg(star, path)
+    trace = minimize(star)
+    assert [d.original_index for d in trace.deleted] == [0]
+    assert [(k.original_index, k.cert.tau, k.cert.witness) for k in trace.kept] == [(1, 0, ())]
+    rep_path = tmp_path / "min.json"
+    assert run("minimize", path, "--report", rep_path) == 0
+    rep = load(rep_path)
+    cert = rep["checks"][0]["certificate"]
+    assert [k["original_index"] for k in cert["kept"]] == [1]
+    assert recheck_report(rep, base_dir=".") == []
 
 
 def test_recheck_replays_minimization(t4_file, tmp_path):

@@ -66,6 +66,17 @@ def test_is_intersecting(t4):
         is_intersecting(PartiteHypergraph([["a"]], []))
 
 
+def test_is_intersecting_answer_is_cached(t4):
+    extra = ((0, 1),) + tuple((s, 0) for s in range(1, t4.num_sides))
+    for h in (t4.without_edge(0), t4.with_edge(extra)):
+        first = is_intersecting(h)
+        # a second call must not rebuild the answer from the masks
+        h._incidence = ()
+        assert is_intersecting(h) is first
+        assert first == reference_is_intersecting(h)
+    assert not first[0]
+
+
 def test_single_edge_profile_empty():
     h = PartiteHypergraph([["a"], ["b"]], [[(0, 0), (1, 0)]])
     assert intersection_size_profile(h) == {}
