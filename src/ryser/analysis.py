@@ -21,10 +21,13 @@ vertices, so it misses some edge and cannot keep the family
 intersecting) and sorts each candidate into: already present, a twin of
 a selected edge (type 1: F_i plus a final-side vertex), a twin of a
 mirrored selected edge (type 2: F_i - s_i + v_i plus a side-i vertex),
-or a violation of that pattern.
+or a violation of that pattern.  The transversals for each fresh side
+(or none) are the minimum covers of one cover-search enumeration on
+`solver._transversal_instance`.
 """
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 from typing import Optional
@@ -40,7 +43,10 @@ from .hypergraph import PartiteHypergraph, degree_stats, is_intersecting
 from .solver import (
     DEFAULT_TIMEOUT,
     CoverResult,
+    _attempt,
+    _Deadline,
     _instance,
+    _transversal_instance,
     cover_number,
     cover_without_edge,
     worker_pool,
@@ -189,19 +195,14 @@ def exact_isomorphic(a: PartiteHypergraph, b: PartiteHypergraph) -> IsoResult:
     no = IsoResult(False, None, None)
     if a.num_sides != b.num_sides or a.num_edges != b.num_edges:
         return no
-    if sorted(a.side_sizes) != sorted(b.side_sizes):
-        return no
     if sorted(len(e) for e in a.edges) != sorted(len(e) for e in b.edges):
         return no
+    # equal per-side degree multisets imply equal side sizes and degrees
     dsa, dsb = degree_stats(a), degree_stats(b)
-    if dsa.degrees != dsb.degrees:
-        return no
     if sorted(dsa.side_degrees) != sorted(dsb.side_degrees):
         return no
 
     k = a.num_sides
-    deg_a = [inc.bit_count() for inc in a.incidence_masks]
-    deg_b = [inc.bit_count() for inc in b.incidence_masks]
     co_a = _codegrees(a)
     co_b = _codegrees(b)
     b_edge_sets = set(b.edge_sets)
@@ -238,10 +239,10 @@ def exact_isomorphic(a: PartiteHypergraph, b: PartiteHypergraph) -> IsoResult:
         if p == len(a.sides[si]):
             return assign_side(si + 1)
         u = (si, p)
-        du = deg_a[a.offsets[si] + p]
+        du = dsa.by_vertex[a.offsets[si] + p]
         for q in range(len(b.sides[tj])):
             w = (tj, q)
-            if w in used or deg_b[b.offsets[tj] + q] != du:
+            if w in used or dsb.by_vertex[b.offsets[tj] + q] != du:
                 continue
             if any(co(co_a, u, x) != co(co_b, w, y) for x, y in mapping.items()):
                 continue
@@ -282,40 +283,6 @@ class ExtensionClassification:
         return self.pattern_guaranteed and not self.violations
 
 
-def _covering_transversals(h, skip_side):
-    """All choices of one existing vertex from every side except
-    skip_side whose union meets every edge, by backtracking with
-    suffix-cover pruning.  Yields sorted vertex tuples in lexicographic
-    order."""
-    full = (1 << h.num_edges) - 1
-    inc = h.incidence_masks
-    off = h.offsets
-    active = [s for s in range(h.num_sides) if s != skip_side]
-    suffix = [0] * (len(active) + 1)  # the edges met by the sides from i on
-    for i in range(len(active) - 1, -1, -1):
-        s = active[i]
-        suffix[i] = suffix[i + 1]
-        for mask in inc[off[s]:off[s + 1]]:
-            suffix[i] |= mask
-
-    picks = []
-
-    def rec(i, covered):
-        if covered | suffix[i] != full:
-            return
-        if i == len(active):
-            if covered == full:
-                yield tuple(picks)
-            return
-        s = active[i]
-        for p in range(len(h.sides[s])):
-            picks.append((s, p))
-            yield from rec(i + 1, covered | inc[off[s] + p])
-            picks.pop()
-
-    yield from rec(0, 0)
-
-
 def enumerate_candidates_brute(h):
     """Pruning-free cross-check: every (fresh_side, transversal) choice
     via full cartesian products, filtered by a direct cover test."""
@@ -344,7 +311,8 @@ def classify_extensions(
 
     A new edge must meet every existing edge; since the cover number is
     r, its existing-vertex part must be a covering transversal, leaving
-    room for at most one fresh vertex.
+    room for at most one fresh vertex.  The cover-number check and the
+    r+2 enumerations share one `timeout` (SolverTimeout) and one pool.
     """
     r = spec.base.num_sides
     if h.num_sides != r + 1:
@@ -355,10 +323,6 @@ def classify_extensions(
             f"twin-pattern guarantee does not apply",
             stacklevel=2,
         )
-    res = cover_number(h, upper_hint=r, timeout=timeout, jobs=jobs)
-    if res.tau != r:
-        raise NotExtremalError(f"cover number is {res.tau}, expected {r}")
-
     anchor = spec.anchor_vertices()
     f_sets = [spec.base.edge_sets[fe] for fe in spec.f_edges]
     shifted_sets = [
@@ -390,13 +354,17 @@ def classify_extensions(
         return "violation", None
 
     candidates = []
-    for fresh in [None] + list(range(r + 1)):
-        for verts in _covering_transversals(h, fresh):
-            kind, idx = classify(fresh, verts)
-            candidates.append(ExtensionCandidate(fresh, verts, kind, idx))
-    counts = {}
-    for c in candidates:
-        counts[c.kind] = counts.get(c.kind, 0) + 1
+    with worker_pool(jobs) as pool:
+        deadline = _Deadline(timeout)
+        res = cover_number(h, upper_hint=r, timeout=deadline.remaining(), pool=pool)
+        if res.tau != r:
+            raise NotExtremalError(f"cover number is {res.tau}, expected {r}")
+        for fresh in [None] + list(range(r + 1)):
+            inst, k = _transversal_instance(h, fresh)
+            _, sols, _ = _attempt(inst, k, True, deadline, pool)
+            for verts in sorted(tuple(h.vid(g) for g in sorted(sol)) for sol in sols):
+                candidates.append(ExtensionCandidate(fresh, verts, *classify(fresh, verts)))
+    counts = dict(Counter(c.kind for c in candidates))
     violations = tuple(c for c in candidates if c.kind == "violation")
     return ExtensionClassification(
         r=r,

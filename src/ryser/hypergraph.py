@@ -290,19 +290,18 @@ def intersection_size_profile(h: PartiteHypergraph) -> Counter:
 class DegreeStats:
     side_degrees: tuple   # per side: ascending degree tuple
     degrees: tuple        # all vertices, ascending
+    by_vertex: tuple      # per global vertex id
 
     def nonzero(self, side: int):
         return tuple(d for d in self.side_degrees[side] if d)
 
 
 def degree_stats(h: PartiteHypergraph) -> DegreeStats:
-    deg = [[0] * len(side) for side in h.sides]
-    for e in h.edges:
-        for s, p in e:
-            deg[s][p] += 1
-    per_side = tuple(tuple(sorted(d)) for d in deg)
-    overall = tuple(sorted(x for d in deg for x in d))
-    return DegreeStats(per_side, overall)
+    """Vertex degrees, read as popcounts of `incidence_masks`."""
+    deg = tuple(mask.bit_count() for mask in h.incidence_masks)
+    off = h.offsets
+    per_side = tuple(tuple(sorted(deg[off[s]:off[s + 1]])) for s in range(h.num_sides))
+    return DegreeStats(per_side, tuple(sorted(deg)), deg)
 
 
 # --- .rhg text format ---

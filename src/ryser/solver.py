@@ -37,9 +37,17 @@ size, the branching key, is its size less its dominated vertices, fixed
 per call: a uniformized edge is then branched on when its mixed original
 would be, and the search is the mixed extension's.
 
-The matching search branches on edge inclusion in index order and
-carries the mask of the edges disjoint from all edges taken so far; its
-bound is the popcount of that mask above the current index.
+A branch child also excludes its vertex's `closes` mask, in a cover
+instance the vertex alone.  The covering transversals of all sides but
+one (or of all sides) are the minimum covers of one enumeration on an
+instance with that side's vertices removed from the edges and one edge
+per remaining side, the whole side, branched on after every real edge.
+Its budget is the number k of those sides; a k-cover meets each
+disjoint side edge once, so a pick closes its whole side.
+
+The matching search carries the mask of the later edges disjoint from
+every edge taken so far and takes each in turn, lowest index first, so
+it recurses nu + 1 deep; its bound is the popcount of that mask.
 
 `cover_without_edge` decides whether deleting one edge lowers the
 cover number with one decide run on the whole hypergraph's instance,
@@ -181,8 +189,9 @@ class _Instance(NamedTuple):
     """The static search data of one hypergraph, built once per call."""
     gid_lists: tuple     # per edge, the global ids of its vertices in order
     incidence: tuple     # per global id, (degree, vertex bit, mask of the edges through it)
-    size_classes: tuple  # masks of the edges of each free size, smallest first
+    size_classes: tuple  # masks of the edges of each branching class, in branching order
     dominated: int       # mask of the vertices a decide run never picks
+    closes: tuple        # per global id, the mask of the vertices a pick of it excludes
 
 
 def _instance(h):
@@ -209,7 +218,30 @@ def _instance(h):
         tuple((mask.bit_count(), 1 << g, mask) for g, mask in enumerate(inc)),
         tuple(classes[size] for size in sorted(classes)),
         dominated,
+        tuple(1 << g for g in range(len(inc))),
     )
+
+
+def _transversal_instance(h, fresh):
+    """The instance whose k-covers, for k the number of sides other than
+    `fresh` (a side or None), are the transversals of those sides that
+    meet every edge of h; returns it with k."""
+    off, m = h.offsets, h.num_edges
+    gid_lists = [tuple([off[s] + p for s, p in e if s != fresh]) for e in h.edges]
+    classes = [sum(1 << i for i, gids in enumerate(gid_lists) if len(gids) == size)
+               for size in sorted({len(gids) for gids in gid_lists})]
+    sides = [range(off[s], off[s + 1]) for s in range(h.num_sides) if s != fresh]
+    gid_lists += map(tuple, sides)
+    inc = [0] * off[-1]  # a fresh-side vertex meets no edge
+    closes = [0] * off[-1]
+    for i, gids in enumerate(sides):
+        for g in gids:
+            inc[g] = h.incidence_masks[g] | 1 << (m + i)
+            closes[g] = ((1 << gids.stop) - 1) ^ ((1 << gids.start) - 1)
+    k = len(sides)
+    classes.append(((1 << k) - 1) << m)
+    entries = tuple((mask.bit_count(), 1 << g, mask) for g, mask in enumerate(inc))
+    return _Instance(tuple(gid_lists), entries, tuple(classes), 0, tuple(closes)), k
 
 
 def _budget_search(inst, budget, collect, deadline, node=None, tasks=None):
@@ -225,7 +257,7 @@ def _budget_search(inst, budget, collect, deadline, node=None, tasks=None):
     entering it, from the degrees it has ranked; a child that fails is
     counted as one node and never entered, so the tree, the order and
     the node count are those of a search that enters every child."""
-    gid_lists, incidence, size_classes, dominated = inst
+    gid_lists, incidence, size_classes, dominated, closes = inst
     first = None
     sols = [] if collect else None
     nodes = 0
@@ -271,12 +303,13 @@ def _budget_search(inst, budget, collect, deadline, node=None, tasks=None):
             _, bit, inc = incidence[g]
             if not bit & acc:
                 rest = uncovered & ~inc
+                closed = acc | closes[g]
                 if tasks is not None:
                     # a root branch becomes a task that runs its own test
-                    tasks.append((chosen + (g,), rest, acc))
-                elif not fits(rest, acc | bit, picks - 1, ranked):
+                    tasks.append((chosen + (g,), rest, closed))
+                elif not fits(rest, closed, picks - 1, ranked):
                     nodes += 1  # the child, refuted without being entered
-                elif rec(chosen + (g,), rest, acc, ranked):
+                elif rec(chosen + (g,), rest, closed, ranked):
                     return True
             acc |= bit
         return False
@@ -429,10 +462,10 @@ def matching_number(
     h: PartiteHypergraph,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
 ) -> MatchingResult:
-    """Exact maximum matching size via branch-and-bound over edge
-    inclusion in index order.  A node carries the mask of the edges
-    disjoint from every edge taken so far; its bound is the number of
-    those edges not yet decided."""
+    """Exact maximum matching size via branch-and-bound.  A node carries
+    the mask of the later edges disjoint from every edge it has taken,
+    and takes each of them in turn, lowest index first; it stops once
+    its matching plus that mask cannot beat the best matching found."""
     m = h.num_edges
     off = h.offsets
     inc = h.incidence_masks
@@ -447,23 +480,21 @@ def matching_number(
     best = []
     nodes = 0
 
-    def rec(i, avail, cur):
+    def rec(avail, cur):
         nonlocal best, nodes
         nodes += 1
         deadline.check()
-        if i == m:
-            if len(cur) > len(best):
-                best = list(cur)
-            return
-        if len(cur) + (avail >> i).bit_count() <= len(best):
-            return
-        if avail >> i & 1:
+        if len(cur) > len(best):
+            best = list(cur)
+        while avail and len(cur) + avail.bit_count() > len(best):
+            low = avail & -avail
+            avail ^= low
+            i = low.bit_length() - 1
             cur.append(i)
-            rec(i + 1, avail & apart[i], cur)
+            rec(avail & apart[i], cur)
             cur.pop()
-        rec(i + 1, avail, cur)
 
-    rec(0, full, [])
+    rec(full, [])
     return MatchingResult(len(best), tuple(best), nodes)
 
 

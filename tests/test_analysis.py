@@ -27,7 +27,12 @@ from ryser.construct import (
     select_f_default,
     uniformize,
 )
-from ryser.errors import NotExtremalError, TooLargeError, ViolationsPresentError
+from ryser.errors import (
+    NotExtremalError,
+    SolverTimeout,
+    TooLargeError,
+    ViolationsPresentError,
+)
 from ryser.gf import FiniteField
 from ryser.hypergraph import PartiteHypergraph
 from ryser.plane import build_plane, truncate
@@ -282,6 +287,28 @@ def test_classify_extensions_q3_reports_facts(q3_setup):
     # every selected edge shows up as a type-1 twin with a fresh final-side vertex
     type1 = {(c.index, c.fresh_side) for c in cls.candidates if c.kind == "type1"}
     assert {(i, 4) for i in range(1, 5)} <= type1
+
+
+@pytest.mark.parametrize("q", [5, 7])
+@pytest.mark.parametrize("mode", ["default", "profile"])
+def test_classification_counts(q, mode):
+    # Every addable edge of the q=5 and q=7 extensions is a twin: the q^2-1
+    # edges already there, (q+1)^2 of type 1 and q(q+1) of type 2.
+    t = make_t(q)
+    spec = (select_f_default(t, 0) if mode == "default"
+            else select_f_by_profile(t, 0, DegreeProfile(q + 1, (1,)), strict=False))
+    cls = classify_extensions(build_extension(spec, check=False), spec)
+    assert cls.pattern_guaranteed and cls.violations == ()
+    assert cls.counts == {"already_present": q * q - 1, "type1": (q + 1) ** 2,
+                          "type2": q * (q + 1)}
+
+
+def test_classification_honours_its_timeout(clock_jumps_after_cover_check):
+    t = make_t(5)
+    spec = select_f_default(t, 0)
+    h = build_extension(spec, check=False)
+    with pytest.raises(SolverTimeout):
+        classify_extensions(h, spec, timeout=60)
 
 
 def test_minimize_order_variants(q3_setup):

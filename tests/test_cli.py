@@ -437,6 +437,16 @@ def test_timeouts_in_every_searching_subcommand(t4_file, t4_extension, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore:uniformity r=4")
+def test_maximal_check_times_out_in_the_enumeration(t4_extension, tmp_path,
+                                                     clock_jumps_after_cover_check):
+    h, spec, _ = t4_extension
+    rep_path = tmp_path / "rep.json"
+    assert run("maximal-check", h, "--spec", spec, "--timeout", 60, "--json", rep_path) == 3
+    statuses = {c["name"]: c["status"] for c in load(rep_path)["checks"]}
+    assert statuses == {"input-matches-spec": "pass", "addable-edge-classification": "timeout"}
+
+
 def test_artifact_digests_match_the_files(t4_file, tmp_path):
     from ryser.report import sha256_file
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ryser import solver
-from ryser.analysis import classify_extensions, minimize
+from ryser.analysis import classify_extensions, enumerate_candidates_brute, minimize
 from ryser.construct import build_extension, select_f_default, uniformize, validate_spec
 from ryser.errors import EmptyHypergraphError, NonUniformError, SolverTimeout, TooLargeError
 from ryser.gf import FiniteField
@@ -23,6 +23,7 @@ from ryser.solver import (
     _degree_sum_fits,
     _instance,
     _ranked_degrees,
+    _transversal_instance,
     brute_force_cover_oracle,
     cover_number,
     matching_number,
@@ -395,7 +396,17 @@ def disjoint_unions(draw):
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(disjoint_unions())
 def test_matching_number_matches_reference(h):
-    assert matching_number(h) == reference_matching_number(h)
+    got, want = matching_number(h), reference_matching_number(h)
+    assert (got.nu, got.witness) == (want.nu, want.witness)
+    assert got.nodes_explored <= want.nodes_explored
+
+
+def test_matching_number_recursion_is_nu_deep():
+    # A star of 1,500 edges overflowed the stack when the search recursed
+    # once per edge; every edge after the first is refuted at the root.
+    star = PartiteHypergraph([["a"], [f"b{i}" for i in range(1500)]],
+                             [((0, 0), (1, i)) for i in range(1500)])
+    assert matching_number(star) == MatchingResult(1, (0,), 1500)
 
 
 @pytest.mark.filterwarnings("ignore:uniformity r=4")
@@ -451,7 +462,7 @@ def reference_budget_search(inst, budget, collect, deadline):
     parent, searching from the root: every child is entered and runs
     the full O(V) bound.  Takes the same instance, its incidence entries
     read as (bit, mask)."""
-    gid_lists, incidence, size_classes, dominated = inst
+    gid_lists, incidence, size_classes, dominated, _ = inst
     incidence = tuple((bit, inc) for _, bit, inc in incidence)
     first = None
     sols = [] if collect else None
@@ -529,6 +540,41 @@ def test_pool_path_matches_serial(h):
             serial = _attempt(inst, budget, collect, _Deadline(None), None)
             pooled = _attempt(inst, budget, collect, _Deadline(None), InlineExecutor())
             assert pooled == serial, (budget, collect)
+
+
+def transversal_enumerations(h, pool=None):
+    """Per fresh side (None first), the `_attempt` result of its
+    transversal enumeration."""
+    out = []
+    for fresh in [None, *range(h.num_sides)]:
+        inst, k = _transversal_instance(h, fresh)
+        out.append((fresh, _attempt(inst, k, True, _Deadline(None), pool)))
+    return out
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_hypergraph())
+def test_transversals_match_product_enumeration(h):
+    got = [(fresh, t)
+           for fresh, (_, sols, _) in transversal_enumerations(h)
+           for t in sorted(tuple(h.vid(g) for g in sorted(sol)) for sol in sols)]
+    assert got == enumerate_candidates_brute(h)
+
+
+def test_transversal_node_ceiling():
+    # The q=7 extension's r+2 enumerations took 4,519 nodes when written,
+    # and 18,316 when a pick did not close its side.
+    ext = build_extension(select_f_default(truncate(build_plane(FiniteField(7))), 0),
+                          check=False)
+    assert sum(nodes for _, (_, _, nodes) in transversal_enumerations(ext)) <= 6000
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_hypergraph())
+def test_transversal_pool_path_matches_serial(h):
+    # Node counts included: a queued root child that kept its side open
+    # would find the same transversals in a larger tree.
+    assert transversal_enumerations(h, InlineExecutor()) == transversal_enumerations(h)
 
 
 @pytest.fixture(scope="module")
