@@ -277,6 +277,7 @@ class ExtensionClassification:
     candidates: tuple
     counts: dict
     violations: tuple
+    nodes: int = 0                # search nodes of the cover-number check and the enumerations
 
     @property
     def confirmed(self) -> bool:
@@ -359,9 +360,11 @@ def classify_extensions(
         res = cover_number(h, upper_hint=r, timeout=deadline.remaining(), pool=pool)
         if res.tau != r:
             raise NotExtremalError(f"cover number is {res.tau}, expected {r}")
+        nodes = res.nodes_explored
         for fresh in [None] + list(range(r + 1)):
             inst, k = _transversal_instance(h, fresh)
-            _, sols, _ = _attempt(inst, k, True, deadline, pool)
+            _, sols, found = _attempt(inst, k, True, deadline, pool)
+            nodes += found
             for verts in sorted(tuple(h.vid(g) for g in sorted(sol)) for sol in sols):
                 candidates.append(ExtensionCandidate(fresh, verts, *classify(fresh, verts)))
     counts = dict(Counter(c.kind for c in candidates))
@@ -372,6 +375,7 @@ def classify_extensions(
         candidates=tuple(candidates),
         counts=counts,
         violations=violations,
+        nodes=nodes,
     )
 
 

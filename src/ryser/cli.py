@@ -45,6 +45,7 @@ from .report import (
     make_report,
     matching_certificate,
     minimization_certificate,
+    plane_counting_certificate,
     ratio_certificate,
     sha256_bytes,
     write_json_atomic,
@@ -270,6 +271,7 @@ def cmd_construct(args):
                           "(construction unvalidated)")
         else:
             c.ok(not violations,
+                 None if violations else plane_counting_certificate(spec),
                  detail="; ".join(map(str, violations)) or "all hypotheses hold")
     checks.append(c)
     if c.status in ("fail", "timeout"):
@@ -548,7 +550,8 @@ def cmd_pipeline(args):
 
     with Check("base-cover-uniqueness") as c:
         violations = validate_spec(spec, timeout=timeout, jobs=jobs)
-        c.ok(not violations, detail="; ".join(map(str, violations)) or
+        c.ok(not violations, None if violations else plane_counting_certificate(spec),
+             detail="; ".join(map(str, violations)) or
              "reduced base has cover number r-1 with only the sides as minimum covers")
     checks.append(c)
     if c.status == "fail":
@@ -742,7 +745,8 @@ def build_parser():
                    help="accept profiles outside the strict counting bounds")
     p.add_argument("--uniformize", action="store_true")
     p.add_argument("--skip-cover-check", action="store_true",
-                   help="skip the expensive cover-uniqueness hypothesis check")
+                   help="skip the cover-uniqueness hypothesis check (a counting test on "
+                        "a truncated plane of order >= 3, an exhaustive search on other bases)")
     p.add_argument("--out", required=True)
     p.add_argument("--report", dest="json", metavar="PATH",
                    help="write a JSON report here (alias of --json)")

@@ -73,9 +73,14 @@ def validate_spec(
     """Check every construction precondition; violations are returned as
     data, in check order, not raised.
 
-    The expensive part (the base minus the anchor edge has cover number
-    r-1 and its only minimum covers are the sides) can be skipped for
-    large bases; the construction is then unvalidated.
+    The last part, cover uniqueness (the base minus the anchor edge has
+    cover number r-1 and its only minimum covers are the sides), is
+    proved by the counting argument of `truncated_plane_order` when the
+    base passes its test, in O(m*r) operations, and otherwise by an
+    exhaustive enumeration of the minimum covers, which can take long
+    for large bases.  `check_cover_uniqueness=False` skips it; the
+    construction is then unvalidated.  Raises ValueError for `jobs`
+    below 1 when the cover part runs.
     """
     base = spec.base
     r = base.num_sides
@@ -128,28 +133,81 @@ def validate_spec(
                 ))
     if out or not check_cover_uniqueness:
         return out
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if truncated_plane_order(base) is not None:
+        return out
+    return _reduced_cover_violations(spec, timeout, jobs)
+
+
+def truncated_plane_order(base: PartiteHypergraph) -> Optional[int]:
+    """q when `base` passes the truncated-plane test below, else None.
+    Then, for every edge S, the base minus S has cover number q = r-1
+    and its only minimum covers are the r sides.
+
+    The test: every side has q = r-1 >= 3 vertices, every edge has r,
+    there are q^2 edges, the base is intersecting, and any two edges
+    share at most one vertex.  Given intersecting, the last holds
+    exactly when the degrees of each edge's vertices sum to
+    (m - 1) + r: the sum counts the edge itself r times and every
+    other edge once per shared vertex.  Cost: O(m*r) integer
+    operations once `is_intersecting` is known.
+
+    The argument.  Each edge holds one vertex pair of any two sides,
+    two edges never the same one, and there are q^2 edges and q^2 such
+    pairs: so any two vertices of different sides lie on exactly one
+    edge, and every vertex has degree q.  In the base minus S (q^2-1
+    edges) the anchor vertices have degree q-1.  At most q-1 vertices
+    meet at most q(q-1) < q^2-1 edges, and the sides are covers, so tau
+    is q.  A q-cover C with a anchor vertices has degree sum q^2-a:
+    a >= 2 is too little.  With a = 1 it meets every edge once, so C
+    has no vertex outside the anchor's side: the edge through such a
+    vertex and the anchor vertex is not S, as a = 1, and would be met
+    twice.  So C is that side.  With a = 0 exactly one edge is met
+    twice.  Each pair of C's vertices in different sides lies on an
+    edge met twice (not S, which misses C), and such an edge holds one
+    pair, so C has exactly one pair in different sides: q = 2."""
+    r = base.num_sides
+    q = r - 1
+    if q < 3 or base.side_sizes != (q,) * r or base.num_edges != q * q:
+        return None
+    if base.uniformity != r or not is_intersecting(base)[0]:
+        return None
+    degree = [mask.bit_count() for mask in base.incidence_masks]
+    off = base.offsets
+    each = q * q - 1 + r
+    for e in base.edges:
+        if sum(degree[off[s] + p] for s, p in e) != each:
+            return None
+    return q
+
+
+def _reduced_cover_violations(spec, timeout, jobs):
+    """Cover uniqueness by exhaustive search: enumerate every minimum
+    cover of the base minus the anchor edge and compare with the sides."""
+    base = spec.base
+    r = base.num_sides
     reduced = base.without_edge(spec.s_edge)
     res = cover_number(reduced, enumerate_all=True, upper_hint=r - 1,
                        timeout=timeout, jobs=jobs)
     if res.tau != r - 1:
-        out.append(Violation(
+        return [Violation(
             "reduced-cover-number",
             f"base minus anchor has cover number {res.tau}, expected {r - 1}",
-        ))
-        return out
+        )]
     sides = {
         frozenset((s, p) for p in range(len(base.sides[s]))) for s in range(r)
     }
     got = {frozenset(c) for c in res.all_min_covers}
-    if got != sides:
-        extra = sorted(tuple(sorted(c)) for c in got - sides)
-        missing = sorted(tuple(sorted(c)) for c in sides - got)
-        out.append(Violation(
-            "covers-not-sides",
-            f"minimum covers of the reduced base are not exactly the sides "
-            f"(extra={extra[:3]}, missing={missing[:3]})",
-        ))
-    return out
+    if got == sides:
+        return []
+    extra = sorted(tuple(sorted(c)) for c in got - sides)
+    missing = sorted(tuple(sorted(c)) for c in sides - got)
+    return [Violation(
+        "covers-not-sides",
+        f"minimum covers of the reduced base are not exactly the sides "
+        f"(extra={extra[:3]}, missing={missing[:3]})",
+    )]
 
 
 MIRROR_LABEL_PREFIX = "v"

@@ -47,7 +47,7 @@ class PartiteHypergraph:
     """
 
     __slots__ = ("sides", "edges", "edge_labels", "name", "_masks", "_offsets", "_edge_sets",
-                 "_incidence", "_intersecting")
+                 "_incidence", "_intersecting", "_search")
 
     def __init__(self, sides, edges, edge_labels=None, name=""):
         sides = tuple(tuple(str(x) for x in side) for side in sides)
@@ -106,6 +106,7 @@ class PartiteHypergraph:
         self._edge_sets = None
         self._incidence = None
         self._intersecting = None
+        self._search = None  # the solver's search instance, built on first use
 
     # --- structure ---
 

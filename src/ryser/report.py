@@ -14,6 +14,7 @@ import os
 import time
 
 from . import __version__
+from .construct import truncated_plane_order
 from .errors import SolverTimeout
 from .hypergraph import atomic_write_text, parse_vid, read_rhg, vid_str
 
@@ -186,6 +187,18 @@ def intersecting_certificate(ok, witness):
     return out
 
 
+def plane_counting_certificate(spec):
+    """The certificate of cover uniqueness proved by the counting
+    argument (`construct.truncated_plane_order`): the base's order, its
+    edge count and the anchor edge.  None when the base fails the test,
+    and the proof is a search."""
+    q = truncated_plane_order(spec.base)
+    if q is None:
+        return None
+    return {"kind": "plane-counting", "q": q, "edges": spec.base.num_edges,
+            "s_edge": spec.s_edge}
+
+
 def classification_certificate(cls):
     """An addable-edge classification: counts per kind and the first 20
     violations of the twin patterns."""
@@ -291,15 +304,28 @@ def _check_minimization_cert(cert, h, problems, where):
                             f"final hypergraph with fewer than {target} vertices")
 
 
+def _check_plane_counting_cert(cert, h, spec, problems, where):
+    """The input passes the truncated-plane test with the certificate's
+    order and edge count, and s_edge is an edge of it (the spec's anchor
+    edge, when the report has a spec)."""
+    if truncated_plane_order(h) != cert["q"] or h.num_edges != cert["edges"]:
+        problems.append(f"{where}: input is not a truncated plane of order {cert['q']} "
+                        f"with {cert['edges']} edges")
+    s_edge = cert["s_edge"]
+    if not 0 <= s_edge < h.num_edges or (spec is not None and spec.get("s_edge") != s_edge):
+        problems.append(f"{where}: s_edge {s_edge} is not the anchor edge of the spec")
+
+
 def recheck_report(report, base_dir="."):
     """Re-verify a report's digests and certificates against its input
     files.  Witness validity is checked directly; search optimality is
     not re-proved.  A minimization certificate with per-edge entries is
     replayed against the input: its final hypergraph, and each kept
-    edge's witness of criticality.  A passing cover, matching,
-    intersecting or per-edge minimization certificate with no input
-    hypergraph to check it against is a problem.  Returns a list of
-    problems (empty = consistent)."""
+    edge's witness of criticality.  A plane-counting certificate is
+    replayed by testing the input base again.  A passing cover,
+    matching, intersecting, plane-counting or per-edge minimization
+    certificate with no input hypergraph to check it against is a
+    problem.  Returns a list of problems (empty = consistent)."""
     problems = []
     hypergraphs = {}
     for entry in report.get("inputs", []):
@@ -324,7 +350,8 @@ def recheck_report(report, base_dir="."):
         kind = cert.get("kind")
         if kind == "minimization" and not isinstance(cert.get("deleted"), list):
             continue  # the pipeline's summary holds counts only
-        if kind in ("cover", "matching", "intersecting", "minimization") and h is None:
+        if kind in ("cover", "matching", "intersecting", "minimization",
+                    "plane-counting") and h is None:
             problems.append(f"{where}: no input hypergraph to check the {kind} certificate against")
         elif kind == "cover":
             _check_cover_cert(cert, h, problems, where)
@@ -332,6 +359,8 @@ def recheck_report(report, base_dir="."):
             _check_matching_cert(cert, h, problems, where)
         elif kind == "minimization":
             _check_minimization_cert(cert, h, problems, where)
+        elif kind == "plane-counting":
+            _check_plane_counting_cert(cert, h, report.get("spec"), problems, where)
         elif kind == "ratio":
             extremal = cert["tau"] == (cert["r"] - 1) * cert["nu"]
             if cert["is_ryser_extremal"] != extremal:

@@ -186,7 +186,7 @@ class _Deadline:
 
 
 class _Instance(NamedTuple):
-    """The static search data of one hypergraph, built once per call."""
+    """The static search data of one hypergraph."""
     gid_lists: tuple     # per edge, the global ids of its vertices in order
     incidence: tuple     # per global id, (degree, vertex bit, mask of the edges through it)
     size_classes: tuple  # masks of the edges of each branching class, in branching order
@@ -195,6 +195,13 @@ class _Instance(NamedTuple):
 
 
 def _instance(h):
+    """The cover search instance of h, built on first use and kept on h."""
+    if h._search is None:
+        h._search = _build_instance(h)
+    return h._search
+
+
+def _build_instance(h):
     off = h.offsets
     gid_lists = tuple([tuple([off[s] + p for s, p in e]) for e in h.edges])
     inc = h.incidence_masks

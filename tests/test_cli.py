@@ -28,6 +28,13 @@ def t4_file(tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def t3_file(tmp_path_factory):
+    out = tmp_path_factory.mktemp("cli") / "t3.rhg"
+    assert run("truncate", "--q", 2, "--out", out) == 0
+    return out
+
+
 def test_field_command(capsys):
     assert run("field", "--p", 2, "--k", 2, "--dump") == 0
     out = capsys.readouterr().out
@@ -390,12 +397,14 @@ def test_check_records_a_timeout_and_passes_other_errors_on():
             raise ValueError("bad")
 
 
-# the checks of each subcommand that run a search
+# the checks of each subcommand that run a search; construct's on the
+# q=2 truncation, whose cover uniqueness the counting argument leaves to
+# the search, while on the q=3 plane base-cover-uniqueness searches nothing
 SEARCHING = {
     "construct": {"construction-preconditions"},
     "minimize": {"minimality-reduction"},
     "maximal-check": {"addable-edge-classification"},
-    "pipeline": {"base-properties", "base-cover-uniqueness", "extension-cover-number",
+    "pipeline": {"base-properties", "extension-cover-number",
                  "ryser-ratio", "minimality-reduction", "addable-edge-classification"},
 }
 
@@ -415,11 +424,11 @@ def t4_extension(t4_file, tmp_path_factory):
 
 @pytest.mark.filterwarnings("ignore:uniformity r=4")
 @pytest.mark.parametrize("command", sorted(SEARCHING))
-def test_timeouts_in_every_searching_subcommand(t4_file, t4_extension, tmp_path, command):
+def test_timeouts_in_every_searching_subcommand(t3_file, t4_extension, tmp_path, command):
     h, spec, u = t4_extension
     out = tmp_path / "out.rhg"
     argv = {
-        "construct": ("construct", "--base", t4_file, "--s-edge", 0,
+        "construct": ("construct", "--base", t3_file, "--s-edge", 0,
                       "--f-default", "--out", out),
         "minimize": ("minimize", u, "--out", out),
         "maximal-check": ("maximal-check", h, "--spec", spec),
@@ -525,3 +534,40 @@ def test_python_dash_m_runs_the_command_line():
                           env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert "GF(4)" in done.stdout
+
+
+def test_construct_certifies_uniqueness_by_plane_counting(t4_file, tmp_path):
+    # the counting argument runs no search, so no time budget is needed
+    rep_path = tmp_path / "c.json"
+    assert run("construct", "--base", t4_file, "--s-edge", 2, "--f-default",
+               "--out", tmp_path / "h.rhg", "--timeout", 0, "--json", rep_path) == 0
+    rep = load(rep_path)
+    check = rep["checks"][0]
+    assert (check["name"], check["status"]) == ("construction-preconditions", "pass")
+    assert check["certificate"] == {"kind": "plane-counting", "q": 3, "edges": 9, "s_edge": 2}
+    assert recheck_report(rep, base_dir=".") == []
+    for field, value, expect in (("q", 4, "not a truncated plane of order 4"),
+                                 ("s_edge", 3, "s_edge 3 is not the anchor edge"),
+                                 ("s_edge", 9, "s_edge 9 is not the anchor edge")):
+        bad = json.loads(json.dumps(rep))
+        bad["checks"][0]["certificate"][field] = value
+        problems = recheck_report(bad, base_dir=".")
+        assert any(expect in p for p in problems), (field, value, problems)
+
+
+def test_construct_on_a_base_failing_the_plane_test_has_no_certificate(t3_file, tmp_path):
+    rep_path = tmp_path / "c.json"
+    assert run("construct", "--base", t3_file, "--s-edge", 0, "--f-default",
+               "--out", tmp_path / "h.rhg", "--json", rep_path) == 1
+    check = load(rep_path)["checks"][0]
+    assert check["status"] == "fail" and "certificate" not in check
+    assert "covers-not-sides" in check["detail"]
+
+
+def test_pipeline_paper_scale_q25(tmp_path):
+    rep_path = tmp_path / "p.json"
+    assert run("pipeline", "--q", 25, "--f-default", "--json", rep_path) == 0
+    checks = {c["name"]: c for c in load(rep_path)["checks"]}
+    assert all(c["status"] == "pass" for c in checks.values())
+    assert checks["base-cover-uniqueness"]["certificate"] == {
+        "kind": "plane-counting", "q": 25, "edges": 625, "s_edge": 0}

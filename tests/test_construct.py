@@ -1,9 +1,14 @@
 """Extension construction, uniformization, and profile machinery."""
 
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ryser import construct
+from ryser.cli import factor_prime_power
 from ryser.errors import (
     BadEdgeSizeError,
     InvalidProfileError,
@@ -18,6 +23,8 @@ from ryser.construct import (
     extract_pair_subhypergraph,
     profile_count,
     select_f_by_profile,
+    select_f_default,
+    truncated_plane_order,
     uniformize,
     validate_spec,
 )
@@ -301,3 +308,100 @@ def test_all_small_covers_mirror(h4, spec4, t4):
                 assert all(set(e) & mirrored for e in reduced.edges)
                 checked += 1
     assert checked > 0
+
+
+# --- cover uniqueness: the counting argument against the search ---
+
+
+@lru_cache(maxsize=None)
+def plane_of(q):
+    return build_plane(FiniteField(*factor_prime_power(q)))
+
+
+def structural_violations(spec):
+    return validate_spec(spec, check_cover_uniqueness=False)
+
+
+def search_violations(spec):
+    """The violations of the exhaustive route: the structural checks,
+    then the minimum-cover enumeration itself."""
+    return structural_violations(spec) or construct._reduced_cover_violations(spec, None, 1)
+
+
+def f_mode_spec(base, s_edge, mode):
+    if mode == "default":
+        return select_f_default(base, s_edge)
+    return select_f_by_profile(base, s_edge, DegreeProfile(base.num_sides, (1,)), strict=False)
+
+
+@pytest.fixture
+def cover_calls(monkeypatch):
+    """The hypergraphs `validate_spec` hands to `cover_number`."""
+    calls = []
+
+    def counted(h, *args, **kwargs):
+        calls.append(h)
+        return cover_number(h, *args, **kwargs)
+
+    monkeypatch.setattr(construct, "cover_number", counted)
+    return calls
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 4, 5]), st.data())
+def test_counting_route_matches_the_search(q, data):
+    base = truncate(plane_of(q), data.draw(st.integers(0, q * q + q)))
+    spec = f_mode_spec(base, data.draw(st.integers(0, q * q - 1)),
+                       data.draw(st.sampled_from(["default", "profile"])))
+    assert truncated_plane_order(base) == q
+    assert validate_spec(spec) == search_violations(spec) == []
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_counting_route_matches_the_search_at_every_anchor(q, cover_calls):
+    base = truncate(plane_of(q), 0)
+    for s_edge in range(q * q):
+        for mode in ("default", "profile"):
+            spec = f_mode_spec(base, s_edge, mode)
+            assert validate_spec(spec) == []
+            assert cover_calls == []
+            assert search_violations(spec) == []
+            cover_calls.clear()
+
+
+def star_base():
+    # Four sides of three; the anchor (every vertex 0) and the eight edges
+    # through (0, 0) that miss the other anchor vertices.  Intersecting,
+    # nine edges, but edges share up to three vertices.
+    edges = [((0, 0), (1, 0), (2, 0), (3, 0))]
+    edges += [((0, 0), (1, a), (2, b), (3, c))
+              for a in (1, 2) for b in (1, 2) for c in (1, 2)]
+    return PartiteHypergraph([["a", "b", "c"]] * 4, edges)
+
+
+def plane_less_one_edge():
+    return make_t(3).without_edge(5)
+
+
+@pytest.mark.parametrize("base, f_edges", [
+    (make_t(2), None),
+    (plane_less_one_edge(), None),
+    (star_base(), (0, 0, 0, 0)),
+])
+def test_bases_failing_the_test_take_the_search(base, f_edges, cover_calls):
+    spec = (select_f_default(base, 0) if f_edges is None
+            else ConstructionSpec(base, 0, f_edges))
+    assert structural_violations(spec) == []
+    assert truncated_plane_order(base) is None
+    got = validate_spec(spec)
+    assert len(cover_calls) == 1
+    assert got == search_violations(spec)
+    assert got  # none of these reduced bases has only the sides as minimum covers
+
+
+def test_paper_scale_uniqueness_makes_no_cover_call(cover_calls):
+    base = truncate(plane_of(25), 0)
+    assert validate_spec(select_f_default(base, 0)) == []
+    assert truncated_plane_order(base) == 25
+    assert cover_calls == []
+

@@ -2,13 +2,14 @@
 
 import random
 from concurrent.futures import Future, ProcessPoolExecutor
+from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ryser import solver
+from ryser import analysis, solver
 from ryser.analysis import classify_extensions, enumerate_candidates_brute, minimize
 from ryser.construct import build_extension, select_f_default, uniformize, validate_spec
 from ryser.errors import EmptyHypergraphError, NonUniformError, SolverTimeout, TooLargeError
@@ -567,6 +568,33 @@ def test_transversal_node_ceiling():
     ext = build_extension(select_f_default(truncate(build_plane(FiniteField(7))), 0),
                           check=False)
     assert sum(nodes for _, (_, _, nodes) in transversal_enumerations(ext)) <= 6000
+
+
+def test_classification_counts_its_search_nodes(monkeypatch):
+    spec = select_f_default(truncate(build_plane(FiniteField(7))), 0)
+    ext = build_extension(spec, check=False)
+    serial = classify_extensions(ext, spec)
+    precondition = cover_number(ext, upper_hint=8).nodes_explored
+    assert serial.nodes - precondition == 4519  # the r+2 enumerations
+
+    @contextmanager
+    def inline_pool(jobs):
+        yield InlineExecutor()
+
+    monkeypatch.setattr(analysis, "worker_pool", inline_pool)
+    assert classify_extensions(ext, spec).nodes == serial.nodes
+
+
+def test_search_instance_built_once_per_hypergraph(monkeypatch):
+    built = []
+    build = solver._build_instance
+    monkeypatch.setattr(solver, "_build_instance", lambda h: built.append(h) or build(h))
+    u = uniformize(build_extension(select_f_default(truncate(build_plane(FiniteField(5))), 0),
+                                   check=False))
+    verify_ryser_ratio(u)
+    minimize(u)
+    cover_number(u, enumerate_all=True)
+    assert built == [u]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
