@@ -277,7 +277,8 @@ class ExtensionClassification:
     candidates: tuple
     counts: dict
     violations: tuple
-    nodes: int = 0                # search nodes of the cover-number check and the enumerations
+    nodes: int = 0                # search nodes of the cover-number check (0 when its answer
+                                  # was kept) and the enumerations
 
     @property
     def confirmed(self) -> bool:

@@ -288,7 +288,15 @@ def cover_mirror(cover, spec: ConstructionSpec) -> frozenset:
 def uniformize(h: PartiteHypergraph) -> PartiteHypergraph:
     """Give each short edge its own fresh tail vertex in the one side it
     misses, producing a uniform hypergraph.  Uniform inputs are returned
-    unchanged.  Tail vertices get labels t1, t2, ... in edge order."""
+    unchanged.  Tail vertices get labels t1, t2, ... in edge order.
+
+    The result records h as its source, and `cover_number` answers its
+    decide calls from h: tails come after each side's old vertices, so
+    h's vertices keep their (side, pos); every cover of h covers the
+    result; and swapping each tail of a cover of the result for another
+    vertex of its one edge gives a cover of h, no larger.  So both have
+    the same cover number, and h's minimum covers are minimum covers of
+    the result."""
     k = h.num_sides
     sizes = {len(e) for e in h.edges}
     if not sizes <= {k - 1, k}:
@@ -317,8 +325,10 @@ def uniformize(h: PartiteHypergraph) -> PartiteHypergraph:
         # edge can repeat
         new_edges.append(e[:missed] + ((missed, pos),) + e[missed:])
     name = f"{h.name}-u" if h.name else "uniformized"
-    return PartiteHypergraph._from_canonical(tuple(map(tuple, side_labels)), tuple(new_edges),
-                                             h.edge_labels, name)
+    u = PartiteHypergraph._from_canonical(tuple(map(tuple, side_labels)), tuple(new_edges),
+                                          h.edge_labels, name)
+    u._source = h
+    return u
 
 
 def _edges_through(base, v, s_edge):

@@ -47,7 +47,7 @@ class PartiteHypergraph:
     """
 
     __slots__ = ("sides", "edges", "edge_labels", "name", "_masks", "_offsets", "_edge_sets",
-                 "_incidence", "_intersecting", "_search")
+                 "_incidence", "_intersecting", "_search", "_decided", "_source")
 
     def __init__(self, sides, edges, edge_labels=None, name=""):
         sides = tuple(tuple(str(x) for x in side) for side in sides)
@@ -107,6 +107,8 @@ class PartiteHypergraph:
         self._incidence = None
         self._intersecting = None
         self._search = None  # the solver's search instance, built on first use
+        self._decided = None  # the solver's decide results by upper_hint, filled on use
+        self._source = None  # the hypergraph `uniformize` made this one from, if any
 
     # --- structure ---
 

@@ -37,6 +37,15 @@ size, the branching key, is its size less its dominated vertices, fixed
 per call: a uniformized edge is then branched on when its mixed original
 would be, and the search is the mixed extension's.
 
+A decide result is kept on its hypergraph, one per `upper_hint` (the
+witness depends on the budgets probed), and a repeat call returns it
+with 0 nodes explored.  A hypergraph that `uniformize` made records its
+source, and its decide calls are answered from the source: the source's
+vertices keep their (side, pos), every cover of the source covers it,
+and swapping each tail of one of its covers for another vertex of the
+tail's edge gives a cover of the source, no larger.  Since the tails
+are dominated, its own decide search would be the source's.
+
 A branch child also excludes its vertex's `closes` mask, in a cover
 instance the vertex alone.  The covering transversals of all sides but
 one (or of all sides) are the minimum covers of one enumeration on an
@@ -81,7 +90,7 @@ class CoverResult:
     tau: int
     witness: tuple                      # sorted (side, pos) vertices
     all_min_covers: Optional[tuple]     # sorted tuple of sorted vertex tuples
-    nodes_explored: int                 # search statistic, not part of the certificate
+    nodes_explored: int                 # search statistic, not in the certificate; 0 if kept
 
 
 @dataclass(frozen=True)
@@ -363,13 +372,17 @@ def _attempt(inst, budget, collect, deadline, pool, node=None):
     return first, sols, nodes
 
 
+def _check_jobs(jobs):
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+
+
 @contextmanager
 def worker_pool(jobs):
     """A process pool of `jobs` workers for cover searches to share, or
     None for one worker.  Raises ValueError for `jobs` below 1, before
     any pool exists."""
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    _check_jobs(jobs)
     if jobs == 1:
         yield None
         return
@@ -392,10 +405,31 @@ def cover_number(
     cover.  The search runs in `pool`, an open `worker_pool`, when one
     is given, and otherwise in a pool of `jobs` workers of its own.
     Raises SolverTimeout if the wall-clock budget runs out, and
-    ValueError for `jobs` below 1."""
+    ValueError for `jobs` below 1.
+
+    A decide call (no `enumerate_all`) is answered once per hypergraph
+    and `upper_hint`: its result is kept on h, and a repeat call returns
+    it at once, whatever its timeout, with `nodes_explored` 0 and no
+    pool opened.  A timed-out call keeps nothing.  On a hypergraph that
+    `uniformize` made, a decide call is answered from the source, whose
+    cover number is the same and whose minimum covers are minimum covers
+    of it (see `uniformize`); its own decide search would be the
+    source's, since the tails it adds are dominated.  Enumerations are
+    neither kept nor answered from kept results."""
+    _check_jobs(jobs)
+    if h.num_edges == 0:
+        raise EmptyHypergraphError("cover number is undefined without edges")
+    decided = None
+    if not enumerate_all:
+        if h._source is not None:
+            h = h._source
+        if h._decided is None:
+            h._decided = {}
+        decided = h._decided
+        known = decided.get(upper_hint)
+        if known is not None:
+            return known
     with nullcontext(pool) if pool is not None else worker_pool(jobs) as pool:
-        if h.num_edges == 0:
-            raise EmptyHypergraphError("cover number is undefined without edges")
         inst = _instance(h)
         deadline = _Deadline(timeout)
         n = h.num_vertices
@@ -440,8 +474,10 @@ def cover_number(
             all_covers = tuple(sorted(
                 tuple(h.vid(g) for g in sorted(sol)) for sol in sols
             ))
-        wit_vids = tuple(h.vid(g) for g in sorted(witness))
-        return CoverResult(tau, wit_vids, all_covers, nodes_total)
+    wit_vids = tuple(h.vid(g) for g in sorted(witness))
+    if decided is not None:
+        decided[upper_hint] = CoverResult(tau, wit_vids, None, 0)
+    return CoverResult(tau, wit_vids, all_covers, nodes_total)
 
 
 def cover_without_edge(inst, alive, edge, budget, timeout, pool):
@@ -511,14 +547,19 @@ def verify_ryser_ratio(
     jobs: int = 1,
 ) -> RatioReport:
     """tau, nu and whether tau == (r-1)*nu for an r-partite r-uniform
-    input (r = number of sides)."""
+    input (r = number of sides).  nu comes first, and the cover search
+    takes (r-1)*nu as its hint: on an extremal input one success run and
+    one refutation, and on a uniformized extension with nu = 1 the
+    question the pipeline's `extension-cover-number` check has already
+    answered on its source."""
+    _check_jobs(jobs)
     r = h.num_sides
     if h.uniformity != r:
         raise NonUniformError(
             f"expected every edge to have size {r}; uniformize mixed inputs first"
         )
-    tau = cover_number(h, timeout=timeout, jobs=jobs).tau
     nu = matching_number(h, timeout=timeout).nu
+    tau = cover_number(h, upper_hint=(r - 1) * nu, timeout=timeout, jobs=jobs).tau
     return RatioReport(r, tau, nu, tau / nu, tau == (r - 1) * nu)
 
 

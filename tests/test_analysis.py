@@ -194,7 +194,9 @@ def test_minimize_matches_restart_loop_on_random_extensions(u):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(solver, "ProcessPoolExecutor", counting_pool)
-        pooled = minimize(u, jobs=2)
+        # an equal copy: u keeps its cover-number answer, and a repeat
+        # call reports it with 0 nodes
+        pooled = minimize(PartiteHypergraph(u.sides, u.edges, u.edge_labels, name=u.name), jobs=2)
     assert opened == [{"max_workers": 2}]
     # the same trace, kept witnesses and node counts included
     assert pooled == traces["asc"]

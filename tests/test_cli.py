@@ -5,6 +5,7 @@ import json
 import jsonschema
 import pytest
 
+from ryser import cli, solver
 from ryser.analysis import minimize
 from ryser.cli import corpus_generate, main
 from ryser.hypergraph import PartiteHypergraph, write_rhg
@@ -571,3 +572,28 @@ def test_pipeline_paper_scale_q25(tmp_path):
     assert all(c["status"] == "pass" for c in checks.values())
     assert checks["base-cover-uniqueness"]["certificate"] == {
         "kind": "plane-counting", "q": 25, "edges": 625, "s_edge": 0}
+
+
+def test_pipeline_paper_scale_q49_ratio_is_answered(tmp_path, monkeypatch):
+    # The ratio check's cover call is the extension-cover-number check's
+    # question, asked of the uniformized extension's source.
+    searches = []
+    budget_search = solver._budget_search
+    monkeypatch.setattr(solver, "_budget_search",
+                        lambda *a, **k: searches.append(1) or budget_search(*a, **k))
+    ratio_searches = []
+    verify = cli.verify_ryser_ratio
+
+    def counted(*args, **kwargs):
+        before = len(searches)
+        rep = verify(*args, **kwargs)
+        ratio_searches.append(len(searches) - before)
+        return rep
+
+    monkeypatch.setattr(cli, "verify_ryser_ratio", counted)
+    rep_path = tmp_path / "p.json"
+    assert run("pipeline", "--q", 49, "--f-default", "--json", rep_path) == 0
+    checks = {c["name"]: c for c in load(rep_path)["checks"]}
+    assert all(c["status"] == "pass" for c in checks.values())
+    assert checks["ryser-ratio"]["certificate"]["tau"] == 50
+    assert ratio_searches == [0] and searches

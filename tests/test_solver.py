@@ -18,6 +18,7 @@ from ryser.hypergraph import PartiteHypergraph, is_intersecting
 from ryser.plane import build_plane, truncate
 from ryser.solver import (
     MatchingResult,
+    RatioReport,
     _attempt,
     _budget_search,
     _Deadline,
@@ -44,6 +45,12 @@ def t3():
 
 def side_vertex_set(h, s):
     return frozenset((s, p) for p in range(len(h.sides[s])))
+
+
+def unlinked(h):
+    """An equal hypergraph with no source and no kept cover results, so
+    that cover_number searches it afresh."""
+    return PartiteHypergraph(h.sides, h.edges, h.edge_labels)
 
 
 def covers(h, vertices):
@@ -172,15 +179,20 @@ def test_determinism_and_jobs(t4):
     assert (a.tau, a.witness, a.all_min_covers) == (b.tau, b.witness, b.all_min_covers)
     c = cover_number(h, enumerate_all=True, jobs=2)
     assert (a.tau, a.witness, a.all_min_covers) == (c.tau, c.witness, c.all_min_covers)
-    d = cover_number(t4, jobs=2)
-    e = cover_number(t4)
+    d = cover_number(unlinked(t4), jobs=2)
+    e = cover_number(unlinked(t4))
     assert (d.tau, d.witness) == (e.tau, e.witness)
     # a decide run reads root branches in order and stops at the first
-    # cover, so it searches exactly what the serial run searches
-    t6 = truncate(build_plane(FiniteField(5)))
-    for h, hint in ((t6, 5), (uniformize(build_extension(select_f_default(t6, 0), check=False)), 6)):
+    # cover, so it searches exactly what the serial run searches; each
+    # run gets its own inputs, since a repeat call searches nothing
+
+    def inputs():
+        t6 = truncate(build_plane(FiniteField(5)))
+        return (t6, 5), (uniformize(build_extension(select_f_default(t6, 0), check=False)), 6)
+
+    for (h, hint), (twin, _) in zip(inputs(), inputs()):
         serial = cover_number(h, upper_hint=hint)
-        pooled = cover_number(h, upper_hint=hint, jobs=2)
+        pooled = cover_number(twin, upper_hint=hint, jobs=2)
         assert (pooled.tau, pooled.witness, pooled.nodes_explored) == \
             (serial.tau, serial.witness, serial.nodes_explored)
     assert c.nodes_explored == a.nodes_explored
@@ -281,7 +293,10 @@ def test_uniformized_node_ceilings():
     for q, ceiling in ((5, 60), (7, 100)):
         t = truncate(build_plane(FiniteField(q)))
         u = uniformize(build_extension(select_f_default(t, 0), check=False))
-        assert cover_number(u, upper_hint=q + 1).nodes_explored <= ceiling
+        # u is answered by a search of its source; an unlinked copy
+        # searches its own instance, tails included
+        for v in (u, unlinked(u)):
+            assert cover_number(v, upper_hint=q + 1).nodes_explored <= ceiling
 
 
 def dominated_vertices(h):
@@ -347,8 +362,9 @@ def test_dominated_tails_pool_matches_serial():
     u = uniformize(build_extension(select_f_default(t6, 3), check=False))
     tails = dominated_vertices(u)
     assert tails
-    serial = cover_number(u)
-    pooled = cover_number(u, jobs=2)
+    # unlinked copies, so that the tails are in the searched instance
+    serial = cover_number(unlinked(u))
+    pooled = cover_number(unlinked(u), jobs=2)
     assert (pooled.tau, pooled.witness, pooled.nodes_explored) == \
         (serial.tau, serial.witness, serial.nodes_explored)
     assert serial.tau == 6 and not set(serial.witness) & tails
@@ -428,6 +444,14 @@ def test_jobs_below_one_rejected_before_any_pool(t4, monkeypatch):
         for call in calls:
             with pytest.raises(ValueError, match="jobs must be at least 1"):
                 call(jobs)
+    # once the answers are kept, the check still comes before the lookup
+    cover_number(ext)
+    cover_number(ext, upper_hint=ext.num_sides - 1)  # the ratio's hint for uni
+    for jobs in (0, -3):
+        for call in (lambda: cover_number(uni, jobs=jobs),
+                     lambda: verify_ryser_ratio(uni, jobs=jobs)):
+            with pytest.raises(ValueError, match="jobs must be at least 1"):
+                call()
     assert pools == []
 
 
@@ -573,28 +597,30 @@ def test_transversal_node_ceiling():
 def test_classification_counts_its_search_nodes(monkeypatch):
     spec = select_f_default(truncate(build_plane(FiniteField(7))), 0)
     ext = build_extension(spec, check=False)
+    precondition = cover_number(build_extension(spec, check=False), upper_hint=8).nodes_explored
     serial = classify_extensions(ext, spec)
-    precondition = cover_number(ext, upper_hint=8).nodes_explored
     assert serial.nodes - precondition == 4519  # the r+2 enumerations
+    # a repeat call finds the cover-number check answered
+    assert classify_extensions(ext, spec).nodes == 4519
 
     @contextmanager
     def inline_pool(jobs):
         yield InlineExecutor()
 
     monkeypatch.setattr(analysis, "worker_pool", inline_pool)
-    assert classify_extensions(ext, spec).nodes == serial.nodes
+    assert classify_extensions(build_extension(spec, check=False), spec).nodes == serial.nodes
 
 
 def test_search_instance_built_once_per_hypergraph(monkeypatch):
     built = []
     build = solver._build_instance
     monkeypatch.setattr(solver, "_build_instance", lambda h: built.append(h) or build(h))
-    u = uniformize(build_extension(select_f_default(truncate(build_plane(FiniteField(5))), 0),
-                                   check=False))
-    verify_ryser_ratio(u)
-    minimize(u)
+    ext = build_extension(select_f_default(truncate(build_plane(FiniteField(5))), 0), check=False)
+    u = uniformize(ext)
+    verify_ryser_ratio(u)  # answered from ext
+    minimize(u)            # its trials search u
     cover_number(u, enumerate_all=True)
-    assert built == [u]
+    assert built == [ext, u]
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -667,3 +693,97 @@ def test_child_test_matches_degree_bound(h, seed):
                               if not b & child_excluded), reverse=True)
             assert passes == (sum(degrees[:picks]) >= rest.bit_count())
         acc |= bit
+
+
+def uniformizable(h):
+    return {len(e) for e in h.edges} <= {h.num_sides - 1, h.num_sides}
+
+
+def tails_of(u, h):
+    """The vertices `uniformize` added to h to make u."""
+    return {(s, p) for s in range(h.num_sides) for p in range(len(h.sides[s]), len(u.sides[s]))}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_hypergraph().filter(uniformizable), st.sampled_from([None, 1, 2, 3, 6]))
+def test_uniformized_answered_from_source(h, hint):
+    u = uniformize(h)
+    got = cover_number(u, upper_hint=hint)
+    assert got.tau == cover_number(unlinked(u), upper_hint=hint).tau
+    assert len(got.witness) == got.tau and covers(u, got.witness)
+    assert not set(got.witness) & tails_of(u, h)
+    if u is not h:
+        kept = cover_number(h, upper_hint=hint)  # u's call searched h
+        assert (kept.tau, kept.witness, kept.nodes_explored) == (got.tau, got.witness, 0)
+        assert cover_number(u, enumerate_all=True).all_min_covers == \
+            cover_number(unlinked(u), enumerate_all=True).all_min_covers
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 1), (7, 1)])
+def test_uniformized_extensions_match_own_search(p, k):
+    q = p ** k
+    t = truncate(build_plane(FiniteField(p, k)))
+    for anchor in range(q * q):
+        u = uniformize(build_extension(select_f_default(t, anchor), check=False))
+        for hint in (None, q + 1, q + 3):
+            got = cover_number(u, upper_hint=hint)
+            own = cover_number(unlinked(u), upper_hint=hint)
+            assert (got.tau, got.witness) == (own.tau, own.witness), (anchor, hint)
+
+
+def test_repeat_call_searches_nothing(t4, monkeypatch):
+    h = unlinked(t4)
+    first = cover_number(h, upper_hint=3)
+    assert first.nodes_explored > 0
+    searches = []
+    budget_search = solver._budget_search
+    monkeypatch.setattr(solver, "_budget_search",
+                        lambda *a, **k: searches.append(a) or budget_search(*a, **k))
+    pools = []
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", lambda **k: pools.append(k))
+    # a kept answer is returned whatever the timeout, and opens no pool
+    for kwargs in ({}, {"timeout": 0.0}, {"jobs": 2}):
+        again = cover_number(h, upper_hint=3, **kwargs)
+        assert (again.tau, again.witness, again.nodes_explored) == (first.tau, first.witness, 0)
+    assert searches == [] and pools == []
+    # another hint is another question, and enumerations are never kept
+    cover_number(h)
+    assert len(searches) > 0
+    searches.clear()
+    cover_number(h, enumerate_all=True)
+    cover_number(h, enumerate_all=True)
+    assert len(searches) >= 2
+
+
+def test_enumeration_on_uniformized_lists_tail_covers():
+    h = PartiteHypergraph([["a", "b"], ["c"]], [[(0, 0), (1, 0)], [(0, 1)]])
+    u = uniformize(h)
+    tail = (1, 1)
+    assert u.edges == (((0, 0), (1, 0)), ((0, 1), tail))
+    res = cover_number(u, enumerate_all=True)
+    assert res.all_min_covers == (((0, 0), (0, 1)), ((0, 0), tail), ((0, 1), (1, 0)), ((1, 0), tail))
+    decide = cover_number(u)
+    assert decide.tau == 2 and tail not in decide.witness
+
+
+def test_timed_out_call_keeps_nothing():
+    t5 = truncate(build_plane(FiniteField(2, 2)))
+    with pytest.raises(SolverTimeout):
+        cover_number(t5, timeout=0.0)
+    res = cover_number(t5)
+    assert res.tau == 4 and res.nodes_explored > 0
+
+
+def ratio_inputs():
+    """r-uniform hypergraphs on r sides: uniform draws, and uniformized
+    mixed ones."""
+    return any_hypergraph().filter(uniformizable).map(uniformize)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ratio_inputs())
+def test_ryser_ratio_hint_keeps_the_report(h):
+    r = h.num_sides
+    tau = cover_number(unlinked(h)).tau
+    nu = matching_number(h).nu
+    assert verify_ryser_ratio(h) == RatioReport(r, tau, nu, tau / nu, tau == (r - 1) * nu)
