@@ -94,13 +94,13 @@ def minimize(
 ) -> MinimizationTrace:
     """Try each edge once (least index first; "desc" scans from the
     highest index instead) and delete it when the cover number stays at
-    sides-1.  Makes one `cover_number` call, for the input, then one
-    `cover_without_edge` decide run per edge at budget sides-2; with
-    jobs > 1 they share one process pool.  A deleted edge is certified
-    by the input's minimum cover, which covers what is left; a kept edge
-    by the cover of size sides-2 found without it, which also covers the
-    final hypergraph without that edge.  Any scan order reaches a
-    minimal hypergraph, possibly a different one."""
+    sides-1.  Makes one `cover_number` call, for the input, in this
+    process, then one `cover_without_edge` decide run per edge at budget
+    sides-2; with jobs > 1 those runs share one process pool.  A deleted
+    edge is certified by the input's minimum cover, which covers what is
+    left; a kept edge by the cover of size sides-2 found without it,
+    which also covers the final hypergraph without that edge.  Any scan
+    order reaches a minimal hypergraph, possibly a different one."""
     if order not in ("asc", "desc"):
         raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
     k = h.num_sides
@@ -112,7 +112,7 @@ def minimize(
         raise NotExtremalError(f"input is not intersecting (edges {wit[0]}, {wit[1]})")
 
     with worker_pool(jobs) as pool:
-        initial = cover_number(h, upper_hint=target, timeout=timeout, pool=pool)
+        initial = cover_number(h, upper_hint=target, timeout=timeout)
         if initial.tau != target:
             raise NotExtremalError(f"cover number is {initial.tau}, expected {target}")
         inst = _instance(h)
@@ -313,8 +313,8 @@ def classify_extensions(
 
     A new edge must meet every existing edge; since the cover number is
     r, its existing-vertex part must be a covering transversal, leaving
-    room for at most one fresh vertex.  The cover-number check and the
-    r+2 enumerations share one `timeout` (SolverTimeout) and one pool.
+    room for at most one fresh vertex.  The cover-number check runs in
+    this process; the r+2 enumerations share its `timeout` and one pool.
     """
     r = spec.base.num_sides
     if h.num_sides != r + 1:
@@ -358,7 +358,7 @@ def classify_extensions(
     candidates = []
     with worker_pool(jobs) as pool:
         deadline = _Deadline(timeout)
-        res = cover_number(h, upper_hint=r, timeout=deadline.remaining(), pool=pool)
+        res = cover_number(h, upper_hint=r, timeout=deadline.remaining())
         if res.tau != r:
             raise NotExtremalError(f"cover number is {res.tau}, expected {r}")
         nodes = res.nodes_explored
@@ -401,17 +401,13 @@ class MaximalClosureReport:
 
 
 def maximal_closure_description(
-    h: PartiteHypergraph,
     spec: ConstructionSpec,
-    classification: Optional[ExtensionClassification] = None,
-    timeout: Optional[float] = DEFAULT_TIMEOUT,
-    jobs: int = 1,
+    classification: ExtensionClassification,
 ) -> MaximalClosureReport:
-    """Finite description of the infinite maximal extension: the input
-    plus, for each selected edge, one twin family per pattern type.  No
-    infinite object is materialized."""
-    if classification is None:
-        classification = classify_extensions(h, spec, timeout=timeout, jobs=jobs)
+    """Finite description of the infinite maximal extension of the
+    spec's extension, given its `classify_extensions` result: that
+    extension plus, for each selected edge, one twin family per pattern
+    type.  No infinite object is materialized."""
     if classification.violations:
         raise ViolationsPresentError(
             f"{len(classification.violations)} addable edges fall outside the twin patterns"

@@ -316,7 +316,7 @@ def cmd_verify(args):
         checks.append(c)
     if args.ratio:
         with Check("ryser-ratio") as c:
-            rep = verify_ryser_ratio(h, timeout=args.timeout, jobs=args.jobs)
+            rep = verify_ryser_ratio(h, timeout=args.timeout)
             c.ok(rep.is_ryser_extremal, ratio_certificate(rep),
                  detail=f"tau={rep.tau}, nu={rep.nu}, r={rep.r}")
             print(f"ratio: tau={rep.tau} nu={rep.nu} "
@@ -414,7 +414,7 @@ def cmd_maximal_check(args):
     checks.append(c)
     if cls is not None and cls.pattern_guaranteed and not cls.violations:
         with Check("maximal-closure-description") as c:
-            rep = maximal_closure_description(h, spec, cls)
+            rep = maximal_closure_description(spec, cls)
             c.ok(len(rep.families) == 2 * rep.r, {
                 "kind": "maximal-closure",
                 "families": [
@@ -542,7 +542,7 @@ def cmd_pipeline(args):
     save(t, f"t{r}.rhg")
     with Check("base-properties") as c:
         ok, wit = is_intersecting(t)
-        res = cover_number(t, upper_hint=q, timeout=timeout, jobs=jobs)
+        res = cover_number(t, upper_hint=q, timeout=timeout)
         c.ok(ok and res.tau == q and t.uniformity == r,
              cover_certificate(res),
              detail=f"intersecting={ok}, tau={res.tau} (expected {q})")
@@ -564,7 +564,7 @@ def cmd_pipeline(args):
         c.ok(ok, intersecting_certificate(ok, wit))
     checks.append(c)
     with Check("extension-cover-number") as c:
-        res = cover_number(h, upper_hint=r, timeout=timeout, jobs=jobs)
+        res = cover_number(h, upper_hint=r, timeout=timeout)
         c.ok(res.tau == r, cover_certificate(res), detail=f"tau={res.tau} (expected {r})")
         print(f"tau(extension) = {res.tau}")
     checks.append(c)
@@ -578,7 +578,7 @@ def cmd_pipeline(args):
              detail=f"{u.num_sides} sides, uniformity {u.uniformity}")
     checks.append(c)
     with Check("ryser-ratio") as c:
-        rep = verify_ryser_ratio(u, timeout=timeout, jobs=jobs)
+        rep = verify_ryser_ratio(u, timeout=timeout)
         c.ok(rep.is_ryser_extremal and rep.tau == r, ratio_certificate(rep),
              detail=f"tau={rep.tau}, nu={rep.nu}")
     checks.append(c)
@@ -619,10 +619,11 @@ def cmd_pipeline(args):
 # --- corpus ---
 
 
-def corpus_generate(out_dir, jobs=1, timeout=None):
+def corpus_generate(out_dir):
     """Write the standard desk-scale corpus plus expected-report files.
 
-    Deterministic: two runs produce byte-identical files.
+    Deterministic: two runs produce byte-identical files.  Every spec is
+    on a truncated plane, validated by counting: no cover search runs.
     """
     os.makedirs(out_dir, exist_ok=True)
     items = []
@@ -649,13 +650,13 @@ def corpus_generate(out_dir, jobs=1, timeout=None):
         t = build_truncation(q)
         r = q + 1
         spec = select_f_default(t, 0)
-        if validate_spec(spec, timeout=timeout, jobs=jobs):
+        if validate_spec(spec):
             raise AssertionError(f"default spec invalid for q={q}")
         h = build_extension(spec, check=False)
         emit(h, f"ext_q{q}_default.rhg")
         emit(uniformize(h), f"ext_q{q}_default_uniform.rhg")
         pspec = select_f_by_profile(t, 0, DegreeProfile(r, (1,)), strict=False)
-        if validate_spec(pspec, timeout=timeout, jobs=jobs):
+        if validate_spec(pspec):
             raise AssertionError(f"profile spec invalid for q={q}")
         hp = build_extension(pspec, check=False)
         emit(hp, f"ext_q{q}_profile.rhg")
@@ -663,15 +664,14 @@ def corpus_generate(out_dir, jobs=1, timeout=None):
     t26 = build_truncation(25)
     for x1 in (4, 5):
         spec = select_f_by_profile(t26, 0, DegreeProfile(26, (x1,)), strict=True)
-        h = build_extension(spec, timeout=timeout, jobs=jobs)
+        h = build_extension(spec)
         emit(extract_pair_subhypergraph(h), f"pairs_r26_x{x1}.rhg")
     return items
 
 
 def cmd_corpus(args):
     try:
-        items = corpus_generate(args.out, jobs=args.jobs,
-                                timeout=resolve_timeout(args.timeout))
+        items = corpus_generate(args.out)
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
@@ -692,15 +692,15 @@ def positive_int(text):
     return jobs
 
 
-def _add_common(p, timeout=True, jobs=True):
+def _add_common(p, search=True):
     p.add_argument("--json", metavar="PATH", help="write a JSON report here")
-    if timeout:
+    if search:
         p.add_argument("--timeout", type=float, default=None,
                        help="solver wall-clock budget in seconds "
                             "(default: RYSER_TIMEOUT_SECS or 60)")
-    if jobs:
         p.add_argument("--jobs", type=positive_int, default=1,
-                       help="worker processes for searches (at least 1)")
+                       help="worker processes (at least 1) for cover enumerations, minimize's "
+                            "trials and the classification; one cover check runs in-process")
 
 
 def build_parser():
@@ -715,21 +715,21 @@ def build_parser():
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--dump", action="store_true")
-    _add_common(p, timeout=False, jobs=False)
+    _add_common(p, search=False)
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("plane", help="build PG(2,q)")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--dump", metavar="FILE", help="write one line per plane line, "
                                                   "listing normalized point triples")
-    _add_common(p, timeout=False, jobs=False)
+    _add_common(p, search=False)
     p.set_defaults(func=cmd_plane)
 
     p = sub.add_parser("truncate", help="truncate PG(2,q) to an .rhg hypergraph")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--vertex", type=int, default=None)
     p.add_argument("--out", required=True)
-    _add_common(p, timeout=False, jobs=False)
+    _add_common(p, search=False)
     p.set_defaults(func=cmd_truncate)
 
     p = sub.add_parser("construct", help="build the anchored extension hypergraph")
@@ -780,13 +780,13 @@ def build_parser():
 
     p = sub.add_parser("fingerprint", help="canonical degree-multiset fingerprint")
     p.add_argument("file")
-    _add_common(p, timeout=False, jobs=False)
+    _add_common(p, search=False)
     p.set_defaults(func=cmd_fingerprint)
 
     p = sub.add_parser("iso", help="exact isomorphism test (exit 0 iff isomorphic)")
     p.add_argument("a")
     p.add_argument("b")
-    _add_common(p, timeout=False, jobs=False)
+    _add_common(p, search=False)
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("profiles", help="count valid degree profiles")
@@ -794,7 +794,7 @@ def build_parser():
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--delta", type=float)
     g.add_argument("--t", type=int)
-    _add_common(p, timeout=False, jobs=False)
+    _add_common(p, search=False)
     p.set_defaults(func=cmd_profiles)
 
     p = sub.add_parser("pipeline", help="plane -> truncate -> construct -> verify")
@@ -815,7 +815,7 @@ def build_parser():
 
     p = sub.add_parser("corpus", help="emit the standard desk-scale corpus")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    _add_common(p, search=False)
     p.set_defaults(func=cmd_corpus)
 
     return ap

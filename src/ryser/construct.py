@@ -218,8 +218,6 @@ def build_extension(
     spec: ConstructionSpec,
     check: bool = True,
     check_cover_uniqueness: bool = True,
-    timeout: Optional[float] = DEFAULT_TIMEOUT,
-    jobs: int = 1,
 ) -> PartiteHypergraph:
     """Build the {r, r+1}-uniform (r+1)-partite extension hypergraph.
 
@@ -227,7 +225,7 @@ def build_extension(
     anchor edge itself enters only if it was selected as some F_i.
     """
     if check:
-        violations = validate_spec(spec, check_cover_uniqueness, timeout, jobs)
+        violations = validate_spec(spec, check_cover_uniqueness)
         if violations:
             raise InvalidSpecError(str(violations[0]))
     base = spec.base

@@ -152,13 +152,13 @@ def write_json_atomic(path, obj):
 # --- certificate payload builders ---
 
 
-def cover_certificate(res, include_enumeration=True):
+def cover_certificate(res):
     out = {
         "kind": "cover",
         "tau": res.tau,
         "witness": [vid_str(v) for v in res.witness],
     }
-    if include_enumeration and res.all_min_covers is not None:
+    if res.all_min_covers is not None:
         out["all_min_covers"] = [
             [vid_str(v) for v in cover] for cover in res.all_min_covers
         ]

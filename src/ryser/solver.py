@@ -63,15 +63,15 @@ cover number with one decide run on the whole hypergraph's instance,
 from a root node that drops the edge and excludes its vertices.
 
 All tie-breaking is by smallest global vertex index / smallest edge
-index, so identical inputs give identical certificates.  With jobs > 1
-the root branches of each budget run are distributed across processes
-and read in branch order, leaving tau, witness and enumeration
-identical to the single-worker run.
+index, so identical inputs give identical certificates.  A decide call
+searches in-process.  With jobs > 1 the root branches of an enumeration,
+or of a run of `minimize` or the classification, go to a process pool
+and are read in branch order, so results match the single-worker run.
 """
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from itertools import combinations
@@ -399,23 +399,22 @@ def cover_number(
     upper_hint: Optional[int] = None,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
     jobs: int = 1,
-    pool=None,
 ) -> CoverResult:
     """Exact minimum vertex cover with witness; optionally every minimum
-    cover.  The search runs in `pool`, an open `worker_pool`, when one
-    is given, and otherwise in a pool of `jobs` workers of its own.
+    cover.  The budget runs that find tau search in this process; only
+    the enumeration of `enumerate_all` runs in a pool of `jobs` workers.
     Raises SolverTimeout if the wall-clock budget runs out, and
     ValueError for `jobs` below 1.
 
     A decide call (no `enumerate_all`) is answered once per hypergraph
     and `upper_hint`: its result is kept on h, and a repeat call returns
-    it at once, whatever its timeout, with `nodes_explored` 0 and no
-    pool opened.  A timed-out call keeps nothing.  On a hypergraph that
-    `uniformize` made, a decide call is answered from the source, whose
-    cover number is the same and whose minimum covers are minimum covers
-    of it (see `uniformize`); its own decide search would be the
-    source's, since the tails it adds are dominated.  Enumerations are
-    neither kept nor answered from kept results."""
+    it at once, whatever its timeout, with `nodes_explored` 0.  A
+    timed-out call keeps nothing.  On a hypergraph that `uniformize`
+    made, a decide call is answered from the source, whose cover number
+    is the same and whose minimum covers are minimum covers of it (see
+    `uniformize`); its own decide search would be the source's, since
+    the tails it adds are dominated.  Enumerations are neither kept nor
+    answered from kept results."""
     _check_jobs(jobs)
     if h.num_edges == 0:
         raise EmptyHypergraphError("cover number is undefined without edges")
@@ -429,51 +428,51 @@ def cover_number(
         known = decided.get(upper_hint)
         if known is not None:
             return known
-    with nullcontext(pool) if pool is not None else worker_pool(jobs) as pool:
-        inst = _instance(h)
-        deadline = _Deadline(timeout)
-        n = h.num_vertices
+    inst = _instance(h)
+    deadline = _Deadline(timeout)
+    n = h.num_vertices
 
-        everything = (1 << h.num_edges) - 1
-        ranked = _ranked_degrees(inst.incidence, everything, 0)
-        lb = 1
-        while not _degree_sum_fits(ranked, everything, 0, lb):
-            lb += 1
-        budget = max(lb, upper_hint) if upper_hint is not None else lb
-        budget = min(budget, n)
-        known_fail = lb - 1  # sizes below lb are impossible by the bound
-        best = None          # (size, witness) of smallest cover found so far
-        nodes_total = 0
-        tau = None
-        witness = None
-        while True:
-            first, _, nodes = _attempt(inst, budget, False, deadline, pool)
-            nodes_total += nodes
-            if first is not None:
-                size = len(first)
-                if best is None or size < best[0]:
-                    best = (size, first)
-                if size == known_fail + 1:
-                    tau, witness = size, first
-                    break
-                budget = size - 1
-            else:
-                known_fail = max(known_fail, budget)
-                if best is not None and best[0] == budget + 1:
-                    tau, witness = best
-                    break
-                budget += 1
-                if budget > n:
-                    raise AssertionError("no cover found over the full vertex set")
+    everything = (1 << h.num_edges) - 1
+    ranked = _ranked_degrees(inst.incidence, everything, 0)
+    lb = 1
+    while not _degree_sum_fits(ranked, everything, 0, lb):
+        lb += 1
+    budget = max(lb, upper_hint) if upper_hint is not None else lb
+    budget = min(budget, n)
+    known_fail = lb - 1  # sizes below lb are impossible by the bound
+    best = None          # (size, witness) of smallest cover found so far
+    nodes_total = 0
+    tau = None
+    witness = None
+    while True:
+        first, _, nodes = _attempt(inst, budget, False, deadline, None)
+        nodes_total += nodes
+        if first is not None:
+            size = len(first)
+            if best is None or size < best[0]:
+                best = (size, first)
+            if size == known_fail + 1:
+                tau, witness = size, first
+                break
+            budget = size - 1
+        else:
+            known_fail = max(known_fail, budget)
+            if best is not None and best[0] == budget + 1:
+                tau, witness = best
+                break
+            budget += 1
+            if budget > n:
+                raise AssertionError("no cover found over the full vertex set")
 
-        all_covers = None
-        if enumerate_all:
+    all_covers = None
+    if enumerate_all:
+        with worker_pool(jobs) as pool:
             first, sols, nodes = _attempt(inst, tau, True, deadline, pool)
-            nodes_total += nodes
-            witness = first
-            all_covers = tuple(sorted(
-                tuple(h.vid(g) for g in sorted(sol)) for sol in sols
-            ))
+        nodes_total += nodes
+        witness = first
+        all_covers = tuple(sorted(
+            tuple(h.vid(g) for g in sorted(sol)) for sol in sols
+        ))
     wit_vids = tuple(h.vid(g) for g in sorted(witness))
     if decided is not None:
         decided[upper_hint] = CoverResult(tau, wit_vids, None, 0)
@@ -544,22 +543,24 @@ def matching_number(
 def verify_ryser_ratio(
     h: PartiteHypergraph,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
-    jobs: int = 1,
 ) -> RatioReport:
     """tau, nu and whether tau == (r-1)*nu for an r-partite r-uniform
-    input (r = number of sides).  nu comes first, and the cover search
-    takes (r-1)*nu as its hint: on an extremal input one success run and
-    one refutation, and on a uniformized extension with nu = 1 the
-    question the pipeline's `extension-cover-number` check has already
-    answered on its source."""
-    _check_jobs(jobs)
+    input (r = number of sides).  nu comes first.  tau is the same
+    whatever the hint, so any decide answer kept on h, or on the source
+    of a uniformized h, gives it with no search; otherwise the cover
+    search takes (r-1)*nu as its hint, which on an extremal input is one
+    success run and one refutation."""
     r = h.num_sides
     if h.uniformity != r:
         raise NonUniformError(
             f"expected every edge to have size {r}; uniformize mixed inputs first"
         )
     nu = matching_number(h, timeout=timeout).nu
-    tau = cover_number(h, upper_hint=(r - 1) * nu, timeout=timeout, jobs=jobs).tau
+    kept = (h._source or h)._decided
+    if kept:
+        tau = next(iter(kept.values())).tau
+    else:
+        tau = cover_number(h, upper_hint=(r - 1) * nu, timeout=timeout).tau
     return RatioReport(r, tau, nu, tau / nu, tau == (r - 1) * nu)
 
 

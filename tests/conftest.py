@@ -24,3 +24,18 @@ def clock_jumps_after_cover_check(monkeypatch):
         return res
 
     monkeypatch.setattr(analysis, "cover_number", cover_number)
+
+
+@pytest.fixture
+def pools_opened(monkeypatch):
+    """The keyword arguments of every process pool the solver opens from
+    here on; the pools are real."""
+    opened = []
+
+    class CountedPool(solver.ProcessPoolExecutor):
+        def __init__(self, **kwargs):
+            opened.append(kwargs)
+            super().__init__(**kwargs)
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", CountedPool)
+    return opened

@@ -345,7 +345,7 @@ def test_maximal_closure_q4():
     cls = classify_extensions(h, spec)
     assert cls.pattern_guaranteed
     assert cls.violations == ()
-    report = maximal_closure_description(h, spec, cls)
+    report = maximal_closure_description(spec, cls)
     assert report.r == 5
     assert len(report.families) == 10
     # family membership: F_2 + fresh final-side vertex is the type1(2) family
@@ -361,7 +361,7 @@ def test_maximal_closure_rejects_violations(q3_setup):
         cls = classify_extensions(h, spec)
     if cls.violations:
         with pytest.raises(ViolationsPresentError):
-            maximal_closure_description(h, spec, cls)
+            maximal_closure_description(spec, cls)
     else:
         fake = ExtensionClassification(
             r=4, pattern_guaranteed=False,
@@ -369,4 +369,4 @@ def test_maximal_closure_rejects_violations(q3_setup):
             violations=(cls.candidates[0],),
         )
         with pytest.raises(ViolationsPresentError):
-            maximal_closure_description(h, spec, fake)
+            maximal_closure_description(spec, fake)

@@ -92,6 +92,37 @@ def test_verify_ratio(t4_file, tmp_path):
     assert (cert["r"], cert["tau"], cert["nu"]) == (4, 3, 1)
 
 
+def test_verify_tau_then_ratio_searches_tau_once(tmp_path, monkeypatch):
+    # tau is the same whatever the hint, so the ratio takes it from the
+    # answer the cover-number check kept
+    t6, u = tmp_path / "t6.rhg", tmp_path / "u.rhg"
+    assert run("truncate", "--q", 5, "--out", t6) == 0
+    assert run("construct", "--base", t6, "--s-edge", 0, "--f-default",
+               "--uniformize", "--out", u) == 0
+    alone = tmp_path / "alone.json"
+    assert run("verify", u, "--ratio", "--json", alone) == 0
+    searches = []
+    budget_search = solver._budget_search
+    monkeypatch.setattr(solver, "_budget_search",
+                        lambda *a, **k: searches.append(1) or budget_search(*a, **k))
+    ratio_searches = []
+    verify = cli.verify_ryser_ratio
+
+    def counted(*args, **kwargs):
+        before = len(searches)
+        rep = verify(*args, **kwargs)
+        ratio_searches.append(len(searches) - before)
+        return rep
+
+    monkeypatch.setattr(cli, "verify_ryser_ratio", counted)
+    both = tmp_path / "both.json"
+    assert run("verify", u, "--tau", "--ratio", "--json", both) == 0
+    checks = {c["name"]: c for c in load(both)["checks"]}
+    assert ratio_searches == [0] and searches
+    assert checks["cover-number"]["certificate"]["tau"] == 6
+    assert checks["ryser-ratio"]["certificate"] == load(alone)["checks"][0]["certificate"]
+
+
 def test_verify_timeout_exit_code(t4_file, tmp_path):
     rep_path = tmp_path / "t.json"
     code = run("verify", t4_file, "--tau", "--timeout", 0, "--json", rep_path)
@@ -275,20 +306,21 @@ def test_pipeline_f_default_flag_overrides_config(tmp_path):
     assert load(rep)["parameters"]["f_mode"] == "default"
 
 
+@pytest.mark.filterwarnings("ignore:uniformity r=4")
 def test_pipeline_jobs_flag_overrides_config(tmp_path, monkeypatch):
-    from ryser import cli, solver
-
     jobs_seen = []
+    for name in ("validate_spec", "minimize", "classify_extensions"):
+        real = getattr(cli, name)
 
-    def spy(*args, **kwargs):
-        jobs_seen.append(kwargs["jobs"])
-        return solver.cover_number(*args, **kwargs)
+        def spy(*args, real=real, **kwargs):
+            jobs_seen.append(kwargs["jobs"])
+            return real(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "cover_number", spy)
+        monkeypatch.setattr(cli, name, spy)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"q": 3, "f": "default", "jobs": 2}))
-    assert run("pipeline", "--config", cfg, "--jobs", 1) == 0
-    assert jobs_seen and set(jobs_seen) == {1}
+    assert run("pipeline", "--config", cfg, "--jobs", 1, "--all-checks") == 0
+    assert jobs_seen == [1, 1, 1]
 
 
 def test_jobs_below_one_rejected(t4_file, tmp_path, monkeypatch):
@@ -304,7 +336,6 @@ def test_jobs_below_one_rejected(t4_file, tmp_path, monkeypatch):
         ("minimize", t4_file),
         ("maximal-check", t4_file, "--spec", spec),
         ("pipeline", "--q", 3),
-        ("corpus", "--out", tmp_path / "corpus"),
     )
     cfg = tmp_path / "cfg.json"
     for jobs in (0, -1):
@@ -315,7 +346,34 @@ def test_jobs_below_one_rejected(t4_file, tmp_path, monkeypatch):
         cfg.write_text(json.dumps({"q": 3, "jobs": jobs}))
         assert run("pipeline", "--config", cfg) == 2
     assert pools == []
-    assert not (tmp_path / "x.rhg").exists() and not (tmp_path / "corpus").exists()
+    assert not (tmp_path / "x.rhg").exists()
+
+
+@pytest.mark.filterwarnings("ignore:uniformity r=4")
+def test_pipeline_opens_a_pool_only_for_minimize_and_classification(pools_opened):
+    # the base and extension cover checks search in-process, and the
+    # ratio's is a kept answer
+    assert run("pipeline", "--q", 4, "--f-default", "--all-checks", "--jobs", 2) == 0
+    assert pools_opened == [{"max_workers": 2}] * 2
+
+
+def test_jobs_is_offered_by_the_searching_commands_only(tmp_path):
+    import argparse
+
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    offers = {name: set(p._option_string_actions) for name, p in commands.items()}
+    assert {name for name, flags in offers.items() if "--jobs" in flags} == \
+        {"construct", "verify", "minimize", "maximal-check", "pipeline"}
+    assert {name for name, flags in offers.items() if "--timeout" in flags} == \
+        {"construct", "verify", "minimize", "maximal-check", "pipeline"}
+    assert not offers["corpus"] & {"--jobs", "--timeout"}
+    for flag in ("--jobs", "--timeout"):
+        with pytest.raises(SystemExit) as e:
+            run("corpus", "--out", tmp_path / "corpus", flag, 2)
+        assert e.value.code == 2
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_maximal_check_q4_full_pass(tmp_path):

@@ -172,30 +172,28 @@ def test_upper_hint_paths(t4):
     assert cover_number(t4, upper_hint=3).witness == plain.witness
 
 
-def test_determinism_and_jobs(t4):
+def test_determinism_and_jobs(t4, two_workers):
     h = t4.without_edge(0)
     a = cover_number(h, enumerate_all=True)
     b = cover_number(h, enumerate_all=True)
     assert (a.tau, a.witness, a.all_min_covers) == (b.tau, b.witness, b.all_min_covers)
     c = cover_number(h, enumerate_all=True, jobs=2)
     assert (a.tau, a.witness, a.all_min_covers) == (c.tau, c.witness, c.all_min_covers)
-    d = cover_number(unlinked(t4), jobs=2)
-    e = cover_number(unlinked(t4))
-    assert (d.tau, d.witness) == (e.tau, e.witness)
-    # a decide run reads root branches in order and stops at the first
-    # cover, so it searches exactly what the serial run searches; each
-    # run gets its own inputs, since a repeat call searches nothing
-
-    def inputs():
-        t6 = truncate(build_plane(FiniteField(5)))
-        return (t6, 5), (uniformize(build_extension(select_f_default(t6, 0), check=False)), 6)
-
-    for (h, hint), (twin, _) in zip(inputs(), inputs()):
-        serial = cover_number(h, upper_hint=hint)
-        pooled = cover_number(twin, upper_hint=hint, jobs=2)
-        assert (pooled.tau, pooled.witness, pooled.nodes_explored) == \
-            (serial.tau, serial.witness, serial.nodes_explored)
     assert c.nodes_explored == a.nodes_explored
+    # Decide runs go to a pool only as minimize's trials.  A pooled
+    # decide run reads root branches in order and stops at the first
+    # cover, so it searches exactly what the serial run searches: here
+    # the two budget runs of a call with hint tau, on the q=3 and q=5
+    # truncations and a q=5 extension.
+    t6 = truncate(build_plane(FiniteField(5)))
+    ext = build_extension(select_f_default(t6, 0), check=False)
+    for h, tau in ((t4, 3), (t6, 5), (ext, 6)):
+        inst = _instance(h)
+        for budget in (tau, tau - 1):
+            serial = _attempt(inst, budget, False, _Deadline(None), None)
+            pooled = _attempt(inst, budget, False, _Deadline(None), two_workers)
+            assert pooled == serial, (h.name, budget)
+            assert (serial[0] is not None) == (budget == tau)
 
 
 def test_timeout_raises():
@@ -357,17 +355,45 @@ def test_dominated_tails_match_oracle(h):
     assert not set(decide.witness) & dominated_vertices(h)
 
 
-def test_dominated_tails_pool_matches_serial():
+def test_pools_open_for_enumerations_minimize_and_classification_only(pools_opened):
+    def inputs():
+        spec = select_f_default(truncate(build_plane(FiniteField(5))), 0)
+        ext = build_extension(spec, check=False)
+        return spec, ext, uniformize(ext)
+
+    spec, ext, u = inputs()
+    twin_spec, twin_ext, _ = inputs()
+    # a decide call searches in-process
+    decide = cover_number(unlinked(ext), jobs=2)
+    assert decide.nodes_explored > 0
+    assert verify_ryser_ratio(unlinked(u)).is_ryser_extremal
+    assert pools_opened == []
+    # each of these opens one pool, and answers as one worker does
+    calls = (
+        lambda h, spec, jobs: cover_number(h.without_edge(0), enumerate_all=True, jobs=jobs),
+        lambda h, spec, jobs: minimize(uniformize(h), jobs=jobs),
+        lambda h, spec, jobs: classify_extensions(h, spec, jobs=jobs),
+    )
+    for n, call in enumerate(calls, 1):
+        pooled = call(ext, spec, 2)
+        assert len(pools_opened) == n
+        assert pooled == call(twin_ext, twin_spec, 1)
+    assert pools_opened == [{"max_workers": 2}] * 3
+
+
+def test_dominated_tails_pool_matches_serial(two_workers):
     t6 = truncate(build_plane(FiniteField(5)))
     u = uniformize(build_extension(select_f_default(t6, 3), check=False))
     tails = dominated_vertices(u)
     assert tails
-    # unlinked copies, so that the tails are in the searched instance
-    serial = cover_number(unlinked(u))
-    pooled = cover_number(unlinked(u), jobs=2)
-    assert (pooled.tau, pooled.witness, pooled.nodes_explored) == \
-        (serial.tau, serial.witness, serial.nodes_explored)
-    assert serial.tau == 6 and not set(serial.witness) & tails
+    # u's own instance, as minimize's trials search it: the tails are in it
+    inst = _instance(u)
+    for budget in (6, 5):
+        serial = _attempt(inst, budget, False, _Deadline(None), None)
+        pooled = _attempt(inst, budget, False, _Deadline(None), two_workers)
+        assert pooled == serial, budget
+    witness = cover_number(unlinked(u)).witness
+    assert len(witness) == 6 and not set(witness) & tails
 
 
 def reference_matching_number(h, timeout=None):
@@ -435,7 +461,6 @@ def test_jobs_below_one_rejected_before_any_pool(t4, monkeypatch):
     uni = uniformize(ext)
     calls = (
         lambda jobs: cover_number(t4, jobs=jobs),
-        lambda jobs: verify_ryser_ratio(t4, jobs=jobs),
         lambda jobs: validate_spec(spec, jobs=jobs),
         lambda jobs: minimize(uni, jobs=jobs),
         lambda jobs: classify_extensions(ext, spec, jobs=jobs),
@@ -444,14 +469,11 @@ def test_jobs_below_one_rejected_before_any_pool(t4, monkeypatch):
         for call in calls:
             with pytest.raises(ValueError, match="jobs must be at least 1"):
                 call(jobs)
-    # once the answers are kept, the check still comes before the lookup
+    # once the answer is kept, the check still comes before the lookup
     cover_number(ext)
-    cover_number(ext, upper_hint=ext.num_sides - 1)  # the ratio's hint for uni
     for jobs in (0, -3):
-        for call in (lambda: cover_number(uni, jobs=jobs),
-                     lambda: verify_ryser_ratio(uni, jobs=jobs)):
-            with pytest.raises(ValueError, match="jobs must be at least 1"):
-                call()
+        with pytest.raises(ValueError, match="jobs must be at least 1"):
+            cover_number(uni, jobs=jobs)
     assert pools == []
 
 
