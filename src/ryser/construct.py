@@ -28,7 +28,7 @@ from .errors import (
     LineNotFoundError,
     MissingLabelsError,
 )
-from .hypergraph import PartiteHypergraph, is_intersecting
+from .hypergraph import PartiteHypergraph, is_intersecting, truncated_plane_order
 from .solver import DEFAULT_TIMEOUT, cover_number
 
 
@@ -140,48 +140,6 @@ def validate_spec(
     return _reduced_cover_violations(spec, timeout, jobs)
 
 
-def truncated_plane_order(base: PartiteHypergraph) -> Optional[int]:
-    """q when `base` passes the truncated-plane test below, else None.
-    Then, for every edge S, the base minus S has cover number q = r-1
-    and its only minimum covers are the r sides.
-
-    The test: every side has q = r-1 >= 3 vertices, every edge has r,
-    there are q^2 edges, the base is intersecting, and any two edges
-    share at most one vertex.  Given intersecting, the last holds
-    exactly when the degrees of each edge's vertices sum to
-    (m - 1) + r: the sum counts the edge itself r times and every
-    other edge once per shared vertex.  Cost: O(m*r) integer
-    operations once `is_intersecting` is known.
-
-    The argument.  Each edge holds one vertex pair of any two sides,
-    two edges never the same one, and there are q^2 edges and q^2 such
-    pairs: so any two vertices of different sides lie on exactly one
-    edge, and every vertex has degree q.  In the base minus S (q^2-1
-    edges) the anchor vertices have degree q-1.  At most q-1 vertices
-    meet at most q(q-1) < q^2-1 edges, and the sides are covers, so tau
-    is q.  A q-cover C with a anchor vertices has degree sum q^2-a:
-    a >= 2 is too little.  With a = 1 it meets every edge once, so C
-    has no vertex outside the anchor's side: the edge through such a
-    vertex and the anchor vertex is not S, as a = 1, and would be met
-    twice.  So C is that side.  With a = 0 exactly one edge is met
-    twice.  Each pair of C's vertices in different sides lies on an
-    edge met twice (not S, which misses C), and such an edge holds one
-    pair, so C has exactly one pair in different sides: q = 2."""
-    r = base.num_sides
-    q = r - 1
-    if q < 3 or base.side_sizes != (q,) * r or base.num_edges != q * q:
-        return None
-    if base.uniformity != r or not is_intersecting(base)[0]:
-        return None
-    degree = [mask.bit_count() for mask in base.incidence_masks]
-    off = base.offsets
-    each = q * q - 1 + r
-    for e in base.edges:
-        if sum(degree[off[s] + p] for s, p in e) != each:
-            return None
-    return q
-
-
 def _reduced_cover_violations(spec, timeout, jobs):
     """Cover uniqueness by exhaustive search: enumerate every minimum
     cover of the base minus the anchor edge and compare with the sides."""
@@ -223,6 +181,17 @@ def build_extension(
 
     Repeated selected edges are stored once with a merged E2 label; the
     anchor edge itself enters only if it was selected as some F_i.
+
+    The result records `spec`, and `cover_number` reads it to prove
+    tau >= r by the mirror argument instead of searching for an
+    (r-1)-cover: if the base passes `truncated_plane_order` and none of
+    the 2r sets "side j" and "side j with s_j swapped for v_j" covers
+    the result, no set of r-1 vertices does.  A cover C of at most r-1
+    vertices maps by `cover_mirror` to a cover of the base minus the
+    anchor edge, of at most r-1 = tau vertices, so to a whole side j;
+    C is then side j or side j with s_j swapped for v_j.  Nothing is
+    tested here; copies made by `without_edge` or `with_edge`, and
+    hypergraphs read from files, carry no spec.
     """
     if check:
         violations = validate_spec(spec, check_cover_uniqueness)
@@ -262,7 +231,9 @@ def build_extension(
         edges.append(tuple(v for v in f if v != anchor[i]) + (mirror[i],))
         labels.append(f"E3({i+1})")
     name = f"{base.name}-ext" if base.name else "ext"
-    return PartiteHypergraph._from_canonical(sides, tuple(edges), tuple(labels), name)
+    h = PartiteHypergraph._from_canonical(sides, tuple(edges), tuple(labels), name)
+    h._spec = spec
+    return h
 
 
 def cover_mirror(cover, spec: ConstructionSpec) -> frozenset:

@@ -47,7 +47,8 @@ class PartiteHypergraph:
     """
 
     __slots__ = ("sides", "edges", "edge_labels", "name", "_masks", "_offsets", "_edge_sets",
-                 "_incidence", "_intersecting", "_search", "_decided", "_source")
+                 "_incidence", "_intersecting", "_plane_order", "_search", "_decided",
+                 "_source", "_spec")
 
     def __init__(self, sides, edges, edge_labels=None, name=""):
         sides = tuple(tuple(str(x) for x in side) for side in sides)
@@ -106,9 +107,11 @@ class PartiteHypergraph:
         self._edge_sets = None
         self._incidence = None
         self._intersecting = None
+        self._plane_order = None  # `truncated_plane_order`'s answer, 0 for None, once asked
         self._search = None  # the solver's search instance, built on first use
         self._decided = None  # the solver's decide results by upper_hint, filled on use
         self._source = None  # the hypergraph `uniformize` made this one from, if any
+        self._spec = None  # the spec `construct.build_extension` built this one from, if any
 
     # --- structure ---
 
@@ -275,6 +278,55 @@ def _first_disjoint_pair(h):
         if missed:
             return False, (i, i + (missed & -missed).bit_length())
     return True, None
+
+
+def truncated_plane_order(base: PartiteHypergraph):
+    """q when `base` passes the truncated-plane test below, else None.
+    Then, for every edge S, the base minus S has cover number q = r-1
+    and its only minimum covers are the r sides.  The answer is kept on
+    the base, so later calls return it at once.
+
+    The test: every side has q = r-1 >= 3 vertices, every edge has r,
+    there are q^2 edges, the base is intersecting, and any two edges
+    share at most one vertex.  Given intersecting, the last holds
+    exactly when the degrees of each edge's vertices sum to
+    (m - 1) + r: the sum counts the edge itself r times and every
+    other edge once per shared vertex.  Cost: O(m*r) integer
+    operations once `is_intersecting` is known.
+
+    The argument.  Each edge holds one vertex pair of any two sides,
+    two edges never the same one, and there are q^2 edges and q^2 such
+    pairs: so any two vertices of different sides lie on exactly one
+    edge, and every vertex has degree q.  In the base minus S (q^2-1
+    edges) the anchor vertices have degree q-1.  At most q-1 vertices
+    meet at most q(q-1) < q^2-1 edges, and the sides are covers, so tau
+    is q.  A q-cover C with a anchor vertices has degree sum q^2-a:
+    a >= 2 is too little.  With a = 1 it meets every edge once, so C
+    has no vertex outside the anchor's side: the edge through such a
+    vertex and the anchor vertex is not S, as a = 1, and would be met
+    twice.  So C is that side.  With a = 0 exactly one edge is met
+    twice.  Each pair of C's vertices in different sides lies on an
+    edge met twice (not S, which misses C), and such an edge holds one
+    pair, so C has exactly one pair in different sides: q = 2."""
+    if base._plane_order is None:
+        base._plane_order = _plane_test(base) or 0
+    return base._plane_order or None
+
+
+def _plane_test(base):
+    r = base.num_sides
+    q = r - 1
+    if q < 3 or base.side_sizes != (q,) * r or base.num_edges != q * q:
+        return None
+    if base.uniformity != r or not is_intersecting(base)[0]:
+        return None
+    degree = [mask.bit_count() for mask in base.incidence_masks]
+    off = base.offsets
+    each = q * q - 1 + r
+    for e in base.edges:
+        if sum(degree[off[s] + p] for s, p in e) != each:
+            return None
+    return q
 
 
 def intersection_size_profile(h: PartiteHypergraph) -> Counter:

@@ -14,9 +14,8 @@ import os
 import time
 
 from . import __version__
-from .construct import truncated_plane_order
 from .errors import SolverTimeout
-from .hypergraph import atomic_write_text, parse_vid, read_rhg, vid_str
+from .hypergraph import atomic_write_text, parse_vid, read_rhg, truncated_plane_order, vid_str
 
 SCHEMA_ID = "ryser-report/1"
 
@@ -189,7 +188,7 @@ def intersecting_certificate(ok, witness):
 
 def plane_counting_certificate(spec):
     """The certificate of cover uniqueness proved by the counting
-    argument (`construct.truncated_plane_order`): the base's order, its
+    argument (`hypergraph.truncated_plane_order`): the base's order, its
     edge count and the anchor edge.  None when the base fails the test,
     and the proof is a search."""
     q = truncated_plane_order(spec.base)

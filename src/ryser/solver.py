@@ -44,7 +44,18 @@ source, and its decide calls are answered from the source: the source's
 vertices keep their (side, pos), every cover of the source covers it,
 and swapping each tail of one of its covers for another vertex of the
 tail's edge gives a cover of the source, no larger.  Since the tails
-are dominated, its own decide search would be the source's.
+are dominated, its own decide search would be the source's.  The budget
+runs of an enumeration call are a decide call's, and their answer is
+kept too.
+
+An extension that `construct.build_extension` made records its spec.
+When the spec's base passes `hypergraph.truncated_plane_order` and none
+of 2r candidate sets covers the extension, tau >= r by the mirror
+argument (see `build_extension`), and the budget loop starts from that
+bound: it stops at its first r-cover instead of refuting r-1 by search.
+The runs it skips are refutations, so tau, the witness and every
+enumeration are those of the full loop; only the node count drops.  A
+uniformized extension gets the bound through its source.
 
 A branch child also excludes its vertex's `closes` mask, in a cover
 instance the vertex alone.  The covering transversals of all sides but
@@ -79,7 +90,7 @@ from math import comb
 from typing import NamedTuple, Optional
 
 from .errors import EmptyHypergraphError, NonUniformError, SolverTimeout, TooLargeError
-from .hypergraph import PartiteHypergraph
+from .hypergraph import PartiteHypergraph, truncated_plane_order
 
 DEFAULT_TIMEOUT = 60.0
 _TIMEOUT_CHECK_EVERY = 256
@@ -393,6 +404,29 @@ def worker_pool(jobs):
         pool.shutdown()
 
 
+def _mirror_bound(h):
+    """r when the mirror argument proves tau(h) >= r, else 0.  It applies
+    to an extension that `build_extension` linked to its spec (see
+    there): the spec's base passes `truncated_plane_order`, and none of
+    the 2r sets side j, and side j with s_j swapped for v_j, covers h.
+    Each set is tested as the OR of its q incidence masks."""
+    spec = h._spec
+    if spec is None or truncated_plane_order(spec.base) is None:
+        return 0
+    inc, off = h.incidence_masks, h.offsets
+    everything = (1 << h.num_edges) - 1
+    for j, s in enumerate(spec.anchor_vertices()):
+        anchor = h.gid(s)
+        rest = 0
+        for g in range(off[j], off[j + 1]):
+            if g != anchor:
+                rest |= inc[g]
+        mirror = h.gid(spec.mirror_vertex(j))
+        if rest | inc[anchor] == everything or rest | inc[mirror] == everything:
+            return 0
+    return spec.r
+
+
 def cover_number(
     h: PartiteHypergraph,
     enumerate_all: bool = False,
@@ -408,24 +442,29 @@ def cover_number(
 
     A decide call (no `enumerate_all`) is answered once per hypergraph
     and `upper_hint`: its result is kept on h, and a repeat call returns
-    it at once, whatever its timeout, with `nodes_explored` 0.  A
-    timed-out call keeps nothing.  On a hypergraph that `uniformize`
-    made, a decide call is answered from the source, whose cover number
-    is the same and whose minimum covers are minimum covers of it (see
-    `uniformize`); its own decide search would be the source's, since
-    the tails it adds are dominated.  Enumerations are neither kept nor
-    answered from kept results."""
+    it at once, whatever its timeout, with `nodes_explored` 0.  An
+    enumeration call keeps the decide result of the budget runs it makes
+    first; the enumeration itself is neither kept nor answered from kept
+    results.  A call that times out before tau is known keeps nothing.
+    On a hypergraph that `uniformize` made, a decide call is answered
+    from the source, whose cover number is the same and whose minimum
+    covers are minimum covers of it (see `uniformize`); its own decide
+    search would be the source's, since the tails it adds are dominated.
+
+    On an extension that `build_extension` linked to its spec, or a
+    uniformized one, the budget loop starts at the lower bound r that
+    `_mirror_bound` proves, tested here rather than at build time.  It
+    skips only refutations, so tau, the witness and the enumeration are
+    those of an unlinked copy; `nodes_explored` drops."""
     _check_jobs(jobs)
     if h.num_edges == 0:
         raise EmptyHypergraphError("cover number is undefined without edges")
-    decided = None
+    if not enumerate_all and h._source is not None:
+        h = h._source
+    if h._decided is None:
+        h._decided = {}
     if not enumerate_all:
-        if h._source is not None:
-            h = h._source
-        if h._decided is None:
-            h._decided = {}
-        decided = h._decided
-        known = decided.get(upper_hint)
+        known = h._decided.get(upper_hint)
         if known is not None:
             return known
     inst = _instance(h)
@@ -437,6 +476,7 @@ def cover_number(
     lb = 1
     while not _degree_sum_fits(ranked, everything, 0, lb):
         lb += 1
+    lb = max(lb, _mirror_bound(h._source or h))
     budget = max(lb, upper_hint) if upper_hint is not None else lb
     budget = min(budget, n)
     known_fail = lb - 1  # sizes below lb are impossible by the bound
@@ -464,19 +504,18 @@ def cover_number(
             if budget > n:
                 raise AssertionError("no cover found over the full vertex set")
 
-    all_covers = None
-    if enumerate_all:
-        with worker_pool(jobs) as pool:
-            first, sols, nodes = _attempt(inst, tau, True, deadline, pool)
-        nodes_total += nodes
-        witness = first
-        all_covers = tuple(sorted(
-            tuple(h.vid(g) for g in sorted(sol)) for sol in sols
-        ))
     wit_vids = tuple(h.vid(g) for g in sorted(witness))
-    if decided is not None:
-        decided[upper_hint] = CoverResult(tau, wit_vids, None, 0)
-    return CoverResult(tau, wit_vids, all_covers, nodes_total)
+    if h._source is None:  # a uniformized h's decide calls read its source's
+        h._decided[upper_hint] = CoverResult(tau, wit_vids, None, 0)
+    if not enumerate_all:
+        return CoverResult(tau, wit_vids, None, nodes_total)
+    with worker_pool(jobs) as pool:
+        first, sols, nodes = _attempt(inst, tau, True, deadline, pool)
+    all_covers = tuple(sorted(
+        tuple(h.vid(g) for g in sorted(sol)) for sol in sols
+    ))
+    return CoverResult(tau, tuple(h.vid(g) for g in sorted(first)), all_covers,
+                       nodes_total + nodes)
 
 
 def cover_without_edge(inst, alive, edge, budget, timeout, pool):

@@ -92,15 +92,10 @@ def test_verify_ratio(t4_file, tmp_path):
     assert (cert["r"], cert["tau"], cert["nu"]) == (4, 3, 1)
 
 
-def test_verify_tau_then_ratio_searches_tau_once(tmp_path, monkeypatch):
-    # tau is the same whatever the hint, so the ratio takes it from the
-    # answer the cover-number check kept
-    t6, u = tmp_path / "t6.rhg", tmp_path / "u.rhg"
-    assert run("truncate", "--q", 5, "--out", t6) == 0
-    assert run("construct", "--base", t6, "--s-edge", 0, "--f-default",
-               "--uniformize", "--out", u) == 0
-    alone = tmp_path / "alone.json"
-    assert run("verify", u, "--ratio", "--json", alone) == 0
+def count_searches(monkeypatch):
+    """Lists that grow by one per `_budget_search` call, and by the
+    number of such calls inside each `verify_ryser_ratio` call that the
+    command line makes."""
     searches = []
     budget_search = solver._budget_search
     monkeypatch.setattr(solver, "_budget_search",
@@ -115,12 +110,29 @@ def test_verify_tau_then_ratio_searches_tau_once(tmp_path, monkeypatch):
         return rep
 
     monkeypatch.setattr(cli, "verify_ryser_ratio", counted)
-    both = tmp_path / "both.json"
-    assert run("verify", u, "--tau", "--ratio", "--json", both) == 0
-    checks = {c["name"]: c for c in load(both)["checks"]}
-    assert ratio_searches == [0] and searches
-    assert checks["cover-number"]["certificate"]["tau"] == 6
-    assert checks["ryser-ratio"]["certificate"] == load(alone)["checks"][0]["certificate"]
+    return searches, ratio_searches
+
+
+def test_verify_tau_then_ratio_searches_tau_once(tmp_path, monkeypatch):
+    # tau is the same whatever the hint, so the ratio takes it from the
+    # answer the cover-number check kept; an enumeration keeps the answer
+    # of the budget runs it makes first
+    t6, u = tmp_path / "t6.rhg", tmp_path / "u.rhg"
+    assert run("truncate", "--q", 5, "--out", t6) == 0
+    assert run("construct", "--base", t6, "--s-edge", 0, "--f-default",
+               "--uniformize", "--out", u) == 0
+    alone = tmp_path / "alone.json"
+    assert run("verify", u, "--ratio", "--json", alone) == 0
+    searches, ratio_searches = count_searches(monkeypatch)
+    for flag in ("--tau", "--enumerate-min-covers"):
+        searches.clear()
+        ratio_searches.clear()
+        both = tmp_path / "both.json"
+        assert run("verify", u, flag, "--ratio", "--json", both) == 0
+        checks = {c["name"]: c for c in load(both)["checks"]}
+        assert ratio_searches == [0] and searches, flag
+        assert checks["cover-number"]["certificate"]["tau"] == 6
+        assert checks["ryser-ratio"]["certificate"] == load(alone)["checks"][0]["certificate"]
 
 
 def test_verify_timeout_exit_code(t4_file, tmp_path):
@@ -635,20 +647,7 @@ def test_pipeline_paper_scale_q25(tmp_path):
 def test_pipeline_paper_scale_q49_ratio_is_answered(tmp_path, monkeypatch):
     # The ratio check's cover call is the extension-cover-number check's
     # question, asked of the uniformized extension's source.
-    searches = []
-    budget_search = solver._budget_search
-    monkeypatch.setattr(solver, "_budget_search",
-                        lambda *a, **k: searches.append(1) or budget_search(*a, **k))
-    ratio_searches = []
-    verify = cli.verify_ryser_ratio
-
-    def counted(*args, **kwargs):
-        before = len(searches)
-        rep = verify(*args, **kwargs)
-        ratio_searches.append(len(searches) - before)
-        return rep
-
-    monkeypatch.setattr(cli, "verify_ryser_ratio", counted)
+    searches, ratio_searches = count_searches(monkeypatch)
     rep_path = tmp_path / "p.json"
     assert run("pipeline", "--q", 49, "--f-default", "--json", rep_path) == 0
     checks = {c["name"]: c for c in load(rep_path)["checks"]}

@@ -11,10 +11,26 @@ from hypothesis import strategies as st
 
 from ryser import analysis, solver
 from ryser.analysis import classify_extensions, enumerate_candidates_brute, minimize
-from ryser.construct import build_extension, select_f_default, uniformize, validate_spec
-from ryser.errors import EmptyHypergraphError, NonUniformError, SolverTimeout, TooLargeError
+from ryser import hypergraph
+from ryser.construct import (
+    ConstructionSpec,
+    DegreeProfile,
+    build_extension,
+    select_f_by_profile,
+    select_f_default,
+    uniformize,
+    validate_spec,
+)
+from ryser.errors import (
+    EmptyHypergraphError,
+    NonUniformError,
+    RyserError,
+    SolverTimeout,
+    TooLargeError,
+)
 from ryser.gf import FiniteField
-from ryser.hypergraph import PartiteHypergraph, is_intersecting
+from ryser.hypergraph import PartiteHypergraph, is_intersecting, truncated_plane_order
+from ryser.report import plane_counting_certificate
 from ryser.plane import build_plane, truncate
 from ryser.solver import (
     MatchingResult,
@@ -280,7 +296,11 @@ def test_node_count_ceilings():
     assert cover_number(t8, upper_hint=7).nodes_explored <= 50
     t6 = truncate(build_plane(FiniteField(5)))
     ext = build_extension(select_f_default(t6, 0), check=False)
-    assert cover_number(ext, upper_hint=6).nodes_explored <= 490
+    # the mirror argument proves tau >= 6, so the linked call skips the
+    # refutation of budget 5 (7 nodes when written); an unlinked copy
+    # still runs it
+    assert cover_number(ext, upper_hint=6).nodes_explored <= 70
+    assert cover_number(unlinked(ext), upper_hint=6).nodes_explored <= 490
 
 
 def test_uniformized_node_ceilings():
@@ -751,6 +771,78 @@ def test_uniformized_extensions_match_own_search(p, k):
             got = cover_number(u, upper_hint=hint)
             own = cover_number(unlinked(u), upper_hint=hint)
             assert (got.tau, got.witness) == (own.tau, own.witness), (anchor, hint)
+
+
+def extension_specs(t, q):
+    """The default and the relaxed (1,)-profile spec of every anchor of
+    the truncation t of order q, where the selection finds one."""
+    for anchor in range(q * q):
+        yield select_f_default(t, anchor)
+        try:
+            yield select_f_by_profile(t, anchor, DegreeProfile(q + 1, (1,)), strict=False)
+        except RyserError:
+            pass
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 1), (7, 1)])
+def test_mirror_bound_keeps_every_answer(p, k):
+    # An extension linked to its spec starts its budget loop at tau >= r;
+    # its answers are those of an unlinked copy, which refutes r-1 by search.
+    q = p ** k
+    t = truncate(build_plane(FiniteField(p, k)))
+    assert truncated_plane_order(t) == q
+    for spec in extension_specs(t, q):
+        ext = build_extension(spec, check=False)
+        for hint in (None, q + 1, q + 3):
+            got = cover_number(ext, upper_hint=hint)
+            own = cover_number(unlinked(ext), upper_hint=hint)
+            assert (got.tau, got.witness) == (own.tau, own.witness), (spec, hint)
+            assert got.tau == q + 1 and got.nodes_explored < own.nodes_explored
+        got = cover_number(ext, enumerate_all=True)
+        own = cover_number(unlinked(ext), enumerate_all=True)
+        assert (got.witness, got.all_min_covers) == (own.witness, own.all_min_covers)
+
+
+def test_mirror_bound_needs_the_plane_test_and_the_candidates():
+    # On the q=2 truncation the reduced base has covers other than the
+    # sides and the extensions have tau 2 < r, though no side covers them.
+    t3 = truncate(build_plane(FiniteField(2)))
+    assert truncated_plane_order(t3) is None
+    unproved = [build_extension(select_f_default(t3, anchor), check=False) for anchor in range(4)]
+    # An F_j that misses s_j lets side j cover the extension (tau <= r-1).
+    t6 = truncate(build_plane(FiniteField(5)))
+    anchor = t6.edges[0]
+    for j in range(6):
+        f = list(select_f_default(t6, 0).f_edges)
+        f[j] = next(i for i in range(1, 25) if anchor[j] not in t6.edges[i])
+        stray = build_extension(ConstructionSpec(t6, 0, tuple(f)), check=False)
+        assert cover_number(unlinked(stray)).tau < 6
+        unproved.append(stray)
+    # A copy without an edge, or read back from a file, carries no spec.
+    ext = build_extension(select_f_default(t6, 0), check=False)
+    unproved += [ext.without_edge(i) for i in (0, 24, -1)]
+    unproved.append(hypergraph.loads_rhg(hypergraph.dumps_rhg(ext)))
+    for h in unproved:
+        for hint in (None, h.num_sides - 1, h.num_sides + 1):
+            got = cover_number(h, upper_hint=hint)
+            own = cover_number(unlinked(h), upper_hint=hint)
+            assert (got.tau, got.witness, got.nodes_explored) == \
+                (own.tau, own.witness, own.nodes_explored), (h, hint)
+
+
+def test_plane_test_runs_once_per_base(monkeypatch):
+    tests = []
+    plane_test = hypergraph._plane_test
+    monkeypatch.setattr(hypergraph, "_plane_test",
+                        lambda base: tests.append(base) or plane_test(base))
+    t6 = truncate(build_plane(FiniteField(5)))
+    for anchor in range(25):
+        spec = select_f_default(t6, anchor)
+        assert validate_spec(spec) == []
+        assert plane_counting_certificate(spec)["q"] == 5
+        ext = build_extension(spec, check=False)
+        assert cover_number(ext, upper_hint=6).tau == 6
+    assert tests == [t6]
 
 
 def test_repeat_call_searches_nothing(t4, monkeypatch):
