@@ -43,13 +43,12 @@ from .hypergraph import PartiteHypergraph, degree_stats, is_intersecting
 from .solver import (
     DEFAULT_TIMEOUT,
     CoverResult,
-    _attempt,
+    _budget_search,
     _Deadline,
     _instance,
     _transversal_instance,
     cover_number,
     cover_without_edge,
-    worker_pool,
 )
 
 
@@ -89,18 +88,17 @@ class MinimizationTrace:
 def minimize(
     h: PartiteHypergraph,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
-    jobs: int = 1,
     order: str = "asc",
 ) -> MinimizationTrace:
     """Try each edge once (least index first; "desc" scans from the
     highest index instead) and delete it when the cover number stays at
-    sides-1.  Makes one `cover_number` call, for the input, in this
-    process, then one `cover_without_edge` decide run per edge at budget
-    sides-2; with jobs > 1 those runs share one process pool.  A deleted
-    edge is certified by the input's minimum cover, which covers what is
-    left; a kept edge by the cover of size sides-2 found without it,
-    which also covers the final hypergraph without that edge.  Any scan
-    order reaches a minimal hypergraph, possibly a different one."""
+    sides-1.  Makes one `cover_number` call, for the input, then one
+    `cover_without_edge` decide run per edge at budget sides-2, all in
+    this process.  A deleted edge is certified by the input's minimum
+    cover, which covers what is left; a kept edge by the cover of size
+    sides-2 found without it, which also covers the final hypergraph
+    without that edge.  Any scan order reaches a minimal hypergraph,
+    possibly a different one."""
     if order not in ("asc", "desc"):
         raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
     k = h.num_sides
@@ -111,24 +109,23 @@ def minimize(
     if not ok:
         raise NotExtremalError(f"input is not intersecting (edges {wit[0]}, {wit[1]})")
 
-    with worker_pool(jobs) as pool:
-        initial = cover_number(h, upper_hint=target, timeout=timeout)
-        if initial.tau != target:
-            raise NotExtremalError(f"cover number is {initial.tau}, expected {target}")
-        inst = _instance(h)
-        alive = (1 << h.num_edges) - 1
-        deleted = []
-        kept_certs = {}
-        scan = range(h.num_edges) if order == "asc" else range(h.num_edges - 1, -1, -1)
-        for i in scan:
-            witness, nodes = cover_without_edge(inst, alive, i, target - 1, timeout, pool)
-            if witness is None:
-                cert = CoverResult(target, initial.witness, None, nodes)
-                deleted.append(DeletedEdge(i, h.edges[i], h.edge_labels[i], cert))
-                alive &= ~(1 << i)
-            else:
-                wit_vids = tuple(h.vid(g) for g in sorted(witness))
-                kept_certs[i] = CoverResult(target - 1, wit_vids, None, nodes)
+    initial = cover_number(h, upper_hint=target, timeout=timeout)
+    if initial.tau != target:
+        raise NotExtremalError(f"cover number is {initial.tau}, expected {target}")
+    inst = _instance(h)
+    alive = (1 << h.num_edges) - 1
+    deleted = []
+    kept_certs = {}
+    scan = range(h.num_edges) if order == "asc" else range(h.num_edges - 1, -1, -1)
+    for i in scan:
+        witness, nodes = cover_without_edge(inst, alive, i, target - 1, timeout)
+        if witness is None:
+            cert = CoverResult(target, initial.witness, None, nodes)
+            deleted.append(DeletedEdge(i, h.edges[i], h.edge_labels[i], cert))
+            alive &= ~(1 << i)
+        else:
+            wit_vids = tuple(h.vid(g) for g in sorted(witness))
+            kept_certs[i] = CoverResult(target - 1, wit_vids, None, nodes)
 
     orig = [i for i in range(h.num_edges) if alive >> i & 1]
     final = PartiteHypergraph._from_canonical(
@@ -280,10 +277,6 @@ class ExtensionClassification:
     nodes: int = 0                # search nodes of the cover-number check (0 when its answer
                                   # was kept) and the enumerations
 
-    @property
-    def confirmed(self) -> bool:
-        return self.pattern_guaranteed and not self.violations
-
 
 def enumerate_candidates_brute(h):
     """Pruning-free cross-check: every (fresh_side, transversal) choice
@@ -306,15 +299,14 @@ def classify_extensions(
     h: PartiteHypergraph,
     spec: ConstructionSpec,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
-    jobs: int = 1,
 ) -> ExtensionClassification:
     """Enumerate and classify every addable edge of the mixed-uniform
     extension hypergraph, up to fresh-vertex naming.
 
     A new edge must meet every existing edge; since the cover number is
     r, its existing-vertex part must be a covering transversal, leaving
-    room for at most one fresh vertex.  The cover-number check runs in
-    this process; the r+2 enumerations share its `timeout` and one pool.
+    room for at most one fresh vertex.  The cover-number check and the
+    r+2 enumerations run in this process and share one `timeout`.
     """
     r = spec.base.num_sides
     if h.num_sides != r + 1:
@@ -356,18 +348,17 @@ def classify_extensions(
         return "violation", None
 
     candidates = []
-    with worker_pool(jobs) as pool:
-        deadline = _Deadline(timeout)
-        res = cover_number(h, upper_hint=r, timeout=deadline.remaining())
-        if res.tau != r:
-            raise NotExtremalError(f"cover number is {res.tau}, expected {r}")
-        nodes = res.nodes_explored
-        for fresh in [None] + list(range(r + 1)):
-            inst, k = _transversal_instance(h, fresh)
-            _, sols, found = _attempt(inst, k, True, deadline, pool)
-            nodes += found
-            for verts in sorted(tuple(h.vid(g) for g in sorted(sol)) for sol in sols):
-                candidates.append(ExtensionCandidate(fresh, verts, *classify(fresh, verts)))
+    deadline = _Deadline(timeout)
+    res = cover_number(h, upper_hint=r, timeout=deadline.remaining())
+    if res.tau != r:
+        raise NotExtremalError(f"cover number is {res.tau}, expected {r}")
+    nodes = res.nodes_explored
+    for fresh in [None] + list(range(r + 1)):
+        inst, k = _transversal_instance(h, fresh)
+        _, sols, found = _budget_search(inst, k, True, deadline)
+        nodes += found
+        for verts in sorted(tuple(h.vid(g) for g in sorted(sol)) for sol in sols):
+            candidates.append(ExtensionCandidate(fresh, verts, *classify(fresh, verts)))
     counts = dict(Counter(c.kind for c in candidates))
     violations = tuple(c for c in candidates if c.kind == "violation")
     return ExtensionClassification(

@@ -10,6 +10,7 @@ solver budget.
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import __version__
@@ -200,14 +201,16 @@ def cmd_truncate(args):
 # --- construct ---
 
 
+_DECIMAL = re.compile(r"\s*-?[0-9]+\s*")  # int() would take "1_0" too
+
+
 def parse_f_edges(text, r):
     out = [None] * r
     for part in text.split(","):
         i, _, e = part.partition(":")
-        try:
-            i, e = int(i), int(e)
-        except ValueError:
-            raise ConfigError(f"bad --f-edges entry {part!r}, expected i:edge") from None
+        if not (_DECIMAL.fullmatch(i) and _DECIMAL.fullmatch(e)):
+            raise ConfigError(f"bad --f-edges entry {part!r}, expected i:edge")
+        i, e = int(i), int(e)
         if not 1 <= i <= r:
             raise ConfigError(f"--f-edges side {i} out of range 1..{r}")
         out[i - 1] = e
@@ -218,11 +221,15 @@ def parse_f_edges(text, r):
 
 
 def _ints(value, what):
-    """The integers of a comma-separated flag value or of a config list."""
-    try:
-        return tuple(int(v) for v in (value.split(",") if isinstance(value, str) else value))
-    except (TypeError, ValueError):
-        raise ConfigError(f"{what} must list integers, got {value!r}") from None
+    """The integers of a comma-separated flag value, or of a config list
+    of JSON integers (a float or a bool is none)."""
+    if isinstance(value, str):
+        parts = value.split(",")
+        if all(_DECIMAL.fullmatch(v) for v in parts):
+            return tuple(map(int, parts))
+    elif isinstance(value, list) and all(type(v) is int for v in value):
+        return tuple(value)
+    raise ConfigError(f"{what} must list integers, got {value!r}")
 
 
 def make_spec(base, s_edge, mode, value, strict):
@@ -262,10 +269,8 @@ def cmd_construct(args):
                      not args.relaxed_profile)
     checks = []
     with Check("construction-preconditions") as c:
-        violations = validate_spec(
-            spec, check_cover_uniqueness=not args.skip_cover_check,
-            timeout=args.timeout, jobs=args.jobs,
-        )
+        violations = validate_spec(spec, check_cover_uniqueness=not args.skip_cover_check,
+                                   timeout=args.timeout)
         if args.skip_cover_check and not violations:
             c.skip(detail="structural checks passed; cover-uniqueness check skipped "
                           "(construction unvalidated)")
@@ -301,8 +306,7 @@ def cmd_verify(args):
     checks = []
     if args.tau or args.enumerate_min_covers or run_all:
         with Check("cover-number") as c:
-            res = cover_number(h, enumerate_all=args.enumerate_min_covers,
-                               timeout=args.timeout, jobs=args.jobs)
+            res = cover_number(h, enumerate_all=args.enumerate_min_covers, timeout=args.timeout)
             c.ok(True, cover_certificate(res))
             print(f"tau = {res.tau}" + (
                 f" ({len(res.all_min_covers)} minimum covers)"
@@ -334,7 +338,7 @@ def cmd_minimize(args):
     checks = []
     trace = None
     with Check("minimality-reduction") as c:
-        trace = minimize(h, timeout=args.timeout, jobs=args.jobs, order=args.order)
+        trace = minimize(h, timeout=args.timeout, order=args.order)
         every_critical = all(k.cert.tau == trace.target_tau - 1 for k in trace.kept)
         c.ok(every_critical, minimization_certificate(trace),
              detail=f"deleted {len(trace.deleted)}, kept {len(trace.kept)}")
@@ -368,11 +372,10 @@ def load_spec_json(path):
     if not os.path.isabs(base_path):
         base_path = os.path.join(os.path.dirname(os.path.abspath(path)), base_path)
     base = read_rhg(base_path)
-    try:
-        s_edge = int(data["s_edge"])
-    except (TypeError, ValueError):
+    if type(data["s_edge"]) is not int:
         raise ConfigError(f"spec file {path}: s_edge must be an integer, "
-                          f"got {data['s_edge']!r}") from None
+                          f"got {data['s_edge']!r}")
+    s_edge = data["s_edge"]
     if not isinstance(data["f_edges"], list):
         raise ConfigError(f"spec file {path}: f_edges must be a list, got {data['f_edges']!r}")
     spec = make_spec(base, s_edge, "edges", data["f_edges"], True)
@@ -399,7 +402,7 @@ def cmd_maximal_check(args):
                        [input_entry(args.file), input_entry(args.spec)], checks)
     cls = None
     with Check("addable-edge-classification") as c:
-        cls = classify_extensions(h, spec, timeout=args.timeout, jobs=args.jobs)
+        cls = classify_extensions(h, spec, timeout=args.timeout)
         cert = classification_certificate(cls)
         if cls.pattern_guaranteed:
             c.ok(not cls.violations, cert,
@@ -519,7 +522,7 @@ def cmd_pipeline(args):
         raise ConfigError("pipeline needs --q or a config with q")
     if opt["jobs"] < 1:
         raise ConfigError(f"jobs must be at least 1, got {opt['jobs']}")
-    q, mode, out_dir, jobs = opt["q"], opt["f"], opt["out_dir"], opt["jobs"]
+    q, mode, out_dir = opt["q"], opt["f"], opt["out_dir"]
     timeout = resolve_timeout(opt["timeout"])
     do_min = opt["minimize"] or opt["all_checks"]
     do_max = opt["maximal_check"] or opt["all_checks"]
@@ -549,7 +552,7 @@ def cmd_pipeline(args):
     checks.append(c)
 
     with Check("base-cover-uniqueness") as c:
-        violations = validate_spec(spec, timeout=timeout, jobs=jobs)
+        violations = validate_spec(spec, timeout=timeout)
         c.ok(not violations, None if violations else plane_counting_certificate(spec),
              detail="; ".join(map(str, violations)) or
              "reduced base has cover number r-1 with only the sides as minimum covers")
@@ -585,7 +588,7 @@ def cmd_pipeline(args):
 
     if do_min:
         with Check("minimality-reduction") as c:
-            trace = minimize(u, timeout=timeout, jobs=jobs)
+            trace = minimize(u, timeout=timeout)
             pair_labels = [
                 lab for lab in u.edge_labels if lab.startswith(("E2(", "E3("))
             ]
@@ -604,7 +607,7 @@ def cmd_pipeline(args):
 
     if do_max:
         with Check("addable-edge-classification") as c:
-            cls = classify_extensions(h, spec, timeout=timeout, jobs=jobs)
+            cls = classify_extensions(h, spec, timeout=timeout)
             cert = classification_certificate(cls)
             if cls.pattern_guaranteed:
                 c.ok(not cls.violations, cert,
@@ -699,8 +702,7 @@ def _add_common(p, search=True):
                        help="solver wall-clock budget in seconds "
                             "(default: RYSER_TIMEOUT_SECS or 60)")
         p.add_argument("--jobs", type=positive_int, default=1,
-                       help="worker processes (at least 1) for cover enumerations, minimize's "
-                            "trials and the classification; one cover check runs in-process")
+                       help="accepted (at least 1), selects nothing: every search runs in-process")
 
 
 def build_parser():

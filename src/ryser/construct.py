@@ -79,8 +79,9 @@ def validate_spec(
     base passes its test, in O(m*r) operations, and otherwise by an
     exhaustive enumeration of the minimum covers, which can take long
     for large bases.  `check_cover_uniqueness=False` skips it; the
-    construction is then unvalidated.  Raises ValueError for `jobs`
-    below 1 when the cover part runs.
+    construction is then unvalidated.  Every search runs in this
+    process: `jobs` selects nothing, and raises ValueError below 1 when
+    the cover part runs.
     """
     base = spec.base
     r = base.num_sides
@@ -137,17 +138,16 @@ def validate_spec(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if truncated_plane_order(base) is not None:
         return out
-    return _reduced_cover_violations(spec, timeout, jobs)
+    return _reduced_cover_violations(spec, timeout)
 
 
-def _reduced_cover_violations(spec, timeout, jobs):
+def _reduced_cover_violations(spec, timeout):
     """Cover uniqueness by exhaustive search: enumerate every minimum
     cover of the base minus the anchor edge and compare with the sides."""
     base = spec.base
     r = base.num_sides
     reduced = base.without_edge(spec.s_edge)
-    res = cover_number(reduced, enumerate_all=True, upper_hint=r - 1,
-                       timeout=timeout, jobs=jobs)
+    res = cover_number(reduced, enumerate_all=True, upper_hint=r - 1, timeout=timeout)
     if res.tau != r - 1:
         return [Violation(
             "reduced-cover-number",

@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from .errors import SolverTimeout
-from .hypergraph import atomic_write_text, parse_vid, read_rhg, truncated_plane_order, vid_str
+from .hypergraph import atomic_write_text, read_rhg, truncated_plane_order, vid_str
 
 SCHEMA_ID = "ryser-report/1"
 
@@ -216,22 +216,36 @@ def classification_certificate(cls):
 # --- offline re-validation ---
 
 
+def _is_edge_index(i, h):
+    return type(i) is int and 0 <= i < h.num_edges
+
+
+def _vertex_set(tokens, h):
+    """The vertices of h that the list `tokens` names, or None when a
+    token is not the `vid_str` of one of them."""
+    names = {vid_str(v): v for v in h.vertices()}
+    if not isinstance(tokens, list) or not all(isinstance(t, str) and t in names for t in tokens):
+        return None
+    return {names[t] for t in tokens}
+
+
 def _check_cover_cert(cert, h, problems, where):
-    witness = [parse_vid(t) for t in cert["witness"]]
-    if len(witness) != cert["tau"]:
-        problems.append(f"{where}: witness size differs from tau")
-    wset = set(witness)
-    if not all(wset & set(e) for e in h.edges):
-        problems.append(f"{where}: witness does not cover every edge")
-    for i, cov in enumerate(cert.get("all_min_covers", [])):
-        cset = {parse_vid(t) for t in cov}
-        if len(cset) != cert["tau"]:
-            problems.append(f"{where}: enumerated cover {i} has wrong size")
-        if not all(cset & set(e) for e in h.edges):
-            problems.append(f"{where}: enumerated cover {i} does not cover")
+    covers = [("witness", cert["witness"])]
+    covers += [(f"enumerated cover {i}", c) for i, c in enumerate(cert.get("all_min_covers", []))]
+    for what, tokens in covers:
+        cset = _vertex_set(tokens, h)
+        if cset is None:
+            problems.append(f"{where}: {what} names no vertex set of the input")
+        elif len(cset) != cert["tau"]:
+            problems.append(f"{where}: {what} size differs from tau")
+        elif not all(cset & set(e) for e in h.edges):
+            problems.append(f"{where}: {what} does not cover every edge")
 
 
 def _check_matching_cert(cert, h, problems, where):
+    if not all(_is_edge_index(ei, h) for ei in cert["witness_edges"]):
+        problems.append(f"{where}: witness edges {cert['witness_edges']!r} are not edge indices")
+        return
     masks = h.edge_masks
     used = 0
     for ei in cert["witness_edges"]:
@@ -274,7 +288,8 @@ def _check_minimization_cert(cert, h, problems, where):
     not that one, so deleting the edge would lower tau."""
     deleted = [d["original_index"] for d in cert["deleted"]]
     kept = [k["original_index"] for k in cert["kept"]]
-    if sorted(deleted + kept) != list(range(h.num_edges)):
+    if (not all(_is_edge_index(i, h) for i in deleted + kept)
+            or sorted(deleted + kept) != list(range(h.num_edges))):
         problems.append(f"{where}: deleted and kept edges do not partition "
                         f"the input's {h.num_edges} edges")
         return
@@ -288,8 +303,10 @@ def _check_minimization_cert(cert, h, problems, where):
     final = [(i, set(h.edges[i])) for i in sorted(kept)]
     for k in cert["kept"]:
         i = k["original_index"]
-        witness = {parse_vid(t) for t in k["witness_without"]}
-        if k["tau_without"] != target - 1:
+        witness = _vertex_set(k["witness_without"], h)
+        if witness is None:
+            problems.append(f"{where}: kept edge {i} witness names no vertex set of the input")
+        elif k["tau_without"] != target - 1:
             problems.append(f"{where}: kept edge {i} has tau_without "
                             f"{k['tau_without']}, expected {target - 1}")
         elif len(witness) != target - 1:
@@ -366,7 +383,10 @@ def recheck_report(report, base_dir="."):
                 problems.append(f"{where}: extremality flag inconsistent")
         elif kind == "intersecting":
             if cert["intersecting"] is False:
-                i, j = cert["disjoint_pair"]
-                if set(h.edges[i]) & set(h.edges[j]):
+                pair = cert["disjoint_pair"]
+                if not (isinstance(pair, list) and len(pair) == 2
+                        and all(_is_edge_index(i, h) for i in pair)):
+                    problems.append(f"{where}: disjoint pair {pair!r} is not two edge indices")
+                elif set(h.edges[pair[0]]) & set(h.edges[pair[1]]):
                     problems.append(f"{where}: claimed disjoint pair intersects")
     return problems

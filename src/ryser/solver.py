@@ -74,15 +74,11 @@ cover number with one decide run on the whole hypergraph's instance,
 from a root node that drops the edge and excludes its vertices.
 
 All tie-breaking is by smallest global vertex index / smallest edge
-index, so identical inputs give identical certificates.  A decide call
-searches in-process.  With jobs > 1 the root branches of an enumeration,
-or of a run of `minimize` or the classification, go to a process pool
-and are read in branch order, so results match the single-worker run.
+index, so identical inputs give identical certificates.  Every search
+runs in the calling process.
 """
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from itertools import combinations
@@ -271,19 +267,19 @@ def _transversal_instance(h, fresh):
     return _Instance(tuple(gid_lists), entries, tuple(classes), 0, tuple(closes)), k
 
 
-def _budget_search(inst, budget, collect, deadline, node=None, tasks=None):
+def _budget_search(inst, budget, collect, deadline, node=None):
     """Exhaustive search for covers of size <= budget below `node`, a
     (chosen, uncovered edge mask, excluded vertex mask) triple that
     defaults to the root.  The root of a decide run excludes the
     dominated vertices; that of an enumeration excludes none, so that
     every minimum cover is found.  Returns (first_found, solutions, nodes).
-    Given a `tasks` list, the root's branches are appended to it as
-    nodes instead of being searched.
+    The deadline is checked on entry, so a run never starts past it.
 
     A node that passes its bound tests each branch child's bound before
     entering it, from the degrees it has ranked; a child that fails is
     counted as one node and never entered, so the tree, the order and
     the node count are those of a search that enters every child."""
+    deadline.check(force=True)
     gid_lists, incidence, size_classes, dominated, closes = inst
     first = None
     sols = [] if collect else None
@@ -331,10 +327,7 @@ def _budget_search(inst, budget, collect, deadline, node=None, tasks=None):
             if not bit & acc:
                 rest = uncovered & ~inc
                 closed = acc | closes[g]
-                if tasks is not None:
-                    # a root branch becomes a task that runs its own test
-                    tasks.append((chosen + (g,), rest, closed))
-                elif not fits(rest, closed, picks - 1, ranked):
+                if not fits(rest, closed, picks - 1, ranked):
                     nodes += 1  # the child, refuted without being entered
                 elif rec(chosen + (g,), rest, closed, ranked):
                     return True
@@ -345,63 +338,6 @@ def _budget_search(inst, budget, collect, deadline, node=None, tasks=None):
         node = ((), (1 << len(gid_lists)) - 1, 0 if collect else dominated)
     rec(*node)
     return first, sols, nodes
-
-
-def _subtree_task(inst, budget, collect, seconds, node):
-    """Process-pool entry: run one root branch with a fresh deadline."""
-    return _budget_search(inst, budget, collect, _Deadline(seconds), node)
-
-
-def _attempt(inst, budget, collect, deadline, pool, node=None):
-    """One exhaustive budget run below `node` (default the root); returns
-    (first_found, solutions, nodes).  With a pool, the node's branches
-    run as separate tasks, read in branch order; a decide run stops at
-    the first branch with a cover, cancelling the branches not yet
-    started, so the witness and the node count are those of the serial
-    run."""
-    deadline.check(force=True)
-    tasks = None if pool is None else []
-    first, sols, nodes = _budget_search(inst, budget, collect, deadline, node, tasks)
-    if tasks:
-        seconds = deadline.remaining()
-        futures = [pool.submit(_subtree_task, inst, budget, collect, seconds, node)
-                   for node in tasks]
-        for fut in futures:
-            tfirst, tsols, tnodes = fut.result()
-            nodes += tnodes
-            if first is None:
-                first = tfirst
-            if collect:
-                sols.extend(tsols)
-            elif first is not None:
-                # The serial search never enters the later branches, so
-                # their results, errors included, are not read; those
-                # already running finish unread.
-                for later in futures:
-                    later.cancel()
-                break
-    return first, sols, nodes
-
-
-def _check_jobs(jobs):
-    if jobs < 1:
-        raise ValueError(f"jobs must be at least 1, got {jobs}")
-
-
-@contextmanager
-def worker_pool(jobs):
-    """A process pool of `jobs` workers for cover searches to share, or
-    None for one worker.  Raises ValueError for `jobs` below 1, before
-    any pool exists."""
-    _check_jobs(jobs)
-    if jobs == 1:
-        yield None
-        return
-    pool = ProcessPoolExecutor(max_workers=jobs)
-    try:
-        yield pool
-    finally:
-        pool.shutdown()
 
 
 def _mirror_bound(h):
@@ -435,10 +371,9 @@ def cover_number(
     jobs: int = 1,
 ) -> CoverResult:
     """Exact minimum vertex cover with witness; optionally every minimum
-    cover.  The budget runs that find tau search in this process; only
-    the enumeration of `enumerate_all` runs in a pool of `jobs` workers.
-    Raises SolverTimeout if the wall-clock budget runs out, and
-    ValueError for `jobs` below 1.
+    cover.  Every search runs in this process.  `jobs` selects nothing;
+    it is still accepted, and raises ValueError below 1.  Raises
+    SolverTimeout if the wall-clock budget runs out.
 
     A decide call (no `enumerate_all`) is answered once per hypergraph
     and `upper_hint`: its result is kept on h, and a repeat call returns
@@ -456,7 +391,8 @@ def cover_number(
     `_mirror_bound` proves, tested here rather than at build time.  It
     skips only refutations, so tau, the witness and the enumeration are
     those of an unlinked copy; `nodes_explored` drops."""
-    _check_jobs(jobs)
+    if jobs < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
     if h.num_edges == 0:
         raise EmptyHypergraphError("cover number is undefined without edges")
     if not enumerate_all and h._source is not None:
@@ -485,7 +421,7 @@ def cover_number(
     tau = None
     witness = None
     while True:
-        first, _, nodes = _attempt(inst, budget, False, deadline, None)
+        first, _, nodes = _budget_search(inst, budget, False, deadline)
         nodes_total += nodes
         if first is not None:
             size = len(first)
@@ -509,8 +445,7 @@ def cover_number(
         h._decided[upper_hint] = CoverResult(tau, wit_vids, None, 0)
     if not enumerate_all:
         return CoverResult(tau, wit_vids, None, nodes_total)
-    with worker_pool(jobs) as pool:
-        first, sols, nodes = _attempt(inst, tau, True, deadline, pool)
+    first, sols, nodes = _budget_search(inst, tau, True, deadline)
     all_covers = tuple(sorted(
         tuple(h.vid(g) for g in sorted(sol)) for sol in sols
     ))
@@ -518,7 +453,7 @@ def cover_number(
                        nodes_total + nodes)
 
 
-def cover_without_edge(inst, alive, edge, budget, timeout, pool):
+def cover_without_edge(inst, alive, edge, budget, timeout):
     """One decide run at `budget` for a cover of the `alive` edges (a
     mask) other than `edge` that avoids the vertices of `edge` and the
     dominated ones.  Returns (the cover's global ids or None, nodes
@@ -535,7 +470,7 @@ def cover_without_edge(inst, alive, edge, budget, timeout, pool):
     for g in inst.gid_lists[edge]:
         excluded |= 1 << g
     node = ((), alive & ~(1 << edge), excluded)
-    first, _, nodes = _attempt(inst, budget, False, _Deadline(timeout), pool, node)
+    first, _, nodes = _budget_search(inst, budget, False, _Deadline(timeout), node)
     return first, nodes
 
 

@@ -293,8 +293,8 @@ def test_criterion_12_determinism_and_round_trip(corpus, tmp_path, truncations):
         multi = cover_number(reduced, enumerate_all=True, jobs=2)
         assert (single.tau, single.witness, single.all_min_covers) == \
             (multi.tau, multi.witness, multi.all_min_covers)
-        # decide runs in a pool: minimize's trials, one read of the file each
+        # minimize's trials, one read of the file each
         u5 = d / "ext_q4_default_uniform.rhg"
-        a = minimize(read_rhg(u5), jobs=1)
-        b = minimize(read_rhg(u5), jobs=2)
+        a = minimize(read_rhg(u5))
+        b = minimize(read_rhg(u5))
         assert (a.initial, a.final, a.deleted, a.kept) == (b.initial, b.final, b.deleted, b.kept)

@@ -1,14 +1,13 @@
 """Minimization traces, fingerprints, isomorphism, extension classes."""
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ryser import analysis, solver
+from ryser import analysis
 from ryser.analysis import (
     ExtensionClassification,
     classify_extensions,
@@ -185,21 +184,9 @@ def test_minimize_matches_restart_loop_on_random_extensions(u):
         final, deleted = restart_minimize(u, order)
         assert trace.final == final
         assert [d.original_index for d in trace.deleted] == [i for i, _ in deleted]
-
-    opened = []
-
-    def counting_pool(**kwargs):
-        opened.append(kwargs)
-        return ProcessPoolExecutor(**kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "ProcessPoolExecutor", counting_pool)
-        # an equal copy: u keeps its cover-number answer, and a repeat
-        # call reports it with 0 nodes
-        pooled = minimize(PartiteHypergraph(u.sides, u.edges, u.edge_labels, name=u.name), jobs=2)
-    assert opened == [{"max_workers": 2}]
-    # the same trace, kept witnesses and node counts included
-    assert pooled == traces["asc"]
+    # an equal copy gives the same trace, kept witnesses and node counts included
+    copy = PartiteHypergraph(u.sides, u.edges, u.edge_labels, name=u.name)
+    assert minimize(copy) == traces["asc"]
 
 
 def test_minimize_rejects_non_extremal():

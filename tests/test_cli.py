@@ -1,6 +1,9 @@
 """End-to-end CLI runs: exit codes, reports, schema validity, rechecking."""
 
 import json
+import os
+import subprocess
+import sys
 
 import jsonschema
 import pytest
@@ -245,6 +248,48 @@ def test_recheck_replays_minimization(t4_file, tmp_path):
     assert any("no input hypergraph" in p for p in recheck_report(rep, base_dir="."))
 
 
+def _set_first_kept(field, value):
+    def change(cert):
+        cert["kept"][0][field] = value
+    return change
+
+
+@pytest.mark.parametrize("kind, change, expect", [
+    ("cover", lambda c: c["witness"].__setitem__(0, "0.x"), "names no vertex set"),
+    ("cover", lambda c: c["witness"].__setitem__(0, "9.0"), "names no vertex set"),
+    ("cover", lambda c: c["witness"].__setitem__(0, "-1.0"), "names no vertex set"),
+    ("cover", lambda c: c["all_min_covers"][0].__setitem__(0, "0.01"), "names no vertex set"),
+    ("matching", lambda c: c.__setitem__("witness_edges", [99]), "not edge indices"),
+    ("matching", lambda c: c.__setitem__("witness_edges", [-1]), "not edge indices"),
+    ("intersecting", lambda c: c.__setitem__("disjoint_pair", [0, 99]), "not two edge indices"),
+    ("intersecting", lambda c: c.__setitem__("disjoint_pair", [-1, 0]), "not two edge indices"),
+    ("minimization", _set_first_kept("original_index", 99), "do not partition"),
+    ("minimization", _set_first_kept("original_index", -1), "do not partition"),
+    ("minimization", _set_first_kept("original_index", True), "do not partition"),
+    ("minimization", _set_first_kept("witness_without", ["0.x"]), "names no vertex set"),
+], ids=["cover-unparsed", "cover-no-side", "cover-negative", "cover-noncanonical",
+        "matching-past-end", "matching-negative", "intersecting-past-end",
+        "intersecting-negative", "minimization-past-end", "minimization-negative",
+        "minimization-bool", "minimization-unparsed"])
+def test_recheck_reports_malformed_certificates(t4_file, tmp_path, kind, change, expect):
+    # a bad index or vertex name is a problem, not an exception
+    rep_path = tmp_path / "rep.json"
+    if kind == "minimization":
+        assert run("minimize", t4_file, "--report", rep_path) == 0
+    else:
+        assert run("verify", t4_file, "--tau", "--nu", "--enumerate-min-covers",
+                   "--json", rep_path) == 0
+    rep = load(rep_path)
+    rep["checks"].append({"name": "made-up", "status": "pass", "certificate": {
+        "kind": "intersecting", "intersecting": False, "disjoint_pair": [0, 1]}})
+    # the made-up pair intersects, which is reported as such
+    assert recheck_report(rep, base_dir=".") == ["made-up: claimed disjoint pair intersects"]
+    check = next(c for c in rep["checks"] if c["certificate"]["kind"] == kind)
+    change(check["certificate"])
+    problems = recheck_report(rep, base_dir=".")
+    assert any(p.startswith(check["name"] + ":") and expect in p for p in problems), problems
+
+
 def test_construct_explicit_and_profile(t4_file, tmp_path):
     rep = tmp_path / "r.json"
     out = tmp_path / "x.rhg"
@@ -318,28 +363,14 @@ def test_pipeline_f_default_flag_overrides_config(tmp_path):
     assert load(rep)["parameters"]["f_mode"] == "default"
 
 
-@pytest.mark.filterwarnings("ignore:uniformity r=4")
-def test_pipeline_jobs_flag_overrides_config(tmp_path, monkeypatch):
-    jobs_seen = []
-    for name in ("validate_spec", "minimize", "classify_extensions"):
-        real = getattr(cli, name)
-
-        def spy(*args, real=real, **kwargs):
-            jobs_seen.append(kwargs["jobs"])
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(cli, name, spy)
+def test_pipeline_jobs_flag_overrides_config(tmp_path):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"q": 3, "f": "default", "jobs": 2}))
-    assert run("pipeline", "--config", cfg, "--jobs", 1, "--all-checks") == 0
-    assert jobs_seen == [1, 1, 1]
+    cfg.write_text(json.dumps({"q": 3, "f": "default", "jobs": 0}))
+    assert run("pipeline", "--config", cfg) == 2
+    assert run("pipeline", "--config", cfg, "--jobs", 1) == 0
 
 
-def test_jobs_below_one_rejected(t4_file, tmp_path, monkeypatch):
-    from ryser import solver
-
-    pools = []
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", lambda **k: pools.append(k))
+def test_jobs_below_one_rejected(t4_file, tmp_path):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"base": str(t4_file), "s_edge": 0, "f_edges": [1, 2, 3, 4]}))
     commands = (
@@ -357,16 +388,43 @@ def test_jobs_below_one_rejected(t4_file, tmp_path, monkeypatch):
             assert e.value.code == 2, argv
         cfg.write_text(json.dumps({"q": 3, "jobs": jobs}))
         assert run("pipeline", "--config", cfg) == 2
-    assert pools == []
     assert not (tmp_path / "x.rhg").exists()
 
 
-@pytest.mark.filterwarnings("ignore:uniformity r=4")
-def test_pipeline_opens_a_pool_only_for_minimize_and_classification(pools_opened):
-    # the base and extension cover checks search in-process, and the
-    # ratio's is a kept answer
-    assert run("pipeline", "--q", 4, "--f-default", "--all-checks", "--jobs", 2) == 0
-    assert pools_opened == [{"max_workers": 2}] * 2
+def without_wall_times(report):
+    for check in report["checks"]:
+        del check["wall_time_s"]
+    return report
+
+
+def test_pipeline_searches_in_process_whatever_jobs(tmp_path, monkeypatch):
+    # Every search runs in the calling process, so a run with --jobs 2
+    # imports no process-pool module and writes what --jobs 1 writes.
+    argv = ["pipeline", "--q", "4", "--f-default", "--all-checks",
+            "--out-dir", "out", "--json", "rep.json"]
+    one, two = tmp_path / "one", tmp_path / "two"
+    one.mkdir()
+    two.mkdir()
+    script = (
+        "import sys\n"
+        "import ryser.cli\n"
+        f"code = ryser.cli.main({argv + ['--jobs', '2']!r})\n"
+        "pools = [m for m in sys.modules\n"
+        "         if m.startswith(('multiprocessing', 'concurrent.futures'))]\n"
+        "print(code, pools)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], cwd=two, env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines()[-1] == "0 []"
+    monkeypatch.chdir(one)
+    assert main(argv + ["--jobs", "1"]) == 0
+    names = sorted(p.name for p in (one / "out").iterdir())
+    assert names == sorted(p.name for p in (two / "out").iterdir())
+    for name in names:
+        assert (one / "out" / name).read_bytes() == (two / "out" / name).read_bytes()
+    assert without_wall_times(load(one / "rep.json")) == without_wall_times(load(two / "rep.json"))
 
 
 def test_jobs_is_offered_by_the_searching_commands_only(tmp_path):
@@ -553,6 +611,12 @@ def test_artifact_digests_match_the_files(t4_file, tmp_path):
     {"q": 3, "timeout": "soon"},
     {"q": 3, "vertex": "1"},
     {"q": 3, "s_edge": 99},
+    # list entries must be JSON integers, not truncated to one
+    {"q": 3, "f": "edges", "f_edges": [1.5, 2, 3, 4]},
+    {"q": 3, "f": "edges", "f_edges": [True, 2, 3, 4]},
+    {"q": 3, "f": "edges", "f_edges": ["1", 2, 3, 4]},
+    {"q": 3, "f": "profile", "profile": [1.0]},
+    {"q": 3, "f": "profile", "profile": "1.5"},
 ])
 def test_malformed_pipeline_config_is_a_config_error(tmp_path, capsys, config):
     cfg = tmp_path / "cfg.json"
@@ -580,6 +644,12 @@ def test_construct_anchor_outside_the_edges_is_a_config_error(t4_file, tmp_path,
     {"f_edges": [1, 2, 3]},
     {"f_edges": ["a", 2, 3, 4]},
     {"f_edges": "1,2,3,4"},
+    # numbers must be JSON integers, not truncated to one
+    {"s_edge": 0.9},
+    {"s_edge": True},
+    {"s_edge": "0"},
+    {"f_edges": [1.5, 2, 3, 4]},
+    {"f_edges": [True, 2, 3, 4]},
 ])
 def test_malformed_maximal_check_spec_is_a_config_error(t4_file, t4_extension, tmp_path,
                                                         capsys, fields):
@@ -593,11 +663,19 @@ def test_malformed_maximal_check_spec_is_a_config_error(t4_file, t4_extension, t
     assert not report.exists()
 
 
-def test_python_dash_m_runs_the_command_line():
-    import os
-    import subprocess
-    import sys
+@pytest.mark.parametrize("selection", [
+    ("--f-edges", "1:1_0,2:2,3:3,4:4"),
+    ("--f-edges", "1:1.0,2:2,3:3,4:4"),
+    ("--profile", "1_0"),
+])
+def test_flag_integers_are_decimal(t4_file, tmp_path, capsys, selection):
+    out = tmp_path / "x.rhg"
+    assert run("construct", "--base", t4_file, "--s-edge", 0, *selection, "--out", out) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
+
+def test_python_dash_m_runs_the_command_line():
     import ryser
 
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(ryser.__file__))}
@@ -654,3 +732,28 @@ def test_pipeline_paper_scale_q49_ratio_is_answered(tmp_path, monkeypatch):
     assert all(c["status"] == "pass" for c in checks.values())
     assert checks["ryser-ratio"]["certificate"]["tau"] == 50
     assert ratio_searches == [0] and searches
+
+
+def readme_command_lines():
+    """Each `ryser ...` line of README's "Command line" block, with its
+    backslash continuations joined."""
+    readme = os.path.join(os.path.dirname(os.path.dirname(__file__)), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [line for line in lines if line.startswith("ryser ")]
+
+
+def test_readme_command_lines_parse():
+    import shlex
+
+    lines = readme_command_lines()
+    assert len(lines) >= 10
+    parser = cli.build_parser()
+    for line in lines:
+        try:
+            args = parser.parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README line does not parse: {line}")
+        assert args.func.__name__.startswith("cmd_"), line

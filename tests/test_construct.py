@@ -325,7 +325,7 @@ def structural_violations(spec):
 def search_violations(spec):
     """The violations of the exhaustive route: the structural checks,
     then the minimum-cover enumeration itself."""
-    return structural_violations(spec) or construct._reduced_cover_violations(spec, None, 1)
+    return structural_violations(spec) or construct._reduced_cover_violations(spec, None)
 
 
 def f_mode_spec(base, s_edge, mode):

@@ -1,15 +1,13 @@
 """Exact solver: certificates, enumeration completeness, oracle agreement."""
 
 import random
-from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import contextmanager
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ryser import analysis, solver
+from ryser import solver
 from ryser.analysis import classify_extensions, enumerate_candidates_brute, minimize
 from ryser import hypergraph
 from ryser.construct import (
@@ -35,7 +33,6 @@ from ryser.plane import build_plane, truncate
 from ryser.solver import (
     MatchingResult,
     RatioReport,
-    _attempt,
     _budget_search,
     _Deadline,
     _degree_sum_fits,
@@ -188,28 +185,25 @@ def test_upper_hint_paths(t4):
     assert cover_number(t4, upper_hint=3).witness == plain.witness
 
 
-def test_determinism_and_jobs(t4, two_workers):
+def test_determinism_and_jobs(t4):
     h = t4.without_edge(0)
     a = cover_number(h, enumerate_all=True)
     b = cover_number(h, enumerate_all=True)
     assert (a.tau, a.witness, a.all_min_covers) == (b.tau, b.witness, b.all_min_covers)
+    # jobs is accepted and selects nothing
     c = cover_number(h, enumerate_all=True, jobs=2)
     assert (a.tau, a.witness, a.all_min_covers) == (c.tau, c.witness, c.all_min_covers)
     assert c.nodes_explored == a.nodes_explored
-    # Decide runs go to a pool only as minimize's trials.  A pooled
-    # decide run reads root branches in order and stops at the first
-    # cover, so it searches exactly what the serial run searches: here
     # the two budget runs of a call with hint tau, on the q=3 and q=5
-    # truncations and a q=5 extension.
+    # truncations and a q=5 extension: budget tau finds a cover, tau-1
+    # refutes
     t6 = truncate(build_plane(FiniteField(5)))
     ext = build_extension(select_f_default(t6, 0), check=False)
     for h, tau in ((t4, 3), (t6, 5), (ext, 6)):
         inst = _instance(h)
         for budget in (tau, tau - 1):
-            serial = _attempt(inst, budget, False, _Deadline(None), None)
-            pooled = _attempt(inst, budget, False, _Deadline(None), two_workers)
-            assert pooled == serial, (h.name, budget)
-            assert (serial[0] is not None) == (budget == tau)
+            first, _, _ = _budget_search(inst, budget, False, _Deadline(None))
+            assert (first is not None) == (budget == tau), (h.name, budget)
 
 
 def test_timeout_raises():
@@ -312,9 +306,13 @@ def test_uniformized_node_ceilings():
         t = truncate(build_plane(FiniteField(q)))
         u = uniformize(build_extension(select_f_default(t, 0), check=False))
         # u is answered by a search of its source; an unlinked copy
-        # searches its own instance, tails included
+        # searches its own instance, tails included, and picks no tail
+        tails = dominated_vertices(u)
+        assert tails
         for v in (u, unlinked(u)):
-            assert cover_number(v, upper_hint=q + 1).nodes_explored <= ceiling
+            res = cover_number(v, upper_hint=q + 1)
+            assert res.nodes_explored <= ceiling
+            assert len(res.witness) == q + 1 and not set(res.witness) & tails
 
 
 def dominated_vertices(h):
@@ -375,47 +373,6 @@ def test_dominated_tails_match_oracle(h):
     assert not set(decide.witness) & dominated_vertices(h)
 
 
-def test_pools_open_for_enumerations_minimize_and_classification_only(pools_opened):
-    def inputs():
-        spec = select_f_default(truncate(build_plane(FiniteField(5))), 0)
-        ext = build_extension(spec, check=False)
-        return spec, ext, uniformize(ext)
-
-    spec, ext, u = inputs()
-    twin_spec, twin_ext, _ = inputs()
-    # a decide call searches in-process
-    decide = cover_number(unlinked(ext), jobs=2)
-    assert decide.nodes_explored > 0
-    assert verify_ryser_ratio(unlinked(u)).is_ryser_extremal
-    assert pools_opened == []
-    # each of these opens one pool, and answers as one worker does
-    calls = (
-        lambda h, spec, jobs: cover_number(h.without_edge(0), enumerate_all=True, jobs=jobs),
-        lambda h, spec, jobs: minimize(uniformize(h), jobs=jobs),
-        lambda h, spec, jobs: classify_extensions(h, spec, jobs=jobs),
-    )
-    for n, call in enumerate(calls, 1):
-        pooled = call(ext, spec, 2)
-        assert len(pools_opened) == n
-        assert pooled == call(twin_ext, twin_spec, 1)
-    assert pools_opened == [{"max_workers": 2}] * 3
-
-
-def test_dominated_tails_pool_matches_serial(two_workers):
-    t6 = truncate(build_plane(FiniteField(5)))
-    u = uniformize(build_extension(select_f_default(t6, 3), check=False))
-    tails = dominated_vertices(u)
-    assert tails
-    # u's own instance, as minimize's trials search it: the tails are in it
-    inst = _instance(u)
-    for budget in (6, 5):
-        serial = _attempt(inst, budget, False, _Deadline(None), None)
-        pooled = _attempt(inst, budget, False, _Deadline(None), two_workers)
-        assert pooled == serial, budget
-    witness = cover_number(unlinked(u)).witness
-    assert len(witness) == 6 and not set(witness) & tails
-
-
 def reference_matching_number(h, timeout=None):
     """matching_number as it was before its bound was read from a carried
     edge mask: every node recounts the compatible later edges."""
@@ -472,18 +429,13 @@ def test_matching_number_recursion_is_nu_deep():
     assert matching_number(star) == MatchingResult(1, (0,), 1500)
 
 
-@pytest.mark.filterwarnings("ignore:uniformity r=4")
-def test_jobs_below_one_rejected_before_any_pool(t4, monkeypatch):
-    pools = []
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", lambda **k: pools.append(k))
+def test_jobs_below_one_rejected_before_any_pool(t4):
     spec = select_f_default(t4, 0)
     ext = build_extension(spec, check=False)
     uni = uniformize(ext)
     calls = (
         lambda jobs: cover_number(t4, jobs=jobs),
         lambda jobs: validate_spec(spec, jobs=jobs),
-        lambda jobs: minimize(uni, jobs=jobs),
-        lambda jobs: classify_extensions(ext, spec, jobs=jobs),
     )
     for jobs in (0, -3):
         for call in calls:
@@ -494,7 +446,6 @@ def test_jobs_below_one_rejected_before_any_pool(t4, monkeypatch):
     for jobs in (0, -3):
         with pytest.raises(ValueError, match="jobs must be at least 1"):
             cover_number(uni, jobs=jobs)
-    assert pools == []
 
 
 def reference_degree_bound(incidence, uncovered, excluded):
@@ -588,34 +539,13 @@ def test_budget_search_matches_reference(h):
             assert got == want, (budget, collect)
 
 
-class InlineExecutor:
-    """A pool that runs each task when it is submitted."""
-
-    def submit(self, fn, *args):
-        fut = Future()
-        fut.set_result(fn(*args))
-        return fut
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(any_hypergraph())
-def test_pool_path_matches_serial(h):
-    inst = _instance(h)
-    tau = brute_force_cover_oracle(h)
-    for budget in range(min(tau + 1, h.num_vertices) + 1):
-        for collect in (False, True):
-            serial = _attempt(inst, budget, collect, _Deadline(None), None)
-            pooled = _attempt(inst, budget, collect, _Deadline(None), InlineExecutor())
-            assert pooled == serial, (budget, collect)
-
-
-def transversal_enumerations(h, pool=None):
-    """Per fresh side (None first), the `_attempt` result of its
+def transversal_enumerations(h):
+    """Per fresh side (None first), the `_budget_search` result of its
     transversal enumeration."""
     out = []
     for fresh in [None, *range(h.num_sides)]:
         inst, k = _transversal_instance(h, fresh)
-        out.append((fresh, _attempt(inst, k, True, _Deadline(None), pool)))
+        out.append((fresh, _budget_search(inst, k, True, _Deadline(None))))
     return out
 
 
@@ -636,7 +566,7 @@ def test_transversal_node_ceiling():
     assert sum(nodes for _, (_, _, nodes) in transversal_enumerations(ext)) <= 6000
 
 
-def test_classification_counts_its_search_nodes(monkeypatch):
+def test_classification_counts_its_search_nodes():
     spec = select_f_default(truncate(build_plane(FiniteField(7))), 0)
     ext = build_extension(spec, check=False)
     precondition = cover_number(build_extension(spec, check=False), upper_hint=8).nodes_explored
@@ -644,13 +574,6 @@ def test_classification_counts_its_search_nodes(monkeypatch):
     assert serial.nodes - precondition == 4519  # the r+2 enumerations
     # a repeat call finds the cover-number check answered
     assert classify_extensions(ext, spec).nodes == 4519
-
-    @contextmanager
-    def inline_pool(jobs):
-        yield InlineExecutor()
-
-    monkeypatch.setattr(analysis, "worker_pool", inline_pool)
-    assert classify_extensions(build_extension(spec, check=False), spec).nodes == serial.nodes
 
 
 def test_search_instance_built_once_per_hypergraph(monkeypatch):
@@ -663,35 +586,6 @@ def test_search_instance_built_once_per_hypergraph(monkeypatch):
     minimize(u)            # its trials search u
     cover_number(u, enumerate_all=True)
     assert built == [ext, u]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(any_hypergraph())
-def test_transversal_pool_path_matches_serial(h):
-    # Node counts included: a queued root child that kept its side open
-    # would find the same transversals in a larger tree.
-    assert transversal_enumerations(h, InlineExecutor()) == transversal_enumerations(h)
-
-
-@pytest.fixture(scope="module")
-def two_workers():
-    with ProcessPoolExecutor(max_workers=2) as pool:
-        yield pool
-
-
-@settings(max_examples=40, deadline=None, derandomize=True)
-@given(h=any_hypergraph())
-def test_two_workers_match_one(h, two_workers):
-    inst = _instance(h)
-    tau = brute_force_cover_oracle(h)
-    for collect in (False, True):
-        for budget in (tau - 1, tau):
-            serial = _attempt(inst, budget, collect, _Deadline(None), None)
-            pooled = _attempt(inst, budget, collect, _Deadline(None), two_workers)
-            assert pooled == serial, (budget, collect)
-    a = cover_number(h, enumerate_all=True)
-    b = cover_number(h, enumerate_all=True, jobs=2)
-    assert a == b
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -853,13 +747,11 @@ def test_repeat_call_searches_nothing(t4, monkeypatch):
     budget_search = solver._budget_search
     monkeypatch.setattr(solver, "_budget_search",
                         lambda *a, **k: searches.append(a) or budget_search(*a, **k))
-    pools = []
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", lambda **k: pools.append(k))
-    # a kept answer is returned whatever the timeout, and opens no pool
+    # a kept answer is returned whatever the timeout or jobs
     for kwargs in ({}, {"timeout": 0.0}, {"jobs": 2}):
         again = cover_number(h, upper_hint=3, **kwargs)
         assert (again.tau, again.witness, again.nodes_explored) == (first.tau, first.witness, 0)
-    assert searches == [] and pools == []
+    assert searches == []
     # another hint is another question, and enumerations are never kept
     cover_number(h)
     assert len(searches) > 0
