@@ -5,9 +5,15 @@ config error, 3 a search timed out (result incomplete).  Every
 subcommand accepts --json PATH; reports embed certificates and input
 digests (see report.py).  RYSER_TIMEOUT_SECS overrides the default
 solver budget.
+
+`main` builds its argument parser on the first call and reuses it, so
+an in-process caller making many calls pays for argparse once; no
+parser default depends on the environment.  `build_parser()` returns a
+fresh parser.
 """
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -201,13 +207,13 @@ def cmd_truncate(args):
 # --- construct ---
 
 
-_DECIMAL = re.compile(r"\s*-?[0-9]+\s*")  # int() would take "1_0" too
+_DECIMAL = re.compile(r"-?[0-9]+")  # int() would also take "1_0" and " 10 "
 
 
 def parse_f_edges(text, r):
     out = [None] * r
     for part in text.split(","):
-        i, _, e = part.partition(":")
+        i, _, e = (v.strip() for v in part.partition(":"))
         if not (_DECIMAL.fullmatch(i) and _DECIMAL.fullmatch(e)):
             raise ConfigError(f"bad --f-edges entry {part!r}, expected i:edge")
         i, e = int(i), int(e)
@@ -224,7 +230,7 @@ def _ints(value, what):
     """The integers of a comma-separated flag value, or of a config list
     of JSON integers (a float or a bool is none)."""
     if isinstance(value, str):
-        parts = value.split(",")
+        parts = [v.strip() for v in value.split(",")]
         if all(_DECIMAL.fullmatch(v) for v in parts):
             return tuple(map(int, parts))
     elif isinstance(value, list) and all(type(v) is int for v in value):
@@ -688,8 +694,16 @@ def cmd_corpus(args):
 # --- parser ---
 
 
+def _decimal_int(text):
+    """The argparse type of every integer flag: decimal digits with an
+    optional minus sign, nothing around them."""
+    if not _DECIMAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected a decimal integer, got {text!r}")
+    return int(text)
+
+
 def positive_int(text):
-    jobs = int(text)
+    jobs = _decimal_int(text)
     if jobs < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
     return jobs
@@ -714,29 +728,29 @@ def build_parser():
     sub = ap.add_subparsers(dest="command")
 
     p = sub.add_parser("field", help="build GF(p^k) and optionally dump its tables")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--p", type=_decimal_int, required=True)
+    p.add_argument("--k", type=_decimal_int, default=1)
     p.add_argument("--dump", action="store_true")
     _add_common(p, search=False)
     p.set_defaults(func=cmd_field)
 
     p = sub.add_parser("plane", help="build PG(2,q)")
-    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--q", type=_decimal_int, required=True)
     p.add_argument("--dump", metavar="FILE", help="write one line per plane line, "
                                                   "listing normalized point triples")
     _add_common(p, search=False)
     p.set_defaults(func=cmd_plane)
 
     p = sub.add_parser("truncate", help="truncate PG(2,q) to an .rhg hypergraph")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--vertex", type=int, default=None)
+    p.add_argument("--q", type=_decimal_int, required=True)
+    p.add_argument("--vertex", type=_decimal_int, default=None)
     p.add_argument("--out", required=True)
     _add_common(p, search=False)
     p.set_defaults(func=cmd_truncate)
 
     p = sub.add_parser("construct", help="build the anchored extension hypergraph")
     p.add_argument("--base", required=True)
-    p.add_argument("--s-edge", type=int, required=True)
+    p.add_argument("--s-edge", type=_decimal_int, required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--f-default", action="store_true",
                    help="F_i = least-indexed edge other than the anchor through s_i")
@@ -792,19 +806,19 @@ def build_parser():
     p.set_defaults(func=cmd_iso)
 
     p = sub.add_parser("profiles", help="count valid degree profiles")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_decimal_int, required=True)
     g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--delta", type=float)
-    g.add_argument("--t", type=int)
+    g.add_argument("--t", type=_decimal_int)
     _add_common(p, search=False)
     p.set_defaults(func=cmd_profiles)
 
     p = sub.add_parser("pipeline", help="plane -> truncate -> construct -> verify")
     p.add_argument("--config", help="JSON config file (flags override it)")
     # every pipeline flag defaults to None, meaning "not given"
-    p.add_argument("--q", type=int)
-    p.add_argument("--vertex", type=int)
-    p.add_argument("--s-edge", type=int)
+    p.add_argument("--q", type=_decimal_int)
+    p.add_argument("--vertex", type=_decimal_int)
+    p.add_argument("--s-edge", type=_decimal_int)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--f-default", dest="f", action="store_const", const="default")
     g.add_argument("--f-edges", metavar="i:e,...")
@@ -823,8 +837,13 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_help()

@@ -16,6 +16,7 @@ through `_from_canonical`, which re-checks only the edge-size profile:
 import os
 import re
 import tempfile
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -145,10 +146,10 @@ class PartiteHypergraph:
 
     def vid(self, gid: int) -> Vid:
         off = self.offsets
-        for s in range(self.num_sides):
-            if gid < off[s + 1]:
-                return (s, gid - off[s])
-        raise ValueError(f"gid {gid} out of range")
+        if not 0 <= gid < off[-1]:
+            raise ValueError(f"gid {gid} out of range 0..{off[-1] - 1}")
+        s = bisect_right(off, gid) - 1  # empty sides share their offset with the next
+        return (s, gid - off[s])
 
     def vertices(self):
         for s, side in enumerate(self.sides):

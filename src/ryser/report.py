@@ -216,6 +216,43 @@ def classification_certificate(cls):
 # --- offline re-validation ---
 
 
+# The fields recheck reads from each certificate kind, with their JSON
+# types (an int field takes no bool).  A certificate lacking one, or
+# holding a value of another type, is a problem and is not replayed.
+_CERT_FIELDS = {
+    "cover": {"tau": int, "witness": list},
+    "matching": {"nu": int, "witness_edges": list},
+    "ratio": {"r": int, "tau": int, "nu": int, "is_ryser_extremal": bool},
+    "intersecting": {"intersecting": bool},
+    "plane-counting": {"q": int, "edges": int, "s_edge": int},
+    "minimization": {"target_tau": int, "deleted": list, "kept": list},
+}
+_ENTRY_FIELDS = {
+    "deleted": ("original_index", "label", "tau_after"),
+    "kept": ("original_index", "label", "tau_without", "witness_without"),
+}
+
+
+def _malformed(cert, kind):
+    """What makes a `kind` certificate unreadable: a missing field, a
+    field of the wrong type, or a minimization entry that is no object
+    with its fields; None when recheck can read it."""
+    for key, typ in _CERT_FIELDS[kind].items():
+        if key not in cert:
+            return f"{kind} certificate lacks field {key!r}"
+        if type(cert[key]) is not typ:
+            return f"{kind} certificate field {key!r} is {cert[key]!r}, not of type {typ.__name__}"
+    if kind == "cover" and not isinstance(cert.get("all_min_covers", []), list):
+        return (f"cover certificate field 'all_min_covers' is {cert['all_min_covers']!r}, "
+                "not of type list")
+    if kind == "minimization":
+        for part, keys in _ENTRY_FIELDS.items():
+            for entry in cert[part]:
+                if not (isinstance(entry, dict) and all(k in entry for k in keys)):
+                    return f"minimization certificate {part} entry {entry!r} lacks fields of {keys}"
+    return None
+
+
 def _is_edge_index(i, h):
     return type(i) is int and 0 <= i < h.num_edges
 
@@ -341,7 +378,9 @@ def recheck_report(report, base_dir="."):
     replayed by testing the input base again.  A passing cover,
     matching, intersecting, plane-counting or per-edge minimization
     certificate with no input hypergraph to check it against is a
-    problem.  Returns a list of problems (empty = consistent)."""
+    problem, and so is a certificate lacking a field that recheck reads
+    or holding one of another type.  Returns a list of problems (empty =
+    consistent)."""
     problems = []
     hypergraphs = {}
     for entry in report.get("inputs", []):
@@ -364,10 +403,13 @@ def recheck_report(report, base_dir="."):
             continue
         where = chk["name"]
         kind = cert.get("kind")
-        if kind == "minimization" and not isinstance(cert.get("deleted"), list):
+        if kind == "minimization" and type(cert.get("deleted")) is int:
             continue  # the pipeline's summary holds counts only
-        if kind in ("cover", "matching", "intersecting", "minimization",
-                    "plane-counting") and h is None:
+        malformed = _malformed(cert, kind) if kind in _CERT_FIELDS else None
+        if malformed:
+            problems.append(f"{where}: {malformed}")
+        elif kind in ("cover", "matching", "intersecting", "minimization",
+                      "plane-counting") and h is None:
             problems.append(f"{where}: no input hypergraph to check the {kind} certificate against")
         elif kind == "cover":
             _check_cover_cert(cert, h, problems, where)
@@ -383,7 +425,7 @@ def recheck_report(report, base_dir="."):
                 problems.append(f"{where}: extremality flag inconsistent")
         elif kind == "intersecting":
             if cert["intersecting"] is False:
-                pair = cert["disjoint_pair"]
+                pair = cert.get("disjoint_pair")
                 if not (isinstance(pair, list) and len(pair) == 2
                         and all(_is_edge_index(i, h) for i in pair)):
                     problems.append(f"{where}: disjoint pair {pair!r} is not two edge indices")

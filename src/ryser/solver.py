@@ -15,17 +15,21 @@ per-vertex masks of incident edges.  On intersecting inputs, where no
 two edges are disjoint, this is the bound that prunes; a disjoint-edge
 count never exceeds 1 there.
 
-A node that passes ranks its free vertices by degree, walking only the
-vertices its parent ranked, and tests each branch child's bound before
-entering it.  The parent's degrees bound the child's from above, so the
-child test walks the ranking, recounts each vertex's degree on the
-child's uncovered edges, and stops once its k-1 largest are at least
-the next parent degree.  With one pick left the test is whether a free
-vertex of one uncovered edge (the branch edge) meets every uncovered
-edge, which is O(r).  A child that fails is counted as one node and not
-entered; a child that passes runs the full test, dead-edge check
-included.  So every prune, witness, enumeration and node count is that
-of a search that enters every child.
+A node with k >= 2 picks left ranks its free vertices by degree,
+walking only the vertices its parent ranked.  The ranking holds the
+node's exact degrees, largest first, with its excluded vertices
+dropped, so the node's own test reads it: the first k degrees must sum
+to the number of uncovered edges, and a dead edge leaves no ranking.
+The node then tests each branch child's bound before entering it.  The
+parent's degrees bound the child's from above, so the child test walks
+the ranking, recounts each vertex's degree on the child's uncovered
+edges, and stops once its k-1 largest are at least the next parent
+degree.  With one pick left the test is whether a free vertex of one
+uncovered edge (the branch edge) meets every uncovered edge, which is
+O(r).  A child that fails is counted as one node and not entered; a
+child that passes runs the full test, dead-edge check included.  So
+every prune, witness, enumeration and node count is that of a search
+that enters every child.
 
 A degree-1 vertex is dominated by any other vertex of its edge: swapping
 it for that vertex leaves a cover of no greater size.  Decide runs
@@ -67,7 +71,9 @@ disjoint side edge once, so a pick closes its whole side.
 
 The matching search carries the mask of the later edges disjoint from
 every edge taken so far and takes each in turn, lowest index first, so
-it recurses nu + 1 deep; its bound is the popcount of that mask.
+it recurses nu + 1 deep; its bound is the popcount of that mask.  Like
+the cover search, it tests each child's bound in the parent and counts
+a child that fails as one node without entering it.
 
 `cover_without_edge` decides whether deleting one edge lowers the
 cover number with one decide run on the whole hypergraph's instance,
@@ -314,13 +320,16 @@ def _budget_search(inst, budget, collect, deadline, node=None):
         picks = budget - len(chosen)
         if picks <= 0:
             return False
-        ranked = None  # with one pick left the children are leaves
-        if picks > 1:
-            ranked = _ranked_degrees(candidates, uncovered, excluded)
-            if ranked is None:
+        if picks == 1:
+            ranked = None  # the children are leaves
+            if not fits(uncovered, excluded, 1, None):
                 return False
-        if not fits(uncovered, excluded, picks, ranked):
-            return False
+        else:
+            # The ranking holds this node's exact degrees, largest first,
+            # so its own bound is the sum of the first `picks`.
+            ranked = _ranked_degrees(candidates, uncovered, excluded)
+            if ranked is None or sum([d for d, _, _ in ranked[:picks]]) < uncovered.bit_count():
+                return False
         acc = excluded
         for g in gid_lists[branch_edge(uncovered)]:
             _, bit, inc = incidence[g]
@@ -481,7 +490,10 @@ def matching_number(
     """Exact maximum matching size via branch-and-bound.  A node carries
     the mask of the later edges disjoint from every edge it has taken,
     and takes each of them in turn, lowest index first; it stops once
-    its matching plus that mask cannot beat the best matching found."""
+    its matching plus that mask cannot beat the best matching found.
+    A child that could not beat it either is counted as one node and
+    not entered, so nu, the witness and the node count are those of a
+    search that enters every child."""
     m = h.num_edges
     off = h.offsets
     inc = h.incidence_masks
@@ -506,8 +518,12 @@ def matching_number(
             low = avail & -avail
             avail ^= low
             i = low.bit_length() - 1
+            rest = avail & apart[i]
+            if len(cur) + 1 + rest.bit_count() <= len(best):
+                nodes += 1  # the child, refuted without being entered
+                continue
             cur.append(i)
-            rec(avail & apart[i], cur)
+            rec(rest, cur)
             cur.pop()
 
     rec(full, [])

@@ -267,10 +267,19 @@ def _set_first_kept(field, value):
     ("minimization", _set_first_kept("original_index", -1), "do not partition"),
     ("minimization", _set_first_kept("original_index", True), "do not partition"),
     ("minimization", _set_first_kept("witness_without", ["0.x"]), "names no vertex set"),
+    ("cover", lambda c: c.pop("tau"), "cover certificate lacks field 'tau'"),
+    ("cover", lambda c: c.__setitem__("all_min_covers", None), "'all_min_covers' is None"),
+    ("matching", lambda c: c.__setitem__("witness_edges", 5), "'witness_edges' is 5, not of type list"),
+    ("matching", lambda c: c.__setitem__("witness_edges", None), "'witness_edges' is None"),
+    ("matching", lambda c: c.__setitem__("nu", "1"), "'nu' is '1', not of type int"),
+    ("minimization", lambda c: c.__setitem__("target_tau", None), "'target_tau' is None"),
+    ("minimization", lambda c: c["kept"][0].pop("label"), "kept entry"),
 ], ids=["cover-unparsed", "cover-no-side", "cover-negative", "cover-noncanonical",
         "matching-past-end", "matching-negative", "intersecting-past-end",
         "intersecting-negative", "minimization-past-end", "minimization-negative",
-        "minimization-bool", "minimization-unparsed"])
+        "minimization-bool", "minimization-unparsed", "cover-no-tau", "cover-null-enumeration",
+        "matching-int-witness", "matching-null-witness", "matching-string-nu",
+        "minimization-null-target", "minimization-entry-without-label"])
 def test_recheck_reports_malformed_certificates(t4_file, tmp_path, kind, change, expect):
     # a bad index or vertex name is a problem, not an exception
     rep_path = tmp_path / "rep.json"
@@ -673,6 +682,90 @@ def test_flag_integers_are_decimal(t4_file, tmp_path, capsys, selection):
     assert run("construct", "--base", t4_file, "--s-edge", 0, *selection, "--out", out) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["1_1", " 3", "3 ", "+3", "3.0", "0x3", "", "３"])
+def test_integer_flags_are_strict_decimals(t4_file, tmp_path, capsys, value):
+    # int() would take the first four, and the last (a full-width digit)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"base": str(t4_file), "s_edge": 0, "f_edges": [1, 2, 3, 4]}))
+    out = tmp_path / "x.rhg"
+    commands = (
+        ("truncate", "--q", value, "--out", out),
+        ("truncate", "--q", 3, "--vertex", value, "--out", out),
+        ("construct", "--base", t4_file, "--s-edge", value, "--f-default", "--out", out),
+        ("pipeline", "--q", value, "--out-dir", tmp_path / "arts"),
+        ("pipeline", "--q", 3, "--s-edge", value, "--out-dir", tmp_path / "arts"),
+        ("verify", t4_file, "--tau", "--jobs", value),
+        ("maximal-check", t4_file, "--spec", spec, "--jobs", value),
+    )
+    for argv in commands:
+        with pytest.raises(SystemExit) as e:
+            run(*argv)
+        assert e.value.code == 2, argv
+        assert "expected a decimal integer" in capsys.readouterr().err, argv
+    assert not out.exists() and not (tmp_path / "arts").exists()
+
+
+def test_main_reuses_one_parser(tmp_path, monkeypatch):
+    # A run of in-process calls, usage errors and --version among them,
+    # ends in the pipeline files and report of a first call in a fresh
+    # interpreter.  build_parser() still gives a fresh parser each time.
+    assert cli.build_parser() is not cli.build_parser()
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        main(["pipeline", "--q", "4", "--no-such-flag"])
+    assert e.value.code == 2
+    with pytest.raises(SystemExit) as e:
+        main(["--version"])
+    assert e.value.code == 0
+    assert main(["truncate", "--q", "3", "--out", "t4.rhg"]) == 0
+    assert main(["construct", "--base", "t4.rhg", "--s-edge", "1", "--f-default",
+                 "--out", "h.rhg"]) == 0
+    argv = ["pipeline", "--q", "4", "--f-default", "--all-checks",
+            "--out-dir", "out", "--json", "rep.json"]
+    assert main(argv) == 0
+    assert cli._parser() is cli._parser()
+    fresh = tmp_path / "fresh"
+    fresh.mkdir()
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", f"import ryser.cli; ryser.cli.main({argv!r})"],
+                   cwd=fresh, env=env, capture_output=True, check=True, timeout=120)
+    names = sorted(p.name for p in (tmp_path / "out").iterdir())
+    assert names == sorted(p.name for p in (fresh / "out").iterdir()) and len(names) == 4
+    for name in names:
+        assert (tmp_path / "out" / name).read_bytes() == (fresh / "out" / name).read_bytes()
+    assert without_wall_times(load(tmp_path / "rep.json")) == \
+        without_wall_times(load(fresh / "rep.json"))
+
+
+def test_importing_the_cli_builds_no_parser():
+    # Work done at import lands in every process's start-up time, so the
+    # parser is built by the first main call and by no later one.
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counted(self, *a, **k):\n"
+        "    built.append(1)\n"
+        "    init(self, *a, **k)\n"
+        "argparse.ArgumentParser.__init__ = counted\n"
+        "import ryser.cli\n"
+        "counts = [len(built)]\n"
+        "for _ in range(2):\n"
+        "    try:\n"
+        "        ryser.cli.main(['plane', '--q', 'x'])  # a usage error\n"
+        "    except SystemExit:\n"
+        "        counts.append(len(built))\n"
+        "print(*counts)\n"
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout.splitlines()
+    at_import, first_call, second_call = map(int, out[-1].split())
+    assert at_import == 0 and first_call > 0 and second_call == first_call
 
 
 def test_python_dash_m_runs_the_command_line():

@@ -52,8 +52,16 @@ def test_constructor_validation():
 
 
 def test_gid_vid_roundtrip(t4):
-    for v in t4.vertices():
-        assert t4.vid(t4.gid(v)) == v
+    # an empty side shares its offset with the next side
+    uneven = PartiteHypergraph([["a"], [], ["b", "c", "d"], ["e", "f"]],
+                               [[(0, 0), (2, 1)], [(2, 2), (3, 1)]])
+    for h in (t4, uneven):
+        assert [h.gid(v) for v in h.vertices()] == list(range(h.num_vertices))
+        for v in h.vertices():
+            assert h.vid(h.gid(v)) == v
+        for gid in (-1, h.num_vertices, h.num_vertices + 5):
+            with pytest.raises(ValueError, match="out of range"):
+                h.vid(gid)
 
 
 def test_is_intersecting(t4):

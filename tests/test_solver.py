@@ -421,6 +421,40 @@ def test_matching_number_matches_reference(h):
     assert got.nodes_explored <= want.nodes_explored
 
 
+def entering_matching_number(h):
+    """matching_number as it was before a child's bound was tested in its
+    parent: every child is entered and tests its own bound."""
+    m = h.num_edges
+    apart = [((1 << m) - 1) & ~sum(1 << j for j, f in enumerate(h.edge_masks) if e & f)
+             for e in h.edge_masks]
+    best = []
+    nodes = 0
+
+    def rec(avail, cur):
+        nonlocal best, nodes
+        nodes += 1
+        if len(cur) > len(best):
+            best = list(cur)
+        while avail and len(cur) + avail.bit_count() > len(best):
+            low = avail & -avail
+            avail ^= low
+            i = low.bit_length() - 1
+            cur.append(i)
+            rec(avail & apart[i], cur)
+            cur.pop()
+
+    rec((1 << m) - 1, [])
+    return MatchingResult(len(best), tuple(best), nodes)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(disjoint_unions())
+def test_matching_child_test_keeps_the_search(h):
+    # A child refuted in its parent is counted as the node it would have
+    # been, so nu, the witness and the node count are unchanged.
+    assert matching_number(h) == entering_matching_number(h)
+
+
 def test_matching_number_recursion_is_nu_deep():
     # A star of 1,500 edges overflowed the stack when the search recursed
     # once per edge; every edge after the first is refuted at the root.
@@ -629,6 +663,120 @@ def test_child_test_matches_degree_bound(h, seed):
                               if not b & child_excluded), reverse=True)
             assert passes == (sum(degrees[:picks]) >= rest.bit_count())
         acc |= bit
+
+
+def heap_node_budget_search(inst, budget, collect, node=None):
+    """_budget_search as it was when a node with two or more picks left
+    tested its own bound with `_degree_sum_fits`, a heap walk over its
+    ranking that recounts each degree, instead of summing the ranking's
+    first degrees.  Child tests and the one-pick case are unchanged."""
+    gid_lists, incidence, size_classes, dominated, closes = inst
+    first = None
+    sols = [] if collect else None
+    nodes = 0
+
+    def branch_edge(uncovered):
+        for cls in size_classes:
+            branch = uncovered & cls
+            if branch:
+                return (branch & -branch).bit_length() - 1
+
+    def fits(uncovered, excluded, picks, ranked):
+        if picks == 1 and uncovered:
+            ranked = map(incidence.__getitem__, gid_lists[branch_edge(uncovered)])
+        return _degree_sum_fits(ranked, uncovered, excluded, picks)
+
+    def rec(chosen, uncovered, excluded, candidates=incidence):
+        nonlocal first, nodes
+        nodes += 1
+        if not uncovered:
+            sol = tuple(chosen)
+            if first is None:
+                first = sol
+            if collect:
+                sols.append(sol)
+                return False
+            return True
+        picks = budget - len(chosen)
+        if picks <= 0:
+            return False
+        ranked = None
+        if picks > 1:
+            ranked = _ranked_degrees(candidates, uncovered, excluded)
+            if ranked is None:
+                return False
+        if not fits(uncovered, excluded, picks, ranked):
+            return False
+        acc = excluded
+        for g in gid_lists[branch_edge(uncovered)]:
+            _, bit, inc = incidence[g]
+            if not bit & acc:
+                rest = uncovered & ~inc
+                closed = acc | closes[g]
+                if not fits(rest, closed, picks - 1, ranked):
+                    nodes += 1
+                elif rec(chosen + (g,), rest, closed, ranked):
+                    return True
+            acc |= bit
+        return False
+
+    if node is None:
+        node = ((), (1 << len(gid_lists)) - 1, 0 if collect else dominated)
+    rec(*node)
+    return first, sols, nodes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_hypergraph(), st.integers(0, 2 ** 32 - 1))
+def test_node_bound_from_ranking_matches_heap_walk(h, seed):
+    # A node reads its own bound from its ranking and prunes exactly
+    # where the heap walk did: the same first cover, enumeration and node
+    # count for decide runs and enumerations from the root, for runs from
+    # a `cover_without_edge` start node, and on the transversal instances.
+    inst = _instance(h)
+    tau = brute_force_cover_oracle(h)
+    runs = [(inst, budget, collect, None)
+            for budget in range(min(tau + 1, h.num_vertices) + 1)
+            for collect in (False, True)]
+    edge = random.Random(seed).randrange(h.num_edges)
+    excluded = inst.dominated | sum(1 << g for g in inst.gid_lists[edge])
+    start = ((), ((1 << h.num_edges) - 1) & ~(1 << edge), excluded)
+    runs += [(inst, budget, False, start) for budget in range(tau)]
+    for fresh in [None, *range(h.num_sides)]:
+        runs.append((*_transversal_instance(h, fresh), True, None))
+    for inst, budget, collect, node in runs:
+        got = _budget_search(inst, budget, collect, _Deadline(None), node)
+        assert got == heap_node_budget_search(inst, budget, collect, node), (budget, collect, node)
+
+
+@pytest.mark.parametrize("q, classify_nodes, trial_nodes", [
+    (4, 406, 314), (5, 969, 1131), (7, 4528, 18223),
+])
+def test_anchor_zero_search_totals(q, classify_nodes, trial_nodes):
+    # The search nodes of the classification and of minimize's trials on
+    # the anchor-0 default spec, pinned when a node's bound was first read
+    # from its ranking: a change that prunes differently moves them.
+    field = FiniteField(2, 2) if q == 4 else FiniteField(q)
+    spec = select_f_default(truncate(build_plane(field)), 0)
+    assert classify_extensions(build_extension(spec, check=False), spec).nodes == classify_nodes
+    trace = minimize(uniformize(build_extension(spec, check=False)))
+    assert sum(e.cert.nodes_explored for e in trace.deleted + trace.kept) == trial_nodes
+
+
+def test_pg25_anchor_chain_totals():
+    # The PG(2,5) chain of every anchor: 181 decide nodes in 51 calls
+    # (the uniformized extensions' calls are answered from their sources)
+    # and 900 matching nodes.
+    t = truncate(build_plane(FiniteField(5)))
+    results = [cover_number(t, upper_hint=5)]
+    matching = 0
+    for anchor in range(25):
+        ext = build_extension(select_f_default(t, anchor), check=False)
+        u = uniformize(ext)
+        results += [cover_number(ext, upper_hint=6), cover_number(u, upper_hint=6)]
+        matching += matching_number(u).nodes_explored
+    assert (len(results), sum(r.nodes_explored for r in results)) == (51, 181)
+    assert matching == 900
 
 
 def uniformizable(h):
