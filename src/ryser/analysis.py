@@ -94,11 +94,11 @@ def minimize(
     highest index instead) and delete it when the cover number stays at
     sides-1.  Makes one `cover_number` call, for the input, then one
     `cover_without_edge` decide run per edge at budget sides-2, all in
-    this process.  A deleted edge is certified by the input's minimum
-    cover, which covers what is left; a kept edge by the cover of size
-    sides-2 found without it, which also covers the final hypergraph
-    without that edge.  Any scan order reaches a minimal hypergraph,
-    possibly a different one."""
+    this process and within one `timeout`.  A deleted edge is certified
+    by the input's minimum cover, which covers what is left; a kept edge
+    by the cover of size sides-2 found without it, which also covers the
+    final hypergraph without that edge.  Any scan order reaches a
+    minimal hypergraph, possibly a different one."""
     if order not in ("asc", "desc"):
         raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
     k = h.num_sides
@@ -109,7 +109,8 @@ def minimize(
     if not ok:
         raise NotExtremalError(f"input is not intersecting (edges {wit[0]}, {wit[1]})")
 
-    initial = cover_number(h, upper_hint=target, timeout=timeout)
+    deadline = _Deadline(timeout)
+    initial = cover_number(h, upper_hint=target, timeout=deadline.remaining())
     if initial.tau != target:
         raise NotExtremalError(f"cover number is {initial.tau}, expected {target}")
     inst = _instance(h)
@@ -118,7 +119,7 @@ def minimize(
     kept_certs = {}
     scan = range(h.num_edges) if order == "asc" else range(h.num_edges - 1, -1, -1)
     for i in scan:
-        witness, nodes = cover_without_edge(inst, alive, i, target - 1, timeout)
+        witness, nodes = cover_without_edge(inst, alive, i, target - 1, deadline)
         if witness is None:
             cert = CoverResult(target, initial.witness, None, nodes)
             deleted.append(DeletedEdge(i, h.edges[i], h.edge_labels[i], cert))

@@ -76,7 +76,13 @@ def default_timeout() -> float:
 
 
 def resolve_timeout(value):
-    return default_timeout() if value is None else float(value)
+    """The solver budget in seconds: `value` (a flag or config value) or
+    else `default_timeout()`.  NaN, which no clock reaches, and negative
+    budgets are config errors; 0 times out at once and inf never does."""
+    seconds = default_timeout() if value is None else float(value)
+    if not seconds >= 0:
+        raise ConfigError(f"timeout must be a non-negative number of seconds, got {seconds}")
+    return seconds
 
 
 def factor_prime_power(q: int):
@@ -275,15 +281,10 @@ def cmd_construct(args):
                      not args.relaxed_profile)
     checks = []
     with Check("construction-preconditions") as c:
-        violations = validate_spec(spec, check_cover_uniqueness=not args.skip_cover_check,
-                                   timeout=args.timeout)
-        if args.skip_cover_check and not violations:
-            c.skip(detail="structural checks passed; cover-uniqueness check skipped "
-                          "(construction unvalidated)")
-        else:
-            c.ok(not violations,
-                 None if violations else plane_counting_certificate(spec),
-                 detail="; ".join(map(str, violations)) or "all hypotheses hold")
+        violations = validate_spec(spec, timeout=args.timeout)
+        c.ok(not violations,
+             None if violations else plane_counting_certificate(spec),
+             detail="; ".join(map(str, violations)) or "all hypotheses hold")
     checks.append(c)
     if c.status in ("fail", "timeout"):
         return _finish(args, "construct", vars_params(args), [input_entry(args.base)], checks)
@@ -492,7 +493,7 @@ _PIPELINE_SETTINGS = {
     "profile": (None, (str, list)), "relaxed_profile": (False, (bool,)),
     "all_checks": (False, (bool,)), "minimize": (False, (bool,)),
     "maximal_check": (False, (bool,)), "out_dir": (None, (str,)),
-    "jobs": (1, (int,)), "timeout": (None, (int, float)),
+    "timeout": (None, (int, float)),
 }
 
 
@@ -526,8 +527,6 @@ def cmd_pipeline(args):
             raise ConfigError(f"{key} must be of type {names}, got {value!r}")
     if opt["q"] is None:
         raise ConfigError("pipeline needs --q or a config with q")
-    if opt["jobs"] < 1:
-        raise ConfigError(f"jobs must be at least 1, got {opt['jobs']}")
     q, mode, out_dir = opt["q"], opt["f"], opt["out_dir"]
     timeout = resolve_timeout(opt["timeout"])
     do_min = opt["minimize"] or opt["all_checks"]
@@ -605,7 +604,7 @@ def cmd_pipeline(args):
             )
             # counts only, read by perfbench; `ryser minimize` writes per-edge entries
             c.ok(pairs_kept and every_critical,
-                 {"kind": "minimization",
+                 {"kind": "minimization-counts",
                   "deleted": len(trace.deleted), "kept": len(trace.kept)},
                  detail=f"deleted {len(trace.deleted)} edges")
             save(trace.final, f"minimized_q{q}_{mode}.rhg")
@@ -715,8 +714,6 @@ def _add_common(p, search=True):
         p.add_argument("--timeout", type=float, default=None,
                        help="solver wall-clock budget in seconds "
                             "(default: RYSER_TIMEOUT_SECS or 60)")
-        p.add_argument("--jobs", type=positive_int, default=1,
-                       help="accepted (at least 1), selects nothing: every search runs in-process")
 
 
 def build_parser():
@@ -760,9 +757,6 @@ def build_parser():
     p.add_argument("--relaxed-profile", action="store_true",
                    help="accept profiles outside the strict counting bounds")
     p.add_argument("--uniformize", action="store_true")
-    p.add_argument("--skip-cover-check", action="store_true",
-                   help="skip the cover-uniqueness hypothesis check (a counting test on "
-                        "a truncated plane of order >= 3, an exhaustive search on other bases)")
     p.add_argument("--out", required=True)
     p.add_argument("--report", dest="json", metavar="PATH",
                    help="write a JSON report here (alias of --json)")
@@ -826,8 +820,11 @@ def build_parser():
     for flag in ("--relaxed-profile", "--all-checks", "--minimize", "--maximal-check"):
         p.add_argument(flag, action="store_true", default=None)
     p.add_argument("--out-dir")
+    p.add_argument("--jobs", type=positive_int,
+                   help="accepted (at least 1) and ignored: every search runs in-process; "
+                        "kept only because the benchmark in perfbench/ passes it")
     _add_common(p)
-    p.set_defaults(func=cmd_pipeline, jobs=None)
+    p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("corpus", help="emit the standard desk-scale corpus")
     p.add_argument("--out", required=True)

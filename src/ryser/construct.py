@@ -78,10 +78,11 @@ def validate_spec(
     proved by the counting argument of `truncated_plane_order` when the
     base passes its test, in O(m*r) operations, and otherwise by an
     exhaustive enumeration of the minimum covers, which can take long
-    for large bases.  `check_cover_uniqueness=False` skips it; the
-    construction is then unvalidated.  Every search runs in this
-    process: `jobs` selects nothing, and raises ValueError below 1 when
-    the cover part runs.
+    for large bases.  `check_cover_uniqueness=False` skips it, leaving
+    the construction unvalidated; no command passes it.  Every search
+    runs in this process: `jobs` selects nothing and raises ValueError
+    below 1 when the cover part runs.  Both are kept only because the
+    benchmark in perfbench/ passes them.
     """
     base = spec.base
     r = base.num_sides
@@ -191,7 +192,8 @@ def build_extension(
     anchor edge, of at most r-1 = tau vertices, so to a whole side j;
     C is then side j or side j with s_j swapped for v_j.  Nothing is
     tested here; copies made by `without_edge` or `with_edge`, and
-    hypergraphs read from files, carry no spec.
+    hypergraphs read from files, carry no spec.  `check` runs
+    `validate_spec` first; perfbench/ alone turns its cover part off.
     """
     if check:
         violations = validate_spec(spec, check_cover_uniqueness)

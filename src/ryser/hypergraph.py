@@ -53,26 +53,10 @@ class PartiteHypergraph:
 
     def __init__(self, sides, edges, edge_labels=None, name=""):
         sides = tuple(tuple(str(x) for x in side) for side in sides)
-        # Valid vertices map to themselves, so a well-formed tuple or list
-        # edge is canonicalized by lookups.  Anything else, iterators
-        # included (a failed lookup would have consumed them), takes
-        # _checked_edge, which raises exactly as the per-vertex loop does.
-        table = {(s, p): (s, p) for s, side in enumerate(sides) for p in range(len(side))}
-        lookup = table.__getitem__
         canon = []
         seen = set()
         for e in edges:
-            vs = None
-            if isinstance(e, (tuple, list)):
-                try:
-                    vs = tuple(sorted(map(lookup, e)))
-                except (KeyError, TypeError):
-                    pass
-                else:
-                    if not vs or len({s for s, _ in vs}) != len(vs):
-                        vs = None
-            if vs is None:
-                vs = _checked_edge(e, sides)
+            vs = _checked_edge(e, sides)
             if vs in seen:
                 raise DuplicateEdgeError(f"duplicate edge {vs}")
             seen.add(vs)

@@ -372,15 +372,15 @@ def _check_plane_counting_cert(cert, h, spec, problems, where):
 def recheck_report(report, base_dir="."):
     """Re-verify a report's digests and certificates against its input
     files.  Witness validity is checked directly; search optimality is
-    not re-proved.  A minimization certificate with per-edge entries is
-    replayed against the input: its final hypergraph, and each kept
-    edge's witness of criticality.  A plane-counting certificate is
-    replayed by testing the input base again.  A passing cover,
-    matching, intersecting, plane-counting or per-edge minimization
-    certificate with no input hypergraph to check it against is a
-    problem, and so is a certificate lacking a field that recheck reads
-    or holding one of another type.  Returns a list of problems (empty =
-    consistent)."""
+    not re-proved.  A minimization certificate is replayed against the
+    input: its final hypergraph, and each kept edge's witness of
+    criticality; the pipeline's `minimization-counts` summary holds
+    nothing to replay.  A plane-counting certificate is replayed by
+    testing the input base again.  A passing cover, matching,
+    intersecting, plane-counting or minimization certificate with no
+    input hypergraph to check it against is a problem, and so is a
+    certificate lacking a field that recheck reads or holding one of
+    another type.  Returns a list of problems (empty = consistent)."""
     problems = []
     hypergraphs = {}
     for entry in report.get("inputs", []):
@@ -403,8 +403,6 @@ def recheck_report(report, base_dir="."):
             continue
         where = chk["name"]
         kind = cert.get("kind")
-        if kind == "minimization" and type(cert.get("deleted")) is int:
-            continue  # the pipeline's summary holds counts only
         malformed = _malformed(cert, kind) if kind in _CERT_FIELDS else None
         if malformed:
             problems.append(f"{where}: {malformed}")

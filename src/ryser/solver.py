@@ -381,8 +381,9 @@ def cover_number(
 ) -> CoverResult:
     """Exact minimum vertex cover with witness; optionally every minimum
     cover.  Every search runs in this process.  `jobs` selects nothing;
-    it is still accepted, and raises ValueError below 1.  Raises
-    SolverTimeout if the wall-clock budget runs out.
+    it raises ValueError below 1 and is kept only because the benchmark
+    in perfbench/ passes it.  Raises SolverTimeout if the wall-clock
+    budget runs out.
 
     A decide call (no `enumerate_all`) is answered once per hypergraph
     and `upper_hint`: its result is kept on h, and a repeat call returns
@@ -462,11 +463,11 @@ def cover_number(
                        nodes_total + nodes)
 
 
-def cover_without_edge(inst, alive, edge, budget, timeout):
+def cover_without_edge(inst, alive, edge, budget, deadline):
     """One decide run at `budget` for a cover of the `alive` edges (a
     mask) other than `edge` that avoids the vertices of `edge` and the
-    dominated ones.  Returns (the cover's global ids or None, nodes
-    explored).
+    dominated ones, within the caller's `_Deadline`.  Returns (the
+    cover's global ids or None, nodes explored).
 
     `inst` is the `_instance` of a hypergraph, and its `alive` edges
     must have cover number budget + 1.  A cover is then found exactly
@@ -479,7 +480,7 @@ def cover_without_edge(inst, alive, edge, budget, timeout):
     for g in inst.gid_lists[edge]:
         excluded |= 1 << g
     node = ((), alive & ~(1 << edge), excluded)
-    first, _, nodes = _budget_search(inst, budget, False, _Deadline(timeout), node)
+    first, _, nodes = _budget_search(inst, budget, False, deadline, node)
     return first, nodes
 
 
@@ -539,18 +540,20 @@ def verify_ryser_ratio(
     whatever the hint, so any decide answer kept on h, or on the source
     of a uniformized h, gives it with no search; otherwise the cover
     search takes (r-1)*nu as its hint, which on an extremal input is one
-    success run and one refutation."""
+    success run and one refutation.  The two searches share one
+    `timeout`."""
     r = h.num_sides
     if h.uniformity != r:
         raise NonUniformError(
             f"expected every edge to have size {r}; uniformize mixed inputs first"
         )
+    deadline = _Deadline(timeout)
     nu = matching_number(h, timeout=timeout).nu
     kept = (h._source or h)._decided
     if kept:
         tau = next(iter(kept.values())).tau
     else:
-        tau = cover_number(h, upper_hint=(r - 1) * nu, timeout=timeout).tau
+        tau = cover_number(h, upper_hint=(r - 1) * nu, timeout=deadline.remaining()).tau
     return RatioReport(r, tau, nu, tau / nu, tau == (r - 1) * nu)
 
 

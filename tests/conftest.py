@@ -11,8 +11,9 @@ from ryser import analysis, solver
 @pytest.fixture
 def clock_jumps_after_cover_check(monkeypatch):
     """Move the solver's clock an hour on as soon as
-    `classify_extensions` has checked the cover number, so that only the
-    transversal enumerations that follow can run past their deadline."""
+    `classify_extensions` or `minimize` has checked the cover number, so
+    that only the searches that follow (transversal enumerations, or
+    trial deletions) can run past their deadline."""
     offset = [0.0]
     monkeypatch.setattr(solver, "time",
                         SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0]))

@@ -225,7 +225,7 @@ def test_criterion_08_degree_profiles_r26():
         pairs = {}
         for x1 in (4, 5):
             spec = select_f_by_profile(t26, 0, DegreeProfile(26, (x1,)), strict=True)
-            h = build_extension(spec, check=True, check_cover_uniqueness=False)
+            h = build_extension(spec)
             s = extract_pair_subhypergraph(h)
             pairs[x1] = s
             st = degree_stats(s)

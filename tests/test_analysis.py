@@ -300,6 +300,13 @@ def test_classification_honours_its_timeout(clock_jumps_after_cover_check):
         classify_extensions(h, spec, timeout=60)
 
 
+def test_minimize_honours_its_timeout(q3_setup, clock_jumps_after_cover_check):
+    # every trial shares the budget of the call, so none starts past it
+    _, _, h = q3_setup
+    with pytest.raises(SolverTimeout):
+        minimize(uniformize(h), timeout=60)
+
+
 def test_minimize_order_variants(q3_setup):
     _, _, h = q3_setup
     u = uniformize(h)

@@ -152,6 +152,28 @@ def test_timeout_env_override(t4_file, monkeypatch):
     assert run("verify", t4_file, "--tau") == 0
 
 
+@pytest.mark.parametrize("value", ["nan", "-5", "-inf"])
+def test_a_budget_no_clock_can_meet_is_a_config_error(t4_file, tmp_path, monkeypatch, capsys,
+                                                      value):
+    # NaN compares false with every time, so it would disable the
+    # deadline; a negative budget would time out before any search
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"q": 3, "timeout": float(value)}))
+    rep_path = tmp_path / "rep.json"
+    for argv, env in ((("verify", t4_file, "--tau", f"--timeout={value}"), None),
+                      (("verify", t4_file, "--tau"), value),
+                      (("pipeline", "--config", cfg), None)):
+        if env is not None:
+            monkeypatch.setenv("RYSER_TIMEOUT_SECS", env)
+        assert run(*argv, "--json", rep_path) == 2, (argv, env)
+        assert "timeout must be a non-negative number" in capsys.readouterr().err
+        monkeypatch.delenv("RYSER_TIMEOUT_SECS", raising=False)
+    assert not rep_path.exists()
+    # 0 still times out at once, and inf is no limit
+    assert run("verify", t4_file, "--tau", "--timeout", "0") == 3
+    assert run("verify", t4_file, "--tau", "--timeout", "inf") == 0
+
+
 @pytest.mark.filterwarnings("ignore:uniformity r=4")
 def test_construct_flow(t4_file, tmp_path):
     h_path = tmp_path / "h.rhg"
@@ -346,6 +368,11 @@ def test_pipeline_q3_all_checks(tmp_path):
     names = {c["name"]: c["status"] for c in rep["checks"]}
     assert names["minimality-reduction"] == "pass"
     assert names["addable-edge-classification"] == "skipped"  # r=4
+    # the pipeline keeps counts only, under a kind of their own that
+    # recheck has nothing to replay in
+    summary = next(c for c in rep["checks"] if c["name"] == "minimality-reduction")
+    assert summary["certificate"] == {"kind": "minimization-counts", "deleted": 4, "kept": 12}
+    assert not [p for p in recheck_report(rep) if p.startswith("minimality-reduction")]
 
 
 def test_pipeline_config_file(tmp_path):
@@ -372,32 +399,46 @@ def test_pipeline_f_default_flag_overrides_config(tmp_path):
     assert load(rep)["parameters"]["f_mode"] == "default"
 
 
-def test_pipeline_jobs_flag_overrides_config(tmp_path):
+def test_pipeline_config_has_no_jobs_key(tmp_path, capsys):
+    # --jobs is a pipeline flag only; a config naming jobs is refused
+    # whatever the flag says
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"q": 3, "f": "default", "jobs": 0}))
-    assert run("pipeline", "--config", cfg) == 2
+    for jobs in (1, 0):
+        cfg.write_text(json.dumps({"q": 3, "f": "default", "jobs": jobs}))
+        for flag in ((), ("--jobs", 1)):
+            assert run("pipeline", "--config", cfg, *flag) == 2
+            assert "unknown config keys: ['jobs']" in capsys.readouterr().err
+    cfg.write_text(json.dumps({"q": 3, "f": "default"}))
     assert run("pipeline", "--config", cfg, "--jobs", 1) == 0
 
 
-def test_jobs_below_one_rejected(t4_file, tmp_path):
+def test_jobs_below_one_rejected(tmp_path, capsys):
+    for jobs in (0, -1):
+        with pytest.raises(SystemExit) as e:
+            run("pipeline", "--q", 3, "--out-dir", tmp_path / "arts", "--jobs", jobs)
+        assert e.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "arts").exists()
+
+
+def test_retired_flags_are_unrecognized(t4_file, tmp_path, capsys):
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"base": str(t4_file), "s_edge": 0, "f_edges": [1, 2, 3, 4]}))
+    out = tmp_path / "x.rhg"
+    construct = ("construct", "--base", t4_file, "--s-edge", 0, "--f-default", "--out", out)
     commands = (
-        ("construct", "--base", t4_file, "--s-edge", 0, "--f-default", "--out", tmp_path / "x.rhg"),
-        ("verify", t4_file, "--tau"),
-        ("minimize", t4_file),
-        ("maximal-check", t4_file, "--spec", spec),
-        ("pipeline", "--q", 3),
+        (*construct, "--skip-cover-check"),
+        (*construct, "--jobs", 2),
+        ("verify", t4_file, "--tau", "--jobs", 2),
+        ("minimize", t4_file, "--jobs", 2),
+        ("maximal-check", t4_file, "--spec", spec, "--jobs", 2),
     )
-    cfg = tmp_path / "cfg.json"
-    for jobs in (0, -1):
-        for argv in commands:
-            with pytest.raises(SystemExit) as e:
-                run(*argv, "--jobs", jobs)
-            assert e.value.code == 2, argv
-        cfg.write_text(json.dumps({"q": 3, "jobs": jobs}))
-        assert run("pipeline", "--config", cfg) == 2
-    assert not (tmp_path / "x.rhg").exists()
+    for argv in commands:
+        with pytest.raises(SystemExit) as e:
+            run(*argv)
+        assert e.value.code == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err, argv
+    assert not out.exists()
 
 
 def without_wall_times(report):
@@ -436,18 +477,37 @@ def test_pipeline_searches_in_process_whatever_jobs(tmp_path, monkeypatch):
     assert without_wall_times(load(one / "rep.json")) == without_wall_times(load(two / "rep.json"))
 
 
-def test_jobs_is_offered_by_the_searching_commands_only(tmp_path):
+# Every subcommand's option strings.  A flag added or removed is an edit
+# here as well.
+OPTIONS = {
+    "field": {"--p", "--k", "--dump", "--json"},
+    "plane": {"--q", "--dump", "--json"},
+    "truncate": {"--q", "--vertex", "--out", "--json"},
+    "construct": {"--base", "--s-edge", "--f-default", "--f-edges", "--profile",
+                  "--relaxed-profile", "--uniformize", "--out", "--report", "--json",
+                  "--timeout"},
+    "verify": {"--tau", "--nu", "--enumerate-min-covers", "--ratio", "--json", "--timeout"},
+    "minimize": {"--out", "--order", "--report", "--json", "--timeout"},
+    "maximal-check": {"--spec", "--report", "--json", "--timeout"},
+    "fingerprint": {"--json"},
+    "iso": {"--json"},
+    "profiles": {"--r", "--delta", "--t", "--json"},
+    "pipeline": {"--config", "--q", "--vertex", "--s-edge", "--f-default", "--f-edges",
+                 "--profile", "--relaxed-profile", "--all-checks", "--minimize",
+                 "--maximal-check", "--out-dir", "--jobs", "--json", "--timeout"},
+    "corpus": {"--out", "--json"},
+}
+
+
+def test_each_subcommand_offers_exactly_its_options(tmp_path):
     import argparse
 
     parser = cli.build_parser()
     commands = next(a for a in parser._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
-    offers = {name: set(p._option_string_actions) for name, p in commands.items()}
-    assert {name for name, flags in offers.items() if "--jobs" in flags} == \
-        {"construct", "verify", "minimize", "maximal-check", "pipeline"}
-    assert {name for name, flags in offers.items() if "--timeout" in flags} == \
-        {"construct", "verify", "minimize", "maximal-check", "pipeline"}
-    assert not offers["corpus"] & {"--jobs", "--timeout"}
+    offers = {name: set(p._option_string_actions) - {"-h", "--help"}
+              for name, p in commands.items()}
+    assert offers == OPTIONS
     for flag in ("--jobs", "--timeout"):
         with pytest.raises(SystemExit) as e:
             run("corpus", "--out", tmp_path / "corpus", flag, 2)
@@ -687,8 +747,6 @@ def test_flag_integers_are_decimal(t4_file, tmp_path, capsys, selection):
 @pytest.mark.parametrize("value", ["1_1", " 3", "3 ", "+3", "3.0", "0x3", "", "３"])
 def test_integer_flags_are_strict_decimals(t4_file, tmp_path, capsys, value):
     # int() would take the first four, and the last (a full-width digit)
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"base": str(t4_file), "s_edge": 0, "f_edges": [1, 2, 3, 4]}))
     out = tmp_path / "x.rhg"
     commands = (
         ("truncate", "--q", value, "--out", out),
@@ -696,8 +754,7 @@ def test_integer_flags_are_strict_decimals(t4_file, tmp_path, capsys, value):
         ("construct", "--base", t4_file, "--s-edge", value, "--f-default", "--out", out),
         ("pipeline", "--q", value, "--out-dir", tmp_path / "arts"),
         ("pipeline", "--q", 3, "--s-edge", value, "--out-dir", tmp_path / "arts"),
-        ("verify", t4_file, "--tau", "--jobs", value),
-        ("maximal-check", t4_file, "--spec", spec, "--jobs", value),
+        ("pipeline", "--q", 3, "--jobs", value, "--out-dir", tmp_path / "arts"),
     )
     for argv in commands:
         with pytest.raises(SystemExit) as e:

@@ -350,6 +350,67 @@ def test_constructor_matches_per_vertex_checks(edges):
     assert got == outcome(reference_canonical_edges, SIDES, edges)
 
 
+def lookup_canonical_edges(sides, edges):
+    """The constructor's former two-path canonicalization: a tuple or
+    list edge of valid vertices by lookups in a table that maps each
+    vertex to itself, anything else by `_checked_edge`."""
+    sides = tuple(tuple(str(x) for x in side) for side in sides)
+    table = {(s, p): (s, p) for s, side in enumerate(sides) for p in range(len(side))}
+    lookup = table.__getitem__
+    canon = []
+    seen = set()
+    for e in edges:
+        vs = None
+        if isinstance(e, (tuple, list)):
+            try:
+                vs = tuple(sorted(map(lookup, e)))
+            except (KeyError, TypeError):
+                pass
+            else:
+                if not vs or len({s for s, _ in vs}) != len(vs):
+                    vs = None
+        if vs is None:
+            vs = hypergraph._checked_edge(e, sides)
+        if vs in seen:
+            raise DuplicateEdgeError(f"duplicate edge {vs}")
+        seen.add(vs)
+        canon.append(vs)
+    return PartiteHypergraph._from_canonical(sides, tuple(canon), (None,) * len(canon), "").edges
+
+
+# int() of each alias is the key; an alias equal to it also hashes like it
+ALIASES = {0: [0, 0, 0, False, 0.0, "0"], 1: [1, 1, 1, True, 1.0, "1"], 2: [2, 2, 2, 2.0, "2"]}
+
+
+@st.composite
+def mixed_container_edges(draw):
+    """Each edge a tuple or a list: either every edge of `raw_edges`, or
+    edges with one vertex on each of two or three sides, a vertex as a
+    pair of aliases of its coordinates or as a two-character string."""
+    if draw(st.booleans()):
+        edges = draw(raw_edges())
+    else:
+        edges = []
+        for _ in range(draw(st.integers(1, 5))):
+            sides = draw(st.lists(st.integers(0, 2), min_size=2, max_size=3, unique=True))
+            edge = []
+            for s in sides:
+                p = draw(st.integers(0, len(SIDES[s]) - 1))
+                edge.append(f"{s}{p}" if draw(st.integers(0, 3)) == 0
+                            else (draw(st.sampled_from(ALIASES[s])),
+                                  draw(st.sampled_from(ALIASES[p]))))
+            edges.append(edge)
+    return [tuple(e) if draw(st.booleans()) else e for e in edges]
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(mixed_container_edges())
+def test_constructor_matches_the_former_lookup_path(edges):
+    # the same canonical edges, or the same error
+    got = outcome(lambda: PartiteHypergraph(SIDES, edges).edges)
+    assert got == outcome(lookup_canonical_edges, SIDES, edges)
+
+
 @pytest.mark.parametrize("edges,error,message", [
     ([[(0, 0), (3, 0)]], ValueError, "vertex 3.0 out of range"),
     ([[(0, 0), (1, 2)]], ValueError, "vertex 1.2 out of range"),

@@ -1,7 +1,9 @@
 """Exact solver: certificates, enumeration completeness, oracle agreement."""
 
 import random
+import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -210,6 +212,28 @@ def test_timeout_raises():
     t5 = truncate(build_plane(FiniteField(2, 2)))
     with pytest.raises(SolverTimeout):
         cover_number(t5, timeout=0.0)
+
+
+def test_ratio_searches_share_one_timeout(monkeypatch):
+    # The clock moves an hour on once nu is known, so the cover search
+    # that follows is past a budget the two share, but within one of
+    # its own.
+    offset = [0.0]
+    monkeypatch.setattr(solver, "time",
+                        SimpleNamespace(monotonic=lambda: time.monotonic() + offset[0]))
+    matching = solver.matching_number
+
+    def matching_number(*args, **kwargs):
+        res = matching(*args, **kwargs)
+        offset[0] = 3600.0
+        return res
+
+    monkeypatch.setattr(solver, "matching_number", matching_number)
+    t4 = truncate(build_plane(FiniteField(3)))
+    with pytest.raises(SolverTimeout):
+        verify_ryser_ratio(t4, timeout=60)
+    offset[0] = 0.0
+    assert verify_ryser_ratio(t4, timeout=None).is_ryser_extremal
 
 
 def test_enumeration_matches_subset_scan(t3, t4):
