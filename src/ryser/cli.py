@@ -15,6 +15,7 @@ fresh parser.
 import argparse
 import functools
 import json
+import math
 import os
 import re
 import sys
@@ -279,13 +280,8 @@ def cmd_construct(args):
     mode = "default" if args.f_default else "edges" if args.f_edges is not None else "profile"
     spec = make_spec(base, args.s_edge, mode, args.f_edges if mode == "edges" else args.profile,
                      not args.relaxed_profile)
-    checks = []
-    with Check("construction-preconditions") as c:
-        violations = validate_spec(spec, timeout=args.timeout)
-        c.ok(not violations,
-             None if violations else plane_counting_certificate(spec),
-             detail="; ".join(map(str, violations)) or "all hypotheses hold")
-    checks.append(c)
+    c = _spec_check("construction-preconditions", spec, args.timeout)
+    checks = [c]
     if c.status in ("fail", "timeout"):
         return _finish(args, "construct", vars_params(args), [input_entry(args.base)], checks)
     h = build_extension(spec, check=False)
@@ -298,9 +294,20 @@ def cmd_construct(args):
                    spec=spec_block(spec, args.base))
 
 
+def _spec_check(name, spec, timeout):
+    """The check `name` of every construction precondition of spec."""
+    with Check(name) as c:
+        violations = validate_spec(spec, timeout=timeout)
+        c.ok(not violations, None if violations else plane_counting_certificate(spec),
+             detail="; ".join(map(str, violations)) or "all hypotheses hold")
+    return c
+
+
 def vars_params(args):
+    """The command's parameters, an unlimited budget as "inf" (JSON has no infinity)."""
     skip = {"func", "json"}
-    return {k: v for k, v in vars(args).items() if k not in skip and v is not None}
+    return {k: "inf" if v == math.inf else v
+            for k, v in vars(args).items() if k not in skip and v is not None}
 
 
 # --- verify ---
@@ -407,19 +414,8 @@ def cmd_maximal_check(args):
     if c.status == "fail":
         return _finish(args, "maximal-check", vars_params(args),
                        [input_entry(args.file), input_entry(args.spec)], checks)
-    cls = None
-    with Check("addable-edge-classification") as c:
-        cls = classify_extensions(h, spec, timeout=args.timeout)
-        cert = classification_certificate(cls)
-        if cls.pattern_guaranteed:
-            c.ok(not cls.violations, cert,
-                 detail=f"{len(cls.candidates)} candidates, "
-                        f"{len(cls.violations)} violations")
-        else:
-            c.skip(detail=f"r={cls.r} < 5: classification recorded, "
-                          f"pattern guarantee not asserted "
-                          f"({len(cls.violations)} candidates outside the patterns)",
-                   certificate=cert)
+    c, cls = _classification_check(h, spec, args.timeout)
+    if cls is not None:
         print(f"candidates: {cls.counts}")
     checks.append(c)
     if cls is not None and cls.pattern_guaranteed and not cls.violations:
@@ -436,6 +432,25 @@ def cmd_maximal_check(args):
         checks.append(c)
     return _finish(args, "maximal-check", vars_params(args),
                    [input_entry(args.file), input_entry(args.spec)], checks)
+
+
+def _classification_check(h, spec, timeout):
+    """The classification check of the extension h of spec, with the
+    classification (None when it timed out)."""
+    cls = None
+    with Check("addable-edge-classification") as c:
+        cls = classify_extensions(h, spec, timeout=timeout)
+        cert = classification_certificate(cls)
+        if cls.pattern_guaranteed:
+            c.ok(not cls.violations, cert,
+                 detail=f"{len(cls.candidates)} candidates, "
+                        f"{len(cls.violations)} violations")
+        else:
+            c.skip(detail=f"r={cls.r} < 5: classification recorded, "
+                          f"pattern guarantee not asserted "
+                          f"({len(cls.violations)} candidates outside the patterns)",
+                   certificate=cert)
+    return c, cls
 
 
 # --- fingerprint / iso / profiles ---
@@ -556,11 +571,7 @@ def cmd_pipeline(args):
              detail=f"intersecting={ok}, tau={res.tau} (expected {q})")
     checks.append(c)
 
-    with Check("base-cover-uniqueness") as c:
-        violations = validate_spec(spec, timeout=timeout)
-        c.ok(not violations, None if violations else plane_counting_certificate(spec),
-             detail="; ".join(map(str, violations)) or
-             "reduced base has cover number r-1 with only the sides as minimum covers")
+    c = _spec_check("base-cover-uniqueness", spec, timeout)
     checks.append(c)
     if c.status == "fail":
         return _finish(args, "pipeline", params, [], checks, artifacts=artifacts)
@@ -611,15 +622,7 @@ def cmd_pipeline(args):
         checks.append(c)
 
     if do_max:
-        with Check("addable-edge-classification") as c:
-            cls = classify_extensions(h, spec, timeout=timeout)
-            cert = classification_certificate(cls)
-            if cls.pattern_guaranteed:
-                c.ok(not cls.violations, cert,
-                     detail=f"{len(cls.violations)} violations")
-            else:
-                c.skip(detail=f"r={cls.r} < 5: recorded only", certificate=cert)
-        checks.append(c)
+        checks.append(_classification_check(h, spec, timeout)[0])
 
     return _finish(args, "pipeline", params, [], checks, artifacts=artifacts)
 

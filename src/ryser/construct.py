@@ -18,7 +18,7 @@ Edge labels record provenance: "E1(<base edge index>)", "E2(<i,...>)",
 """
 
 from dataclasses import dataclass
-from math import comb, isqrt
+from math import comb, isfinite, isqrt
 from typing import Optional
 
 from .errors import (
@@ -447,11 +447,19 @@ class ProfileCount:
 def profile_count(r: int, delta: Optional[float] = None, t: Optional[int] = None) -> ProfileCount:
     """Number of valid strict block-size multisets {x_1..x_t} with
     values in (t+2, sqrt(r)].  t is given directly or derived as
-    floor(r^(0.5-delta)).  Degenerate ranges give count 0 with a note."""
+    floor(r^(0.5-delta)).  Degenerate ranges give count 0 with a note.
+    Raises InvalidProfileError when r < 1 or delta gives no finite t."""
+    if r < 1:
+        raise InvalidProfileError(f"r must be at least 1, got {r}")
     if t is None:
         if delta is None:
             raise ValueError("provide either t or delta")
-        t = int(r ** (0.5 - delta))
+        if not isfinite(delta):
+            raise InvalidProfileError(f"delta must be a finite number, got {delta}")
+        try:
+            t = int(r ** (0.5 - delta))
+        except OverflowError:
+            raise InvalidProfileError(f"r^(0.5-delta) overflows at r={r}, delta={delta}") from None
     lo = t + 3
     hi = isqrt(r)
     if r < 9 or t < 1 or hi < lo:

@@ -94,7 +94,7 @@ class PartiteHypergraph:
         self._intersecting = None
         self._plane_order = None  # `truncated_plane_order`'s answer, 0 for None, once asked
         self._search = None  # the solver's search instance, built on first use
-        self._decided = None  # the solver's decide results by upper_hint, filled on use
+        self._decided = None  # the solver's one decide result, whatever the hint, once searched
         self._source = None  # the hypergraph `uniformize` made this one from, if any
         self._spec = None  # the spec `construct.build_extension` built this one from, if any
 
@@ -175,9 +175,6 @@ class PartiteHypergraph:
         """Common edge size, or None if edge sizes are mixed/absent."""
         sizes = {len(e) for e in self.edges}
         return sizes.pop() if len(sizes) == 1 else None
-
-    def vertex_label(self, v) -> str:
-        return self.sides[v[0]][v[1]]
 
     # --- derived copies ---
 

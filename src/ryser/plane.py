@@ -29,10 +29,6 @@ class ProjectivePlane:
     def q(self) -> int:
         return self.field.q
 
-    @property
-    def order(self) -> int:
-        return self.field.q
-
     def point_label(self, i: int) -> str:
         a, b, c = self.points[i]
         return f"{a}:{b}:{c}"

@@ -117,7 +117,7 @@ class Check:
 
 
 def overall_status(checks) -> str:
-    statuses = [c["status"] if isinstance(c, dict) else c.status for c in checks]
+    statuses = [c.status for c in checks]
     if "fail" in statuses:
         return "fail"
     if "timeout" in statuses:
@@ -128,15 +128,14 @@ def overall_status(checks) -> str:
 
 
 def make_report(command, parameters, inputs, checks):
-    check_dicts = [c.as_dict() if isinstance(c, Check) else c for c in checks]
     return {
         "schema": SCHEMA_ID,
         "tool": {"name": "ryser", "version": __version__},
         "command": command,
         "parameters": parameters,
         "inputs": inputs,
-        "checks": check_dicts,
-        "overall": overall_status(check_dicts),
+        "checks": [c.as_dict() for c in checks],
+        "overall": overall_status(checks),
     }
 
 
@@ -145,7 +144,8 @@ def input_entry(path) -> dict:
 
 
 def write_json_atomic(path, obj):
-    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write obj as JSON atomically; NaN or infinity raises ValueError."""
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 # --- certificate payload builders ---

@@ -1,7 +1,9 @@
 """Exact cover number and matching number with certificates.
 
 The cover search is exhaustive branch-and-bound over bitmask edges:
-probe an increasing (or hint-seeded) size budget; within a budget,
+raise the size budget from the lower bound (or the hint) until a run
+finds a cover, then lower it below that cover until a run fails or
+the cover is one more than the last refuted budget; within a budget,
 branch on the uncovered edge of minimum free size, over its vertices in
 global order, excluding earlier branch vertices deeper in the tree so
 every cover is generated exactly once.  A failed budget-b run is the
@@ -41,16 +43,23 @@ size, the branching key, is its size less its dominated vertices, fixed
 per call: a uniformized edge is then branched on when its mixed original
 would be, and the search is the mixed extension's.
 
-A decide result is kept on its hypergraph, one per `upper_hint` (the
-witness depends on the budgets probed), and a repeat call returns it
-with 0 nodes explored.  A hypergraph that `uniformize` made records its
-source, and its decide calls are answered from the source: the source's
-vertices keep their (side, pos), every cover of the source covers it,
-and swapping each tail of one of its covers for another vertex of the
-tail's edge gives a cover of the source, no larger.  Since the tails
-are dominated, its own decide search would be the source's.  The budget
-runs of an enumeration call are a decide call's, and their answer is
-kept too.
+One decide result is kept on each hypergraph and answers every later
+decide call, whatever its `upper_hint`, with 0 nodes explored: the
+witness does not depend on the hint.  The branching order does not
+depend on the budget, and the degree-sum bound is monotone in the picks
+left and sound.  So a run at budget b >= tau enters every node of the
+budget-tau run and reaches no size-tau cover that run does not; if its
+first cover has size tau, that is the budget-tau run's first cover.
+The loop ends on such a run, whatever budget it starts from.
+
+A hypergraph that `uniformize` made records its source, and its decide
+calls are answered from the source: the source's vertices keep their
+(side, pos), every cover of the source covers it, and swapping each
+tail of one of its covers for another vertex of the tail's edge gives
+a cover of the source, no larger.  Since the tails are dominated, its
+own decide search would be the source's.  An enumeration call takes
+tau from the kept answer, searching for it and keeping it first when
+there is none, then runs only the enumeration, on its own instance.
 
 An extension that `construct.build_extension` made records its spec.
 When the spec's base passes `hypergraph.truncated_plane_order` and none
@@ -85,7 +94,7 @@ runs in the calling process.
 """
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from heapq import heappush, heapreplace
 from itertools import combinations
 from math import comb
@@ -385,14 +394,15 @@ def cover_number(
     in perfbench/ passes it.  Raises SolverTimeout if the wall-clock
     budget runs out.
 
-    A decide call (no `enumerate_all`) is answered once per hypergraph
-    and `upper_hint`: its result is kept on h, and a repeat call returns
-    it at once, whatever its timeout, with `nodes_explored` 0.  An
-    enumeration call keeps the decide result of the budget runs it makes
-    first; the enumeration itself is neither kept nor answered from kept
-    results.  A call that times out before tau is known keeps nothing.
-    On a hypergraph that `uniformize` made, a decide call is answered
-    from the source, whose cover number is the same and whose minimum
+    A decide call (no `enumerate_all`) is answered once per hypergraph:
+    its result is kept on h, and every later decide call returns it at
+    once, whatever its `upper_hint` or timeout, with `nodes_explored` 0.
+    The hint only sets the first budget (see the module docstring).  An
+    enumeration call takes tau from the kept result, searching for it
+    first when there is none, then runs only the budget-tau enumeration
+    on h, which is not kept.  A call that times out before tau is known
+    keeps nothing.  On a hypergraph that `uniformize` made, the decide
+    answer is kept on and read from the source, whose cover number is the same and whose minimum
     covers are minimum covers of it (see `uniformize`); its own decide
     search would be the source's, since the tails it adds are dominated.
 
@@ -405,61 +415,47 @@ def cover_number(
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if h.num_edges == 0:
         raise EmptyHypergraphError("cover number is undefined without edges")
-    if not enumerate_all and h._source is not None:
-        h = h._source
-    if h._decided is None:
-        h._decided = {}
-    if not enumerate_all:
-        known = h._decided.get(upper_hint)
-        if known is not None:
-            return known
-    inst = _instance(h)
+    source = h._source or h
     deadline = _Deadline(timeout)
-    n = h.num_vertices
-
-    everything = (1 << h.num_edges) - 1
-    ranked = _ranked_degrees(inst.incidence, everything, 0)
-    lb = 1
-    while not _degree_sum_fits(ranked, everything, 0, lb):
-        lb += 1
-    lb = max(lb, _mirror_bound(h._source or h))
-    budget = max(lb, upper_hint) if upper_hint is not None else lb
-    budget = min(budget, n)
-    known_fail = lb - 1  # sizes below lb are impossible by the bound
-    best = None          # (size, witness) of smallest cover found so far
     nodes_total = 0
-    tau = None
-    witness = None
-    while True:
-        first, _, nodes = _budget_search(inst, budget, False, deadline)
-        nodes_total += nodes
-        if first is not None:
-            size = len(first)
-            if best is None or size < best[0]:
-                best = (size, first)
-            if size == known_fail + 1:
-                tau, witness = size, first
+    if source._decided is None:
+        inst = _instance(source)
+        n = source.num_vertices
+        everything = (1 << source.num_edges) - 1
+        ranked = _ranked_degrees(inst.incidence, everything, 0)
+        lb = 1
+        while not _degree_sum_fits(ranked, everything, 0, lb):
+            lb += 1
+        lb = max(lb, _mirror_bound(source))
+        budget = min(max(lb, upper_hint) if upper_hint is not None else lb, n)
+        refuted = lb - 1  # sizes below lb are impossible by the bound
+        # Climb until a run finds a cover, then shrink it until a run fails
+        # or it is one more than the largest refuted budget.
+        while True:
+            first, _, nodes = _budget_search(inst, budget, False, deadline)
+            nodes_total += nodes
+            if first is not None:
                 break
-            budget = size - 1
-        else:
-            known_fail = max(known_fail, budget)
-            if best is not None and best[0] == budget + 1:
-                tau, witness = best
-                break
+            refuted = budget
             budget += 1
             if budget > n:
                 raise AssertionError("no cover found over the full vertex set")
-
-    wit_vids = tuple(h.vid(g) for g in sorted(witness))
-    if h._source is None:  # a uniformized h's decide calls read its source's
-        h._decided[upper_hint] = CoverResult(tau, wit_vids, None, 0)
+        while len(first) > refuted + 1:
+            smaller, _, nodes = _budget_search(inst, len(first) - 1, False, deadline)
+            nodes_total += nodes
+            if smaller is None:
+                break
+            first = smaller
+        source._decided = CoverResult(len(first), tuple(source.vid(g) for g in sorted(first)),
+                                      None, 0)
+    kept = source._decided
     if not enumerate_all:
-        return CoverResult(tau, wit_vids, None, nodes_total)
-    first, sols, nodes = _budget_search(inst, tau, True, deadline)
+        return replace(kept, nodes_explored=nodes_total)
+    first, sols, nodes = _budget_search(_instance(h), kept.tau, True, deadline)
     all_covers = tuple(sorted(
         tuple(h.vid(g) for g in sorted(sol)) for sol in sols
     ))
-    return CoverResult(tau, tuple(h.vid(g) for g in sorted(first)), all_covers,
+    return CoverResult(kept.tau, tuple(h.vid(g) for g in sorted(first)), all_covers,
                        nodes_total + nodes)
 
 
@@ -536,12 +532,11 @@ def verify_ryser_ratio(
     timeout: Optional[float] = DEFAULT_TIMEOUT,
 ) -> RatioReport:
     """tau, nu and whether tau == (r-1)*nu for an r-partite r-uniform
-    input (r = number of sides).  nu comes first.  tau is the same
-    whatever the hint, so any decide answer kept on h, or on the source
-    of a uniformized h, gives it with no search; otherwise the cover
-    search takes (r-1)*nu as its hint, which on an extremal input is one
-    success run and one refutation.  The two searches share one
-    `timeout`."""
+    input (r = number of sides).  nu comes first.  tau is the decide
+    answer of `cover_number`, kept on h or on the source of a
+    uniformized h; when it is not yet known, the cover search takes
+    (r-1)*nu as its hint, which on an extremal input is one success run
+    and one refutation.  The two searches share one `timeout`."""
     r = h.num_sides
     if h.uniformity != r:
         raise NonUniformError(
@@ -549,11 +544,7 @@ def verify_ryser_ratio(
         )
     deadline = _Deadline(timeout)
     nu = matching_number(h, timeout=timeout).nu
-    kept = (h._source or h)._decided
-    if kept:
-        tau = next(iter(kept.values())).tau
-    else:
-        tau = cover_number(h, upper_hint=(r - 1) * nu, timeout=deadline.remaining()).tau
+    tau = cover_number(h, upper_hint=(r - 1) * nu, timeout=deadline.remaining()).tau
     return RatioReport(r, tau, nu, tau / nu, tau == (r - 1) * nu)
 
 

@@ -12,7 +12,7 @@ from ryser import cli, solver
 from ryser.analysis import minimize
 from ryser.cli import corpus_generate, main
 from ryser.hypergraph import PartiteHypergraph, write_rhg
-from ryser.report import REPORT_SCHEMA, recheck_report
+from ryser.report import REPORT_SCHEMA, recheck_report, write_json_atomic
 
 
 def run(*argv):
@@ -172,6 +172,28 @@ def test_a_budget_no_clock_can_meet_is_a_config_error(t4_file, tmp_path, monkeyp
     # 0 still times out at once, and inf is no limit
     assert run("verify", t4_file, "--tau", "--timeout", "0") == 3
     assert run("verify", t4_file, "--tau", "--timeout", "inf") == 0
+
+
+def strict_json(path):
+    """The JSON value in the file at path, refusing NaN and infinities,
+    which are not JSON numbers."""
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_unlimited_budget_report_is_json(t4_file, tmp_path):
+    rep_path = tmp_path / "v.json"
+    assert run("verify", t4_file, "--tau", "--timeout", "inf", "--json", rep_path) == 0
+    assert strict_json(rep_path)["parameters"]["timeout"] == "inf"
+
+
+def test_non_json_number_is_not_written(tmp_path):
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            write_json_atomic(tmp_path / "x.json", {"x": value})
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.filterwarnings("ignore:uniformity r=4")
@@ -351,6 +373,20 @@ def test_profiles_command(tmp_path):
     j = tmp_path / "p.json"
     assert run("profiles", "--r", 26, "--t", 1, "--json", j) == 0
     assert load(j)["count"] == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("--r", "25", "--delta", "nan"),
+    ("--r", "25", "--delta=-1e308"),   # r^(0.5-delta) overflows
+    ("--r", "-4", "--delta", "0.1"),   # a complex power
+    ("--r", "-4", "--t", "1"),
+    ("--r", "25", "--delta", "inf"),
+])
+def test_profiles_rejects_inputs_with_no_count(tmp_path, capsys, argv):
+    j = tmp_path / "p.json"
+    assert run("profiles", *argv, "--json", j) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not j.exists()
 
 
 @pytest.mark.filterwarnings("ignore:uniformity r=4")

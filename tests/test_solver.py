@@ -2,6 +2,7 @@
 
 import random
 import time
+from contextlib import contextmanager
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -66,6 +67,15 @@ def unlinked(h):
     """An equal hypergraph with no source and no kept cover results, so
     that cover_number searches it afresh."""
     return PartiteHypergraph(h.sides, h.edges, h.edge_labels)
+
+
+def fresh_copy(h):
+    """An equal hypergraph linked to h's spec but with no kept cover
+    answer, so that cover_number searches it as it would search h on a
+    first call."""
+    copy = unlinked(h)
+    copy._spec = h._spec
+    return copy
 
 
 def covers(h, vertices):
@@ -192,8 +202,8 @@ def test_determinism_and_jobs(t4):
     a = cover_number(h, enumerate_all=True)
     b = cover_number(h, enumerate_all=True)
     assert (a.tau, a.witness, a.all_min_covers) == (b.tau, b.witness, b.all_min_covers)
-    # jobs is accepted and selects nothing
-    c = cover_number(h, enumerate_all=True, jobs=2)
+    # jobs is accepted and selects nothing; a fresh copy searches tau again
+    c = cover_number(t4.without_edge(0), enumerate_all=True, jobs=2)
     assert (a.tau, a.witness, a.all_min_covers) == (c.tau, c.witness, c.all_min_covers)
     assert c.nodes_explored == a.nodes_explored
     # the two budget runs of a call with hint tau, on the q=3 and q=5
@@ -890,7 +900,7 @@ def test_mirror_bound_needs_the_plane_test_and_the_candidates():
     unproved.append(hypergraph.loads_rhg(hypergraph.dumps_rhg(ext)))
     for h in unproved:
         for hint in (None, h.num_sides - 1, h.num_sides + 1):
-            got = cover_number(h, upper_hint=hint)
+            got = cover_number(fresh_copy(h), upper_hint=hint)
             own = cover_number(unlinked(h), upper_hint=hint)
             assert (got.tau, got.witness, got.nodes_explored) == \
                 (own.tau, own.witness, own.nodes_explored), (h, hint)
@@ -923,14 +933,99 @@ def test_repeat_call_searches_nothing(t4, monkeypatch):
     for kwargs in ({}, {"timeout": 0.0}, {"jobs": 2}):
         again = cover_number(h, upper_hint=3, **kwargs)
         assert (again.tau, again.witness, again.nodes_explored) == (first.tau, first.witness, 0)
+    # so is it whatever the hint: the answer does not depend on it
+    for hint in (None, 1, 4, h.num_vertices + 1):
+        again = cover_number(h, upper_hint=hint)
+        assert (again.tau, again.witness, again.nodes_explored) == (first.tau, first.witness, 0)
     assert searches == []
-    # another hint is another question, and enumerations are never kept
-    cover_number(h)
-    assert len(searches) > 0
-    searches.clear()
+    # enumerations are never kept; each runs only its own enumeration
     cover_number(h, enumerate_all=True)
     cover_number(h, enumerate_all=True)
-    assert len(searches) >= 2
+    assert len(searches) == 2
+
+
+def per_hint_cover_number(h, hint):
+    """(tau, witness, nodes explored) of a first decide call on h with
+    `upper_hint` hint, by the budget loop that kept one answer per hint:
+    probe from max(lb, hint), remember the smallest cover found and the
+    largest refuted budget, and stop once they are one apart."""
+    inst = _instance(h)
+    n = h.num_vertices
+    everything = (1 << h.num_edges) - 1
+    ranked = _ranked_degrees(inst.incidence, everything, 0)
+    lb = 1
+    while not _degree_sum_fits(ranked, everything, 0, lb):
+        lb += 1
+    lb = max(lb, solver._mirror_bound(h))
+    budget = min(max(lb, hint) if hint is not None else lb, n)
+    known_fail, best, nodes_total = lb - 1, None, 0
+    while True:
+        first, _, nodes = _budget_search(inst, budget, False, _Deadline(None))
+        nodes_total += nodes
+        if first is not None:
+            if best is None or len(first) < len(best):
+                best = first
+            if len(first) == known_fail + 1:
+                break
+            budget = len(first) - 1
+        else:
+            known_fail = max(known_fail, budget)
+            if best is not None and len(best) == budget + 1:
+                break
+            budget += 1
+    return len(best), tuple(h.vid(g) for g in sorted(best)), nodes_total
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_hypergraph())
+def test_climb_then_shrink_matches_the_per_hint_loop(h):
+    # The same runs in the same order, so the same answer and node count,
+    # on a fresh hypergraph for every hint.
+    for hint in (None, *range(1, h.num_vertices + 2)):
+        got = cover_number(unlinked(h), upper_hint=hint)
+        want = per_hint_cover_number(unlinked(h), hint)
+        assert (got.tau, got.witness, got.nodes_explored) == want, hint
+
+
+@contextmanager
+def counting_budget_searches():
+    """Within the block, the list of the arguments of every
+    `solver._budget_search` call."""
+    searches = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_budget_search",
+                   lambda *a: searches.append(a) or _budget_search(*a))
+        yield searches
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_hypergraph(), st.sampled_from([None, 1, 2, 3, 6]))
+def test_any_decide_call_answers_every_hint(h, hint):
+    h = unlinked(h)
+    first = cover_number(h, upper_hint=hint)
+    with counting_budget_searches() as searches:
+        for later in (None, *range(1, h.num_vertices + 2)):
+            again = cover_number(h, upper_hint=later)
+            assert (again.tau, again.witness, again.nodes_explored) == \
+                (first.tau, first.witness, 0), later
+    assert searches == []
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_hypergraph(), st.sampled_from([None, 1, 2, 3, 6]))
+def test_enumeration_after_a_decide_runs_only_itself(h, hint):
+    # on h, and on its uniformized copy, whose decide answer h keeps
+    inputs = [unlinked(h)]
+    if uniformizable(h):
+        inputs.append(uniformize(unlinked(h)))
+    for g in inputs:
+        cover_number(g, upper_hint=hint)
+        with counting_budget_searches() as searches:
+            got = cover_number(g, enumerate_all=True, upper_hint=hint)
+        assert len(searches) == 1
+        want = cover_number(unlinked(g), enumerate_all=True)
+        assert (got.tau, got.witness, got.all_min_covers) == \
+            (want.tau, want.witness, want.all_min_covers)
 
 
 def test_enumeration_on_uniformized_lists_tail_covers():
