@@ -29,7 +29,7 @@ or a violation of that pattern.  The transversals for each fresh side
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import groupby, product
 from typing import Optional
 
 from .construct import ConstructionSpec
@@ -150,15 +150,7 @@ def degree_fingerprint(h: PartiteHypergraph) -> tuple:
 
 
 def fingerprint_str(fp) -> str:
-    out = []
-    i = 0
-    while i < len(fp):
-        j = i
-        while j < len(fp) and fp[j] == fp[i]:
-            j += 1
-        out.append(f"{fp[i]}^{j - i}")
-        i = j
-    return " ".join(out) if out else "(empty)"
+    return " ".join(f"{d}^{sum(1 for _ in run)}" for d, run in groupby(fp)) or "(empty)"
 
 
 @dataclass(frozen=True)
@@ -171,20 +163,12 @@ class IsoResult:
 ISO_VERTEX_GUARD = 64
 
 
-def _codegrees(h):
-    co = {}
-    for e in h.edges:
-        for i in range(len(e)):
-            for j in range(i + 1, len(e)):
-                key = (e[i], e[j])
-                co[key] = co.get(key, 0) + 1
-    return co
-
-
 def exact_isomorphic(a: PartiteHypergraph, b: PartiteHypergraph) -> IsoResult:
     """Backtracking search for a vertex bijection mapping edges onto
     edges, where whole sides map to whole sides (side order may be
-    permuted).  Degree and codegree profiles prune the search."""
+    permuted).  Degrees and codegrees prune the search; both are
+    popcounts of `incidence_masks` (of one vertex's mask, and of two
+    vertices' masks ANDed)."""
     if a.num_vertices + b.num_vertices > ISO_VERTEX_GUARD:
         raise TooLargeError(
             f"{a.num_vertices}+{b.num_vertices} vertices exceed the "
@@ -201,59 +185,46 @@ def exact_isomorphic(a: PartiteHypergraph, b: PartiteHypergraph) -> IsoResult:
         return no
 
     k = a.num_sides
-    co_a = _codegrees(a)
-    co_b = _codegrees(b)
-    b_edge_sets = set(b.edge_sets)
-
-    def co(codict, u, v):
-        return codict.get((u, v)) or codict.get((v, u), 0)
-
-    mapping = {}
+    inc_a, inc_b = a.incidence_masks, b.incidence_masks
+    off_a, off_b = a.offsets, b.offsets
+    b_masks = set(b.edge_masks)
+    mapping = {}               # a's global ids -> b's
     side_perm = [None] * k
-    used_sides = set()
 
     def assign_side(si):
         if si == k:
-            mapped = {
-                frozenset(mapping[v] for v in e) for e in a.edge_sets
-            }
-            return mapped == b_edge_sets
-        size = len(a.sides[si])
-        degs = dsa.side_degrees[si]
+            mapped = {sum(1 << mapping[g] for g in map(a.gid, e)) for e in a.edges}
+            return mapped == b_masks
         for tj in range(k):
-            if tj in used_sides:
+            if tj in side_perm or dsb.side_degrees[tj] != dsa.side_degrees[si]:
                 continue
-            if len(b.sides[tj]) != size or dsb.side_degrees[tj] != degs:
-                continue
-            used_sides.add(tj)
             side_perm[si] = tj
-            if assign_vertex(si, tj, 0, set()):
+            if assign_vertex(si, tj, off_a[si], 0):
                 return True
             side_perm[si] = None
-            used_sides.discard(tj)
         return False
 
-    def assign_vertex(si, tj, p, used):
-        if p == len(a.sides[si]):
+    def assign_vertex(si, tj, g, used):
+        if g == off_a[si + 1]:
             return assign_side(si + 1)
-        u = (si, p)
-        du = dsa.by_vertex[a.offsets[si] + p]
-        for q in range(len(b.sides[tj])):
-            w = (tj, q)
-            if w in used or dsb.by_vertex[b.offsets[tj] + q] != du:
+        mask = inc_a[g]
+        du = mask.bit_count()
+        for w in range(off_b[tj], off_b[tj + 1]):
+            wmask = inc_b[w]
+            if used >> w & 1 or wmask.bit_count() != du:
                 continue
-            if any(co(co_a, u, x) != co(co_b, w, y) for x, y in mapping.items()):
+            if any((mask & inc_a[x]).bit_count() != (wmask & inc_b[y]).bit_count()
+                   for x, y in mapping.items()):
                 continue
-            mapping[u] = w
-            used.add(w)
-            if assign_vertex(si, tj, p + 1, used):
+            mapping[g] = w
+            if assign_vertex(si, tj, g + 1, used | 1 << w):
                 return True
-            del mapping[u]
-            used.discard(w)
+            del mapping[g]
         return False
 
     if assign_side(0):
-        return IsoResult(True, tuple(side_perm), tuple(sorted(mapping.items())))
+        vertex_map = tuple(sorted((a.vid(g), b.vid(w)) for g, w in mapping.items()))
+        return IsoResult(True, tuple(side_perm), vertex_map)
     return no
 
 

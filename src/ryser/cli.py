@@ -155,6 +155,8 @@ def cmd_field(args):
 
 
 def cmd_plane(args):
+    if args.q < 2:
+        raise ConfigError(f"plane order must be at least 2, got {args.q}")
     try:
         p, k = factor_prime_power(args.q)
     except ConfigError:
@@ -681,11 +683,7 @@ def corpus_generate(out_dir):
 
 
 def cmd_corpus(args):
-    try:
-        items = corpus_generate(args.out)
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    items = corpus_generate(args.out)
     for name in items:
         print(name)
     if args.json:

@@ -302,10 +302,16 @@ def uniformize(h: PartiteHypergraph) -> PartiteHypergraph:
     return u
 
 
+def _anchor_edge(base, s_edge):
+    """The anchor edge, base.edges[s_edge], for an index in 0..m-1."""
+    if not 0 <= s_edge < base.num_edges:
+        raise InvalidSpecError(f"anchor edge index {s_edge} out of range 0..{base.num_edges - 1}")
+    return base.edges[s_edge]
+
+
 def _edges_through(base, v, s_edge):
     """Mask of the edges through vertex v other than edge s_edge."""
-    mask = base.incidence_masks[base.gid(v)]
-    return mask & ~(1 << s_edge) if s_edge >= 0 else mask
+    return base.incidence_masks[base.gid(v)] & ~(1 << s_edge)
 
 
 def _lowest(mask):
@@ -316,7 +322,7 @@ def _lowest(mask):
 def select_f_default(base: PartiteHypergraph, s_edge: int) -> ConstructionSpec:
     """Default selection: F_i is the least-indexed edge other than the
     anchor through the side-i anchor vertex."""
-    anchor = base.edges[s_edge]
+    anchor = _anchor_edge(base, s_edge)
     f = []
     for i in range(base.num_sides):
         hits = _edges_through(base, anchor[i], s_edge)
@@ -395,7 +401,7 @@ def select_f_by_profile(
     if errs:
         raise InvalidProfileError("; ".join(errs))
 
-    anchor = base.edges[s_edge]
+    anchor = _anchor_edge(base, s_edge)
     connectors = [
         (0, p) for p in range(len(base.sides[0])) if (0, p) != anchor[0]
     ]

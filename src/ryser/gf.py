@@ -185,9 +185,6 @@ class FiniteField:
             return (-a) % self.p
         return self.encode((-d) % self.p for d in self.digits(a))
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def pow(self, a: int, e: int) -> int:
         result = 1
         base = a

@@ -327,7 +327,6 @@ def intersection_size_profile(h: PartiteHypergraph) -> Counter:
 class DegreeStats:
     side_degrees: tuple   # per side: ascending degree tuple
     degrees: tuple        # all vertices, ascending
-    by_vertex: tuple      # per global vertex id
 
     def nonzero(self, side: int):
         return tuple(d for d in self.side_degrees[side] if d)
@@ -338,7 +337,7 @@ def degree_stats(h: PartiteHypergraph) -> DegreeStats:
     deg = tuple(mask.bit_count() for mask in h.incidence_masks)
     off = h.offsets
     per_side = tuple(tuple(sorted(deg[off[s]:off[s + 1]])) for s in range(h.num_sides))
-    return DegreeStats(per_side, tuple(sorted(deg)), deg)
+    return DegreeStats(per_side, tuple(sorted(deg)))
 
 
 # --- .rhg text format ---

@@ -369,6 +369,22 @@ def _check_plane_counting_cert(cert, h, spec, problems, where):
         problems.append(f"{where}: s_edge {s_edge} is not the anchor edge of the spec")
 
 
+def _entries(report, key, fields, problems):
+    """The entries of the list report[key] that are objects with string
+    `fields`; each other entry, or a value that is no list, is a problem."""
+    value = report.get(key, [])
+    if not isinstance(value, list):
+        problems.append(f"report field {key!r} is {value!r}, not a list")
+        return []
+    good = []
+    for entry in value:
+        if isinstance(entry, dict) and all(isinstance(entry.get(f), str) for f in fields):
+            good.append(entry)
+        else:
+            problems.append(f"{key} entry {entry!r} lacks a string {' or '.join(fields)}")
+    return good
+
+
 def recheck_report(report, base_dir="."):
     """Re-verify a report's digests and certificates against its input
     files.  Witness validity is checked directly; search optimality is
@@ -380,15 +396,25 @@ def recheck_report(report, base_dir="."):
     intersecting, plane-counting or minimization certificate with no
     input hypergraph to check it against is a problem, and so is a
     certificate lacking a field that recheck reads or holding one of
-    another type.  Returns a list of problems (empty = consistent)."""
+    another type, and so is a malformed envelope: a report that is no
+    object, `inputs` or `checks` that is no list, an entry of them that
+    is no object with string fields `path` and `sha256` (`name` and
+    `status`), or a `spec` that is no object.  Returns a list of
+    problems (empty = consistent)."""
+    if not isinstance(report, dict):
+        return [f"report is a {type(report).__name__}, not an object"]
     problems = []
+    spec = report.get("spec")
+    if spec is not None and not isinstance(spec, dict):
+        problems.append(f"report field 'spec' is {spec!r}, not an object")
+        spec = None
     hypergraphs = {}
-    for entry in report.get("inputs", []):
+    for entry in _entries(report, "inputs", ("path", "sha256"), problems):
         path = entry["path"]
         if not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        if not os.path.exists(path):
-            problems.append(f"input {entry['path']} missing")
+        if not os.path.isfile(path):
+            problems.append(f"input {entry['path']} missing or not a file")
             continue
         digest = sha256_file(path)
         if digest != entry["sha256"]:
@@ -397,7 +423,7 @@ def recheck_report(report, base_dir="."):
         if path.endswith(".rhg"):
             hypergraphs[entry["path"]] = read_rhg(path)
     h = next(iter(hypergraphs.values()), None)
-    for chk in report.get("checks", []):
+    for chk in _entries(report, "checks", ("name", "status"), problems):
         cert = chk.get("certificate")
         if not isinstance(cert, dict) or chk["status"] != "pass":
             continue
@@ -416,7 +442,7 @@ def recheck_report(report, base_dir="."):
         elif kind == "minimization":
             _check_minimization_cert(cert, h, problems, where)
         elif kind == "plane-counting":
-            _check_plane_counting_cert(cert, h, report.get("spec"), problems, where)
+            _check_plane_counting_cert(cert, h, spec, problems, where)
         elif kind == "ratio":
             extremal = cert["tau"] == (cert["r"] - 1) * cert["nu"]
             if cert["is_ryser_extremal"] != extremal:

@@ -61,6 +61,14 @@ def test_plane_command(tmp_path, capsys):
     assert load(j)["bruck_ryser_excluded"] is False
 
 
+@pytest.mark.parametrize("q", [1, 0, -3])
+def test_plane_order_below_two_is_a_config_error(q, tmp_path, capsys):
+    j = tmp_path / "plane.json"
+    assert run("plane", "--q", q, "--json", j) == 2
+    assert "config error: plane order must be at least 2" in capsys.readouterr().err
+    assert not j.exists()
+
+
 def test_verify_report_schema(t4_file, tmp_path):
     rep_path = tmp_path / "verify.json"
     code = run("verify", t4_file, "--tau", "--nu", "--enumerate-min-covers",
@@ -343,6 +351,51 @@ def test_recheck_reports_malformed_certificates(t4_file, tmp_path, kind, change,
     assert any(p.startswith(check["name"] + ":") and expect in p for p in problems), problems
 
 
+@pytest.fixture(scope="module")
+def construct_report(t4_file, tmp_path_factory):
+    d = tmp_path_factory.mktemp("construct")
+    rep_path = d / "c.json"
+    assert run("construct", "--base", t4_file, "--s-edge", 0, "--f-default",
+               "--out", d / "h.rhg", "--json", rep_path) == 0
+    rep = load(rep_path)
+    assert recheck_report(rep, base_dir=".") == []
+    return rep
+
+
+def _set_field(key, value):
+    def change(rep):
+        rep[key] = value
+        return rep
+    return change
+
+
+def _drop_first(part, field):
+    def change(rep):
+        del rep[part][0][field]
+        return rep
+    return change
+
+
+@pytest.mark.parametrize("change, expect", [
+    (_set_field("spec", [0, 1]), "report field 'spec' is [0, 1], not an object"),
+    (_set_field("spec", "0"), "report field 'spec' is '0', not an object"),
+    (_drop_first("inputs", "sha256"), "lacks a string path or sha256"),
+    (_set_field("inputs", "t4.rhg"), "report field 'inputs' is 't4.rhg', not a list"),
+    (lambda rep: rep["inputs"][0].__setitem__("path", os.curdir) or rep,
+     f"input {os.curdir} missing or not a file"),
+    (_set_field("checks", None), "report field 'checks' is None, not a list"),
+    (_drop_first("checks", "status"), "lacks a string name or status"),
+    (_drop_first("checks", "name"), "lacks a string name or status"),
+    (lambda rep: [rep], "report is a list, not an object"),
+], ids=["spec-list", "spec-string", "input-without-sha256", "inputs-string",
+        "input-directory", "checks-null",
+        "check-without-status", "check-without-name", "report-list"])
+def test_recheck_reports_a_malformed_envelope(construct_report, change, expect):
+    # each raised before: AttributeError, KeyError or TypeError
+    problems = recheck_report(change(json.loads(json.dumps(construct_report))), base_dir=".")
+    assert any(expect in p for p in problems), problems
+
+
 def test_construct_explicit_and_profile(t4_file, tmp_path):
     rep = tmp_path / "r.json"
     out = tmp_path / "x.rhg"
@@ -599,6 +652,13 @@ def test_usage_errors(tmp_path):
         run("construct", "--base", "x.rhg", "--out", "y.rhg", "--s-edge", 0)
     assert e.value.code == 2  # missing an F-selection flag
     assert run("pipeline") == 2  # no q anywhere
+
+
+def test_corpus_into_a_path_under_a_file_is_an_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert run("corpus", "--out", blocker / "corpus") == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_corpus_roundtrip(tmp_path):

@@ -184,6 +184,17 @@ def test_build_rejects_invalid(t4):
         build_extension(ConstructionSpec(t4, 0, (bad, 0, 0, 0)))
 
 
+@pytest.mark.parametrize("s_edge", [-1, -9, 9, 100])
+def test_selectors_reject_an_anchor_index_out_of_range(t4, s_edge):
+    # -1 used to select the last edge as the anchor, yielding a spec
+    # that validate_spec then rejected; 9 = m raised IndexError
+    assert t4.num_edges == 9
+    with pytest.raises(InvalidSpecError, match="out of range 0..8"):
+        select_f_default(t4, s_edge)
+    with pytest.raises(InvalidSpecError, match="out of range 0..8"):
+        select_f_by_profile(t4, s_edge, DegreeProfile(4, (1,)), strict=False)
+
+
 def test_cover_mirror_cases(h4, spec4, t4):
     v1 = frozenset((0, p) for p in range(3))
     assert cover_mirror(v1, spec4) == v1
