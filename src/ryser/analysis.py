@@ -21,9 +21,10 @@ vertices, so it misses some edge and cannot keep the family
 intersecting) and sorts each candidate into: already present, a twin of
 a selected edge (type 1: F_i plus a final-side vertex), a twin of a
 mirrored selected edge (type 2: F_i - s_i + v_i plus a side-i vertex),
-or a violation of that pattern.  The transversals for each fresh side
-(or none) are the minimum covers of one cover-search enumeration on
-`solver._transversal_instance`.
+or a violation of that pattern.  The candidates, for every fresh side
+and for none, are the minimum covers of one cover-search enumeration on
+`solver._candidate_instance`, which gives each side a fresh vertex and
+lets a cover pick at most one of them.
 """
 
 import warnings
@@ -45,8 +46,8 @@ from .solver import (
     CoverResult,
     _budget_search,
     _Deadline,
+    _candidate_instance,
     _instance,
-    _transversal_instance,
     cover_number,
     cover_without_edge,
 )
@@ -247,7 +248,7 @@ class ExtensionClassification:
     counts: dict
     violations: tuple
     nodes: int = 0                # search nodes of the cover-number check (0 when its answer
-                                  # was kept) and the enumerations
+                                  # was kept) and the candidate enumeration
 
 
 def enumerate_candidates_brute(h):
@@ -277,8 +278,10 @@ def classify_extensions(
 
     A new edge must meet every existing edge; since the cover number is
     r, its existing-vertex part must be a covering transversal, leaving
-    room for at most one fresh vertex.  The cover-number check and the
-    r+2 enumerations run in this process and share one `timeout`.
+    room for at most one fresh vertex.  The cover-number check and one
+    enumeration, whose covers hold a fresh vertex of at most one side,
+    run in this process and share one `timeout`.  The candidates come
+    grouped by fresh side, none first, and sorted within each group.
     """
     r = spec.base.num_sides
     if h.num_sides != r + 1:
@@ -324,13 +327,19 @@ def classify_extensions(
     res = cover_number(h, upper_hint=r, timeout=deadline.remaining())
     if res.tau != r:
         raise NotExtremalError(f"cover number is {res.tau}, expected {r}")
-    nodes = res.nodes_explored
-    for fresh in [None] + list(range(r + 1)):
-        inst, k = _transversal_instance(h, fresh)
-        _, sols, found = _budget_search(inst, k, True, deadline)
-        nodes += found
-        for verts in sorted(tuple(h.vid(g) for g in sorted(sol)) for sol in sols):
-            candidates.append(ExtensionCandidate(fresh, verts, *classify(fresh, verts)))
+    _, sols, found = _budget_search(_candidate_instance(h), r + 1, True, deadline)
+    # Keyed by fresh side (-1 for none) and sorted real ids; global ids
+    # follow vertex order, so each group comes out sorted by vertices.
+    n = h.num_vertices
+    keyed = []
+    for sol in sols:
+        gids = sorted(sol)
+        keyed.append((gids.pop() - n if gids[-1] >= n else -1, gids))
+    vids = tuple(h.vertices())
+    for side, gids in sorted(keyed):
+        fresh = None if side < 0 else side
+        verts = tuple([vids[g] for g in gids])
+        candidates.append(ExtensionCandidate(fresh, verts, *classify(fresh, verts)))
     counts = dict(Counter(c.kind for c in candidates))
     violations = tuple(c for c in candidates if c.kind == "violation")
     return ExtensionClassification(
@@ -339,7 +348,7 @@ def classify_extensions(
         candidates=tuple(candidates),
         counts=counts,
         violations=violations,
-        nodes=nodes,
+        nodes=res.nodes_explored + found,
     )
 
 
@@ -352,9 +361,6 @@ class TwinFamily:
     index: int         # 1-based selected-edge number
     fresh_side: int    # the side taking the infinitely many twin vertices
     fixed_vertices: tuple
-
-    def matches(self, fresh_side, vertices) -> bool:
-        return fresh_side == self.fresh_side and frozenset(vertices) == frozenset(self.fixed_vertices)
 
 
 @dataclass(frozen=True)

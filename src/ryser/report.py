@@ -116,8 +116,11 @@ class Check:
         return out
 
 
-def overall_status(checks) -> str:
-    statuses = [c.status for c in checks]
+_STATUSES = REPORT_SCHEMA["properties"]["overall"]["enum"]
+
+
+def overall_status(statuses) -> str:
+    """The report's overall status, from its checks' statuses."""
     if "fail" in statuses:
         return "fail"
     if "timeout" in statuses:
@@ -135,7 +138,7 @@ def make_report(command, parameters, inputs, checks):
         "parameters": parameters,
         "inputs": inputs,
         "checks": [c.as_dict() for c in checks],
-        "overall": overall_status(checks),
+        "overall": overall_status([c.status for c in checks]),
     }
 
 
@@ -399,8 +402,10 @@ def recheck_report(report, base_dir="."):
     another type, and so is a malformed envelope: a report that is no
     object, `inputs` or `checks` that is no list, an entry of them that
     is no object with string fields `path` and `sha256` (`name` and
-    `status`), or a `spec` that is no object.  Returns a list of
-    problems (empty = consistent)."""
+    `status`), or a `spec` that is no object.  So is a check status
+    outside the schema's enum, and an `overall` other than the one
+    `overall_status` gives for the checks.  Returns a list of problems
+    (empty = consistent)."""
     if not isinstance(report, dict):
         return [f"report is a {type(report).__name__}, not an object"]
     problems = []
@@ -423,7 +428,16 @@ def recheck_report(report, base_dir="."):
         if path.endswith(".rhg"):
             hypergraphs[entry["path"]] = read_rhg(path)
     h = next(iter(hypergraphs.values()), None)
-    for chk in _entries(report, "checks", ("name", "status"), problems):
+    checks = _entries(report, "checks", ("name", "status"), problems)
+    for chk in checks:
+        if chk["status"] not in _STATUSES:
+            problems.append(f"{chk['name']}: status {chk['status']!r} is not one of "
+                            f"{', '.join(_STATUSES)}")
+    overall = overall_status([chk["status"] for chk in checks])
+    if report.get("overall") != overall:
+        problems.append(f"overall {report.get('overall')!r} differs from {overall!r}, "
+                        f"that of the checks")
+    for chk in checks:
         cert = chk.get("certificate")
         if not isinstance(cert, dict) or chk["status"] != "pass":
             continue

@@ -71,12 +71,14 @@ enumeration are those of the full loop; only the node count drops.  A
 uniformized extension gets the bound through its source.
 
 A branch child also excludes its vertex's `closes` mask, in a cover
-instance the vertex alone.  The covering transversals of all sides but
-one (or of all sides) are the minimum covers of one enumeration on an
-instance with that side's vertices removed from the edges and one edge
-per remaining side, the whole side, branched on after every real edge.
-Its budget is the number k of those sides; a k-cover meets each
-disjoint side edge once, so a pick closes its whole side.
+instance the vertex alone.  The candidate edges of a hypergraph with k
+sides, one vertex from every side or a fresh vertex in place of one
+side's, meeting every edge, are the minimum covers of one enumeration on
+`_candidate_instance`: the edges, then per side one edge holding the
+whole side and a fresh vertex of its own, branched on after every real
+edge.  Its budget is k, which is exact: a k-cover meets each of the k
+disjoint side edges once, so a pick closes its side edge, and a pick of
+a fresh vertex closes the other fresh vertices too.
 
 The matching search carries the mask of the later edges disjoint from
 every edge taken so far and takes each in turn, lowest index first, so
@@ -260,26 +262,32 @@ def _build_instance(h):
     )
 
 
-def _transversal_instance(h, fresh):
-    """The instance whose k-covers, for k the number of sides other than
-    `fresh` (a side or None), are the transversals of those sides that
-    meet every edge of h; returns it with k."""
-    off, m = h.offsets, h.num_edges
-    gid_lists = [tuple([off[s] + p for s, p in e if s != fresh]) for e in h.edges]
+def _candidate_instance(h):
+    """The instance whose k-covers, for k the number of sides, are h's
+    candidate edges: one vertex of every side, or of every side but one
+    with that side's fresh vertex in its place, meeting every edge of h.
+    Ids 0..n-1 are h's vertices and n+s is the fresh vertex of side s,
+    which meets no edge of h.  Edge m+s, side s with its fresh vertex,
+    follows h's m edges, in a last branching class."""
+    off, n, m, k = h.offsets, h.num_vertices, h.num_edges, h.num_sides
+    gid_lists = list(_instance(h).gid_lists)
     classes = [sum(1 << i for i, gids in enumerate(gid_lists) if len(gids) == size)
                for size in sorted({len(gids) for gids in gid_lists})]
-    sides = [range(off[s], off[s + 1]) for s in range(h.num_sides) if s != fresh]
-    gid_lists += map(tuple, sides)
-    inc = [0] * off[-1]  # a fresh-side vertex meets no edge
-    closes = [0] * off[-1]
-    for i, gids in enumerate(sides):
-        for g in gids:
-            inc[g] = h.incidence_masks[g] | 1 << (m + i)
-            closes[g] = ((1 << gids.stop) - 1) ^ ((1 << gids.start) - 1)
-    k = len(sides)
     classes.append(((1 << k) - 1) << m)
+    inc = list(h.incidence_masks)
+    closes = [0] * n
+    fresh = ((1 << k) - 1) << n
+    for s in range(k):
+        gids = range(off[s], off[s + 1])
+        gid_lists.append((*gids, n + s))
+        side = ((1 << gids.stop) - 1) ^ ((1 << gids.start) - 1) | 1 << (n + s)
+        for g in gids:
+            inc[g] |= 1 << (m + s)
+            closes[g] = side
+        inc.append(1 << (m + s))
+        closes.append(side | fresh)
     entries = tuple((mask.bit_count(), 1 << g, mask) for g, mask in enumerate(inc))
-    return _Instance(tuple(gid_lists), entries, tuple(classes), 0, tuple(closes)), k
+    return _Instance(tuple(gid_lists), entries, tuple(classes), 0, tuple(closes))
 
 
 def _budget_search(inst, budget, collect, deadline, node=None):

@@ -345,8 +345,7 @@ def test_maximal_closure_q4():
     # family membership: F_2 + fresh final-side vertex is the type1(2) family
     f2 = tuple(sorted(spec.base.edge_sets[spec.f_edges[1]]))
     fam = next(f for f in report.families if f.kind == "type1" and f.index == 2)
-    assert fam.matches(5, f2)
-    assert not fam.matches(1, f2)
+    assert (fam.fresh_side, fam.fixed_vertices) == (5, f2)
 
 
 def test_maximal_closure_rejects_violations(q3_setup):

@@ -352,6 +352,35 @@ def test_recheck_reports_malformed_certificates(t4_file, tmp_path, kind, change,
 
 
 @pytest.fixture(scope="module")
+def tau_report(t4_file, tmp_path_factory):
+    rep_path = tmp_path_factory.mktemp("tau") / "v.json"
+    assert run("verify", t4_file, "--tau", "--json", rep_path) == 0
+    rep = load(rep_path)
+    assert rep["overall"] == "pass" and recheck_report(rep, base_dir=".") == []
+    return rep
+
+
+def test_recheck_reports_a_status_outside_the_schema(tau_report):
+    # recheck replayed only "pass" checks, so this one went unchecked
+    rep = json.loads(json.dumps(tau_report))
+    check = next(c for c in rep["checks"] if c["name"] == "cover-number")
+    check["status"] = "bogus"
+    check["certificate"]["witness"] = []
+    problems = recheck_report(rep, base_dir=".")
+    assert ("cover-number: status 'bogus' is not one of pass, fail, skipped, timeout"
+            in problems), problems
+
+
+def test_recheck_reports_an_overall_the_checks_do_not_give(tau_report):
+    rep = json.loads(json.dumps(tau_report))
+    next(c for c in rep["checks"] if c["name"] == "cover-number")["status"] = "fail"
+    assert recheck_report(rep, base_dir=".") == [
+        "overall 'pass' differs from 'fail', that of the checks"]
+    rep["overall"] = "fail"
+    assert recheck_report(rep, base_dir=".") == []
+
+
+@pytest.fixture(scope="module")
 def construct_report(t4_file, tmp_path_factory):
     d = tmp_path_factory.mktemp("construct")
     rep_path = d / "c.json"

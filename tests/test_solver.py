@@ -37,11 +37,12 @@ from ryser.solver import (
     MatchingResult,
     RatioReport,
     _budget_search,
+    _candidate_instance,
     _Deadline,
     _degree_sum_fits,
     _instance,
+    _Instance,
     _ranked_degrees,
-    _transversal_instance,
     brute_force_cover_oracle,
     cover_number,
     matching_number,
@@ -608,30 +609,33 @@ def test_budget_search_matches_reference(h):
 
 
 def transversal_enumerations(h):
-    """Per fresh side (None first), the `_budget_search` result of its
-    transversal enumeration."""
-    out = []
-    for fresh in [None, *range(h.num_sides)]:
-        inst, k = _transversal_instance(h, fresh)
-        out.append((fresh, _budget_search(inst, k, True, _Deadline(None))))
-    return out
+    """The (fresh side or None, sorted vertices) of every minimum cover of
+    the `_candidate_instance` enumeration, None first, then by side and
+    vertices, with the run's node count."""
+    n = h.num_vertices
+    _, sols, nodes = _budget_search(_candidate_instance(h), h.num_sides, True, _Deadline(None))
+    found = []
+    for sol in sols:
+        fresh = [g - n for g in sol if g >= n]
+        assert len(fresh) <= 1
+        verts = tuple(h.vid(g) for g in sorted(sol) if g < n)
+        found.append((fresh[0] if fresh else -1, verts))
+    return [(None if fresh < 0 else fresh, verts) for fresh, verts in sorted(found)], nodes
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(any_hypergraph())
 def test_transversals_match_product_enumeration(h):
-    got = [(fresh, t)
-           for fresh, (_, sols, _) in transversal_enumerations(h)
-           for t in sorted(tuple(h.vid(g) for g in sorted(sol)) for sol in sols)]
-    assert got == enumerate_candidates_brute(h)
+    assert transversal_enumerations(h)[0] == enumerate_candidates_brute(h)
 
 
 def test_transversal_node_ceiling():
-    # The q=7 extension's r+2 enumerations took 4,519 nodes when written,
-    # and 18,316 when a pick did not close its side.
+    # The q=7 extension's candidate enumeration took 2,974 nodes when
+    # written, 4,519 as r+2 enumerations, one per fresh side or none, and
+    # 18,316 as those when a pick did not close its side.
     ext = build_extension(select_f_default(truncate(build_plane(FiniteField(7))), 0),
                           check=False)
-    assert sum(nodes for _, (_, _, nodes) in transversal_enumerations(ext)) <= 6000
+    assert transversal_enumerations(ext)[1] <= 3000
 
 
 def test_classification_counts_its_search_nodes():
@@ -639,9 +643,72 @@ def test_classification_counts_its_search_nodes():
     ext = build_extension(spec, check=False)
     precondition = cover_number(build_extension(spec, check=False), upper_hint=8).nodes_explored
     serial = classify_extensions(ext, spec)
-    assert serial.nodes - precondition == 4519  # the r+2 enumerations
+    assert serial.nodes - precondition == 2974  # the candidate enumeration
     # a repeat call finds the cover-number check answered
-    assert classify_extensions(ext, spec).nodes == 4519
+    assert classify_extensions(ext, spec).nodes == 2974
+
+
+def r_plus_two_instance(h, fresh):
+    """`solver._transversal_instance` as it was when the classification ran
+    one enumeration per fresh side (or none): the instance whose k-covers,
+    for k the number of sides other than `fresh`, are the transversals of
+    those sides that meet every edge of h; returns it with k."""
+    off, m = h.offsets, h.num_edges
+    gid_lists = [tuple([off[s] + p for s, p in e if s != fresh]) for e in h.edges]
+    classes = [sum(1 << i for i, gids in enumerate(gid_lists) if len(gids) == size)
+               for size in sorted({len(gids) for gids in gid_lists})]
+    sides = [range(off[s], off[s + 1]) for s in range(h.num_sides) if s != fresh]
+    gid_lists += map(tuple, sides)
+    inc = [0] * off[-1]  # a fresh-side vertex meets no edge
+    closes = [0] * off[-1]
+    for i, gids in enumerate(sides):
+        for g in gids:
+            inc[g] = h.incidence_masks[g] | 1 << (m + i)
+            closes[g] = ((1 << gids.stop) - 1) ^ ((1 << gids.start) - 1)
+    k = len(sides)
+    classes.append(((1 << k) - 1) << m)
+    entries = tuple((mask.bit_count(), 1 << g, mask) for g, mask in enumerate(inc))
+    return _Instance(tuple(gid_lists), entries, tuple(classes), 0, tuple(closes)), k
+
+
+def reference_kind(spec, h, fresh, verts):
+    """(kind, 1-based index) of a candidate, read from the definitions:
+    an edge of h; F_i plus a final-side vertex (type 1); F_i - s_i + v_i
+    plus a side-i vertex (type 2); else a violation."""
+    r = spec.base.num_sides
+    if fresh is None and frozenset(verts) in h.edge_sets:
+        return "already_present", None
+    anchor = spec.anchor_vertices()
+    for i, fe in enumerate(spec.f_edges):
+        if fresh in (None, r) and {v for v in verts if v[0] != r} == spec.base.edge_sets[fe]:
+            return "type1", i + 1
+    for i, fe in enumerate(spec.f_edges):
+        shifted = (spec.base.edge_sets[fe] - {anchor[i]}) | {spec.mirror_vertex(i)}
+        if fresh != r and {v for v in verts if v[0] != i} == shifted:
+            return "type2", i + 1
+    return "violation", None
+
+
+@pytest.mark.filterwarnings("ignore:uniformity r=4")
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+@pytest.mark.parametrize("mode", ["default", "profile"])
+def test_one_enumeration_matches_r_plus_two(q, mode):
+    # The classification's candidates, in order, equal those of one
+    # enumeration per fresh side (None first) on the former instance.
+    t = truncate(build_plane(FiniteField(2, 2) if q == 4 else FiniteField(q)))
+    for anchor in (0, random.Random(q).randrange(t.num_edges)):
+        spec = (select_f_default(t, anchor) if mode == "default"
+                else select_f_by_profile(t, anchor, DegreeProfile(q + 1, (1,)), strict=False))
+        ext = build_extension(spec, check=False)
+        want = []
+        for fresh in [None, *range(ext.num_sides)]:
+            inst, k = r_plus_two_instance(ext, fresh)
+            _, sols, _ = _budget_search(inst, k, True, _Deadline(None))
+            for verts in sorted(tuple(ext.vid(g) for g in sorted(sol)) for sol in sols):
+                want.append((fresh, verts, *reference_kind(spec, ext, fresh, verts)))
+        got = [(c.fresh_side, c.vertices, c.kind, c.index)
+               for c in classify_extensions(ext, spec).candidates]
+        assert got == want, (q, mode, anchor)
 
 
 def test_search_instance_built_once_per_hypergraph(monkeypatch):
@@ -766,7 +833,7 @@ def test_node_bound_from_ranking_matches_heap_walk(h, seed):
     # A node reads its own bound from its ranking and prunes exactly
     # where the heap walk did: the same first cover, enumeration and node
     # count for decide runs and enumerations from the root, for runs from
-    # a `cover_without_edge` start node, and on the transversal instances.
+    # a `cover_without_edge` start node, and on the candidate instance.
     inst = _instance(h)
     tau = brute_force_cover_oracle(h)
     runs = [(inst, budget, collect, None)
@@ -776,20 +843,20 @@ def test_node_bound_from_ranking_matches_heap_walk(h, seed):
     excluded = inst.dominated | sum(1 << g for g in inst.gid_lists[edge])
     start = ((), ((1 << h.num_edges) - 1) & ~(1 << edge), excluded)
     runs += [(inst, budget, False, start) for budget in range(tau)]
-    for fresh in [None, *range(h.num_sides)]:
-        runs.append((*_transversal_instance(h, fresh), True, None))
+    runs.append((_candidate_instance(h), h.num_sides, True, None))
     for inst, budget, collect, node in runs:
         got = _budget_search(inst, budget, collect, _Deadline(None), node)
         assert got == heap_node_budget_search(inst, budget, collect, node), (budget, collect, node)
 
 
 @pytest.mark.parametrize("q, classify_nodes, trial_nodes", [
-    (4, 406, 314), (5, 969, 1131), (7, 4528, 18223),
+    (4, 245, 314), (5, 571, 1131), (7, 2983, 18223),
 ])
 def test_anchor_zero_search_totals(q, classify_nodes, trial_nodes):
     # The search nodes of the classification and of minimize's trials on
     # the anchor-0 default spec, pinned when a node's bound was first read
-    # from its ranking: a change that prunes differently moves them.
+    # from its ranking (the classification's again when one candidate
+    # enumeration replaced r+2): a change that prunes differently moves them.
     field = FiniteField(2, 2) if q == 4 else FiniteField(q)
     spec = select_f_default(truncate(build_plane(field)), 0)
     assert classify_extensions(build_extension(spec, check=False), spec).nodes == classify_nodes
