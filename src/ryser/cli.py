@@ -228,6 +228,8 @@ def parse_f_edges(text, r):
         i, e = int(i), int(e)
         if not 1 <= i <= r:
             raise ConfigError(f"--f-edges side {i} out of range 1..{r}")
+        if out[i - 1] is not None:
+            raise ConfigError(f"--f-edges side {i} given twice")
         out[i - 1] = e
     if any(v is None for v in out):
         missing = [str(i + 1) for i, v in enumerate(out) if v is None]
@@ -662,16 +664,10 @@ def corpus_generate(out_dir):
     for q in (3, 4, 5):
         t = build_truncation(q)
         r = q + 1
-        spec = select_f_default(t, 0)
-        if validate_spec(spec):
-            raise AssertionError(f"default spec invalid for q={q}")
-        h = build_extension(spec, check=False)
+        h = build_extension(select_f_default(t, 0))
         emit(h, f"ext_q{q}_default.rhg")
         emit(uniformize(h), f"ext_q{q}_default_uniform.rhg")
-        pspec = select_f_by_profile(t, 0, DegreeProfile(r, (1,)), strict=False)
-        if validate_spec(pspec):
-            raise AssertionError(f"profile spec invalid for q={q}")
-        hp = build_extension(pspec, check=False)
+        hp = build_extension(select_f_by_profile(t, 0, DegreeProfile(r, (1,)), strict=False))
         emit(hp, f"ext_q{q}_profile.rhg")
         emit(uniformize(hp), f"ext_q{q}_profile_uniform.rhg")
     t26 = build_truncation(25)

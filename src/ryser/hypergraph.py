@@ -395,34 +395,33 @@ def _tokenize(line, lineno):
     return out
 
 
-def _split_edge_line(line):
-    """(label or None, vertex refs) of an edge line with at least one ref,
-    no '#' and no '"' other than around one label right after the 'e',
-    read with str.split; None for any other line.  _tokenize reads these
-    lines into the same tokens: str.split and its regular expression agree
-    on what is whitespace, and without '#' or '"' every token is a bare
-    word."""
-    if "#" in line:
-        return None
-    quotes = line.count('"')
-    if quotes == 0:
-        words = line.split()
-        if len(words) > 1 and words[0] == "e":
-            return None, words[1:]
-    elif quotes == 2:
-        head, label, tail = line.split('"')
-        words = tail.split()
-        # the opening quote must start a token, so whitespace precedes it
-        if words and head.split() == ["e"] and head[-1].isspace():
-            return label, words
-    return None
+def _read_line(line, lineno):
+    """(token texts, positions of the quoted tokens) of one line.  A line
+    with no '#' and no '"', or whose only quotes enclose one label right
+    after a lone 'e', is read with str.split; every other line goes
+    through _tokenize.  Both read those lines into the same tokens:
+    str.split and its regular expression agree on what is whitespace,
+    and without '#' or '"' every token is a bare word."""
+    if "#" not in line:
+        quotes = line.count('"')
+        if not quotes:
+            return line.split(), ()
+        if quotes == 2:
+            head, label, tail = line.split('"')
+            # the opening quote must start a token, so whitespace precedes it
+            if head.split() == ["e"] and head[-1].isspace():
+                return ["e", label, *tail.split()], (1,)
+    toks = _tokenize(line, lineno)
+    return [t for t, _ in toks], tuple(i for i, (_, quoted) in enumerate(toks) if quoted)
 
 
-def _edge_vertices(toks, sides, lineno):
-    """Vertex refs of an edge line, parsed and range-checked one by one."""
+def _edge_vertices(words, quoted, start, sides, lineno):
+    """Vertex refs words[start:] of an edge line, parsed and range-checked
+    one by one in file order."""
     verts = []
-    for t, quoted in toks:
-        if quoted:
+    for i in range(start, len(words)):
+        t = words[i]
+        if i in quoted:
             raise ParseError("quoted label must come first in an edge line", lineno)
         try:
             v = parse_vid(t)
@@ -434,19 +433,14 @@ def _edge_vertices(toks, sides, lineno):
     return verts
 
 
-def _ref_table(sides, num_sides, lineno):
-    """"s.p" -> (s, p) for every vertex, built at the first edge line."""
-    if len(sides) != num_sides:
-        raise ParseError(f"got {len(sides)} side lines, header says {num_sides}", lineno)
-    return {vid_str((s, p)): (s, p) for s, side in enumerate(sides) for p in range(len(side))}
-
-
 def loads_rhg(text: str, name: str = "") -> PartiteHypergraph:
     """Parse .rhg text, checking every edge once, with line-numbered errors.
 
-    After the header, a line that _split_edge_line reads and whose refs
-    are all in the ref table skips the tokenizer.  Every other line goes
-    through _tokenize, and a ref the table lacks through _edge_vertices."""
+    Every line goes through _read_line and one header / 's' / 'e'
+    dispatch.  The first edge line checks the side count and builds the
+    "s.p" -> (s, p) table of every vertex.  An edge whose refs are all
+    unquoted and in that table is read from it, any other edge through
+    _edge_vertices."""
     sides = []
     edges = []
     labels = []
@@ -454,67 +448,56 @@ def loads_rhg(text: str, name: str = "") -> PartiteHypergraph:
     refs = None  # set at the first edge line; side lines may not follow
     seen_edges = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        verts = None
-        if num_sides is not None:
-            split = _split_edge_line(raw)
-            if split is not None:
-                if refs is None:
-                    refs = _ref_table(sides, num_sides, lineno)
-                label, words = split
-                verts = [*map(refs.get, words)]
-                if None in verts:
-                    verts = None
-        if verts is None:
-            toks = _tokenize(raw, lineno)
-            if not toks:
-                continue
-            head = toks[0][0]
-            if num_sides is None:
-                if head != "rhg" or len(toks) != 3 or toks[1][0] != "1":
-                    raise ParseError("expected header 'rhg 1 <num_sides>'", lineno)
-                try:
-                    num_sides = int(toks[2][0])
-                except ValueError:
-                    raise ParseError("bad side count in header", lineno) from None
-                if num_sides < 1:
-                    raise ParseError("side count must be >= 1", lineno)
-                continue
-            if head == "s":
-                if refs is not None:
-                    raise ParseError("side line after edge lines", lineno)
-                if len(toks) < 2 or toks[1][1]:
-                    raise ParseError("expected 's <side_index> <labels...>'", lineno)
-                try:
-                    idx = int(toks[1][0])
-                except ValueError:
-                    raise ParseError("bad side index", lineno) from None
-                if idx != len(sides):
-                    raise ParseError(f"side index {idx}, expected {len(sides)}", lineno)
-                sides.append(tuple(t for t, _ in toks[2:]))
-                continue
-            if head != "e":
-                raise ParseError(f"unknown directive {head!r}", lineno)
+        words, quoted = _read_line(raw, lineno)
+        if not words:
+            continue
+        head = words[0]
+        if num_sides is None:
+            if head != "rhg" or len(words) != 3 or words[1] != "1":
+                raise ParseError("expected header 'rhg 1 <num_sides>'", lineno)
+            try:
+                num_sides = int(words[2])
+            except ValueError:
+                raise ParseError("bad side count in header", lineno) from None
+            if num_sides < 1:
+                raise ParseError("side count must be >= 1", lineno)
+        elif head == "e":
             if refs is None:
-                refs = _ref_table(sides, num_sides, lineno)
-            rest = toks[1:]
-            label = None
-            if rest and rest[0][1]:
-                label = rest[0][0]
-                rest = rest[1:]
-            if not rest:
+                if len(sides) != num_sides:
+                    raise ParseError(f"got {len(sides)} side lines, header says {num_sides}",
+                                     lineno)
+                refs = {vid_str((s, p)): (s, p)
+                        for s, side in enumerate(sides) for p in range(len(side))}
+            label = words[1] if 1 in quoted else None
+            start = 1 if label is None else 2
+            if len(words) == start:
                 raise ParseError("edge with no vertices", lineno)
-            verts = [None if quoted else refs.get(t) for t, quoted in rest]
-            if None in verts:
-                verts = _edge_vertices(rest, sides, lineno)
-        vs = tuple(sorted(verts))
-        if len(dict(vs)) != len(vs):  # one key per side
-            raise PartitenessError(f"line {lineno}: edge repeats a side")
-        if seen_edges.setdefault(vs, lineno) != lineno:
-            raise DuplicateEdgeError(
-                f"line {lineno}: duplicates edge from line {seen_edges[vs]}"
-            )
-        edges.append(vs)
-        labels.append(label)
+            verts = [*map(refs.get, words[start:])]
+            if None in verts or len(quoted) > start - 1:  # a quoted token besides the label
+                verts = _edge_vertices(words, quoted, start, sides, lineno)
+            vs = tuple(sorted(verts))
+            if len(dict(vs)) != len(vs):  # one key per side
+                raise PartitenessError(f"line {lineno}: edge repeats a side")
+            if seen_edges.setdefault(vs, lineno) != lineno:
+                raise DuplicateEdgeError(
+                    f"line {lineno}: duplicates edge from line {seen_edges[vs]}"
+                )
+            edges.append(vs)
+            labels.append(label)
+        elif head == "s":
+            if refs is not None:
+                raise ParseError("side line after edge lines", lineno)
+            if len(words) < 2 or 1 in quoted:
+                raise ParseError("expected 's <side_index> <labels...>'", lineno)
+            try:
+                idx = int(words[1])
+            except ValueError:
+                raise ParseError("bad side index", lineno) from None
+            if idx != len(sides):
+                raise ParseError(f"side index {idx}, expected {len(sides)}", lineno)
+            sides.append(tuple(words[2:]))
+        else:
+            raise ParseError(f"unknown directive {head!r}", lineno)
     if num_sides is None:
         raise ParseError("empty file", 1)
     if refs is None and len(sides) != num_sides:

@@ -225,7 +225,7 @@ def classification_certificate(cls):
 _CERT_FIELDS = {
     "cover": {"tau": int, "witness": list},
     "matching": {"nu": int, "witness_edges": list},
-    "ratio": {"r": int, "tau": int, "nu": int, "is_ryser_extremal": bool},
+    "ratio": {"r": int, "tau": int, "nu": int, "ratio": float, "is_ryser_extremal": bool},
     "intersecting": {"intersecting": bool},
     "plane-counting": {"q": int, "edges": int, "s_edge": int},
     "minimization": {"target_tau": int, "deleted": list, "kept": list},
@@ -295,6 +295,22 @@ def _check_matching_cert(cert, h, problems, where):
         used |= masks[ei]
     if len(cert["witness_edges"]) != cert["nu"]:
         problems.append(f"{where}: witness size differs from nu")
+
+
+def _check_ratio_cert(cert, h, problems, where):
+    """A passing ratio certificate claims tau = (r-1)*nu with nu >= 1 and
+    ratio tau/nu, and r is the input's side count when there is an input."""
+    r, tau, nu = cert["r"], cert["tau"], cert["nu"]
+    if nu < 1:
+        problems.append(f"{where}: nu {nu} is below 1")
+    elif cert["ratio"] != tau / nu:
+        problems.append(f"{where}: ratio {cert['ratio']!r} differs from tau/nu = {tau / nu!r}")
+    if cert["is_ryser_extremal"] != (tau == (r - 1) * nu):
+        problems.append(f"{where}: extremality flag inconsistent")
+    elif not cert["is_ryser_extremal"]:
+        problems.append(f"{where}: passes with a ratio that is not Ryser-extremal")
+    if h is not None and r != h.num_sides:
+        problems.append(f"{where}: r {r} differs from the input's {h.num_sides} sides")
 
 
 def minimization_certificate(trace):
@@ -395,7 +411,9 @@ def recheck_report(report, base_dir="."):
     input: its final hypergraph, and each kept edge's witness of
     criticality; the pipeline's `minimization-counts` summary holds
     nothing to replay.  A plane-counting certificate is replayed by
-    testing the input base again.  A passing cover, matching,
+    testing the input base again.  A passing ratio certificate needs
+    nu >= 1, ratio tau/nu, a true extremality flag that agrees with
+    tau = (r-1)*nu, and r the input's side count.  A passing cover, matching,
     intersecting, plane-counting or minimization certificate with no
     input hypergraph to check it against is a problem, and so is a
     certificate lacking a field that recheck reads or holding one of
@@ -458,9 +476,7 @@ def recheck_report(report, base_dir="."):
         elif kind == "plane-counting":
             _check_plane_counting_cert(cert, h, spec, problems, where)
         elif kind == "ratio":
-            extremal = cert["tau"] == (cert["r"] - 1) * cert["nu"]
-            if cert["is_ryser_extremal"] != extremal:
-                problems.append(f"{where}: extremality flag inconsistent")
+            _check_ratio_cert(cert, h, problems, where)
         elif kind == "intersecting":
             if cert["intersecting"] is False:
                 pair = cert.get("disjoint_pair")

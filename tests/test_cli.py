@@ -425,6 +425,32 @@ def test_recheck_reports_a_malformed_envelope(construct_report, change, expect):
     assert any(expect in p for p in problems), problems
 
 
+@pytest.fixture(scope="module")
+def ratio_report(t4_extension, tmp_path_factory):
+    rep_path = tmp_path_factory.mktemp("ratio") / "v.json"
+    assert run("verify", t4_extension[2], "--ratio", "--json", rep_path) == 0
+    rep = load(rep_path)
+    cert = rep["checks"][0]["certificate"]
+    assert (cert["r"], cert["tau"], cert["nu"], cert["ratio"]) == (5, 4, 1, 4.0)
+    assert recheck_report(rep, base_dir=".") == []
+    return rep
+
+
+@pytest.mark.parametrize("fields, expect", [
+    ({"ratio": 99.0}, "ryser-ratio: ratio 99.0 differs from tau/nu = 4.0"),
+    ({"tau": 5, "is_ryser_extremal": False},
+     "ryser-ratio: passes with a ratio that is not Ryser-extremal"),
+    ({"tau": 0, "nu": 0}, "ryser-ratio: nu 0 is below 1"),
+    ({"r": 6, "tau": 5, "ratio": 5.0}, "ryser-ratio: r 6 differs from the input's 5 sides"),
+    ({"ratio": 4}, "ryser-ratio: ratio certificate field 'ratio' is 4, not of type float"),
+], ids=["ratio", "not-extremal", "nu-zero", "r-not-sides", "ratio-int"])
+def test_recheck_reports_a_forged_ratio_certificate(ratio_report, fields, expect):
+    rep = json.loads(json.dumps(ratio_report))
+    rep["checks"][0]["certificate"].update(fields)
+    problems = recheck_report(rep, base_dir=".")
+    assert expect in problems, problems
+
+
 def test_construct_explicit_and_profile(t4_file, tmp_path):
     rep = tmp_path / "r.json"
     out = tmp_path / "x.rhg"
@@ -867,6 +893,17 @@ def test_flag_integers_are_decimal(t4_file, tmp_path, capsys, selection):
     assert run("construct", "--base", t4_file, "--s-edge", 0, *selection, "--out", out) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_f_edges_side_given_twice_is_a_config_error(t4_file, tmp_path, capsys):
+    out = tmp_path / "x.rhg"
+    twice = "1:3,1:4,2:5,3:0,4:0"
+    assert run("construct", "--base", t4_file, "--s-edge", 0, "--f-edges", twice,
+               "--out", out) == 2
+    assert "--f-edges side 1 given twice" in capsys.readouterr().err
+    assert run("pipeline", "--q", 3, "--f-edges", twice, "--out-dir", tmp_path / "arts") == 2
+    assert "--f-edges side 1 given twice" in capsys.readouterr().err
+    assert not out.exists() and not (tmp_path / "arts").exists()
 
 
 @pytest.mark.parametrize("value", ["1_1", " 3", "3 ", "+3", "3.0", "0x3", "", "３"])

@@ -18,13 +18,13 @@ from ryser.errors import (
 from ryser.gf import FiniteField
 from ryser.hypergraph import (
     PartiteHypergraph,
-    _edge_vertices,
     _tokenize,
     degree_stats,
     dumps_rhg,
     intersection_size_profile,
     is_intersecting,
     loads_rhg,
+    parse_vid,
     read_rhg,
     write_rhg,
 )
@@ -465,20 +465,42 @@ RHG_HEAD = "rhg 1 3\ns 0 a b\ns 1 c d\ns 2 e\n"
     # out of range and a repeated side: refs are checked in file order
     ("e 1.0 9.0 1.1\n", ParseError, "line 5: vertex ref 9.0 out of range"),
     ("e 1.0 1.1 9.0\n", ParseError, "line 5: vertex ref 9.0 out of range"),
+    # a bad ref before a stray quoted token: refs are checked in file order
+    ('e 9.9 "q"\n', ParseError, "line 5: vertex ref 9.9 out of range"),
     ("e 0.0 1.0\ns 3 x\n", ParseError, "line 6: side line after edge lines"),
     ('e "unterminated 0.0\n', ParseError, "line 5: unterminated quoted label"),
+    # a whole text: the side count is checked before the edge line's tokens
+    ('rhg 1 2\ns 0 a b\ns 1 c d\ns 2 e\ne\t2.0\t"q"\n', ParseError,
+     "line 5: got 3 side lines, header says 2"),
     ("e 0.0\ne 0.1 1.1 2.0\n", UniformityError,
      "edge sizes [1, 3] are not one size or two consecutive sizes"),
 ])
 def test_rhg_error_messages(body, error, message):
     with pytest.raises(error) as ei:
-        loads_rhg(RHG_HEAD + body)
+        loads_rhg(body if body.startswith("rhg") else RHG_HEAD + body)
     assert type(ei.value) is error and str(ei.value) == message
 
 
 def test_rhg_reads_noncanonical_refs():
     h = loads_rhg(RHG_HEAD + "e 0.0 +1.0 2.0\ne 00.1 1.01\n")
     assert h.edges == (((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1)))
+
+
+def reference_edge_vertices(toks, sides, lineno):
+    """Vertex refs of an edge line's (text, was_quoted) tokens, parsed and
+    range-checked one by one."""
+    verts = []
+    for t, quoted in toks:
+        if quoted:
+            raise ParseError("quoted label must come first in an edge line", lineno)
+        try:
+            v = parse_vid(t)
+        except ValueError:
+            raise ParseError(f"bad vertex ref {t!r}", lineno) from None
+        if not (0 <= v[0] < len(sides)) or not (0 <= v[1] < len(sides[v[0]])):
+            raise ParseError(f"vertex ref {t} out of range", lineno)
+        verts.append(v)
+    return verts
 
 
 def reference_loads_rhg(text, name=""):
@@ -536,7 +558,7 @@ def reference_loads_rhg(text, name=""):
                 raise ParseError("edge with no vertices", lineno)
             verts = [None if quoted else refs.get(t) for t, quoted in rest]
             if None in verts:
-                verts = _edge_vertices(rest, sides, lineno)
+                verts = reference_edge_vertices(rest, sides, lineno)
             if len({s for s, _ in verts}) != len(verts):
                 raise PartitenessError(f"line {lineno}: edge repeats a side")
             vs = tuple(sorted(verts))
@@ -624,7 +646,7 @@ def test_rhg_edge_lines_skip_tokenizer(monkeypatch):
     tokenize = hypergraph._tokenize
     monkeypatch.setattr(hypergraph, "_tokenize", lambda *a: calls.append(a) or tokenize(*a))
     back = loads_rhg(text)
-    assert len(calls) <= 1 + u.num_sides
+    assert calls == []
     assert back == u and hash(back) == hash(u)
     assert back == PartiteHypergraph(u.sides, u.edges, u.edge_labels)
 
