@@ -2,9 +2,11 @@
 
 Exit codes: 0 all requested checks passed, 1 a check failed, 2 usage or
 config error, 3 a search timed out (result incomplete).  Every
-subcommand accepts --json PATH; reports embed certificates and input
-digests (see report.py).  RYSER_TIMEOUT_SECS overrides the default
-solver budget.
+subcommand accepts --json PATH.  truncate, construct, verify, minimize,
+maximal-check and pipeline write a `ryser-report/1` report there, with
+certificates and input digests (see report.py); field, plane,
+fingerprint, iso, profiles and corpus write a plain JSON object of
+their results.  RYSER_TIMEOUT_SECS overrides the default solver budget.
 
 `main` builds its argument parser on the first call and reuses it, so
 an in-process caller making many calls pays for argparse once; no
@@ -41,7 +43,7 @@ from .construct import (
     validate_spec,
 )
 from .errors import ConfigError, RyserError, SolverTimeout
-from .gf import FiniteField, is_prime
+from .gf import FiniteField
 from .hypergraph import atomic_write_text, dumps_rhg, is_intersecting, read_rhg, vid_str
 from .plane import bruck_ryser_excluded, build_plane, truncate
 from .report import (
@@ -58,7 +60,7 @@ from .report import (
     sha256_bytes,
     write_json_atomic,
 )
-from .solver import cover_number, matching_number, verify_ryser_ratio
+from .solver import DEFAULT_TIMEOUT, cover_number, matching_number, verify_ryser_ratio
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -69,7 +71,7 @@ EXIT_TIMEOUT = 3
 def default_timeout() -> float:
     raw = os.environ.get("RYSER_TIMEOUT_SECS")
     if raw is None:
-        return 60.0
+        return DEFAULT_TIMEOUT
     try:
         return float(raw)
     except ValueError:
@@ -95,7 +97,7 @@ def factor_prime_power(q: int):
     while n % p == 0:
         n //= p
         k += 1
-    if n != 1 or not is_prime(p):
+    if n != 1:
         raise ConfigError(f"q={q} is not a prime power")
     return p, k
 
@@ -659,10 +661,11 @@ def corpus_generate(out_dir):
         write_json_atomic(os.path.join(out_dir, filename + ".expected.json"), expected)
         items.append(filename)
 
-    for q in (2, 3, 4, 5):
-        emit(build_truncation(q), f"t{q + 1}.rhg")
+    truncations = {q: build_truncation(q) for q in (2, 3, 4, 5)}
+    for q, t in truncations.items():
+        emit(t, f"t{q + 1}.rhg")
     for q in (3, 4, 5):
-        t = build_truncation(q)
+        t = truncations[q]
         r = q + 1
         h = build_extension(select_f_default(t, 0))
         emit(h, f"ext_q{q}_default.rhg")

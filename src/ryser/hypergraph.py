@@ -4,7 +4,11 @@ statistics, and the line-oriented .rhg file format.
 Vertices are (side, pos) pairs.  Edges are stored as sorted vertex
 tuples plus a parallel bitmask over the side-major global numbering, so
 intersection tests are single AND operations.  Instances are immutable
-after construction.  The constructor validates partiteness,
+after construction, so every value one derives from its own sides and
+edges is a `functools.cached_property`, computed on first read and kept
+in the instance: the views `offsets`, `edge_masks`, `incidence_masks`,
+`edge_sets` and `uniformity`, and the answers of `is_intersecting` and
+`truncated_plane_order`.  The constructor validates partiteness,
 duplicate-freeness and the edge-size profile (all one size, or two
 consecutive sizes).  Builders whose edges are canonical already go
 through `_from_canonical`, which re-checks only the edge-size profile:
@@ -19,6 +23,7 @@ import tempfile
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DuplicateEdgeError,
@@ -47,9 +52,11 @@ class PartiteHypergraph:
     display metadata only.
     """
 
-    __slots__ = ("sides", "edges", "edge_labels", "name", "_masks", "_offsets", "_edge_sets",
-                 "_incidence", "_intersecting", "_plane_order", "_search", "_decided",
-                 "_source", "_spec")
+    # Links other modules set on an instance; None until they do.
+    _search = None  # the solver's search instance, built on first use
+    _decided = None  # the solver's one decide result, whatever the hint, once searched
+    _source = None  # the hypergraph `uniformize` made this one from, if any
+    _spec = None  # the spec `construct.build_extension` built this one from, if any
 
     def __init__(self, sides, edges, edge_labels=None, name=""):
         sides = tuple(tuple(str(x) for x in side) for side in sides)
@@ -87,16 +94,6 @@ class PartiteHypergraph:
         self.edges = edges
         self.edge_labels = edge_labels
         self.name = name
-        self._masks = None
-        self._offsets = None
-        self._edge_sets = None
-        self._incidence = None
-        self._intersecting = None
-        self._plane_order = None  # `truncated_plane_order`'s answer, 0 for None, once asked
-        self._search = None  # the solver's search instance, built on first use
-        self._decided = None  # the solver's one decide result, whatever the hint, once searched
-        self._source = None  # the hypergraph `uniformize` made this one from, if any
-        self._spec = None  # the spec `construct.build_extension` built this one from, if any
 
     # --- structure ---
 
@@ -116,14 +113,12 @@ class PartiteHypergraph:
     def num_vertices(self) -> int:
         return sum(len(s) for s in self.sides)
 
-    @property
+    @cached_property
     def offsets(self):
-        if self._offsets is None:
-            off = [0]
-            for s in self.sides:
-                off.append(off[-1] + len(s))
-            self._offsets = tuple(off)
-        return self._offsets
+        off = [0]
+        for s in self.sides:
+            off.append(off[-1] + len(s))
+        return tuple(off)
 
     def gid(self, v) -> int:
         return self.offsets[v[0]] + v[1]
@@ -140,41 +135,67 @@ class PartiteHypergraph:
             for p in range(len(side)):
                 yield (s, p)
 
-    @property
+    @cached_property
     def edge_masks(self):
-        if self._masks is None:
-            off = self.offsets
-            self._masks = tuple(
-                sum(1 << (off[s] + p) for s, p in e) for e in self.edges
-            )
-        return self._masks
+        off = self.offsets
+        return tuple(sum(1 << (off[s] + p) for s, p in e) for e in self.edges)
 
-    @property
+    @cached_property
     def incidence_masks(self):
         """Per global vertex id, the mask of the edges through that vertex;
         its popcount is the vertex's degree."""
-        if self._incidence is None:
-            off = self.offsets
-            inc = [0] * off[-1]
-            bit = 1
-            for e in self.edges:
-                for s, p in e:
-                    inc[off[s] + p] |= bit
-                bit <<= 1
-            self._incidence = tuple(inc)
-        return self._incidence
+        off = self.offsets
+        inc = [0] * off[-1]
+        bit = 1
+        for e in self.edges:
+            for s, p in e:
+                inc[off[s] + p] |= bit
+            bit <<= 1
+        return tuple(inc)
 
-    @property
+    @cached_property
     def edge_sets(self):
-        if self._edge_sets is None:
-            self._edge_sets = tuple(frozenset(e) for e in self.edges)
-        return self._edge_sets
+        return tuple(frozenset(e) for e in self.edges)
 
-    @property
+    @cached_property
     def uniformity(self):
         """Common edge size, or None if edge sizes are mixed/absent."""
         sizes = {len(e) for e in self.edges}
         return sizes.pop() if len(sizes) == 1 else None
+
+    @cached_property
+    def _intersecting(self):
+        """`is_intersecting`'s answer."""
+        if not self.edges:
+            raise EmptyHypergraphError("intersecting is undefined without edges")
+        off = self.offsets
+        incident = self.incidence_masks
+        full = (1 << len(self.edges)) - 1
+        for i, e in enumerate(self.edges):
+            meet = 0
+            for s, p in e:
+                meet |= incident[off[s] + p]
+            missed = (full ^ meet) >> (i + 1)
+            if missed:
+                return False, (i, i + (missed & -missed).bit_length())
+        return True, None
+
+    @cached_property
+    def _plane_order(self):
+        """`truncated_plane_order`'s answer."""
+        r = self.num_sides
+        q = r - 1
+        if q < 3 or self.side_sizes != (q,) * r or self.num_edges != q * q:
+            return None
+        if self.uniformity != r or not is_intersecting(self)[0]:
+            return None
+        degree = [mask.bit_count() for mask in self.incidence_masks]
+        off = self.offsets
+        each = q * q - 1 + r
+        for e in self.edges:
+            if sum(degree[off[s] + p] for s, p in e) != each:
+                return None
+        return q
 
     # --- derived copies ---
 
@@ -240,33 +261,15 @@ def is_intersecting(h: PartiteHypergraph):
 
     Each edge ORs the incident-edge masks of its vertices, so the cost is
     O(m*r) mask operations rather than m^2/2 pair tests.  The answer is
-    kept on the hypergraph, so later calls return it at once."""
-    if h._intersecting is None:
-        h._intersecting = _first_disjoint_pair(h)
+    a cached property of the hypergraph, so later calls return it at once."""
     return h._intersecting
-
-
-def _first_disjoint_pair(h):
-    if h.num_edges == 0:
-        raise EmptyHypergraphError("intersecting is undefined without edges")
-    off = h.offsets
-    incident = h.incidence_masks
-    full = (1 << h.num_edges) - 1
-    for i, e in enumerate(h.edges):
-        meet = 0
-        for s, p in e:
-            meet |= incident[off[s] + p]
-        missed = (full ^ meet) >> (i + 1)
-        if missed:
-            return False, (i, i + (missed & -missed).bit_length())
-    return True, None
 
 
 def truncated_plane_order(base: PartiteHypergraph):
     """q when `base` passes the truncated-plane test below, else None.
     Then, for every edge S, the base minus S has cover number q = r-1
-    and its only minimum covers are the r sides.  The answer is kept on
-    the base, so later calls return it at once.
+    and its only minimum covers are the r sides.  The answer is a
+    cached property of the base, so later calls return it at once.
 
     The test: every side has q = r-1 >= 3 vertices, every edge has r,
     there are q^2 edges, the base is intersecting, and any two edges
@@ -290,25 +293,7 @@ def truncated_plane_order(base: PartiteHypergraph):
     twice.  Each pair of C's vertices in different sides lies on an
     edge met twice (not S, which misses C), and such an edge holds one
     pair, so C has exactly one pair in different sides: q = 2."""
-    if base._plane_order is None:
-        base._plane_order = _plane_test(base) or 0
-    return base._plane_order or None
-
-
-def _plane_test(base):
-    r = base.num_sides
-    q = r - 1
-    if q < 3 or base.side_sizes != (q,) * r or base.num_edges != q * q:
-        return None
-    if base.uniformity != r or not is_intersecting(base)[0]:
-        return None
-    degree = [mask.bit_count() for mask in base.incidence_masks]
-    off = base.offsets
-    each = q * q - 1 + r
-    for e in base.edges:
-        if sum(degree[off[s] + p] for s, p in e) != each:
-            return None
-    return q
+    return base._plane_order
 
 
 def intersection_size_profile(h: PartiteHypergraph) -> Counter:
@@ -346,7 +331,9 @@ def degree_stats(h: PartiteHypergraph) -> DegreeStats:
 #   s <side_index> <vertex_label> ...
 #   e ["<label>"] <side.pos> <side.pos> ...
 #
-# '#' starts a comment outside quotes; vertex refs are 0-based.
+# '#' starts a comment outside quotes; vertex refs are 0-based.  Only an
+# edge label is quoted: a '"' in a token of the header or of a side line
+# is a parse error, as `dumps_rhg` could not write that label back.
 
 
 def _check_label_token(text, what):
@@ -453,7 +440,7 @@ def loads_rhg(text: str, name: str = "") -> PartiteHypergraph:
             continue
         head = words[0]
         if num_sides is None:
-            if head != "rhg" or len(words) != 3 or words[1] != "1":
+            if head != "rhg" or len(words) != 3 or words[1] != "1" or quoted:
                 raise ParseError("expected header 'rhg 1 <num_sides>'", lineno)
             try:
                 num_sides = int(words[2])
@@ -487,7 +474,7 @@ def loads_rhg(text: str, name: str = "") -> PartiteHypergraph:
         elif head == "s":
             if refs is not None:
                 raise ParseError("side line after edge lines", lineno)
-            if len(words) < 2 or 1 in quoted:
+            if len(words) < 2 or quoted or ('"' in raw and any('"' in w for w in words)):
                 raise ParseError("expected 's <side_index> <labels...>'", lineno)
             try:
                 idx = int(words[1])

@@ -230,6 +230,8 @@ _CERT_FIELDS = {
     "plane-counting": {"q": int, "edges": int, "s_edge": int},
     "minimization": {"target_tau": int, "deleted": list, "kept": list},
 }
+# The kinds that record counts or descriptions, with nothing to replay.
+_UNREPLAYED_KINDS = ("extension-classification", "maximal-closure", "minimization-counts")
 _ENTRY_FIELDS = {
     "deleted": ("original_index", "label", "tau_after"),
     "kept": ("original_index", "label", "tau_without", "witness_without"),
@@ -260,20 +262,19 @@ def _is_edge_index(i, h):
     return type(i) is int and 0 <= i < h.num_edges
 
 
-def _vertex_set(tokens, h):
-    """The vertices of h that the list `tokens` names, or None when a
-    token is not the `vid_str` of one of them."""
-    names = {vid_str(v): v for v in h.vertices()}
+def _vertex_set(tokens, names):
+    """The vertices that the list `tokens` names, or None when a token is
+    not a key of `names`, the input's `vid_str` -> vertex table."""
     if not isinstance(tokens, list) or not all(isinstance(t, str) and t in names for t in tokens):
         return None
     return {names[t] for t in tokens}
 
 
-def _check_cover_cert(cert, h, problems, where):
+def _check_cover_cert(cert, h, names, problems, where):
     covers = [("witness", cert["witness"])]
     covers += [(f"enumerated cover {i}", c) for i, c in enumerate(cert.get("all_min_covers", []))]
     for what, tokens in covers:
-        cset = _vertex_set(tokens, h)
+        cset = _vertex_set(tokens, names)
         if cset is None:
             problems.append(f"{where}: {what} names no vertex set of the input")
         elif len(cset) != cert["tau"]:
@@ -337,7 +338,7 @@ def minimization_certificate(trace):
     }
 
 
-def _check_minimization_cert(cert, h, problems, where):
+def _check_minimization_cert(cert, h, names, problems, where):
     """Replay a `ryser minimize` certificate: the final hypergraph is the
     input less the deleted edges, and each kept edge's witness is a set
     of target_tau - 1 vertices that covers every other final edge but
@@ -359,7 +360,7 @@ def _check_minimization_cert(cert, h, problems, where):
     final = [(i, set(h.edges[i])) for i in sorted(kept)]
     for k in cert["kept"]:
         i = k["original_index"]
-        witness = _vertex_set(k["witness_without"], h)
+        witness = _vertex_set(k["witness_without"], names)
         if witness is None:
             problems.append(f"{where}: kept edge {i} witness names no vertex set of the input")
         elif k["tau_without"] != target - 1:
@@ -409,8 +410,10 @@ def recheck_report(report, base_dir="."):
     files.  Witness validity is checked directly; search optimality is
     not re-proved.  A minimization certificate is replayed against the
     input: its final hypergraph, and each kept edge's witness of
-    criticality; the pipeline's `minimization-counts` summary holds
-    nothing to replay.  A plane-counting certificate is replayed by
+    criticality.  The kinds in _UNREPLAYED_KINDS (the pipeline's
+    `minimization-counts` summary among them) hold nothing to replay; a
+    passing certificate of any kind recheck neither replays nor lists
+    there is a problem.  A plane-counting certificate is replayed by
     testing the input base again.  A passing ratio certificate needs
     nu >= 1, ratio tau/nu, a true extremality flag that agrees with
     tau = (r-1)*nu, and r the input's side count.  A passing cover, matching,
@@ -446,6 +449,7 @@ def recheck_report(report, base_dir="."):
         if path.endswith(".rhg"):
             hypergraphs[entry["path"]] = read_rhg(path)
     h = next(iter(hypergraphs.values()), None)
+    names = None if h is None else {vid_str(v): v for v in h.vertices()}
     checks = _entries(report, "checks", ("name", "status"), problems)
     for chk in checks:
         if chk["status"] not in _STATUSES:
@@ -461,18 +465,22 @@ def recheck_report(report, base_dir="."):
             continue
         where = chk["name"]
         kind = cert.get("kind")
-        malformed = _malformed(cert, kind) if kind in _CERT_FIELDS else None
+        if kind in _UNREPLAYED_KINDS:
+            continue
+        if not isinstance(kind, str) or kind not in _CERT_FIELDS:
+            problems.append(f"{where}: certificate kind {kind!r} is not one recheck knows")
+            continue
+        malformed = _malformed(cert, kind)
         if malformed:
             problems.append(f"{where}: {malformed}")
-        elif kind in ("cover", "matching", "intersecting", "minimization",
-                      "plane-counting") and h is None:
+        elif kind != "ratio" and h is None:  # only a ratio reads no input
             problems.append(f"{where}: no input hypergraph to check the {kind} certificate against")
         elif kind == "cover":
-            _check_cover_cert(cert, h, problems, where)
+            _check_cover_cert(cert, h, names, problems, where)
         elif kind == "matching":
             _check_matching_cert(cert, h, problems, where)
         elif kind == "minimization":
-            _check_minimization_cert(cert, h, problems, where)
+            _check_minimization_cert(cert, h, names, problems, where)
         elif kind == "plane-counting":
             _check_plane_counting_cert(cert, h, spec, problems, where)
         elif kind == "ratio":

@@ -98,7 +98,7 @@ runs in the calling process.
 import time
 from dataclasses import dataclass, replace
 from heapq import heappush, heapreplace
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 from typing import NamedTuple, Optional
 
@@ -429,11 +429,10 @@ def cover_number(
     if source._decided is None:
         inst = _instance(source)
         n = source.num_vertices
-        everything = (1 << source.num_edges) - 1
-        ranked = _ranked_degrees(inst.incidence, everything, 0)
-        lb = 1
-        while not _degree_sum_fits(ranked, everything, 0, lb):
-            lb += 1
+        # the degree-sum bound of the node test: the least k whose k
+        # largest degrees sum to at least the edge count
+        degrees = sorted([d for d, _, _ in inst.incidence], reverse=True)
+        lb = next(k for k, total in enumerate(accumulate(degrees), 1) if total >= source.num_edges)
         lb = max(lb, _mirror_bound(source))
         budget = min(max(lb, upper_hint) if upper_hint is not None else lb, n)
         refuted = lb - 1  # sizes below lb are impossible by the bound

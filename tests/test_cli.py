@@ -94,6 +94,21 @@ def test_recheck_flags_certificates_without_input(tmp_path):
     assert any(p.startswith("extension-cover-number:") for p in problems)
 
 
+def test_recheck_reports_a_certificate_of_an_unknown_kind(t4_file, tmp_path):
+    rep_path = tmp_path / "verify.json"
+    assert run("verify", t4_file, "--tau", "--json", rep_path) == 0
+    rep = load(rep_path)
+    cert = rep["checks"][0]["certificate"]
+    cert["witness"] = []
+    assert recheck_report(rep, base_dir=".") == ["cover-number: witness size differs from tau"]
+    # a kind recheck neither replays nor knows to hold nothing used to pass
+    # unread (and a list raised TypeError)
+    for kind in ("cuver", None, ["cover"]):
+        cert["kind"] = kind
+        assert recheck_report(rep, base_dir=".") == [
+            f"cover-number: certificate kind {kind!r} is not one recheck knows"]
+
+
 def test_verify_ratio(t4_file, tmp_path):
     rep_path = tmp_path / "ratio.json"
     assert run("verify", t4_file, "--ratio", "--json", rep_path) == 0
@@ -675,6 +690,7 @@ def test_maximal_check_q4_full_pass(tmp_path):
     closure = next(c for c in mrep["checks"]
                    if c["name"] == "maximal-closure-description")
     assert len(closure["certificate"]["families"]) == 10
+    assert recheck_report(mrep, base_dir=".") == []
 
 
 def test_failing_check_exits_one(tmp_path):
@@ -699,6 +715,12 @@ def test_pipeline_q4_under_a_minute(tmp_path):
     assert run("pipeline", "--q", 4, "--f-default", "--all-checks",
                "--json", tmp_path / "p.json") == 0
     assert time.monotonic() - t0 < 60
+    # a pipeline lists no inputs: every certificate it could replay is a
+    # problem, and none of those with nothing to replay
+    problems = recheck_report(load(tmp_path / "p.json"))
+    assert problems and all("no input hypergraph" in p for p in problems)
+    assert not [p for p in problems if p.startswith(("minimality-reduction",
+                                                     "addable-edge-classification"))]
 
 
 def test_usage_errors(tmp_path):
@@ -1023,6 +1045,25 @@ def test_construct_on_a_base_failing_the_plane_test_has_no_certificate(t3_file, 
     check = load(rep_path)["checks"][0]
     assert check["status"] == "fail" and "certificate" not in check
     assert "covers-not-sides" in check["detail"]
+
+
+def test_construct_on_a_base_with_a_quoted_label_is_a_parse_error(t4_file, tmp_path):
+    # a label the loader took but the writer refuses used to end the run
+    # with a traceback while writing the artifact
+    header, side, *rest = t4_file.read_text().splitlines(keepends=True)
+    words = side.split()
+    words[2] = '"a b"'
+    base = tmp_path / "quoted.rhg"
+    base.write_text("".join([header, " ".join(words) + "\n", *rest]))
+    out = tmp_path / "h.rhg"
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "ryser", "construct", "--base", str(base),
+                           "--s-edge", "0", "--f-default", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr == "error: line 2: expected 's <side_index> <labels...>'\n"
+    assert not out.exists()
 
 
 def test_pipeline_paper_scale_q25(tmp_path):

@@ -13,6 +13,7 @@ from ryser.errors import (
     EmptyHypergraphError,
     ParseError,
     PartitenessError,
+    RyserError,
     UniformityError,
 )
 from ryser.gf import FiniteField
@@ -79,7 +80,7 @@ def test_is_intersecting_answer_is_cached(t4):
     for h in (t4.without_edge(0), t4.with_edge(extra)):
         first = is_intersecting(h)
         # a second call must not rebuild the answer from the masks
-        h._incidence = ()
+        h.incidence_masks = ()
         assert is_intersecting(h) is first
         assert first == reference_is_intersecting(h)
     assert not first[0]
@@ -468,6 +469,13 @@ RHG_HEAD = "rhg 1 3\ns 0 a b\ns 1 c d\ns 2 e\n"
     # a bad ref before a stray quoted token: refs are checked in file order
     ('e 9.9 "q"\n', ParseError, "line 5: vertex ref 9.9 out of range"),
     ("e 0.0 1.0\ns 3 x\n", ParseError, "line 6: side line after edge lines"),
+    # no '"' in a header or side token: dumps_rhg could not write it back
+    ('rhg "1" 3\n', ParseError, "line 1: expected header 'rhg 1 <num_sides>'"),
+    ('rhg 1 "3"\n', ParseError, "line 1: expected header 'rhg 1 <num_sides>'"),
+    ('rhg 1 3\ns 0 "a b" c\n', ParseError, "line 2: expected 's <side_index> <labels...>'"),
+    ('rhg 1 3\ns 0 a b\ns 1 a "#x"\n', ParseError,
+     "line 3: expected 's <side_index> <labels...>'"),
+    ('rhg 1 3\ns 0 a"b\n', ParseError, "line 2: expected 's <side_index> <labels...>'"),
     ('e "unterminated 0.0\n', ParseError, "line 5: unterminated quoted label"),
     # a whole text: the side count is checked before the edge line's tokens
     ('rhg 1 2\ns 0 a b\ns 1 c d\ns 2 e\ne\t2.0\t"q"\n', ParseError,
@@ -519,7 +527,8 @@ def reference_loads_rhg(text, name=""):
             continue
         head = toks[0][0]
         if stage == "header":
-            if head != "rhg" or len(toks) != 3 or toks[1][0] != "1":
+            if (head != "rhg" or len(toks) != 3 or toks[1][0] != "1"
+                    or any(quoted for _, quoted in toks)):
                 raise ParseError("expected header 'rhg 1 <num_sides>'", lineno)
             try:
                 num_sides = int(toks[2][0])
@@ -531,7 +540,7 @@ def reference_loads_rhg(text, name=""):
         elif head == "s":
             if stage != "sides":
                 raise ParseError("side line after edge lines", lineno)
-            if len(toks) < 2 or toks[1][1]:
+            if len(toks) < 2 or any(quoted or '"' in t for t, quoted in toks):
                 raise ParseError("expected 's <side_index> <labels...>'", lineno)
             try:
                 idx = int(toks[1][0])
@@ -578,6 +587,11 @@ def reference_loads_rhg(text, name=""):
     return PartiteHypergraph(sides, edges, labels, name=name)
 
 
+# Header and side tokens that hold a '"': none but an edge label may.
+RHG_QUOTED_HEADERS = ['rhg "1" 3', 'rhg 1 "3"', 'rhg "1" "3"', 'rhg 1 3"', 'rhg 1 3 # "c"']
+RHG_QUOTED_LABELS = ['"a b"', '"#x"', '""', '"c"d', 'a"b', 'c"', '"c', 'x # "c"']
+
+
 RHG_BAD_REFS = ["3.0", "1.2", "2.1", "-1.0", "01.0", "+1.0", "1_0.0", "1.x", "zz", "1.0.0", "."]
 RHG_SEPS = [" ", " ", " ", "  ", "\t", " \t "]
 
@@ -588,14 +602,21 @@ def rhg_texts(draw):
     and then: labels holding spaces, tabs, '#', '\\x0b' or '\\x1c', labels
     glued to the 'e', trailing comments, quoted tokens after the label,
     unterminated quotes, out-of-range, malformed and non-canonical refs,
-    repeated or missing sides, duplicate edges and mixed edge sizes."""
+    repeated or missing sides, duplicate edges and mixed edge sizes; and
+    more often, quoted or '"'-bearing header and side tokens."""
     rnd = random.Random(draw(st.integers(0, 2 ** 32 - 1)))
     rare = lambda: rnd.random() < 0.03  # noqa: E731
+    quote = lambda: rnd.random() < 0.05  # noqa: E731
     sep = lambda: rnd.choice(RHG_SEPS)  # noqa: E731
     lines = ["rhg 1 3" if not rare() else rnd.choice(["rhg 1 2", "rhg 1 x", "# c\nrhg 1 3"])]
+    if quote():
+        lines[0] = rnd.choice(RHG_QUOTED_HEADERS)
     side_order = [0, 1, 2] if not rare() else [rnd.randrange(4) for _ in range(rnd.randrange(5))]
     for s in side_order:
-        lines.append(sep().join(["s", str(s), *"abcde"[:2 if s < 2 else 1]]))
+        labels = list("abcde"[:2 if s < 2 else 1])
+        if quote():
+            labels[rnd.randrange(len(labels))] = rnd.choice(RHG_QUOTED_LABELS)
+        lines.append(sep().join(["s", str(s), *labels]))
     size = rnd.randint(1, 2)
     edges = []
     for _ in range(rnd.randrange(9)):
@@ -636,6 +657,19 @@ def test_loader_matches_reference_loader(text):
         h = load(text)
         return h.sides, h.edges, h.edge_labels
     assert outcome(parsed, loads_rhg) == outcome(parsed, reference_loads_rhg)
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True)
+@given(rhg_texts())
+def test_every_loaded_text_writes_back(text):
+    """What loads_rhg accepts, dumps_rhg writes, and the text it writes
+    reloads to the same sides, edges and labels."""
+    try:
+        h = loads_rhg(text)
+    except RyserError:
+        return
+    back = loads_rhg(dumps_rhg(h))
+    assert (back.sides, back.edges, back.edge_labels) == (h.sides, h.edges, h.edge_labels)
 
 
 def test_rhg_edge_lines_skip_tokenizer(monkeypatch):

@@ -3,6 +3,7 @@
 import random
 import time
 from contextlib import contextmanager
+from functools import cached_property
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -975,9 +976,10 @@ def test_mirror_bound_needs_the_plane_test_and_the_candidates():
 
 def test_plane_test_runs_once_per_base(monkeypatch):
     tests = []
-    plane_test = hypergraph._plane_test
-    monkeypatch.setattr(hypergraph, "_plane_test",
-                        lambda base: tests.append(base) or plane_test(base))
+    plane_test = PartiteHypergraph._plane_order.func
+    counted = cached_property(lambda base: tests.append(base) or plane_test(base))
+    counted.__set_name__(PartiteHypergraph, "_plane_order")
+    monkeypatch.setattr(PartiteHypergraph, "_plane_order", counted)
     t6 = truncate(build_plane(FiniteField(5)))
     for anchor in range(25):
         spec = select_f_default(t6, anchor)
