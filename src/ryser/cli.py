@@ -839,9 +839,30 @@ def _parser():
     return build_parser()
 
 
+_FLOAT_FLAGS = ("--timeout", "--delta")
+
+
+def _is_float(text):
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _glue_signed_floats(argv):
+    """argv with each float flag followed by a value such as -inf or
+    -1e3, which argparse would take for an option, written flag=value."""
+    out = list(argv)
+    for i in range(len(out) - 1, 0, -1):
+        if out[i - 1] in _FLOAT_FLAGS and out[i].startswith("-") and _is_float(out[i]):
+            out[i - 1:i + 1] = [f"{out[i - 1]}={out[i]}"]
+    return out
+
+
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_glue_signed_floats(sys.argv[1:] if argv is None else argv))
     if not getattr(args, "func", None):
         parser.print_help()
         return EXIT_USAGE

@@ -64,6 +64,37 @@ class Violation:
         return f"{self.code}: {self.detail}"
 
 
+def _lowest(mask):
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
+def _bits(mask):
+    """Indices of the set bits of a nonnegative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _anchor_misfits(base, s_edge):
+    """Mask of the edges other than edge s_edge that do not meet it in
+    exactly one vertex, from r ORs of its vertices' incidence masks:
+    `ones` holds the edges met at least once, `twos` at least twice."""
+    inc = base.incidence_masks
+    ones = twos = 0
+    for v in base.edges[s_edge]:
+        m = inc[base.gid(v)]
+        twos |= ones & m
+        ones |= m
+    return (twos | ~ones) & ((1 << base.num_edges) - 1) & ~(1 << s_edge)
+
+
+def _anchor_meet_detail(base, s_edge, i):
+    k = len(frozenset(base.edges[s_edge]).intersection(base.edges[i]))
+    return f"anchor edge meets edge {i} in {k} vertices, expected exactly 1"
+
+
 def validate_spec(
     spec: ConstructionSpec,
     check_cover_uniqueness: bool = True,
@@ -72,6 +103,12 @@ def validate_spec(
 ):
     """Check every construction precondition; violations are returned as
     data, in check order, not raised.
+
+    The structural checks read bitmasks.  The anchor test ORs the r
+    anchor vertices' incidence masks, O(r) mask operations once the
+    base's `incidence_masks` are cached (`select_f_*` caches them), and
+    counts the shared vertices only of the edges it flags.  The
+    selected-overlap test ANDs r vertex masks of F_i - s_i.
 
     The last part, cover uniqueness (the base minus the anchor edge has
     cover number r-1 and its only minimum covers are the sides), is
@@ -100,35 +137,29 @@ def validate_spec(
     if not 0 <= spec.s_edge < base.num_edges:
         out.append(Violation("anchor-index", f"edge index {spec.s_edge} out of range"))
         return out
-    anchor_set = frozenset(base.edges[spec.s_edge])
-    for i, e in enumerate(base.edges):
-        if i == spec.s_edge:
-            continue
-        k = len(anchor_set.intersection(e))
-        if k != 1:
-            out.append(Violation(
-                "anchor-intersection",
-                f"anchor edge meets edge {i} in {k} vertices, expected exactly 1",
-            ))
+    out += [Violation("anchor-intersection", _anchor_meet_detail(base, spec.s_edge, i))
+            for i in _bits(_anchor_misfits(base, spec.s_edge))]
     if len(spec.f_edges) != r:
         out.append(Violation("selected-count", f"need {r} selected edges, got {len(spec.f_edges)}"))
         return out
     anchor = spec.anchor_vertices()
-    fsets = []
+    off = base.offsets
+    rests = []  # per side i, the vertex mask of F_i - s_i
     for i, fe in enumerate(spec.f_edges):
         if not 0 <= fe < base.num_edges:
             out.append(Violation("selected-index", f"F_{i+1} edge index {fe} out of range"))
             return out
-        fset = frozenset(base.edges[fe])
-        fsets.append(fset)
-        if anchor[i] not in fset:
+        fmask = sum(1 << (off[s] + p) for s, p in base.edges[fe])
+        sbit = 1 << base.gid(anchor[i])
+        rests.append(fmask & ~sbit)
+        if not fmask & sbit:
             out.append(Violation(
                 "anchor-in-selected",
                 f"F_{i+1} (edge {fe}) does not contain the side-{i} anchor vertex",
             ))
     for i in range(r):
         for j in range(i + 1, r):
-            if not (fsets[i] - {anchor[i]}) & (fsets[j] - {anchor[j]}):
+            if not rests[i] & rests[j]:
                 out.append(Violation(
                     "selected-overlap",
                     f"(F_{i+1} - s_{i+1}) and (F_{j+1} - s_{j+1}) are disjoint",
@@ -194,6 +225,12 @@ def build_extension(
     tested here; copies made by `without_edge` or `with_edge`, and
     hypergraphs read from files, carry no spec.  `check` runs
     `validate_spec` first; perfbench/ alone turns its cover part off.
+
+    E1 lifting walks the bits of each anchor vertex's incidence mask
+    less the anchor edge: O(m) in all.  Even with `check=False`, an
+    edge that misses the anchor or meets it twice raises
+    InvalidSpecError naming the edge, worded as `validate_spec` words
+    it, and so does an anchor index out of range.
     """
     if check:
         violations = validate_spec(spec, check_cover_uniqueness)
@@ -201,23 +238,27 @@ def build_extension(
             raise InvalidSpecError(str(violations[0]))
     base = spec.base
     r = base.num_sides
-    anchor = spec.anchor_vertices()
-    anchor_set = frozenset(anchor)
+    s_edge = spec.s_edge
+    anchor = _anchor_edge(base, s_edge)
+    misfits = _anchor_misfits(base, s_edge)
+    if misfits:
+        detail = _anchor_meet_detail(base, s_edge, _lowest(misfits))
+        raise InvalidSpecError(str(Violation("anchor-intersection", detail)))
     mirror = tuple(spec.mirror_vertex(i) for i in range(r))
 
     # Every edge is canonical as built: base edges are, a mirror vertex
     # (final side) sorts last, E1 edges gain one and E2 edges none, and
-    # the E3 edges have distinct ones.  An edge that does not meet the
-    # anchor in exactly one vertex fails the unpacking below.
+    # the E3 edges have distinct ones.  Each E1 edge meets the anchor in
+    # one vertex, so it is in one anchor incidence mask and gets that
+    # vertex's mirror.
     sides = base.sides + (tuple(f"{MIRROR_LABEL_PREFIX}{i+1}" for i in range(r)),)
-    edges = []
-    labels = []
-    for idx, e in enumerate(base.edges):
-        if idx == spec.s_edge:
-            continue
-        ((si, _),) = anchor_set.intersection(e)
-        edges.append(e + (mirror[si],))
-        labels.append(f"E1({idx})")
+    lift = [None] * base.num_edges
+    inc = base.incidence_masks
+    for v in anchor:
+        for idx in _bits(inc[base.gid(v)] & ~(1 << s_edge)):
+            lift[idx] = mirror[v[0]]
+    edges = [e + (lift[idx],) for idx, e in enumerate(base.edges) if idx != s_edge]
+    labels = [f"E1({idx})" for idx in range(base.num_edges) if idx != s_edge]
     seen = {}
     for i in range(r):
         f = base.edges[spec.f_edges[i]]
@@ -312,11 +353,6 @@ def _anchor_edge(base, s_edge):
 def _edges_through(base, v, s_edge):
     """Mask of the edges through vertex v other than edge s_edge."""
     return base.incidence_masks[base.gid(v)] & ~(1 << s_edge)
-
-
-def _lowest(mask):
-    """Index of the lowest set bit of a nonzero mask."""
-    return (mask & -mask).bit_length() - 1
 
 
 def select_f_default(base: PartiteHypergraph, s_edge: int) -> ConstructionSpec:

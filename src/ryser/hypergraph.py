@@ -345,20 +345,37 @@ def _check_label_token(text, what):
         raise ValueError(f"{what} {text!r} contains a line break")
 
 
+# A '"' or a str.splitlines break: what no label may hold.
+_QUOTE_OR_BREAK = re.compile('["\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]')
+
+
+def _word_label_error(labels, what):
+    """Raise `_check_label_token`'s error for the first bad label."""
+    for lab in labels:
+        _check_label_token(lab, what)
+
+
 def dumps_rhg(h: PartiteHypergraph) -> str:
+    """The .rhg text of h.  Labels are checked a line or a file at once:
+    a side line is safe when str.split gives back its words (no vertex
+    label is empty or holds whitespace, and every line break is
+    whitespace) and it holds no '"' and no ' #'; the edge labels, when
+    their join holds no quote and no line break.  `_check_label_token`
+    then only words the error of the first bad label."""
     lines = [f"rhg 1 {h.num_sides}"]
     for i, side in enumerate(h.sides):
-        for lab in side:
-            _check_label_token(lab, "vertex label")
-        lines.append(" ".join(["s", str(i), *side]))
+        words = ["s", str(i), *side]
+        line = " ".join(words)
+        if line.split() != words or '"' in line or " #" in line:
+            _word_label_error(side, "vertex label")
+        lines.append(line)
+    labelled = [lab for lab in h.edge_labels if lab is not None]
+    if _QUOTE_OR_BREAK.search(" ".join(labelled)):
+        _word_label_error(labelled, "edge label")
     ref = [[vid_str((s, p)) for p in range(len(side))] for s, side in enumerate(h.sides)]
     for e, lab in zip(h.edges, h.edge_labels):
         refs = " ".join([ref[s][p] for s, p in e])
-        if lab is None:
-            lines.append(f"e {refs}")
-        else:
-            _check_label_token(lab, "edge label")
-            lines.append(f'e "{lab}" {refs}')
+        lines.append(f"e {refs}" if lab is None else f'e "{lab}" {refs}')
     return "\n".join(lines) + "\n"
 
 

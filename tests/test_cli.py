@@ -197,6 +197,23 @@ def test_a_budget_no_clock_can_meet_is_a_config_error(t4_file, tmp_path, monkeyp
     assert run("verify", t4_file, "--tau", "--timeout", "inf") == 0
 
 
+@pytest.mark.parametrize("value", ["-inf", "-1e3", "-5"])
+def test_a_negative_budget_reads_alike_in_both_spellings(t4_file, capsys, value):
+    # argparse takes "-inf" or "-1e3" after a flag for an option unless
+    # it is glued on with "="; both spellings must reach the budget check
+    for argv in (("verify", t4_file, "--tau"), ("pipeline", "--q", "3", "--f-default")):
+        for spelling in (("--timeout", value), (f"--timeout={value}",)):
+            assert run(*argv, *spelling) == 2, (argv, spelling)
+            err = capsys.readouterr().err
+            assert f"timeout must be a non-negative number of seconds, got {float(value)}" in err
+
+
+def test_a_negative_delta_reads_alike_in_both_spellings(capsys):
+    for spelling in (("--delta", "-inf"), ("--delta=-inf",)):
+        assert run("profiles", "--r", "25", *spelling) == 2
+        assert "delta must be a finite number, got -inf" in capsys.readouterr().err
+
+
 def strict_json(path):
     """The JSON value in the file at path, refusing NaN and infinities,
     which are not JSON numbers."""

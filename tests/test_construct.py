@@ -416,3 +416,179 @@ def test_paper_scale_uniqueness_makes_no_cover_call(cover_calls):
     assert truncated_plane_order(base) == 25
     assert cover_calls == []
 
+
+
+# --- mask-based anchor, overlap and lifting against the frozenset loops ---
+
+
+EARLY_CODES = ("base-not-uniform", "base-too-small", "base-not-intersecting", "anchor-index")
+
+
+def reference_structural_violations(spec):
+    """`validate_spec(spec, check_cover_uniqueness=False)` with one
+    frozenset intersection per base edge and two frozensets per F pair."""
+    base = spec.base
+    r = base.num_sides
+    out = validate_spec(spec, check_cover_uniqueness=False)
+    if out and out[0].code in EARLY_CODES:  # checks that stop before the anchor test
+        return out
+    out = []
+    anchor_set = frozenset(base.edges[spec.s_edge])
+    for i, e in enumerate(base.edges):
+        if i == spec.s_edge:
+            continue
+        k = len(anchor_set.intersection(e))
+        if k != 1:
+            out.append(construct.Violation(
+                "anchor-intersection",
+                f"anchor edge meets edge {i} in {k} vertices, expected exactly 1",
+            ))
+    if len(spec.f_edges) != r:
+        out.append(construct.Violation(
+            "selected-count", f"need {r} selected edges, got {len(spec.f_edges)}"))
+        return out
+    anchor = spec.anchor_vertices()
+    fsets = []
+    for i, fe in enumerate(spec.f_edges):
+        if not 0 <= fe < base.num_edges:
+            out.append(construct.Violation("selected-index",
+                                           f"F_{i+1} edge index {fe} out of range"))
+            return out
+        fset = frozenset(base.edges[fe])
+        fsets.append(fset)
+        if anchor[i] not in fset:
+            out.append(construct.Violation(
+                "anchor-in-selected",
+                f"F_{i+1} (edge {fe}) does not contain the side-{i} anchor vertex",
+            ))
+    for i in range(r):
+        for j in range(i + 1, r):
+            if not (fsets[i] - {anchor[i]}) & (fsets[j] - {anchor[j]}):
+                out.append(construct.Violation(
+                    "selected-overlap",
+                    f"(F_{i+1} - s_{i+1}) and (F_{j+1} - s_{j+1}) are disjoint",
+                ))
+    return out
+
+
+def reference_build_extension(spec):
+    """`build_extension(spec, check=False)` lifting each E1 edge by one
+    frozenset intersection with the anchor."""
+    base = spec.base
+    r = base.num_sides
+    anchor = spec.anchor_vertices()
+    anchor_set = frozenset(anchor)
+    mirror = tuple(spec.mirror_vertex(i) for i in range(r))
+    sides = base.sides + (tuple(f"v{i+1}" for i in range(r)),)
+    edges, labels = [], []
+    for idx, e in enumerate(base.edges):
+        if idx == spec.s_edge:
+            continue
+        ((si, _),) = anchor_set.intersection(e)
+        edges.append(e + (mirror[si],))
+        labels.append(f"E1({idx})")
+    seen = {}
+    for i in range(r):
+        f = base.edges[spec.f_edges[i]]
+        if f in seen:
+            pos = seen[f]
+            labels[pos] = labels[pos][:-1] + f",{i+1})"
+            continue
+        seen[f] = len(edges)
+        edges.append(f)
+        labels.append(f"E2({i+1})")
+    for i in range(r):
+        f = base.edges[spec.f_edges[i]]
+        edges.append(tuple(v for v in f if v != anchor[i]) + (mirror[i],))
+        labels.append(f"E3({i+1})")
+    name = f"{base.name}-ext" if base.name else "ext"
+    h = PartiteHypergraph(sides, edges, labels, name)
+    h._spec = spec
+    return h
+
+
+def extension_outcome(build, spec):
+    """(sides, edges, labels, name, spec) of the extension, or the type
+    and message of what the build raised."""
+    try:
+        h = build(spec)
+    except Exception as e:  # noqa: BLE001 - the exception is the result
+        return type(e), str(e)
+    return h.sides, h.edges, h.edge_labels, h.name, h._spec
+
+
+def same_as_reference(spec):
+    assert (validate_spec(spec, check_cover_uniqueness=False)
+            == reference_structural_violations(spec))
+    assert (extension_outcome(lambda s: build_extension(s, check=False), spec)
+            == extension_outcome(reference_build_extension, spec))
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7])
+def test_masks_match_the_frozenset_loops_at_every_anchor(q):
+    base = truncate(plane_of(q), 0)
+    for s_edge in range(q * q):
+        for mode in ("default", "profile"):
+            spec = f_mode_spec(base, s_edge, mode)
+            same_as_reference(spec)
+            assert validate_spec(spec, check_cover_uniqueness=False) == []
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 4, 5]), st.data())
+def test_masks_match_the_frozenset_loops_on_corrupted_specs(q, data):
+    base = truncate(plane_of(q), data.draw(st.integers(0, q * q + q)))
+    m, r = base.num_edges, base.num_sides
+    spec = f_mode_spec(base, data.draw(st.integers(0, m - 1)),
+                       data.draw(st.sampled_from(["default", "profile"])))
+    f = list(spec.f_edges)
+    anchor = spec.anchor_vertices()
+    for _ in range(data.draw(st.integers(1, 3))):
+        i = data.draw(st.integers(0, r - 1))
+        kind = data.draw(st.sampled_from(["out-of-range", "misses-anchor", "any-edge"]))
+        if kind == "out-of-range":
+            f[i] = data.draw(st.integers(m, m + 5) | st.integers(-5, -1))
+        elif kind == "misses-anchor":
+            f[i] = data.draw(st.sampled_from(
+                [j for j, e in enumerate(base.edges) if anchor[i] not in e]))
+        else:  # often makes some (F_i - s_i) and (F_j - s_j) disjoint
+            f[i] = data.draw(st.integers(0, m - 1))
+    corrupted = ConstructionSpec(base, spec.s_edge, tuple(f))
+    same_as_reference(corrupted)
+
+
+def anchor_law_base(edge):
+    """Three sides of two vertices: the anchor (every vertex 0), one edge
+    meeting it in (0, 0) alone, and `edge`."""
+    return PartiteHypergraph([["a", "b"]] * 3, [
+        ((0, 0), (1, 0), (2, 0)),
+        ((0, 0), (1, 1), (2, 1)),
+        edge,
+    ])
+
+
+@pytest.mark.parametrize("edge, k", [
+    (((0, 0), (1, 0), (2, 1)), 2),   # meets the anchor twice
+    (((0, 1), (1, 1), (2, 1)), 0),   # misses it: the base is not intersecting
+])
+def test_an_edge_off_the_anchor_law_is_named(edge, k):
+    spec = ConstructionSpec(anchor_law_base(edge), 0, (1, 0, 0))
+    message = f"anchor-intersection: anchor edge meets edge 2 in {k} vertices, expected exactly 1"
+    with pytest.raises(InvalidSpecError) as ei:
+        build_extension(spec, check=False)
+    assert str(ei.value) == message
+    with pytest.raises(ValueError):  # the frozenset loop's tuple unpacking
+        reference_build_extension(spec)
+    assert (validate_spec(spec, check_cover_uniqueness=False)
+            == reference_structural_violations(spec))
+    if k == 2:
+        assert [str(v) for v in validate_spec(spec)][:1] == [message]
+        with pytest.raises(InvalidSpecError) as ei:
+            build_extension(spec)
+        assert str(ei.value) == message
+
+
+def test_an_anchor_index_out_of_range_is_named(t4):
+    for s_edge in (-1, t4.num_edges):
+        with pytest.raises(InvalidSpecError, match="out of range"):
+            build_extension(ConstructionSpec(t4, s_edge, (0, 0, 0, 0)), check=False)

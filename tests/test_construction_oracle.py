@@ -21,6 +21,7 @@ from ryser.construct import (
 from ryser.errors import (
     BadEdgeSizeError,
     InvalidProfileError,
+    InvalidSpecError,
     LineNotFoundError,
     MissingLabelsError,
     UniformityError,
@@ -67,7 +68,10 @@ def ref_extension(spec):
     for idx, e in enumerate(base.edges):
         if idx == spec.s_edge:
             continue
-        (si,) = {s for s, p in e if (s, p) in anchor}
+        met = {s for s, p in e if (s, p) in anchor}
+        if len(met) != 1:
+            raise InvalidSpecError(f"anchor edge meets edge {idx} in {len(met)} vertices")
+        (si,) = met
         edges.append([(r, si), *e])
         labels.append(f"E1({idx})")
     seen = {}
@@ -224,7 +228,7 @@ def test_derived_hypergraphs_equal_their_constructor_builds(choice):
 @given(st.sampled_from([3, 4, 5]), st.data())
 def test_unchecked_specs_on_a_base_that_breaks_the_anchor_law(q, data):
     """On a uniformized extension the anchor meets some edges in 0 or 2+
-    vertices; both builds then fail alike."""
+    vertices; both builds then raise InvalidSpecError."""
     t = truncation(q, 0)
     base = uniformize(build_extension(select_f_default(t, 0), check=False))
     s_edge = data.draw(st.integers(0, base.num_edges - 1))

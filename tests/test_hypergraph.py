@@ -672,6 +672,53 @@ def test_every_loaded_text_writes_back(text):
     assert (back.sides, back.edges, back.edge_labels) == (h.sides, h.edges, h.edge_labels)
 
 
+def reference_dumps_rhg(h):
+    """Writer that checks every label on its own with `_check_label_token`."""
+    lines = [f"rhg 1 {h.num_sides}"]
+    for i, side in enumerate(h.sides):
+        for lab in side:
+            hypergraph._check_label_token(lab, "vertex label")
+        lines.append(" ".join(["s", str(i), *side]))
+    for e, lab in zip(h.edges, h.edge_labels):
+        refs = " ".join(f"{s}.{p}" for s, p in e)
+        if lab is None:
+            lines.append(f"e {refs}")
+        else:
+            hypergraph._check_label_token(lab, "edge label")
+            lines.append(f'e "{lab}" {refs}')
+    return "\n".join(lines) + "\n"
+
+
+# every str.isspace character (the str.splitlines breaks among them),
+# the two characters a label may not start with or hold, and two plain ones
+LABEL_CHARS = [chr(c) for c in range(0x110000) if chr(c).isspace()] + ['#', '"', "a", "."]
+# half the characters plain, so that many labels pass
+labels = st.lists(st.sampled_from(LABEL_CHARS) | st.sampled_from("a."),
+                  max_size=3).map("".join)  # "" included
+
+
+@st.composite
+def labelled_hypergraphs(draw):
+    """Drawn vertex and edge labels; a last side of plain vertices holds
+    one one-vertex edge per edge label."""
+    sides = draw(st.lists(st.lists(labels, min_size=1, max_size=4), max_size=3))
+    edge_labels = draw(st.lists(st.none() | labels, min_size=1, max_size=5))
+    sides.append([f"w{j}" for j in range(len(edge_labels))])
+    edges = [[(len(sides) - 1, j)] for j in range(len(edge_labels))]
+    return PartiteHypergraph(sides, edges, edge_labels)
+
+
+def test_label_alphabet_holds_every_line_break():
+    breaks = {c for c in LABEL_CHARS if "".join(c.splitlines()) != c}
+    assert breaks == set("\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029")
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True)
+@given(labelled_hypergraphs())
+def test_label_checks_match_per_label_checks(h):
+    assert outcome(dumps_rhg, h) == outcome(reference_dumps_rhg, h)
+
+
 def test_rhg_edge_lines_skip_tokenizer(monkeypatch):
     t = truncate(build_plane(FiniteField(3, 2)))
     u = uniformize(build_extension(select_f_default(t, 0), check=False))
