@@ -839,7 +839,27 @@ def _parser():
     return build_parser()
 
 
-_FLOAT_FLAGS = ("--timeout", "--delta")
+def _float_flags(parser):
+    """The tokens argparse reads as a float-typed long option of parser:
+    each such option string, and, as parser allows abbreviations, each
+    prefix of one that no other option string of parser begins with."""
+    strings = [(o, a.type is float) for a in parser._actions
+               for o in a.option_strings if o.startswith("--")]
+    flags = set()
+    for o, is_float in strings:
+        if not is_float:
+            continue
+        flags.add(o)
+        if parser.allow_abbrev:
+            flags.update(o[:n] for n in range(3, len(o))
+                         if sum(s.startswith(o[:n]) for s, _ in strings) == 1)
+    return frozenset(flags)
+
+
+@functools.cache
+def _float_flags_by_command():
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {name: _float_flags(p) for name, p in sub.choices.items()}
 
 
 def _is_float(text):
@@ -851,11 +871,14 @@ def _is_float(text):
 
 
 def _glue_signed_floats(argv):
-    """argv with each float flag followed by a value such as -inf or
-    -1e3, which argparse would take for an option, written flag=value."""
+    """argv with each float flag of its command followed by a value such
+    as -inf or -1e3, which argparse would take for an option, written
+    flag=value."""
     out = list(argv)
+    command = next((t for t in out if not t.startswith("-")), None)
+    flags = _float_flags_by_command().get(command, ())
     for i in range(len(out) - 1, 0, -1):
-        if out[i - 1] in _FLOAT_FLAGS and out[i].startswith("-") and _is_float(out[i]):
+        if out[i - 1] in flags and out[i].startswith("-") and _is_float(out[i]):
             out[i - 1:i + 1] = [f"{out[i - 1]}={out[i]}"]
     return out
 

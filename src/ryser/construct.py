@@ -227,23 +227,25 @@ def build_extension(
     `validate_spec` first; perfbench/ alone turns its cover part off.
 
     E1 lifting walks the bits of each anchor vertex's incidence mask
-    less the anchor edge: O(m) in all.  Even with `check=False`, an
-    edge that misses the anchor or meets it twice raises
-    InvalidSpecError naming the edge, worded as `validate_spec` words
-    it, and so does an anchor index out of range.
+    less the anchor edge: O(m) in all.  `validate_spec` tests the
+    anchor law when `check` is set; with `check=False` the same mask
+    test runs here, so an edge that misses the anchor or meets it twice
+    still raises InvalidSpecError naming the edge, worded as
+    `validate_spec` words it, and so does an anchor index out of range.
     """
+    base = spec.base
+    r = base.num_sides
+    s_edge = spec.s_edge
     if check:
         violations = validate_spec(spec, check_cover_uniqueness)
         if violations:
             raise InvalidSpecError(str(violations[0]))
-    base = spec.base
-    r = base.num_sides
-    s_edge = spec.s_edge
-    anchor = _anchor_edge(base, s_edge)
-    misfits = _anchor_misfits(base, s_edge)
-    if misfits:
-        detail = _anchor_meet_detail(base, s_edge, _lowest(misfits))
-        raise InvalidSpecError(str(Violation("anchor-intersection", detail)))
+    else:
+        _anchor_edge(base, s_edge)
+        if misfits := _anchor_misfits(base, s_edge):
+            detail = _anchor_meet_detail(base, s_edge, _lowest(misfits))
+            raise InvalidSpecError(str(Violation("anchor-intersection", detail)))
+    anchor = base.edges[s_edge]
     mirror = tuple(spec.mirror_vertex(i) for i in range(r))
 
     # Every edge is canonical as built: base edges are, a mirror vertex

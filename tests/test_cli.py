@@ -202,16 +202,27 @@ def test_a_negative_budget_reads_alike_in_both_spellings(t4_file, capsys, value)
     # argparse takes "-inf" or "-1e3" after a flag for an option unless
     # it is glued on with "="; both spellings must reach the budget check
     for argv in (("verify", t4_file, "--tau"), ("pipeline", "--q", "3", "--f-default")):
-        for spelling in (("--timeout", value), (f"--timeout={value}",)):
+        for spelling in (("--timeout", value), (f"--timeout={value}",), ("--time", value)):
             assert run(*argv, *spelling) == 2, (argv, spelling)
             err = capsys.readouterr().err
             assert f"timeout must be a non-negative number of seconds, got {float(value)}" in err
 
 
 def test_a_negative_delta_reads_alike_in_both_spellings(capsys):
-    for spelling in (("--delta", "-inf"), ("--delta=-inf",)):
+    for spelling in (("--delta", "-inf"), ("--delta=-inf",), ("--del", "-inf")):
         assert run("profiles", "--r", "25", *spelling) == 2
         assert "delta must be a finite number, got -inf" in capsys.readouterr().err
+
+
+def test_a_signed_value_is_glued_only_to_a_float_option_of_its_command():
+    glue = cli._glue_signed_floats
+    # "--t" abbreviates --timeout in pipeline, but verify also has --tau
+    assert glue(["pipeline", "--t", "-inf"]) == ["pipeline", "--t=-inf"]
+    assert glue(["verify", "x", "--t", "-inf"]) == ["verify", "x", "--t", "-inf"]
+    # --q takes an integer, and profiles has --delta but no --timeout
+    assert glue(["pipeline", "--q", "-3"]) == ["pipeline", "--q", "-3"]
+    assert glue(["profiles", "--timeout", "-1"]) == ["profiles", "--timeout", "-1"]
+    assert glue(["profiles", "--de", "-1"]) == ["profiles", "--de=-1"]
 
 
 def strict_json(path):
