@@ -611,9 +611,7 @@ def cmd_pipeline(args):
     if do_min:
         with Check("minimality-reduction") as c:
             trace = minimize(u, timeout=timeout)
-            pair_labels = [
-                lab for lab in u.edge_labels if lab.startswith(("E2(", "E3("))
-            ]
+            pair_labels = extract_pair_subhypergraph(u).edge_labels
             kept_labels = set(trace.final.edge_labels)
             pairs_kept = all(lab in kept_labels for lab in pair_labels)
             every_critical = all(
@@ -691,6 +689,13 @@ def cmd_corpus(args):
 
 
 # --- parser ---
+
+
+# Each subcommand's `_negative_number_matcher`: argparse reads a token
+# that matches it as an option's value, not as an option, and its own
+# pattern knows -1 and -1.5 but not -inf, -nan or -1e3 (Python 3.10-3.13).
+_SIGNED_NUMBER = re.compile(r"-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$",
+                            re.IGNORECASE)
 
 
 def _decimal_int(text):
@@ -831,6 +836,8 @@ def build_parser():
     _add_common(p, search=False)
     p.set_defaults(func=cmd_corpus)
 
+    for p in sub.choices.values():
+        p._negative_number_matcher = _SIGNED_NUMBER
     return ap
 
 
@@ -839,53 +846,9 @@ def _parser():
     return build_parser()
 
 
-def _float_flags(parser):
-    """The tokens argparse reads as a float-typed long option of parser:
-    each such option string, and, as parser allows abbreviations, each
-    prefix of one that no other option string of parser begins with."""
-    strings = [(o, a.type is float) for a in parser._actions
-               for o in a.option_strings if o.startswith("--")]
-    flags = set()
-    for o, is_float in strings:
-        if not is_float:
-            continue
-        flags.add(o)
-        if parser.allow_abbrev:
-            flags.update(o[:n] for n in range(3, len(o))
-                         if sum(s.startswith(o[:n]) for s, _ in strings) == 1)
-    return frozenset(flags)
-
-
-@functools.cache
-def _float_flags_by_command():
-    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return {name: _float_flags(p) for name, p in sub.choices.items()}
-
-
-def _is_float(text):
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
-
-
-def _glue_signed_floats(argv):
-    """argv with each float flag of its command followed by a value such
-    as -inf or -1e3, which argparse would take for an option, written
-    flag=value."""
-    out = list(argv)
-    command = next((t for t in out if not t.startswith("-")), None)
-    flags = _float_flags_by_command().get(command, ())
-    for i in range(len(out) - 1, 0, -1):
-        if out[i - 1] in flags and out[i].startswith("-") and _is_float(out[i]):
-            out[i - 1:i + 1] = [f"{out[i - 1]}={out[i]}"]
-    return out
-
-
 def main(argv=None) -> int:
     parser = _parser()
-    args = parser.parse_args(_glue_signed_floats(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
     if not getattr(args, "func", None):
         parser.print_help()
         return EXIT_USAGE

@@ -22,16 +22,18 @@ walking only the vertices its parent ranked.  The ranking holds the
 node's exact degrees, largest first, with its excluded vertices
 dropped, so the node's own test reads it: the first k degrees must sum
 to the number of uncovered edges, and a dead edge leaves no ranking.
-The node then tests each branch child's bound before entering it.  The
-parent's degrees bound the child's from above, so the child test walks
-the ranking, recounts each vertex's degree on the child's uncovered
-edges, and stops once its k-1 largest are at least the next parent
-degree.  With one pick left the test is whether a free vertex of one
-uncovered edge (the branch edge) meets every uncovered edge, which is
-O(r).  A child that fails is counted as one node and not entered; a
-child that passes runs the full test, dead-edge check included.  So
-every prune, witness, enumeration and node count is that of a search
-that enters every child.
+With k >= 3 the node then tests each branch child's bound before
+entering it: the parent's degrees bound the child's from above, so the
+child test walks the ranking, recounts each vertex's degree on the
+child's uncovered edges, and stops once its k-1 largest are at least
+the next parent degree.  A child that passes runs the full test,
+dead-edge check included.  A node with one pick left scans its
+children, the free vertices of its branch edge, once, in O(r): a leaf
+meets every uncovered edge.  With no leaf the node fails; otherwise each
+child counts as a node, up to the first leaf of a decide run.  So a node
+with two picks left enters its children untested.  A refuted child
+counts as one node, so every prune, witness, enumeration and node count
+is that of a search that enters every child.
 
 A degree-1 vertex is dominated by any other vertex of its edge: swapping
 it for that vertex leaves a cover of no greater size.  Decide runs
@@ -162,21 +164,12 @@ def _degree_sum_fits(ranked, uncovered, excluded, picks):
     lists (degree bound, vertex bit, incident-edge mask), largest bound
     first, each bound at least the vertex's degree on `uncovered`; the
     walk stops once the kept degrees are all at least the next bound,
-    since no later vertex can then displace one of them.  At one pick the
-    test is whether one entry meets every uncovered edge, and the
-    entries need no order: any uncovered edge's vertices will do, since
-    such a vertex lies on every uncovered edge."""
+    since no later vertex can then displace one of them.  The search
+    calls it with picks >= 2: a node with one pick left scans its branch
+    edge instead."""
     need = uncovered.bit_count()
     if not need:
         return True
-    if picks == 1:
-        # one vertex must meet every uncovered edge
-        for _, bit, inc in ranked:
-            if not bit & excluded and inc & uncovered == uncovered:
-                return True
-        return False
-    if picks <= 0:
-        return False
     kept = []  # min-heap of the `picks` largest degrees so far
     room = picks
     total = 0
@@ -298,10 +291,11 @@ def _budget_search(inst, budget, collect, deadline, node=None):
     every minimum cover is found.  Returns (first_found, solutions, nodes).
     The deadline is checked on entry, so a run never starts past it.
 
-    A node that passes its bound tests each branch child's bound before
-    entering it, from the degrees it has ranked; a child that fails is
-    counted as one node and never entered, so the tree, the order and
-    the node count are those of a search that enters every child."""
+    A node with three or more picks left tests each branch child's
+    bound before entering it, and one with a single pick left scans its
+    children without entering them; a refuted child counts as one node,
+    so the tree, the order and the node count are those of a search that
+    enters every child."""
     deadline.check(force=True)
     gid_lists, incidence, size_classes, dominated, closes = inst
     first = None
@@ -314,13 +308,6 @@ def _budget_search(inst, budget, collect, deadline, node=None):
             branch = uncovered & cls
             if branch:
                 return (branch & -branch).bit_length() - 1
-
-    def fits(uncovered, excluded, picks, ranked):
-        # With one pick left, only a vertex that meets every uncovered
-        # edge fits, and it lies on the branch edge.
-        if picks == 1 and uncovered:
-            ranked = map(incidence.__getitem__, gid_lists[branch_edge(uncovered)])
-        return _degree_sum_fits(ranked, uncovered, excluded, picks)
 
     def rec(chosen, uncovered, excluded, candidates=incidence):
         nonlocal first, nodes
@@ -337,23 +324,33 @@ def _budget_search(inst, budget, collect, deadline, node=None):
         picks = budget - len(chosen)
         if picks <= 0:
             return False
+        branch = gid_lists[branch_edge(uncovered)]
         if picks == 1:
-            ranked = None  # the children are leaves
-            if not fits(uncovered, excluded, 1, None):
+            # the children are the free vertices of the branch edge
+            free = [g for g in branch if not incidence[g][1] & excluded]
+            leaves = [g for g in free if incidence[g][2] & uncovered == uncovered]
+            if not leaves:
                 return False
-        else:
-            # The ranking holds this node's exact degrees, largest first,
-            # so its own bound is the sum of the first `picks`.
-            ranked = _ranked_degrees(candidates, uncovered, excluded)
-            if ranked is None or sum([d for d, _, _ in ranked[:picks]]) < uncovered.bit_count():
-                return False
+            if first is None:
+                first = chosen + (leaves[0],)
+            if not collect:
+                nodes += free.index(leaves[0]) + 1
+                return True
+            nodes += len(free)
+            sols.extend([chosen + (g,) for g in leaves])
+            return False
+        # The ranking holds this node's exact degrees, largest first,
+        # so its own bound is the sum of the first `picks`.
+        ranked = _ranked_degrees(candidates, uncovered, excluded)
+        if ranked is None or sum([d for d, _, _ in ranked[:picks]]) < uncovered.bit_count():
+            return False
         acc = excluded
-        for g in gid_lists[branch_edge(uncovered)]:
+        for g in branch:
             _, bit, inc = incidence[g]
             if not bit & acc:
                 rest = uncovered & ~inc
                 closed = acc | closes[g]
-                if not fits(rest, closed, picks - 1, ranked):
+                if picks > 2 and not _degree_sum_fits(ranked, rest, closed, picks - 1):
                     nodes += 1  # the child, refuted without being entered
                 elif rec(chosen + (g,), rest, closed, ranked):
                     return True

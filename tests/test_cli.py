@@ -1,5 +1,6 @@
 """End-to-end CLI runs: exit codes, reports, schema validity, rechecking."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -214,15 +215,38 @@ def test_a_negative_delta_reads_alike_in_both_spellings(capsys):
         assert "delta must be a finite number, got -inf" in capsys.readouterr().err
 
 
-def test_a_signed_value_is_glued_only_to_a_float_option_of_its_command():
-    glue = cli._glue_signed_floats
-    # "--t" abbreviates --timeout in pipeline, but verify also has --tau
-    assert glue(["pipeline", "--t", "-inf"]) == ["pipeline", "--t=-inf"]
-    assert glue(["verify", "x", "--t", "-inf"]) == ["verify", "x", "--t", "-inf"]
-    # --q takes an integer, and profiles has --delta but no --timeout
-    assert glue(["pipeline", "--q", "-3"]) == ["pipeline", "--q", "-3"]
-    assert glue(["profiles", "--timeout", "-1"]) == ["profiles", "--timeout", "-1"]
-    assert glue(["profiles", "--de", "-1"]) == ["profiles", "--de=-1"]
+def test_a_signed_value_after_a_space_is_read_as_a_value(t4_file, tmp_path, capsys):
+    # "--t" abbreviates --timeout in pipeline, so -inf reaches the budget check
+    assert run("pipeline", "--q", 3, "--f-default", "--t", "-inf") == 2
+    assert "timeout must be a non-negative number of seconds, got -inf" in capsys.readouterr().err
+    # verify also has --tau, so there "--t" is ambiguous
+    with pytest.raises(SystemExit) as e:
+        run("verify", t4_file, "--t", "-inf")
+    assert e.value.code == 2
+    assert "ambiguous option: --t" in capsys.readouterr().err
+    # an integer option takes -inf as its value, and its type refuses it
+    with pytest.raises(SystemExit) as e:
+        run("construct", "--base", t4_file, "--s-edge", "-inf", "--f-default",
+            "--out", tmp_path / "h.rhg")
+    assert e.value.code == 2
+    assert "expected a decimal integer, got '-inf'" in capsys.readouterr().err
+    spaced, glued = tmp_path / "spaced.json", tmp_path / "glued.json"
+    assert run("profiles", "--r", 25, "--de", -1, "--json", spaced) == 0
+    assert run("profiles", "--r", 25, "--delta=-1", "--json", glued) == 0
+    assert spaced.read_bytes() == glued.read_bytes()
+
+
+def test_every_subcommand_reads_signed_numbers_as_values():
+    ap = cli.build_parser()
+    sub = next(a for a in ap._actions if isinstance(a, argparse._SubParsersAction))
+    assert sub.choices
+    for name, p in sub.choices.items():
+        assert p._negative_number_matcher is cli._SIGNED_NUMBER, name
+    for token in ("-1", "-1.5", "-.5", "-1.", "-1e3", "-2.5E-3", "-inf", "-Infinity", "-nan"):
+        assert cli._SIGNED_NUMBER.match(token), token
+        float(token)
+    for token in ("-", "-h", "-e3", "-1x", "-info", "--inf", "--timeout"):
+        assert not cli._SIGNED_NUMBER.match(token), token
 
 
 def strict_json(path):

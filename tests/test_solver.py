@@ -724,14 +724,117 @@ def test_search_instance_built_once_per_hypergraph(monkeypatch):
     assert built == [ext, u]
 
 
+def parent_degree_sum_fits(ranked, uncovered, excluded, picks):
+    """`_degree_sum_fits` with the one-pick and no-pick branches it had
+    while the search tested a one-pick child in its parent: at one pick,
+    whether an entry of `ranked`, taken in any order, meets every
+    uncovered edge."""
+    if not uncovered:
+        return True
+    if picks == 1:
+        for _, bit, inc in ranked:
+            if not bit & excluded and inc & uncovered == uncovered:
+                return True
+        return False
+    if picks <= 0:
+        return False
+    return _degree_sum_fits(ranked, uncovered, excluded, picks)
+
+
+def parent_budget_search(inst, budget, collect, deadline, node=None):
+    """_budget_search as it was when a node with one pick left ran a
+    one-pick bound of its own and its parent tested it the same way
+    before entering it."""
+    deadline.check(force=True)
+    gid_lists, incidence, size_classes, dominated, closes = inst
+    first = None
+    sols = [] if collect else None
+    nodes = 0
+
+    def branch_edge(uncovered):
+        for cls in size_classes:
+            branch = uncovered & cls
+            if branch:
+                return (branch & -branch).bit_length() - 1
+
+    def fits(uncovered, excluded, picks, ranked):
+        if picks == 1 and uncovered:
+            ranked = map(incidence.__getitem__, gid_lists[branch_edge(uncovered)])
+        return parent_degree_sum_fits(ranked, uncovered, excluded, picks)
+
+    def rec(chosen, uncovered, excluded, candidates=incidence):
+        nonlocal first, nodes
+        nodes += 1
+        deadline.check()
+        if not uncovered:
+            sol = tuple(chosen)
+            if first is None:
+                first = sol
+            if collect:
+                sols.append(sol)
+                return False
+            return True
+        picks = budget - len(chosen)
+        if picks <= 0:
+            return False
+        if picks == 1:
+            ranked = None
+            if not fits(uncovered, excluded, 1, None):
+                return False
+        else:
+            ranked = _ranked_degrees(candidates, uncovered, excluded)
+            if ranked is None or sum([d for d, _, _ in ranked[:picks]]) < uncovered.bit_count():
+                return False
+        acc = excluded
+        for g in gid_lists[branch_edge(uncovered)]:
+            _, bit, inc = incidence[g]
+            if not bit & acc:
+                rest = uncovered & ~inc
+                closed = acc | closes[g]
+                if not fits(rest, closed, picks - 1, ranked):
+                    nodes += 1
+                elif rec(chosen + (g,), rest, closed, ranked):
+                    return True
+            acc |= bit
+        return False
+
+    if node is None:
+        node = ((), (1 << len(gid_lists)) - 1, 0 if collect else dominated)
+    rec(*node)
+    return first, sols, nodes
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_hypergraph(), st.integers(0, 2 ** 32 - 1))
+def test_one_pick_scan_matches_parent_search(h, seed):
+    # A node with one pick left scans its children once instead of
+    # running a bound of its own that its parent ran too: the same first
+    # cover, enumeration and node count at every budget, in decide runs
+    # and enumerations, from the root, from `cover_without_edge` start
+    # nodes, and on the candidate instance.
+    rnd = random.Random(seed)
+    inst = _instance(h)
+    starts = [None]
+    for edge in rnd.sample(range(h.num_edges), min(2, h.num_edges)):
+        excluded = inst.dominated | sum(1 << g for g in inst.gid_lists[edge])
+        starts.append(((), ((1 << h.num_edges) - 1) & ~(1 << edge), excluded))
+    runs = [(inst, node) for node in starts] + [(_candidate_instance(h), None)]
+    for inst, node in runs:
+        for budget in range(len(inst.incidence) + 1):
+            for collect in (False, True):
+                got = _budget_search(inst, budget, collect, _Deadline(None), node)
+                want = parent_budget_search(inst, budget, collect, _Deadline(None), node)
+                assert got == want, (budget, collect, node)
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(any_hypergraph(), st.integers(0, 2 ** 32 - 1))
 def test_child_test_matches_degree_bound(h, seed):
     # A parent ranks its free vertices once; each branch child's bound is
-    # then read from that ranking (or, with one pick left, from any one
-    # uncovered edge of the child).  The test is the degree-sum condition
-    # on the child, and agrees with the child's own bound whenever the
-    # child has no dead edge.
+    # then read from that ranking (or, in the parent search with one pick
+    # left, from any one uncovered edge of the child).  The test is the
+    # degree-sum condition on the child, and agrees with the child's own
+    # bound whenever the child has no dead edge.
     rnd = random.Random(seed)
     inst = _instance(h)
     pairs = tuple((bit, inc) for _, bit, inc in inst.incidence)
@@ -754,11 +857,12 @@ def test_child_test_matches_degree_bound(h, seed):
         child_excluded = acc | bit
         bound = reference_degree_bound(pairs, rest, acc)
         for picks in range(5):
-            passes = _degree_sum_fits(ranked, rest, child_excluded, picks)
+            fits = _degree_sum_fits if picks >= 2 else parent_degree_sum_fits
+            passes = fits(ranked, rest, child_excluded, picks)
             if picks == 1 and rest:
                 edge = rnd.choice([i for i in range(m) if rest >> i & 1])
                 entries = [inst.incidence[v] for v in inst.gid_lists[edge]]
-                assert _degree_sum_fits(entries, rest, child_excluded, 1) == passes
+                assert parent_degree_sum_fits(entries, rest, child_excluded, 1) == passes
             if bound is not None:
                 assert passes == (bound <= picks), (picks, bound)
             degrees = sorted(((inc & rest).bit_count() for _, b, inc in inst.incidence
@@ -786,7 +890,7 @@ def heap_node_budget_search(inst, budget, collect, node=None):
     def fits(uncovered, excluded, picks, ranked):
         if picks == 1 and uncovered:
             ranked = map(incidence.__getitem__, gid_lists[branch_edge(uncovered)])
-        return _degree_sum_fits(ranked, uncovered, excluded, picks)
+        return parent_degree_sum_fits(ranked, uncovered, excluded, picks)
 
     def rec(chosen, uncovered, excluded, candidates=incidence):
         nonlocal first, nodes
