@@ -14,7 +14,9 @@ consecutive sizes).  Builders whose edges are canonical already go
 through `_from_canonical`, which re-checks only the edge-size profile:
 `loads_rhg`, `without_edge`, `plane.truncate`,
 `construct.build_extension`, `construct.uniformize` and
-`construct.extract_pair_subhypergraph`.
+`construct.extract_pair_subhypergraph`.  `loads_rhg` reads an edge line
+in a form `dumps_rhg` writes with one split and one table lookup per
+ref, and does not sort an edge that names every side in side order.
 """
 
 import os
@@ -40,9 +42,20 @@ def vid_str(v) -> str:
     return f"{v[0]}.{v[1]}"
 
 
+# The integers of a .rhg file: ASCII decimal, optionally signed, unlike
+# int(), which also reads '1_0' and non-ASCII digits.
+_DECIMAL = re.compile(r"[+-]?[0-9]+")
+
+
+def _decimal(text: str) -> int:
+    if _DECIMAL.fullmatch(text) is None:
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 def parse_vid(token: str) -> Vid:
     side, _, pos = token.partition(".")
-    return (int(side), int(pos))
+    return (_decimal(side), _decimal(pos))
 
 
 class PartiteHypergraph:
@@ -331,9 +344,11 @@ def degree_stats(h: PartiteHypergraph) -> DegreeStats:
 #   s <side_index> <vertex_label> ...
 #   e ["<label>"] <side.pos> <side.pos> ...
 #
-# '#' starts a comment outside quotes; vertex refs are 0-based.  Only an
-# edge label is quoted: a '"' in a token of the header or of a side line
-# is a parse error, as `dumps_rhg` could not write that label back.
+# '#' starts a comment outside quotes; vertex refs are 0-based.  The side
+# count, a side index and both halves of a ref are ASCII decimal, with an
+# optional sign (`_decimal`).  Only an edge label is quoted: a '"' in a
+# token of the header or of a side line is a parse error, as `dumps_rhg`
+# could not write that label back.
 
 
 def _check_label_token(text, what):
@@ -361,7 +376,10 @@ def dumps_rhg(h: PartiteHypergraph) -> str:
     label is empty or holds whitespace, and every line break is
     whitespace) and it holds no '"' and no ' #'; the edge labels, when
     their join holds no quote and no line break.  `_check_label_token`
-    then only words the error of the first bad label."""
+    then only words the error of the first bad label.  A hypergraph with
+    no sides is refused as well: `loads_rhg` reads no side count below 1."""
+    if not h.num_sides:
+        raise ValueError("a hypergraph with no sides has no .rhg text")
     lines = [f"rhg 1 {h.num_sides}"]
     for i, side in enumerate(h.sides):
         words = ["s", str(i), *side]
@@ -401,22 +419,22 @@ def _tokenize(line, lineno):
 
 def _read_line(line, lineno):
     """(token texts, positions of the quoted tokens) of one line.  A line
-    with no '#' and no '"', or whose only quotes enclose one label right
-    after a lone 'e', is read with str.split; every other line goes
-    through _tokenize.  Both read those lines into the same tokens:
+    with no '#' and no '"' is read with str.split, every other line
+    through _tokenize.  Both read such a line into the same tokens:
     str.split and its regular expression agree on what is whitespace,
     and without '#' or '"' every token is a bare word."""
-    if "#" not in line:
-        quotes = line.count('"')
-        if not quotes:
-            return line.split(), ()
-        if quotes == 2:
-            head, label, tail = line.split('"')
-            # the opening quote must start a token, so whitespace precedes it
-            if head.split() == ["e"] and head[-1].isspace():
-                return ["e", label, *tail.split()], (1,)
+    if "#" not in line and '"' not in line:
+        return line.split(), ()
     toks = _tokenize(line, lineno)
     return [t for t, _ in toks], tuple(i for i, (_, quoted) in enumerate(toks) if quoted)
+
+
+def _ref_table(sides, num_sides, lineno):
+    """The "s.p" -> (s, p) table of every vertex, built at the first edge
+    line once the side count is checked."""
+    if len(sides) != num_sides:
+        raise ParseError(f"got {len(sides)} side lines, header says {num_sides}", lineno)
+    return {vid_str((s, p)): (s, p) for s, side in enumerate(sides) for p in range(len(side))}
 
 
 def _edge_vertices(words, quoted, start, sides, lineno):
@@ -440,68 +458,92 @@ def _edge_vertices(words, quoted, start, sides, lineno):
 def loads_rhg(text: str, name: str = "") -> PartiteHypergraph:
     """Parse .rhg text, checking every edge once, with line-numbered errors.
 
-    Every line goes through _read_line and one header / 's' / 'e'
-    dispatch.  The first edge line checks the side count and builds the
-    "s.p" -> (s, p) table of every vertex.  An edge whose refs are all
-    unquoted and in that table is read from it, any other edge through
-    _edge_vertices."""
+    An edge line in a form `dumps_rhg` writes, 'e <refs>' or
+    'e "<label>" <refs>' with no other quote, is split at its quotes, if
+    it has any, then its refs at whitespace, and each ref is looked up
+    once in the "s.p" -> (s, p) table of every vertex, which the first
+    edge line builds once it has checked the side count.  A '#' outside
+    the label, which starts a comment, lands in a token the table lacks.
+    Every other line, and an edge line with a token the table lacks,
+    goes through _read_line and one header / 's' / 'e' dispatch, and its
+    refs through _edge_vertices, one by one.  An edge that names one
+    vertex of every side, in side order, is sorted and partite already;
+    any other edge is sorted and checked for a repeated side."""
     sides = []
     edges = []
     labels = []
     num_sides = None
+    in_order = None  # [0, ..., num_sides - 1], the sides of a full edge in order
     refs = None  # set at the first edge line; side lines may not follow
     seen_edges = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        words, quoted = _read_line(raw, lineno)
-        if not words:
-            continue
-        head = words[0]
-        if num_sides is None:
-            if head != "rhg" or len(words) != 3 or words[1] != "1" or quoted:
-                raise ParseError("expected header 'rhg 1 <num_sides>'", lineno)
-            try:
-                num_sides = int(words[2])
-            except ValueError:
-                raise ParseError("bad side count in header", lineno) from None
-            if num_sides < 1:
-                raise ParseError("side count must be >= 1", lineno)
-        elif head == "e":
+        verts = None
+        if num_sides is not None:
+            rs = None
+            if '"' not in raw:
+                if raw.startswith("e "):
+                    label, rs = None, raw[2:].split()
+            elif raw.startswith('e "'):
+                parts = raw.split('"')
+                if len(parts) == 3:
+                    label, rs = parts[1], parts[2].split()
+            if rs:
+                if refs is None:
+                    refs = _ref_table(sides, num_sides, lineno)
+                try:
+                    verts = [*map(refs.__getitem__, rs)]
+                except KeyError:  # a ref the table lacks, or a '#' outside the label
+                    pass
+        if verts is None:
+            words, quoted = _read_line(raw, lineno)
+            if not words:
+                continue
+            head = words[0]
+            if num_sides is None:
+                if head != "rhg" or len(words) != 3 or words[1] != "1" or quoted:
+                    raise ParseError("expected header 'rhg 1 <num_sides>'", lineno)
+                try:
+                    num_sides = _decimal(words[2])
+                except ValueError:
+                    raise ParseError("bad side count in header", lineno) from None
+                if num_sides < 1:
+                    raise ParseError("side count must be >= 1", lineno)
+                in_order = [*range(num_sides)]
+                continue
+            if head == "s":
+                if refs is not None:
+                    raise ParseError("side line after edge lines", lineno)
+                if len(words) < 2 or quoted or ('"' in raw and any('"' in w for w in words)):
+                    raise ParseError("expected 's <side_index> <labels...>'", lineno)
+                try:
+                    idx = _decimal(words[1])
+                except ValueError:
+                    raise ParseError("bad side index", lineno) from None
+                if idx != len(sides):
+                    raise ParseError(f"side index {idx}, expected {len(sides)}", lineno)
+                sides.append(tuple(words[2:]))
+                continue
+            if head != "e":
+                raise ParseError(f"unknown directive {head!r}", lineno)
             if refs is None:
-                if len(sides) != num_sides:
-                    raise ParseError(f"got {len(sides)} side lines, header says {num_sides}",
-                                     lineno)
-                refs = {vid_str((s, p)): (s, p)
-                        for s, side in enumerate(sides) for p in range(len(side))}
+                refs = _ref_table(sides, num_sides, lineno)
             label = words[1] if 1 in quoted else None
             start = 1 if label is None else 2
             if len(words) == start:
                 raise ParseError("edge with no vertices", lineno)
-            verts = [*map(refs.get, words[start:])]
-            if None in verts or len(quoted) > start - 1:  # a quoted token besides the label
-                verts = _edge_vertices(words, quoted, start, sides, lineno)
+            verts = _edge_vertices(words, quoted, start, sides, lineno)
+        if [s for s, _ in verts] == in_order:
+            vs = tuple(verts)
+        else:
             vs = tuple(sorted(verts))
             if len(dict(vs)) != len(vs):  # one key per side
                 raise PartitenessError(f"line {lineno}: edge repeats a side")
-            if seen_edges.setdefault(vs, lineno) != lineno:
-                raise DuplicateEdgeError(
-                    f"line {lineno}: duplicates edge from line {seen_edges[vs]}"
-                )
-            edges.append(vs)
-            labels.append(label)
-        elif head == "s":
-            if refs is not None:
-                raise ParseError("side line after edge lines", lineno)
-            if len(words) < 2 or quoted or ('"' in raw and any('"' in w for w in words)):
-                raise ParseError("expected 's <side_index> <labels...>'", lineno)
-            try:
-                idx = int(words[1])
-            except ValueError:
-                raise ParseError("bad side index", lineno) from None
-            if idx != len(sides):
-                raise ParseError(f"side index {idx}, expected {len(sides)}", lineno)
-            sides.append(tuple(words[2:]))
-        else:
-            raise ParseError(f"unknown directive {head!r}", lineno)
+        if seen_edges.setdefault(vs, lineno) != lineno:
+            raise DuplicateEdgeError(
+                f"line {lineno}: duplicates edge from line {seen_edges[vs]}"
+            )
+        edges.append(vs)
+        labels.append(label)
     if num_sides is None:
         raise ParseError("empty file", 1)
     if refs is None and len(sides) != num_sides:

@@ -7,7 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ryser import hypergraph
-from ryser.construct import build_extension, select_f_default, uniformize
+from ryser.construct import (
+    DegreeProfile,
+    build_extension,
+    select_f_by_profile,
+    select_f_default,
+    uniformize,
+)
 from ryser.errors import (
     DuplicateEdgeError,
     EmptyHypergraphError,
@@ -25,7 +31,6 @@ from ryser.hypergraph import (
     intersection_size_profile,
     is_intersecting,
     loads_rhg,
-    parse_vid,
     read_rhg,
     write_rhg,
 )
@@ -469,6 +474,13 @@ RHG_HEAD = "rhg 1 3\ns 0 a b\ns 1 c d\ns 2 e\n"
     # a bad ref before a stray quoted token: refs are checked in file order
     ('e 9.9 "q"\n', ParseError, "line 5: vertex ref 9.9 out of range"),
     ("e 0.0 1.0\ns 3 x\n", ParseError, "line 6: side line after edge lines"),
+    # integers are ASCII decimal, optionally signed
+    ("rhg 1 1_0\n", ParseError, "line 1: bad side count in header"),
+    ("rhg 1 \uff13\n", ParseError, "line 1: bad side count in header"),
+    ("rhg 1 3\ns 0_0 a b\n", ParseError, "line 2: bad side index"),
+    ("rhg 1 3\ns \uff10 a b\n", ParseError, "line 2: bad side index"),
+    ("e 0_0.0\n", ParseError, "line 5: bad vertex ref '0_0.0'"),
+    ("e \uff10.0\n", ParseError, "line 5: bad vertex ref '\uff10.0'"),
     # no '"' in a header or side token: dumps_rhg could not write it back
     ('rhg "1" 3\n', ParseError, "line 1: expected header 'rhg 1 <num_sides>'"),
     ('rhg 1 "3"\n', ParseError, "line 1: expected header 'rhg 1 <num_sides>'"),
@@ -494,6 +506,20 @@ def test_rhg_reads_noncanonical_refs():
     assert h.edges == (((0, 0), (1, 0), (2, 0)), ((0, 1), (1, 1)))
 
 
+def test_dumps_rhg_refuses_no_sides():
+    with pytest.raises(ValueError) as ei:
+        dumps_rhg(PartiteHypergraph([], []))
+    assert str(ei.value) == "a hypergraph with no sides has no .rhg text"
+
+
+def reference_decimal(text):
+    """int(text) for ASCII digits after an optional sign."""
+    digits = text[1:] if text[:1] in ("+", "-") else text
+    if not digits or any(c not in "0123456789" for c in digits):
+        raise ValueError(text)
+    return int(text)
+
+
 def reference_edge_vertices(toks, sides, lineno):
     """Vertex refs of an edge line's (text, was_quoted) tokens, parsed and
     range-checked one by one."""
@@ -501,8 +527,9 @@ def reference_edge_vertices(toks, sides, lineno):
     for t, quoted in toks:
         if quoted:
             raise ParseError("quoted label must come first in an edge line", lineno)
+        side, _, pos = t.partition(".")
         try:
-            v = parse_vid(t)
+            v = (reference_decimal(side), reference_decimal(pos))
         except ValueError:
             raise ParseError(f"bad vertex ref {t!r}", lineno) from None
         if not (0 <= v[0] < len(sides)) or not (0 <= v[1] < len(sides[v[0]])):
@@ -531,7 +558,7 @@ def reference_loads_rhg(text, name=""):
                     or any(quoted for _, quoted in toks)):
                 raise ParseError("expected header 'rhg 1 <num_sides>'", lineno)
             try:
-                num_sides = int(toks[2][0])
+                num_sides = reference_decimal(toks[2][0])
             except ValueError:
                 raise ParseError("bad side count in header", lineno) from None
             if num_sides < 1:
@@ -543,7 +570,7 @@ def reference_loads_rhg(text, name=""):
             if len(toks) < 2 or any(quoted or '"' in t for t, quoted in toks):
                 raise ParseError("expected 's <side_index> <labels...>'", lineno)
             try:
-                idx = int(toks[1][0])
+                idx = reference_decimal(toks[1][0])
             except ValueError:
                 raise ParseError("bad side index", lineno) from None
             if idx != len(sides):
@@ -592,7 +619,8 @@ RHG_QUOTED_HEADERS = ['rhg "1" 3', 'rhg 1 "3"', 'rhg "1" "3"', 'rhg 1 3"', 'rhg 
 RHG_QUOTED_LABELS = ['"a b"', '"#x"', '""', '"c"d', 'a"b', 'c"', '"c', 'x # "c"']
 
 
-RHG_BAD_REFS = ["3.0", "1.2", "2.1", "-1.0", "01.0", "+1.0", "1_0.0", "1.x", "zz", "1.0.0", "."]
+RHG_BAD_REFS = ["3.0", "1.2", "2.1", "-1.0", "01.0", "+1.0", "1_0.0", "1.x", "zz", "1.0.0", ".",
+                "\uff10.0", "0.0_0"]
 RHG_SEPS = [" ", " ", " ", "  ", "\t", " \t "]
 
 
@@ -608,7 +636,8 @@ def rhg_texts(draw):
     rare = lambda: rnd.random() < 0.03  # noqa: E731
     quote = lambda: rnd.random() < 0.05  # noqa: E731
     sep = lambda: rnd.choice(RHG_SEPS)  # noqa: E731
-    lines = ["rhg 1 3" if not rare() else rnd.choice(["rhg 1 2", "rhg 1 x", "# c\nrhg 1 3"])]
+    lines = ["rhg 1 3" if not rare() else rnd.choice(["rhg 1 2", "rhg 1 x", "# c\nrhg 1 3",
+                                                      "rhg 1 +3", "rhg 1 3_0"])]
     if quote():
         lines[0] = rnd.choice(RHG_QUOTED_HEADERS)
     side_order = [0, 1, 2] if not rare() else [rnd.randrange(4) for _ in range(rnd.randrange(5))]
@@ -650,13 +679,94 @@ def rhg_texts(draw):
     return "\n".join(lines) + "\n"
 
 
+def parsed(load, text):
+    h = load(text)
+    return h.sides, h.edges, h.edge_labels
+
+
 @settings(max_examples=1000, deadline=None, derandomize=True)
 @given(rhg_texts())
 def test_loader_matches_reference_loader(text):
-    def parsed(load):
-        h = load(text)
-        return h.sides, h.edges, h.edge_labels
-    assert outcome(parsed, loads_rhg) == outcome(parsed, reference_loads_rhg)
+    assert outcome(parsed, loads_rhg, text) == outcome(parsed, reference_loads_rhg, text)
+
+
+EXTENSION_CASES = [(q, f, form) for q in (3, 4, 5) for f in ("default", "profile")
+                   for form in ("mixed", "uniform")]
+
+
+@pytest.fixture(scope="module")
+def extension_texts():
+    """dumps_rhg texts of the extensions of EXTENSION_CASES, at point 0
+    and anchor 0."""
+    texts = {}
+    for q, (p, k) in ((3, (3, 1)), (4, (2, 2)), (5, (5, 1))):
+        t = truncate(build_plane(FiniteField(p, k)))
+        for f in ("default", "profile"):
+            spec = (select_f_default(t, 0) if f == "default"
+                    else select_f_by_profile(t, 0, DegreeProfile(q + 1, (1,)), strict=False))
+            h = build_extension(spec, check=False)
+            texts[q, f, "mixed"] = dumps_rhg(h)
+            texts[q, f, "uniform"] = dumps_rhg(uniformize(h))
+    return texts
+
+
+# what each one-line change does to a text that loaded: None if it still
+# loads, else the error it raises
+EDGE_LINE_CHANGES = {
+    "swap-refs": None, "repeat-side": "PartitenessError", "duplicate-line": "DuplicateEdgeError",
+    "zero-padded-ref": None, "plus-ref": None, "tab-separator": None, "trailing-comment": None,
+    "hash-in-label": None, "ref-out-of-range": "ParseError",
+}
+
+
+def changed_text(text, change, rnd):
+    """text with one edge line, drawn by rnd, changed as `change` says."""
+    lines = text.splitlines()
+    sizes = [len(line.split()) - 2 for line in lines if line.startswith("s ")]
+    i = rnd.choice([j for j, line in enumerate(lines) if line.startswith("e ")])
+    cut = lines[i].rfind('"') + 1 or 1  # after the label, or after the 'e'
+    head, refs = lines[i][:cut], lines[i][cut:].split()
+    a, b = rnd.sample(range(len(refs)), 2)
+    side = int(refs[a].partition(".")[0])
+    sep = " "
+    if change == "swap-refs":
+        refs[a], refs[b] = refs[b], refs[a]
+    elif change == "repeat-side":
+        refs[b] = f"{side}.{rnd.randrange(sizes[side])}"
+    elif change == "duplicate-line":
+        lines.insert(rnd.randrange(i + 1, len(lines) + 1), lines[i])
+    elif change == "zero-padded-ref":
+        refs[a] = "0" + refs[a]
+    elif change == "plus-ref":
+        refs[a] = "+" + refs[a]
+    elif change == "tab-separator":
+        sep = "\t"
+    elif change == "trailing-comment":
+        refs.append("# comment")
+    elif change == "hash-in-label":
+        head = 'e "#' + head[3:] if head != "e" else 'e "#"'
+    elif change == "ref-out-of-range":
+        refs[a] = f"{side}.{sizes[side]}"
+    lines[i] = sep.join([head, *refs])
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("change", EDGE_LINE_CHANGES)
+@pytest.mark.parametrize("case", EXTENSION_CASES, ids="q{0[0]}-{0[1]}-{0[2]}".format)
+def test_loader_matches_reference_loader_on_extensions(extension_texts, case, change):
+    text = extension_texts[case]
+    changed = changed_text(text, change, random.Random(f"{case} {change}"))
+    assert changed != text
+    got = outcome(parsed, loads_rhg, changed)
+    assert got == outcome(parsed, reference_loads_rhg, changed)
+    if EDGE_LINE_CHANGES[change] is None:
+        want = parsed(loads_rhg, text)
+        if change == "hash-in-label":
+            assert got[:2] == want[:2] and got[2] != want[2]
+        else:
+            assert got == want
+    else:
+        assert got[0] == EDGE_LINE_CHANGES[change]
 
 
 @settings(max_examples=1000, deadline=None, derandomize=True)
@@ -720,16 +830,24 @@ def test_label_checks_match_per_label_checks(h):
 
 
 def test_rhg_edge_lines_skip_tokenizer(monkeypatch):
+    """Neither _tokenize nor _read_line sees an edge line that dumps_rhg
+    wrote, labelled or not, full or not, a '#' in its label or not."""
     t = truncate(build_plane(FiniteField(3, 2)))
-    u = uniformize(build_extension(select_f_default(t, 0), check=False))
-    text = dumps_rhg(u)
-    calls = []
-    tokenize = hypergraph._tokenize
-    monkeypatch.setattr(hypergraph, "_tokenize", lambda *a: calls.append(a) or tokenize(*a))
-    back = loads_rhg(text)
-    assert calls == []
-    assert back == u and hash(back) == hash(u)
-    assert back == PartiteHypergraph(u.sides, u.edges, u.edge_labels)
+    h = build_extension(select_f_default(t, 0), check=False)
+    u = uniformize(h)
+    seen = []
+    for name in ("_tokenize", "_read_line"):
+        f = getattr(hypergraph, name)
+        monkeypatch.setattr(hypergraph, name,
+                            lambda line, lineno, f=f: seen.append(line) or f(line, lineno))
+    hashed = PartiteHypergraph(h.sides, h.edges, [f"#{lab} #" for lab in h.edge_labels])
+    for g in (t, h, u, PartiteHypergraph(h.sides, h.edges), hashed):
+        seen.clear()
+        text = dumps_rhg(g)
+        back = loads_rhg(text)
+        assert seen == text.splitlines()[:1 + g.num_sides]  # the header and the side lines
+        assert back == g and hash(back) == hash(g)
+        assert back == PartiteHypergraph(g.sides, g.edges, g.edge_labels)
 
 
 def test_without_edge_checks_size_profile(t4):
