@@ -21,6 +21,7 @@ import math
 import os
 import re
 import sys
+import warnings
 
 from . import __version__
 from .analysis import (
@@ -442,10 +443,18 @@ def cmd_maximal_check(args):
 
 def _classification_check(h, spec, timeout):
     """The classification check of the extension h of spec, with the
-    classification (None when it timed out)."""
+    classification (None when it timed out).  A warning the
+    classification gives (r < 5) is printed as one `warning:` line on
+    stderr, without the source location Python's display adds."""
     cls = None
     with Check("addable-edge-classification") as c:
-        cls = classify_extensions(h, spec, timeout=timeout)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)
+            try:
+                cls = classify_extensions(h, spec, timeout=timeout)
+            finally:  # the warning comes before the search, which may time out
+                for w in caught:
+                    print(f"warning: {w.message}", file=sys.stderr)
         cert = classification_certificate(cls)
         if cls.pattern_guaranteed:
             c.ok(not cls.violations, cert,

@@ -7,16 +7,25 @@ intersection tests are single AND operations.  Instances are immutable
 after construction, so every value one derives from its own sides and
 edges is a `functools.cached_property`, computed on first read and kept
 in the instance: the views `offsets`, `edge_masks`, `incidence_masks`,
+`edge_meets` (per edge, the edges that share a vertex with it),
 `edge_sets` and `uniformity`, and the answers of `is_intersecting` and
-`truncated_plane_order`.  The constructor validates partiteness,
-duplicate-freeness and the edge-size profile (all one size, or two
-consecutive sizes).  Builders whose edges are canonical already go
-through `_from_canonical`, which re-checks only the edge-size profile:
-`loads_rhg`, `without_edge`, `plane.truncate`,
-`construct.build_extension`, `construct.uniformize` and
-`construct.extract_pair_subhypergraph`.  `loads_rhg` reads an edge line
-in a form `dumps_rhg` writes with one split and one table lookup per
-ref, and does not sort an edge that names every side in side order.
+`truncated_plane_order`.  Two kinds of hypergraph derive their
+incidence data from the one they were built from, on first read, in
+place of an O(m*r) walk of their edges.  A uniformized copy (`_source`
+set) reads its source's `edge_meets`, and builds its `incidence_masks`
+from the source's, side by side, with one single-bit mask per tail:
+O(n + m).  An extension (`_spec` set) builds its `incidence_masks`
+from the base's, whose E1 edges it keeps in order less the anchor
+edge, and ORs in its E2 and E3 edges: O(n + r^2).
+
+The constructor validates partiteness, duplicate-freeness and the
+edge-size profile (all one size, or two consecutive sizes).  Builders
+whose edges are canonical already go through `_from_canonical`, which
+re-checks only the edge-size profile: `loads_rhg`, `without_edge`,
+`plane.truncate`, `construct.build_extension`, `construct.uniformize`
+and `construct.extract_pair_subhypergraph`.  `loads_rhg` reads an edge
+line in a form `dumps_rhg` writes with one split and one table lookup
+per ref, and does not sort an edge that names every side in side order.
 """
 
 import os
@@ -156,7 +165,13 @@ class PartiteHypergraph:
     @cached_property
     def incidence_masks(self):
         """Per global vertex id, the mask of the edges through that vertex;
-        its popcount is the vertex's degree."""
+        its popcount is the vertex's degree.  A uniformized copy and an
+        extension derive theirs from the hypergraph they were built from
+        (see the module docstring)."""
+        if self._source is not None:
+            return self._uniformized_incidence()
+        if self._spec is not None:
+            return self._extension_incidence()
         off = self.offsets
         inc = [0] * off[-1]
         bit = 1
@@ -165,6 +180,63 @@ class PartiteHypergraph:
                 inc[off[s] + p] |= bit
             bit <<= 1
         return tuple(inc)
+
+    def _uniformized_incidence(self):
+        """Per side, the source's masks of its old vertices, then one
+        single-bit mask per tail: `uniformize` appends a tail for each
+        edge that misses the side, in edge order, and keeps edge order."""
+        src = self._source
+        inc, off = src.incidence_masks, src.offsets
+        full = (1 << len(self.edges)) - 1
+        out = []
+        for s in range(len(src.sides)):
+            side = inc[off[s]:off[s + 1]]
+            out += side
+            met = 0
+            for mask in side:
+                met |= mask
+            missed = full ^ met  # the edges with a tail in side s
+            while missed:
+                low = missed & -missed
+                out.append(low)
+                missed ^= low
+        return tuple(out)
+
+    def _extension_incidence(self):
+        """The E1 edges are the base's less the anchor edge, in order, so a
+        base vertex's E1 mask is its base mask with the anchor's bit
+        dropped, and mirror vertex j's is anchor vertex j's; the E2 and E3
+        edges that follow are ORed in."""
+        spec = self._spec
+        base = spec.base
+        a = spec.s_edge
+        below = (1 << a) - 1
+        inc = [(mask & below) | (mask >> (a + 1) << a) for mask in base.incidence_masks]
+        inc += [inc[base.gid(v)] for v in spec.anchor_vertices()]
+        off = self.offsets
+        for i in range(base.num_edges - 1, len(self.edges)):
+            bit = 1 << i
+            for s, p in self.edges[i]:
+                inc[off[s] + p] |= bit
+        return tuple(inc)
+
+    @cached_property
+    def edge_meets(self):
+        """Per edge, the mask of the edges that share a vertex with it,
+        itself included: the OR of its vertices' incidence masks.  A
+        uniformized copy reads its source's, which are equal, since its
+        tails are private and it keeps edge order."""
+        if self._source is not None:
+            return self._source.edge_meets
+        off = self.offsets
+        inc = self.incidence_masks
+        out = []
+        for e in self.edges:
+            meet = 0
+            for s, p in e:
+                meet |= inc[off[s] + p]
+            out.append(meet)
+        return tuple(out)
 
     @cached_property
     def edge_sets(self):
@@ -181,13 +253,8 @@ class PartiteHypergraph:
         """`is_intersecting`'s answer."""
         if not self.edges:
             raise EmptyHypergraphError("intersecting is undefined without edges")
-        off = self.offsets
-        incident = self.incidence_masks
         full = (1 << len(self.edges)) - 1
-        for i, e in enumerate(self.edges):
-            meet = 0
-            for s, p in e:
-                meet |= incident[off[s] + p]
+        for i, meet in enumerate(self.edge_meets):
             missed = (full ^ meet) >> (i + 1)
             if missed:
                 return False, (i, i + (missed & -missed).bit_length())
@@ -272,9 +339,11 @@ def is_intersecting(h: PartiteHypergraph):
     """(True, None) if every pair of edges shares a vertex, else
     (False, (i, j)) with the first disjoint pair in (i, j) order.
 
-    Each edge ORs the incident-edge masks of its vertices, so the cost is
-    O(m*r) mask operations rather than m^2/2 pair tests.  The answer is
-    a cached property of the hypergraph, so later calls return it at once."""
+    Each edge's `edge_meets` mask, the OR of its vertices' incident-edge
+    masks, names the edges it meets, so the cost is O(m*r) mask
+    operations rather than m^2/2 pair tests, and O(m) on a uniformized
+    copy, which reads its source's masks.  The answer is a cached
+    property of the hypergraph, so later calls return it at once."""
     return h._intersecting
 
 

@@ -36,14 +36,16 @@ counts as one node, so every prune, witness, enumeration and node count
 is that of a search that enters every child.
 
 A degree-1 vertex is dominated by any other vertex of its edge: swapping
-it for that vertex leaves a cover of no greater size.  Decide runs
-therefore start with the dominated vertices excluded (in an edge made
-only of degree-1 vertices, all but the first); this keeps tau and every
-refutation, and drops the tail vertices `uniformize` adds.  Enumerations
-exclude none, so they still return every minimum cover.  An edge's free
-size, the branching key, is its size less its dominated vertices, fixed
-per call: a uniformized edge is then branched on when its mixed original
-would be, and the search is the mixed extension's.
+it for that vertex leaves a cover of no greater size.  The instance
+builder finds them in its one walk of the incidence masks, a degree-1
+mask naming its edge by its one bit.  Decide runs therefore start with
+the dominated vertices excluded (in an edge made only of degree-1
+vertices, all but the first); this keeps tau and every refutation, and
+drops the tail vertices `uniformize` adds.  Enumerations exclude none,
+so they still return every minimum cover.  An edge's free size, the
+branching key, is its size less its dominated vertices, fixed per call:
+a uniformized edge is then branched on when its mixed original would
+be, and the search is the mixed extension's.
 
 One decide result is kept on each hypergraph and answers every later
 decide call, whatever its `upper_hint`, with 0 nodes explored: the
@@ -62,6 +64,9 @@ a cover of the source, no larger.  Since the tails are dominated, its
 own decide search would be the source's.  An enumeration call takes
 tau from the kept answer, searching for it and keeping it first when
 there is none, then runs only the enumeration, on its own instance.
+That instance reads incidence masks the copy builds from its source's
+in O(n + m), and `matching_number` reads the source's `edge_meets`
+(see `hypergraph`); an extension's masks come from its base's.
 
 An extension that `construct.build_extension` made records its spec.
 When the spec's base passes `hypergraph.truncated_plane_order` and none
@@ -84,9 +89,10 @@ a fresh vertex closes the other fresh vertices too.
 
 The matching search carries the mask of the later edges disjoint from
 every edge taken so far and takes each in turn, lowest index first, so
-it recurses nu + 1 deep; its bound is the popcount of that mask.  Like
-the cover search, it tests each child's bound in the parent and counts
-a child that fails as one node without entering it.
+it recurses nu + 1 deep; its bound is the popcount of that mask.  An
+edge's disjoint edges are the complement of its cached `edge_meets`.
+Like the cover search, it tests each child's bound in the parent and
+counts a child that fails as one node without entering it.
 
 `cover_without_edge` decides whether deleting one edge lowers the
 cover number with one decide run on the whole hypergraph's instance,
@@ -231,27 +237,37 @@ def _build_instance(h):
     off = h.offsets
     gid_lists = tuple([tuple([off[s] + p for s, p in e]) for e in h.edges])
     inc = h.incidence_masks
-    # A degree-1 vertex covers only its own edge, so any other vertex of
-    # that edge does at least as well.  An edge of degree-1 vertices
-    # keeps its first (edges list their vertices in global order).
+    bits = [1 << g for g in range(len(inc))]
+    entries = []
+    # A degree-1 vertex covers only its own edge, the one bit of its
+    # mask, so any other vertex of that edge does at least as well.  An
+    # edge of degree-1 vertices keeps its first (edges list their
+    # vertices in global order, and the vertices are walked in it).
+    ones = {}  # edge index -> its degree-1 vertices
+    for g, mask in enumerate(inc):
+        d = mask.bit_count()
+        entries.append((d, bits[g], mask))
+        if d == 1:
+            ones.setdefault(mask.bit_length() - 1, []).append(g)
+    free = [len(gids) for gids in gid_lists]
     dominated = 0
+    for i, tails in ones.items():
+        if len(tails) == free[i]:
+            del tails[0]
+        free[i] -= len(tails)
+        for g in tails:
+            dominated |= bits[g]
     classes = {}
     bit = 1
-    for gids in gid_lists:
-        tails = [g for g in gids if inc[g] == bit]
-        if len(tails) == len(gids):
-            del tails[0]
-        for g in tails:
-            dominated |= 1 << g
-        free = len(gids) - len(tails)
-        classes[free] = classes.get(free, 0) | bit
+    for size in free:
+        classes[size] = classes.get(size, 0) | bit
         bit <<= 1
     return _Instance(
         gid_lists,
-        tuple((mask.bit_count(), 1 << g, mask) for g, mask in enumerate(inc)),
+        tuple(entries),
         tuple(classes[size] for size in sorted(classes)),
         dominated,
-        tuple(1 << g for g in range(len(inc))),
+        tuple(bits),
     )
 
 
@@ -495,16 +511,8 @@ def matching_number(
     A child that could not beat it either is counted as one node and
     not entered, so nu, the witness and the node count are those of a
     search that enters every child."""
-    m = h.num_edges
-    off = h.offsets
-    inc = h.incidence_masks
-    full = (1 << m) - 1
-    apart = []  # per edge, the mask of the edges disjoint from it
-    for e in h.edges:
-        meets = 0
-        for s, p in e:
-            meets |= inc[off[s] + p]
-        apart.append(full & ~meets)
+    full = (1 << h.num_edges) - 1
+    apart = [full ^ meets for meets in h.edge_meets]  # per edge, the edges disjoint from it
     deadline = _Deadline(timeout)
     best = []
     nodes = 0

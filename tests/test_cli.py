@@ -1118,6 +1118,19 @@ def test_construct_on_a_base_with_a_quoted_label_is_a_parse_error(t4_file, tmp_p
     assert not out.exists()
 
 
+def test_classification_warning_is_one_plain_stderr_line(tmp_path):
+    # Python's display of the r < 5 warning named cli.py and quoted its
+    # source line; the command prints the message alone
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-m", "ryser", "pipeline", "--q", "3", "--all-checks",
+                           "--out-dir", str(tmp_path / "arts")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stderr == ("warning: uniformity r=4 < 5: candidates are classified but the "
+                           "twin-pattern guarantee does not apply\n")
+
+
 def test_pipeline_paper_scale_q25(tmp_path):
     rep_path = tmp_path / "p.json"
     assert run("pipeline", "--q", 25, "--f-default", "--json", rep_path) == 0

@@ -3,7 +3,7 @@
 import random
 import time
 from contextlib import contextmanager
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -31,13 +31,19 @@ from ryser.errors import (
     TooLargeError,
 )
 from ryser.gf import FiniteField
-from ryser.hypergraph import PartiteHypergraph, is_intersecting, truncated_plane_order
+from ryser.hypergraph import (
+    PartiteHypergraph,
+    degree_stats,
+    is_intersecting,
+    truncated_plane_order,
+)
 from ryser.report import plane_counting_certificate
 from ryser.plane import build_plane, truncate
 from ryser.solver import (
     MatchingResult,
     RatioReport,
     _budget_search,
+    _build_instance,
     _candidate_instance,
     _Deadline,
     _degree_sum_fits,
@@ -1233,3 +1239,126 @@ def test_ryser_ratio_hint_keeps_the_report(h):
     tau = cover_number(unlinked(h)).tau
     nu = matching_number(h).nu
     assert verify_ryser_ratio(h) == RatioReport(r, tau, nu, tau / nu, tau == (r - 1) * nu)
+
+
+# --- incidence data derived from the hypergraph a copy was built from ---
+
+
+def parent_build_instance(h):
+    """`_build_instance` as it was before it read the dominated vertices
+    from the degree-1 masks: every vertex of every edge is compared with
+    the edge's bit, on masks of its own walk of the edges."""
+    off = h.offsets
+    gid_lists = tuple([tuple([off[s] + p for s, p in e]) for e in h.edges])
+    inc = [0] * off[-1]
+    for i, gids in enumerate(gid_lists):
+        for g in gids:
+            inc[g] |= 1 << i
+    dominated = 0
+    classes = {}
+    bit = 1
+    for gids in gid_lists:
+        tails = [g for g in gids if inc[g] == bit]
+        if len(tails) == len(gids):
+            del tails[0]
+        for g in tails:
+            dominated |= 1 << g
+        free = len(gids) - len(tails)
+        classes[free] = classes.get(free, 0) | bit
+        bit <<= 1
+    return _Instance(
+        gid_lists,
+        tuple((mask.bit_count(), 1 << g, mask) for g, mask in enumerate(inc)),
+        tuple(classes[size] for size in sorted(classes)),
+        dominated,
+        tuple(1 << g for g in range(len(inc))),
+    )
+
+
+def assert_derived_as_plain(h):
+    """h's incidence data equal that of an equal hypergraph that has no
+    source and no spec, so computes every value from its own edges."""
+    plain = unlinked(h)
+    assert plain._source is None and plain._spec is None
+    assert is_intersecting(h) == is_intersecting(plain)
+    assert h.incidence_masks == plain.incidence_masks
+    assert h.edge_meets == plain.edge_meets
+    assert degree_stats(h) == degree_stats(plain)
+
+
+def assert_search_as_parent(h):
+    # entering_matching_number builds its disjoint-edge masks from edge
+    # pairs, and gives the parent's nu, witness and node count
+    assert _build_instance(h) == parent_build_instance(h)
+    assert matching_number(h) == entering_matching_number(h)
+
+
+@lru_cache(maxsize=None)
+def truncation(q, point=0):
+    field = FiniteField(2, 2) if q == 4 else FiniteField(q)
+    return truncate(build_plane(field), point)
+
+
+def check_extension_chain(spec):
+    ext = build_extension(spec, check=False)
+    u = uniformize(ext)
+    assert ext._spec is spec and u._source is ext
+    # both builders leave the derived data to the first read
+    assert not {"incidence_masks", "edge_meets"} & (vars(ext).keys() | vars(u).keys())
+    for h in (u, ext):  # u first, so that its reads derive ext's data too
+        assert_derived_as_plain(h)
+        assert_search_as_parent(h)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_extension_chain_data_match_a_plain_copy(q):
+    for spec in extension_specs(truncation(q), q):
+        check_extension_chain(spec)
+
+
+@st.composite
+def explicit_specs(draw):
+    """A spec on a truncation of order 3, 4 or 5 whose F edges are drawn
+    as edge indices, from the edges through the anchor vertex of their
+    side or from a pool of three edges and the anchor edge, so that
+    repeated F edges (one merged E2 edge), the anchor edge as an F edge
+    and F edges that miss their anchor vertex are all common."""
+    q = draw(st.sampled_from([3, 4, 5]))
+    t = truncation(q, draw(st.integers(0, q * q + q)))
+    m = t.num_edges
+    s_edge = draw(st.integers(0, m - 1))
+    pool = draw(st.lists(st.integers(0, m - 1), min_size=3, max_size=3)) + [s_edge]
+    f = []
+    for v in t.edges[s_edge]:
+        through = [i for i, e in enumerate(t.edges) if v in e]
+        f.append(draw(st.sampled_from(through) | st.sampled_from(pool)))
+    return ConstructionSpec(t, s_edge, tuple(f))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(explicit_specs())
+def test_explicit_spec_chain_data_match_a_plain_copy(spec):
+    check_extension_chain(spec)
+
+
+def test_copies_of_a_uniformized_extension_build_their_own_data():
+    u = uniformize(build_extension(select_f_default(truncation(4), 0), check=False))
+    assert_derived_as_plain(u)
+    moved = u.without_edge(0).with_edge(u.edges[0], u.edge_labels[0])
+    for c in (u.without_edge(0), u.without_edge(7), u.without_edge(-1), moved):
+        assert c._source is None and c._spec is None
+        assert c.incidence_masks != u.incidence_masks
+        assert_derived_as_plain(c)
+        assert_search_as_parent(c)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_hypergraph())
+def test_instance_and_matching_match_the_parent_search(h):
+    # hypergraphs_with_tails draws degree-1 vertices, and edges made of
+    # them alone; their uniformized copies put tails in every side
+    assert_search_as_parent(h)
+    if uniformizable(h):
+        u = uniformize(h)
+        assert_derived_as_plain(u)
+        assert_search_as_parent(u)
