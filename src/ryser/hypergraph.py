@@ -7,16 +7,14 @@ intersection tests are single AND operations.  Instances are immutable
 after construction, so every value one derives from its own sides and
 edges is a `functools.cached_property`, computed on first read and kept
 in the instance: the views `offsets`, `edge_masks`, `incidence_masks`,
-`edge_meets` (per edge, the edges that share a vertex with it),
-`edge_sets` and `uniformity`, and the answers of `is_intersecting` and
-`truncated_plane_order`.  Two kinds of hypergraph derive their
-incidence data from the one they were built from, on first read, in
-place of an O(m*r) walk of their edges.  A uniformized copy (`_source`
-set) reads its source's `edge_meets`, and builds its `incidence_masks`
-from the source's, side by side, with one single-bit mask per tail:
-O(n + m).  An extension (`_spec` set) builds its `incidence_masks`
-from the base's, whose E1 edges it keeps in order less the anchor
-edge, and ORs in its E2 and E3 edges: O(n + r^2).
+`edge_meets` (per edge, the edges that share a vertex with it) and
+`edge_sets`, and the answers of `is_intersecting` and
+`truncated_plane_order`.  `uniformity` is set by the constructor, from
+the edge sizes it checks.  `incidence_masks` are one O(m*r) walk of
+the edges, except on an extension (`_spec` set), which builds them
+from its base's, whose E1 edges it keeps in order less the anchor
+edge, and ORs in its E2 and E3 edges: O(n + r^2).  A uniformized copy
+(`_source` set) reads its source's `edge_meets`.
 
 The constructor validates partiteness, duplicate-freeness and the
 edge-size profile (all one size, or two consecutive sizes).  Builders
@@ -116,6 +114,7 @@ class PartiteHypergraph:
         self.edges = edges
         self.edge_labels = edge_labels
         self.name = name
+        self.uniformity = min(sizes) if len(sizes) == 1 else None  # the common edge size, if any
 
     # --- structure ---
 
@@ -165,11 +164,8 @@ class PartiteHypergraph:
     @cached_property
     def incidence_masks(self):
         """Per global vertex id, the mask of the edges through that vertex;
-        its popcount is the vertex's degree.  A uniformized copy and an
-        extension derive theirs from the hypergraph they were built from
-        (see the module docstring)."""
-        if self._source is not None:
-            return self._uniformized_incidence()
+        its popcount is the vertex's degree.  An extension derives its
+        masks from its base's (see the module docstring)."""
         if self._spec is not None:
             return self._extension_incidence()
         off = self.offsets
@@ -180,27 +176,6 @@ class PartiteHypergraph:
                 inc[off[s] + p] |= bit
             bit <<= 1
         return tuple(inc)
-
-    def _uniformized_incidence(self):
-        """Per side, the source's masks of its old vertices, then one
-        single-bit mask per tail: `uniformize` appends a tail for each
-        edge that misses the side, in edge order, and keeps edge order."""
-        src = self._source
-        inc, off = src.incidence_masks, src.offsets
-        full = (1 << len(self.edges)) - 1
-        out = []
-        for s in range(len(src.sides)):
-            side = inc[off[s]:off[s + 1]]
-            out += side
-            met = 0
-            for mask in side:
-                met |= mask
-            missed = full ^ met  # the edges with a tail in side s
-            while missed:
-                low = missed & -missed
-                out.append(low)
-                missed ^= low
-        return tuple(out)
 
     def _extension_incidence(self):
         """The E1 edges are the base's less the anchor edge, in order, so a
@@ -225,7 +200,8 @@ class PartiteHypergraph:
         """Per edge, the mask of the edges that share a vertex with it,
         itself included: the OR of its vertices' incidence masks.  A
         uniformized copy reads its source's, which are equal, since its
-        tails are private and it keeps edge order."""
+        tails are private and it keeps edge order, so it walks none of its
+        own edges for them."""
         if self._source is not None:
             return self._source.edge_meets
         off = self.offsets
@@ -241,12 +217,6 @@ class PartiteHypergraph:
     @cached_property
     def edge_sets(self):
         return tuple(frozenset(e) for e in self.edges)
-
-    @cached_property
-    def uniformity(self):
-        """Common edge size, or None if edge sizes are mixed/absent."""
-        sizes = {len(e) for e in self.edges}
-        return sizes.pop() if len(sizes) == 1 else None
 
     @cached_property
     def _intersecting(self):
@@ -342,7 +312,7 @@ def is_intersecting(h: PartiteHypergraph):
     Each edge's `edge_meets` mask, the OR of its vertices' incident-edge
     masks, names the edges it meets, so the cost is O(m*r) mask
     operations rather than m^2/2 pair tests, and O(m) on a uniformized
-    copy, which reads its source's masks.  The answer is a cached
+    copy, which reads its source's `edge_meets`.  The answer is a cached
     property of the hypergraph, so later calls return it at once."""
     return h._intersecting
 

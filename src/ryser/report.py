@@ -15,7 +15,7 @@ import time
 
 from . import __version__
 from .errors import SolverTimeout
-from .hypergraph import atomic_write_text, read_rhg, truncated_plane_order, vid_str
+from .hypergraph import atomic_write_text, is_intersecting, read_rhg, truncated_plane_order, vid_str
 
 SCHEMA_ID = "ryser-report/1"
 
@@ -414,7 +414,8 @@ def recheck_report(report, base_dir="."):
     `minimization-counts` summary among them) hold nothing to replay; a
     passing certificate of any kind recheck neither replays nor lists
     there is a problem.  A plane-counting certificate is replayed by
-    testing the input base again.  A passing ratio certificate needs
+    testing the input base again, and an intersecting one that claims
+    true by testing the input.  A passing ratio certificate needs
     nu >= 1, ratio tau/nu, a true extremality flag that agrees with
     tau = (r-1)*nu, and r the input's side count.  A passing cover, matching,
     intersecting, plane-counting or minimization certificate with no
@@ -486,7 +487,10 @@ def recheck_report(report, base_dir="."):
         elif kind == "ratio":
             _check_ratio_cert(cert, h, problems, where)
         elif kind == "intersecting":
-            if cert["intersecting"] is False:
+            if cert["intersecting"]:
+                if not h.edges or not is_intersecting(h)[0]:
+                    problems.append(f"{where}: input is not intersecting")
+            else:
                 pair = cert.get("disjoint_pair")
                 if not (isinstance(pair, list) and len(pair) == 2
                         and all(_is_edge_index(i, h) for i in pair)):

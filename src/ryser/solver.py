@@ -63,10 +63,10 @@ tail of one of its covers for another vertex of the tail's edge gives
 a cover of the source, no larger.  Since the tails are dominated, its
 own decide search would be the source's.  An enumeration call takes
 tau from the kept answer, searching for it and keeping it first when
-there is none, then runs only the enumeration, on its own instance.
-That instance reads incidence masks the copy builds from its source's
-in O(n + m), and `matching_number` reads the source's `edge_meets`
-(see `hypergraph`); an extension's masks come from its base's.
+there is none, then runs only the enumeration, on its own instance,
+whose incidence masks come from a walk of the copy's own edges.
+`matching_number` reads the source's `edge_meets`, and an extension's
+masks come from its base's (see `hypergraph`).
 
 An extension that `construct.build_extension` made records its spec.
 When the spec's base passes `hypergraph.truncated_plane_order` and none

@@ -13,7 +13,8 @@ from ryser import cli, solver
 from ryser.analysis import minimize
 from ryser.cli import corpus_generate, main
 from ryser.hypergraph import PartiteHypergraph, write_rhg
-from ryser.report import REPORT_SCHEMA, recheck_report, write_json_atomic
+from ryser.report import (REPORT_SCHEMA, input_entry, make_report, recheck_report,
+                          write_json_atomic)
 
 
 def run(*argv):
@@ -108,6 +109,22 @@ def test_recheck_reports_a_certificate_of_an_unknown_kind(t4_file, tmp_path):
         cert["kind"] = kind
         assert recheck_report(rep, base_dir=".") == [
             f"cover-number: certificate kind {kind!r} is not one recheck knows"]
+
+
+def test_recheck_replays_a_claim_of_intersecting(t4_file, tmp_path):
+    # a claim of true was never tested against the input, so it passed on any
+    apart, empty = tmp_path / "apart.rhg", tmp_path / "empty.rhg"
+    sides = [["a", "b"], ["c", "d"]]
+    write_rhg(PartiteHypergraph(sides, [[(0, 0), (1, 0)], [(0, 1), (1, 1)]]), apart)
+    write_rhg(PartiteHypergraph(sides, []), empty)
+    claim = {"name": "made-up", "status": "pass",
+             "certificate": {"kind": "intersecting", "intersecting": True}}
+    for path, expect in ((t4_file, []), (apart, ["made-up: input is not intersecting"]),
+                         (empty, ["made-up: input is not intersecting"])):
+        rep = make_report("verify", {}, [input_entry(path)], [])
+        rep["checks"].append(claim)
+        rep["overall"] = "pass"
+        assert recheck_report(rep, base_dir=".") == expect
 
 
 def test_verify_ratio(t4_file, tmp_path):

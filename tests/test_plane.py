@@ -185,8 +185,11 @@ def test_bruck_ryser_values():
         bruck_ryser_excluded(1)
 
 
-@pytest.mark.parametrize("p,k", [(3, 3), (2, 5)])
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (11, 1),
+                                 (13, 1), (2, 4), (17, 1), (19, 1), (23, 1), (5, 2), (3, 3), (2, 5)])
 def test_build_plane_table_path_equals_the_method_path(p, k):
+    # a field of order above gf.TABLE_LIMIT has no tables; one with its
+    # tables removed runs that branch of _line_points at every order
     tables = CountingField(p, k)
     methods = CountingField(p, k)
     methods.add_table = methods.mul_table = methods._inv = None
