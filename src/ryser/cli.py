@@ -274,11 +274,13 @@ def make_spec(base, s_edge, mode, value, strict):
     return select_f_by_profile(base, s_edge, prof, strict=strict)
 
 
-def spec_block(spec, base_path=None):
-    out = {"s_edge": spec.s_edge, "f_edges": list(spec.f_edges)}
-    if base_path is not None:
-        out["base"] = os.fspath(base_path)
-    return out
+def spec_block(spec, base_path, report_path=None):
+    """The report's spec object.  A relative base path is written relative
+    to the report's directory, where `load_spec_json` reads it from."""
+    base_path = os.fspath(base_path)
+    if report_path is not None and not os.path.isabs(base_path):
+        base_path = os.path.relpath(base_path, os.path.dirname(os.path.abspath(report_path)))
+    return {"s_edge": spec.s_edge, "f_edges": list(spec.f_edges), "base": base_path}
 
 
 def cmd_construct(args):
@@ -298,7 +300,7 @@ def cmd_construct(args):
     print(f"wrote {args.out}: {h.num_sides} sides, {h.num_edges} edges")
     return _finish(args, "construct", vars_params(args), [input_entry(args.base)], checks,
                    artifacts=[artifact],
-                   spec=spec_block(spec, args.base))
+                   spec=spec_block(spec, args.base, args.json))
 
 
 def _spec_check(name, spec, timeout):
@@ -376,20 +378,30 @@ def cmd_minimize(args):
 # --- maximal-check ---
 
 
-def load_spec_json(path):
+def load_json_object(path, what):
+    """The JSON object in the UTF-8 file `path`; anything else is a config
+    error naming the file as `what`."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read spec file {path}: {e}") from None
-    if isinstance(data, dict) and "spec" in data:
-        data = data["spec"]
+    except (OSError, ValueError) as e:  # ValueError: bad JSON or not UTF-8
+        raise ConfigError(f"cannot read {what} {path}: {e}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{what} {path} holds no JSON object")
+    return data
+
+
+def load_spec_json(path):
+    data = load_json_object(path, "spec file")
+    data = data.get("spec", data)  # a construct report holds its spec
     if not isinstance(data, dict):
         raise ConfigError(f"spec file {path} holds no JSON object")
     for key in ("base", "s_edge", "f_edges"):
         if key not in data:
             raise ConfigError(f"spec file {path} lacks key {key!r}")
     base_path = data["base"]
+    if not isinstance(base_path, str):
+        raise ConfigError(f"spec file {path}: base must be a path string, got {base_path!r}")
     if not os.path.isabs(base_path):
         base_path = os.path.join(os.path.dirname(os.path.abspath(path)), base_path)
     base = read_rhg(base_path)
@@ -528,13 +540,7 @@ _PIPELINE_SETTINGS = {
 
 
 def load_config(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a JSON object")
+    data = load_json_object(path, "config")
     unknown = set(data) - _PIPELINE_SETTINGS.keys()
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")

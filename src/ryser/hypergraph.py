@@ -611,7 +611,10 @@ def write_rhg(h: PartiteHypergraph, path):
 
 
 def read_rhg(path) -> PartiteHypergraph:
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{os.fspath(path)} is not UTF-8 text: {e}") from None
     stem = os.path.splitext(os.path.basename(os.fspath(path)))[0]
     return loads_rhg(text, name=stem)

@@ -5,12 +5,12 @@ Points and lines are homogeneous coordinate triples over GF(q),
 normalized so the first nonzero coordinate is 1, ordered
 lexicographically by element index.  A point lies on a line iff the
 coordinate dot product vanishes; `build_plane` solves that equation for
-each line's points.
+each line's points.  That list of points per line is the plane's one
+incidence record: `lines_through` reads a point's pencil from it.
 """
 
 from dataclasses import dataclass
 from math import isqrt
-from operator import itemgetter
 
 from .errors import DuplicateEdgeError, InvalidPointIndexError, PartitenessError
 from .gf import FiniteField
@@ -23,7 +23,6 @@ class ProjectivePlane:
     points: tuple            # normalized triples of element indices
     lines: tuple             # same coordinate set, interpreted dually
     line_points: tuple       # per line: ascending tuple of incident point indices
-    line_masks: tuple        # per line: bitmask over point indices
 
     @property
     def q(self) -> int:
@@ -34,16 +33,15 @@ class ProjectivePlane:
         return f"{a}:{b}:{c}"
 
     def lines_through(self, point_index: int):
-        return tuple(
-            li for li, mask in enumerate(self.line_masks) if mask >> point_index & 1
-        )
+        """Indices of the lines whose points include point_index, ascending."""
+        return tuple(li for li, pts in enumerate(self.line_points) if point_index in pts)
 
 
 def _normalized_triples(q):
+    """Every normalized triple, built in lexicographic order."""
     out = [(0, 0, 1)]
     out += [(0, 1, c) for c in range(q)]
     out += [(1, b, c) for b in range(q) for c in range(q)]
-    out.sort()
     return tuple(out)
 
 
@@ -60,14 +58,8 @@ def build_plane(field: FiniteField) -> ProjectivePlane:
     q = field.q
     triples = _normalized_triples(q)
     line_points = [_line_points(field, q, u, v, w) for u, v, w in triples]
-    bits = [1 << i for i in range(len(triples))]
-    return ProjectivePlane(
-        field=field,
-        points=triples,
-        lines=triples,
-        line_points=tuple(line_points),
-        line_masks=tuple(sum(itemgetter(*pts)(bits)) for pts in line_points),
-    )
+    return ProjectivePlane(field=field, points=triples, lines=triples,
+                           line_points=tuple(line_points))
 
 
 def _line_points(field, q, u, v, w):

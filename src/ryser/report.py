@@ -14,7 +14,7 @@ import os
 import time
 
 from . import __version__
-from .errors import SolverTimeout
+from .errors import RyserError, SolverTimeout
 from .hypergraph import atomic_write_text, is_intersecting, read_rhg, truncated_plane_order, vid_str
 
 SCHEMA_ID = "ryser-report/1"
@@ -407,8 +407,10 @@ def _entries(report, key, fields, problems):
 
 def recheck_report(report, base_dir="."):
     """Re-verify a report's digests and certificates against its input
-    files.  Witness validity is checked directly; search optimality is
-    not re-proved.  A minimization certificate is replayed against the
+    files.  An input that is missing, differs from its digest or does
+    not load is a problem, and recheck goes on without it.  Witness
+    validity is checked directly; search optimality is not re-proved.
+    A minimization certificate is replayed against the
     input: its final hypergraph, and each kept edge's witness of
     criticality.  The kinds in _UNREPLAYED_KINDS (the pipeline's
     `minimization-counts` summary among them) hold nothing to replay; a
@@ -448,7 +450,10 @@ def recheck_report(report, base_dir="."):
             problems.append(f"input {entry['path']} digest mismatch")
             continue
         if path.endswith(".rhg"):
-            hypergraphs[entry["path"]] = read_rhg(path)
+            try:
+                hypergraphs[entry["path"]] = read_rhg(path)
+            except RyserError as e:
+                problems.append(f"input {entry['path']} does not load: {e}")
     h = next(iter(hypergraphs.values()), None)
     names = None if h is None else {vid_str(v): v for v in h.vertices()}
     checks = _entries(report, "checks", ("name", "status"), problems)

@@ -109,7 +109,7 @@ def test_criterion_01_plane_axioms():
                     point_masks[pt] |= 1 << li
             for i in range(n):
                 for j in range(i + 1, n):
-                    assert (pp.line_masks[i] & pp.line_masks[j]).bit_count() == 1
+                    assert len(set(pp.line_points[i]).intersection(pp.line_points[j])) == 1
                     assert (point_masks[i] & point_masks[j]).bit_count() == 1
 
 

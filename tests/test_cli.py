@@ -127,6 +127,19 @@ def test_recheck_replays_a_claim_of_intersecting(t4_file, tmp_path):
         assert recheck_report(rep, base_dir=".") == expect
 
 
+def test_recheck_reports_an_input_that_does_not_load(t4_file, tmp_path):
+    # a parse error or a byte that is not UTF-8 raised out of recheck
+    broken, binary = tmp_path / "broken.rhg", tmp_path / "binary.rhg"
+    broken.write_text("rhg 1 2\ns 0 a\ne 0.0 9.9\n")
+    binary.write_bytes(b"rhg 1 2\n\xff\n")
+    rep = make_report("verify", {}, [input_entry(p) for p in (broken, binary, t4_file)], [])
+    problems = recheck_report(rep)
+    assert problems[0] == (f"input {broken} does not load: "
+                           "line 3: got 1 side lines, header says 2")
+    assert problems[1].startswith(f"input {binary} does not load: {binary} is not UTF-8 text")
+    assert len(problems) == 2
+
+
 def test_verify_ratio(t4_file, tmp_path):
     rep_path = tmp_path / "ratio.json"
     assert run("verify", t4_file, "--ratio", "--json", rep_path) == 0
@@ -961,6 +974,10 @@ def test_construct_anchor_outside_the_edges_is_a_config_error(t4_file, tmp_path,
     {"s_edge": "0"},
     {"f_edges": [1.5, 2, 3, 4]},
     {"f_edges": [True, 2, 3, 4]},
+    # base must be a path string (these raised TypeError)
+    {"base": 5},
+    {"base": None},
+    {"base": ["t.rhg"]},
 ])
 def test_malformed_maximal_check_spec_is_a_config_error(t4_file, t4_extension, tmp_path,
                                                         capsys, fields):
@@ -972,6 +989,37 @@ def test_malformed_maximal_check_spec_is_a_config_error(t4_file, t4_extension, t
     assert run("maximal-check", h, "--spec", spec, "--json", report) == 2
     assert "config error" in capsys.readouterr().err
     assert not report.exists()
+
+
+@pytest.mark.filterwarnings("ignore:uniformity r=4")
+def test_a_construct_report_in_a_subdirectory_reads_back_as_spec(tmp_path, monkeypatch):
+    # the spec's base was written as given, relative to the working
+    # directory, and read relative to the report's: smoke/smoke/t4.rhg
+    monkeypatch.chdir(tmp_path)
+    os.mkdir("smoke")
+    assert run("truncate", "--q", 3, "--out", "smoke/t4.rhg") == 0
+    assert run("construct", "--base", "smoke/t4.rhg", "--s-edge", 0, "--f-default",
+               "--out", "smoke/h.rhg", "--report", "smoke/c.json") == 0
+    assert load("smoke/c.json")["spec"]["base"] == "t4.rhg"
+    assert run("maximal-check", "smoke/h.rhg", "--spec", "smoke/c.json",
+               "--report", "smoke/m.json") == 0
+    assert recheck_report(load("smoke/m.json")) == []
+
+
+@pytest.mark.parametrize("command", ["verify", "pipeline", "maximal-check"])
+def test_an_input_that_is_not_utf8_is_one_error_line(t4_extension, tmp_path, capsys, command):
+    # each raised UnicodeDecodeError, a traceback and exit 1
+    bad = tmp_path / "bad"
+    bad.write_bytes(b'rhg 1 2\n\xff\n' if command == "verify" else b'{"q": "\xff"}')
+    argv = {
+        "verify": ("verify", bad, "--tau"),
+        "pipeline": ("pipeline", "--config", bad, "--out-dir", tmp_path / "arts"),
+        "maximal-check": ("maximal-check", t4_extension[0], "--spec", bad),
+    }[command]
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "can't decode byte 0xff" in err, err
+    assert not (tmp_path / "arts").exists()
 
 
 @pytest.mark.parametrize("selection", [

@@ -45,7 +45,7 @@ def test_incidence_axioms_exhaustive(q):
     # two distinct lines meet in exactly one point
     for i in range(n):
         for j in range(i + 1, n):
-            assert (pp.line_masks[i] & pp.line_masks[j]).bit_count() == 1
+            assert len(set(pp.line_points[i]).intersection(pp.line_points[j])) == 1
     # two distinct points lie on exactly one common line
     point_masks = [0] * n
     for li, pts in enumerate(pp.line_points):
@@ -85,7 +85,11 @@ def test_build_plane_matches_dot_product_incidence(q):
     assert pp.points == points
     assert pp.lines == points
     assert pp.line_points == line_points
-    assert pp.line_masks == tuple(sum(1 << p for p in pts) for pts in line_points)
+    pencils = [[] for _ in points]
+    for li, pts in enumerate(line_points):
+        for p in pts:
+            pencils[p].append(li)
+    assert [list(pp.lines_through(i)) for i in range(len(points))] == pencils
 
 
 class CountingField(FiniteField):
@@ -108,7 +112,7 @@ def test_build_plane_multiplication_ceiling():
     q = field.q
     assert field.muls <= 3 * (q * q + q + 1) * (q + 1)
     ref = make_plane(27)
-    assert (pp.points, pp.line_points, pp.line_masks) == (ref.points, ref.line_points, ref.line_masks)
+    assert (pp.points, pp.line_points) == (ref.points, ref.line_points)
 
 
 def test_build_deterministic():
@@ -194,8 +198,7 @@ def test_build_plane_table_path_equals_the_method_path(p, k):
     methods = CountingField(p, k)
     methods.add_table = methods.mul_table = methods._inv = None
     a, b = build_plane(tables), build_plane(methods)
-    assert (a.points, a.lines, a.line_points, a.line_masks) == \
-        (b.points, b.lines, b.line_points, b.line_masks)
+    assert (a.points, a.lines, a.line_points) == (b.points, b.lines, b.line_points)
     q = tables.q
     assert tables.muls <= q < q * q <= methods.muls
 
@@ -206,7 +209,6 @@ def replace_line(pg, li, pts):
     return dataclasses.replace(
         pg,
         line_points=pg.line_points[:li] + (pts,) + pg.line_points[li + 1:],
-        line_masks=pg.line_masks[:li] + (sum(1 << p for p in pts),) + pg.line_masks[li + 1:],
     )
 
 
