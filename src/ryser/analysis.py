@@ -18,13 +18,18 @@ Addable-edge classification enumerates every covering transversal of
 the extension hypergraph with at most one fresh vertex (a candidate
 with two or more fresh vertices meets at most r-1 < tau existing
 vertices, so it misses some edge and cannot keep the family
-intersecting) and sorts each candidate into: already present, a twin of
-a selected edge (type 1: F_i plus a final-side vertex), a twin of a
-mirrored selected edge (type 2: F_i - s_i + v_i plus a side-i vertex),
-or a violation of that pattern.  The candidates, for every fresh side
-and for none, are the minimum covers of one cover-search enumeration on
-`solver._candidate_instance`, which gives each side a fresh vertex and
-lets a cover pick at most one of them.
+intersecting) and sorts each candidate into: already present (an edge
+of the extension; only a candidate without a fresh vertex can be), a
+twin of a selected edge (type 1: F_i plus a final-side vertex), a twin
+of a mirrored selected edge (type 2: F_i - s_i + v_i plus a side-i
+vertex), or a violation of that pattern, testing type 1 for every i
+before type 2.  A candidate holds one vertex of every side or that
+side's fresh vertex, so it is of type 1 for i exactly when it contains
+F_i, and of type 2 exactly when it contains F_i - s_i + v_i: one mask
+test per pair edge of `ConstructionSpec.pair_edges`.  The candidates,
+for every fresh side and for none, are the minimum covers of one
+cover-search enumeration on `solver._candidate_instance`, which gives
+each side a fresh vertex and lets a cover pick at most one of them.
 """
 
 import warnings
@@ -292,35 +297,11 @@ def classify_extensions(
             f"twin-pattern guarantee does not apply",
             stacklevel=2,
         )
-    anchor = spec.anchor_vertices()
-    f_sets = [spec.base.edge_sets[fe] for fe in spec.f_edges]
-    shifted_sets = [
-        (f_sets[i] - {anchor[i]}) | {spec.mirror_vertex(i)} for i in range(r)
-    ]
-    h_edge_sets = set(h.edge_sets)
-
-    def classify(fresh, verts):
-        vset = frozenset(verts)
-        if fresh is None and vset in h_edge_sets:
-            return "already_present", None
-        # type 1: apart from one final-side vertex, the edge is F_i
-        core = vset if fresh == r else frozenset(v for v in vset if v[0] != r)
-        if fresh == r or fresh is None:
-            for i in range(r):
-                if core == f_sets[i]:
-                    return "type1", i + 1
-        # type 2: apart from one side-i vertex, the edge is F_i - s_i + v_i
-        if fresh != r:
-            mirrors = [v for v in vset if v[0] == r]
-            if len(mirrors) == 1:
-                i = mirrors[0][1]
-                rest = (
-                    vset if fresh == i
-                    else frozenset(v for v in vset if v[0] != i)
-                )
-                if rest == shifted_sets[i]:
-                    return "type2", i + 1
-        return "violation", None
+    # a candidate is a twin exactly when it contains the pair edge
+    pairs = spec.pair_edges()
+    pair_masks = [(kind, i + 1, sum(1 << h.gid(v) for v in pair[j]))
+                  for j, kind in enumerate(("type1", "type2")) for i, pair in enumerate(pairs)]
+    present = set(h.edge_masks)
 
     candidates = []
     deadline = _Deadline(timeout)
@@ -337,9 +318,14 @@ def classify_extensions(
         keyed.append((gids.pop() - n if gids[-1] >= n else -1, gids))
     vids = tuple(h.vertices())
     for side, gids in sorted(keyed):
-        fresh = None if side < 0 else side
-        verts = tuple([vids[g] for g in gids])
-        candidates.append(ExtensionCandidate(fresh, verts, *classify(fresh, verts)))
+        cand = sum(1 << g for g in gids)
+        if side < 0 and cand in present:
+            kind, index = "already_present", None
+        else:
+            kind, index = next(((k, i) for k, i, pair in pair_masks if not pair & ~cand),
+                               ("violation", None))
+        candidates.append(ExtensionCandidate(None if side < 0 else side,
+                                             tuple([vids[g] for g in gids]), kind, index))
     counts = dict(Counter(c.kind for c in candidates))
     violations = tuple(c for c in candidates if c.kind == "violation")
     return ExtensionClassification(
@@ -382,11 +368,8 @@ def maximal_closure_description(
             f"{len(classification.violations)} addable edges fall outside the twin patterns"
         )
     r = spec.base.num_sides
-    anchor = spec.anchor_vertices()
     families = []
-    for i in range(r):
-        fset = spec.base.edge_sets[spec.f_edges[i]]
-        families.append(TwinFamily("type1", i + 1, r, tuple(sorted(fset))))
-        shifted = (fset - {anchor[i]}) | {spec.mirror_vertex(i)}
-        families.append(TwinFamily("type2", i + 1, i, tuple(sorted(shifted))))
+    for i, (f, shifted) in enumerate(spec.pair_edges()):
+        families.append(TwinFamily("type1", i + 1, r, f))
+        families.append(TwinFamily("type2", i + 1, i, shifted))
     return MaximalClosureReport(r, tuple(families))

@@ -90,9 +90,11 @@ def resolve_timeout(value):
 
 
 def factor_prime_power(q: int):
+    """(p, k) with q = p**k for a prime p; the least factor is found by
+    trial division up to isqrt(q), and q is prime when none divides."""
     if q < 2:
         raise ConfigError(f"q={q} is not a prime power")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     k = 0
     n = q
     while n % p == 0:

@@ -54,6 +54,19 @@ class ConstructionSpec:
         """Mirror vertex v_{side+1}, placed in the new final side."""
         return (self.r, side)
 
+    def pair_edges(self):
+        """Per side i, the pair (F_{i+1}, F_{i+1} - s_{i+1} + v_{i+1}) as
+        sorted vertex tuples: the extension's E2 and E3 edges, and the
+        fixed parts of its two twin families for side i.  The mirror
+        vertex sorts last, being in the final side."""
+        edges = self.base.edges
+        anchor = self.anchor_vertices()
+        out = []
+        for i in range(self.r):
+            f = edges[self.f_edges[i]]
+            out.append((f, tuple(v for v in f if v != anchor[i]) + (self.mirror_vertex(i),)))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class Violation:
@@ -261,9 +274,9 @@ def build_extension(
             lift[idx] = mirror[v[0]]
     edges = [e + (lift[idx],) for idx, e in enumerate(base.edges) if idx != s_edge]
     labels = [f"E1({idx})" for idx in range(base.num_edges) if idx != s_edge]
+    pairs = spec.pair_edges()
     seen = {}
-    for i in range(r):
-        f = base.edges[spec.f_edges[i]]
+    for i, (f, _) in enumerate(pairs):
         if f in seen:
             pos = seen[f]
             labels[pos] = labels[pos][:-1] + f",{i+1})"
@@ -271,9 +284,8 @@ def build_extension(
         seen[f] = len(edges)
         edges.append(f)
         labels.append(f"E2({i+1})")
-    for i in range(r):
-        f = base.edges[spec.f_edges[i]]
-        edges.append(tuple(v for v in f if v != anchor[i]) + (mirror[i],))
+    for i, (_, shifted) in enumerate(pairs):
+        edges.append(shifted)
         labels.append(f"E3({i+1})")
     name = f"{base.name}-ext" if base.name else "ext"
     h = PartiteHypergraph._from_canonical(sides, tuple(edges), tuple(labels), name)
@@ -491,8 +503,9 @@ class ProfileCount:
 def profile_count(r: int, delta: Optional[float] = None, t: Optional[int] = None) -> ProfileCount:
     """Number of valid strict block-size multisets {x_1..x_t} with
     values in (t+2, sqrt(r)].  t is given directly or derived as
-    floor(r^(0.5-delta)).  Degenerate ranges give count 0 with a note.
-    Raises InvalidProfileError when r < 1 or delta gives no finite t."""
+    floor(r^(0.5-delta)).  A t below 1, or an empty value range, gives
+    count 0 with a note that names which.  Raises InvalidProfileError
+    when r < 1 or delta gives no finite t."""
     if r < 1:
         raise InvalidProfileError(f"r must be at least 1, got {r}")
     if t is None:
@@ -506,9 +519,10 @@ def profile_count(r: int, delta: Optional[float] = None, t: Optional[int] = None
             raise InvalidProfileError(f"r^(0.5-delta) overflows at r={r}, delta={delta}") from None
     lo = t + 3
     hi = isqrt(r)
-    if r < 9 or t < 1 or hi < lo:
-        return ProfileCount(r, delta, t, lo, hi, 0, 0,
-                            note=f"degenerate range: no values in [{lo}, {hi}]")
+    if t < 1 or hi < lo:  # hi < lo whenever r < 9
+        note = (f"degenerate: t={t}, but a profile needs t >= 1" if t < 1
+                else f"degenerate range: no values in [{lo}, {hi}]")
+        return ProfileCount(r, delta, t, lo, hi, 0, 0, note=note)
     m = hi - lo + 1
     count = comb(m + t - 1, t)
     formula = comb(t + hi - (t + 2) - 1, t)

@@ -7,14 +7,14 @@ intersection tests are single AND operations.  Instances are immutable
 after construction, so every value one derives from its own sides and
 edges is a `functools.cached_property`, computed on first read and kept
 in the instance: the views `offsets`, `edge_masks`, `incidence_masks`,
-`edge_meets` (per edge, the edges that share a vertex with it) and
-`edge_sets`, and the answers of `is_intersecting` and
-`truncated_plane_order`.  `uniformity` is set by the constructor, from
-the edge sizes it checks.  `incidence_masks` are one O(m*r) walk of
-the edges, except on an extension (`_spec` set), which builds them
-from its base's, whose E1 edges it keeps in order less the anchor
-edge, and ORs in its E2 and E3 edges: O(n + r^2).  A uniformized copy
-(`_source` set) reads its source's `edge_meets`.
+`edge_meets` (per edge, the edges that share a vertex with it), and
+the answers of `is_intersecting` and `truncated_plane_order`.
+`uniformity` is set by the constructor, from the edge sizes it checks.
+`incidence_masks` are one O(m*r) walk of the edges, except on an
+extension (`_spec` set), which builds them from its base's, whose E1
+edges it keeps in order less the anchor edge, and ORs in its E2 and E3
+edges: O(n + r^2).  A uniformized copy (`_source` set) reads its
+source's `edge_meets`.
 
 The constructor validates partiteness, duplicate-freeness and the
 edge-size profile (all one size, or two consecutive sizes).  Builders
@@ -213,10 +213,6 @@ class PartiteHypergraph:
                 meet |= inc[off[s] + p]
             out.append(meet)
         return tuple(out)
-
-    @cached_property
-    def edge_sets(self):
-        return tuple(frozenset(e) for e in self.edges)
 
     @cached_property
     def _intersecting(self):

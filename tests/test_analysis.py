@@ -51,7 +51,7 @@ def make_t(q):
 def default_spec(base, s_edge=0):
     anchor = tuple(sorted(base.edges[s_edge]))
     f = tuple(
-        next(e for e, es in enumerate(base.edge_sets)
+        next(e for e, es in enumerate(map(frozenset, base.edges))
              if anchor[i] in es and e != s_edge)
         for i in range(base.num_sides)
     )
@@ -240,7 +240,7 @@ def test_exact_isomorphic_identity_and_relabel(q3_setup):
     # witness mapping really maps edges onto edges
     m = dict(res2.vertex_map)
     mapped = {frozenset(m[v] for v in e) for e in t4.edges}
-    assert mapped == set(shuffled.edge_sets)
+    assert mapped == set(map(frozenset, shuffled.edges))
     assert degree_fingerprint(t4) == degree_fingerprint(shuffled)
 
 
@@ -343,7 +343,7 @@ def test_maximal_closure_q4():
     assert report.r == 5
     assert len(report.families) == 10
     # family membership: F_2 + fresh final-side vertex is the type1(2) family
-    f2 = tuple(sorted(spec.base.edge_sets[spec.f_edges[1]]))
+    f2 = tuple(sorted(spec.base.edges[spec.f_edges[1]]))
     fam = next(f for f in report.families if f.kind == "type1" and f.index == 2)
     assert (fam.fresh_side, fam.fixed_vertices) == (5, f2)
 

@@ -11,7 +11,7 @@ import pytest
 
 from ryser import cli, solver
 from ryser.analysis import minimize
-from ryser.cli import corpus_generate, main
+from ryser.cli import corpus_generate, factor_prime_power, main
 from ryser.hypergraph import PartiteHypergraph, write_rhg
 from ryser.report import (REPORT_SCHEMA, input_entry, make_report, recheck_report,
                           write_json_atomic)
@@ -61,6 +61,16 @@ def test_plane_command(tmp_path, capsys):
     assert load(j) == {"q": 6, "built": False, "bruck_ryser_excluded": True}
     assert run("plane", "--q", 10, "--json", j) == 1
     assert load(j)["bruck_ryser_excluded"] is False
+
+
+def test_a_large_prime_order_is_factored_by_trial_division_to_its_root(capsys):
+    # dividing by every d up to q took minutes here
+    assert factor_prime_power(1_000_000_007) == (1_000_000_007, 1)
+    assert factor_prime_power(2**31 - 1) == (2**31 - 1, 1)
+    assert run("plane", "--q", 1_000_000_007) == 2
+    assert "field order 1000000007 exceeds" in capsys.readouterr().err
+    assert run("plane", "--q", 10) == 1
+    assert "Bruck-Ryser" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("q", [1, 0, -3])
@@ -578,6 +588,16 @@ def test_profiles_command(tmp_path):
     j = tmp_path / "p.json"
     assert run("profiles", "--r", 26, "--t", 1, "--json", j) == 0
     assert load(j)["count"] == 2
+
+
+@pytest.mark.parametrize("argv", [("--t", "0"), ("--t", "-3"), ("--delta", "0.6")])
+def test_profiles_with_t_below_one_name_that_reason(tmp_path, capsys, argv):
+    # t = int(26**-0.1) = 0 for delta 0.6; the range [t+3, 5] is not empty
+    j = tmp_path / "p.json"
+    assert run("profiles", "--r", 26, *argv, "--json", j) == 0
+    note = load(j)["note"]
+    assert "degenerate" in note and "t >= 1" in note and "no values" not in note
+    assert note in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [

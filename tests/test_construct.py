@@ -54,7 +54,7 @@ def default_f(base, s_edge):
     f = []
     for i in range(base.num_sides):
         f.append(next(
-            e for e, es in enumerate(base.edge_sets)
+            e for e, es in enumerate(map(frozenset, base.edges))
             if anchor[i] in es and e != s_edge
         ))
     return ConstructionSpec(base, s_edge, tuple(f))
@@ -106,7 +106,7 @@ def test_validate_t3_uniqueness_fails():
 def test_validate_selected_must_contain_anchor_vertex(t4):
     anchor = tuple(sorted(t4.edges[0]))
     bad = next(
-        e for e, es in enumerate(t4.edge_sets) if anchor[1] not in es
+        e for e, es in enumerate(map(frozenset, t4.edges)) if anchor[1] not in es
     )
     spec = ConstructionSpec(t4, 0, (0, bad, 0, 0))
     codes = [v.code for v in validate_spec(spec)]
@@ -125,8 +125,8 @@ def test_extension_counts_and_structure(h4):
 
 
 def test_extension_excludes_anchor_when_selected_differ(h4, spec4, t4):
-    anchor_set = t4.edge_sets[spec4.s_edge]
-    assert anchor_set not in set(h4.edge_sets)
+    anchor_set = frozenset(t4.edges[spec4.s_edge])
+    assert anchor_set not in set(map(frozenset, h4.edges))
 
 
 def test_extension_intersecting_by_class(h4):
@@ -169,7 +169,7 @@ def test_selected_equal_anchor_dedup(t4):
     e2 = [l for l in h.edge_labels if l.startswith("E2(")]
     assert e2 == ["E2(1,2,3,4)"]
     # the anchor edge is now itself an edge of the extension
-    assert t4.edge_sets[0] in set(h.edge_sets)
+    assert frozenset(t4.edges[0]) in set(map(frozenset, h.edges))
     ok, _ = is_intersecting(h)
     assert ok
     assert cover_number(h).tau == 4
@@ -179,7 +179,7 @@ def test_selected_equal_anchor_dedup(t4):
 
 def test_build_rejects_invalid(t4):
     anchor = tuple(sorted(t4.edges[0]))
-    bad = next(e for e, es in enumerate(t4.edge_sets) if anchor[0] not in es)
+    bad = next(e for e, es in enumerate(map(frozenset, t4.edges)) if anchor[0] not in es)
     with pytest.raises(InvalidSpecError):
         build_extension(ConstructionSpec(t4, 0, (bad, 0, 0, 0)))
 

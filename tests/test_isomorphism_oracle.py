@@ -70,7 +70,7 @@ def reference_exact_isomorphic(a: PartiteHypergraph, b: PartiteHypergraph) -> Is
     k = a.num_sides
     co_a = _codegrees(a)
     co_b = _codegrees(b)
-    b_edge_sets = set(b.edge_sets)
+    b_edge_sets = set(map(frozenset, b.edges))
 
     def co(codict, u, v):
         return codict.get((u, v)) or codict.get((v, u), 0)
@@ -82,7 +82,7 @@ def reference_exact_isomorphic(a: PartiteHypergraph, b: PartiteHypergraph) -> Is
     def assign_side(si):
         if si == k:
             mapped = {
-                frozenset(mapping[v] for v in e) for e in a.edge_sets
+                frozenset(mapping[v] for v in e) for e in a.edges
             }
             return mapped == b_edge_sets
         size = len(a.sides[si])
@@ -221,7 +221,7 @@ def test_exact_isomorphic_matches_the_reference(pair):
     assert got == reference_exact_isomorphic(a, b)
     if got.isomorphic:
         m = dict(got.vertex_map)
-        assert {frozenset(m[v] for v in e) for e in a.edges} == set(b.edge_sets)
+        assert {frozenset(m[v] for v in e) for e in a.edges} == set(map(frozenset, b.edges))
 
 
 def test_reference_pairs_cover_both_verdicts():

@@ -683,14 +683,14 @@ def reference_kind(spec, h, fresh, verts):
     an edge of h; F_i plus a final-side vertex (type 1); F_i - s_i + v_i
     plus a side-i vertex (type 2); else a violation."""
     r = spec.base.num_sides
-    if fresh is None and frozenset(verts) in h.edge_sets:
+    if fresh is None and frozenset(verts) in set(map(frozenset, h.edges)):
         return "already_present", None
     anchor = spec.anchor_vertices()
     for i, fe in enumerate(spec.f_edges):
-        if fresh in (None, r) and {v for v in verts if v[0] != r} == spec.base.edge_sets[fe]:
+        if fresh in (None, r) and {v for v in verts if v[0] != r} == set(spec.base.edges[fe]):
             return "type1", i + 1
     for i, fe in enumerate(spec.f_edges):
-        shifted = (spec.base.edge_sets[fe] - {anchor[i]}) | {spec.mirror_vertex(i)}
+        shifted = (set(spec.base.edges[fe]) - {anchor[i]}) | {spec.mirror_vertex(i)}
         if fresh != r and {v for v in verts if v[0] != i} == shifted:
             return "type2", i + 1
     return "violation", None
@@ -701,21 +701,39 @@ def reference_kind(spec, h, fresh, verts):
 @pytest.mark.parametrize("mode", ["default", "profile"])
 def test_one_enumeration_matches_r_plus_two(q, mode):
     # The classification's candidates, in order, equal those of one
-    # enumeration per fresh side (None first) on the former instance.
+    # enumeration per fresh side (None first) on the former instance,
+    # and their kinds those read from the definitions.  The inputs are
+    # extensions, at q <= 5 also ones missing an E1 edge, whose
+    # candidates include violations, and in default mode an extension
+    # whose selected edges all equal the anchor edge.
     t = truncate(build_plane(FiniteField(2, 2) if q == 4 else FiniteField(q)))
+    inputs = []
     for anchor in (0, random.Random(q).randrange(t.num_edges)):
         spec = (select_f_default(t, anchor) if mode == "default"
                 else select_f_by_profile(t, anchor, DegreeProfile(q + 1, (1,)), strict=False))
-        ext = build_extension(spec, check=False)
+        inputs.append((anchor, None, spec, build_extension(spec, check=False)))
+    if mode == "default":
+        spec = ConstructionSpec(t, 0, (0,) * (q + 1))
+        inputs.append((0, "repeated F", spec, build_extension(spec, check=False)))
+    if q <= 5:
+        anchor, _, spec, ext = inputs[0]
+        # E1 edges come first; a deletion that lowers tau has no candidates
+        inputs += [(anchor, j, spec, ext.without_edge(j)) for j in range(t.num_edges - 1)
+                   if cover_number(ext.without_edge(j)).tau == q + 1]
+    violations = 0
+    for anchor, variant, spec, h in inputs:
         want = []
-        for fresh in [None, *range(ext.num_sides)]:
-            inst, k = r_plus_two_instance(ext, fresh)
+        for fresh in [None, *range(h.num_sides)]:
+            inst, k = r_plus_two_instance(h, fresh)
             _, sols, _ = _budget_search(inst, k, True, _Deadline(None))
-            for verts in sorted(tuple(ext.vid(g) for g in sorted(sol)) for sol in sols):
-                want.append((fresh, verts, *reference_kind(spec, ext, fresh, verts)))
+            for verts in sorted(tuple(h.vid(g) for g in sorted(sol)) for sol in sols):
+                want.append((fresh, verts, *reference_kind(spec, h, fresh, verts)))
         got = [(c.fresh_side, c.vertices, c.kind, c.index)
-               for c in classify_extensions(ext, spec).candidates]
-        assert got == want, (q, mode, anchor)
+               for c in classify_extensions(h, spec).candidates]
+        assert got == want, (q, mode, anchor, variant)
+        violations += sum(kind == "violation" for _, _, kind, _ in got)
+    # at q = 3 no deletion keeps tau and leaves a violation
+    assert violations > 0 or q not in (4, 5)
 
 
 def test_search_instance_built_once_per_hypergraph(monkeypatch):
