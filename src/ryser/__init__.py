@@ -10,7 +10,6 @@ from .plane import ProjectivePlane, bruck_ryser_excluded, build_plane, truncate
 from .hypergraph import (
     PartiteHypergraph,
     degree_stats,
-    intersection_size_profile,
     is_intersecting,
     read_rhg,
     write_rhg,
@@ -18,7 +17,6 @@ from .hypergraph import (
 from .solver import (
     CoverResult,
     MatchingResult,
-    brute_force_cover_oracle,
     cover_number,
     matching_number,
     verify_ryser_ratio,
@@ -27,7 +25,6 @@ from .construct import (
     ConstructionSpec,
     DegreeProfile,
     build_extension,
-    cover_mirror,
     extract_pair_subhypergraph,
     profile_count,
     select_f_by_profile,
@@ -52,20 +49,17 @@ __all__ = [
     "truncate",
     "PartiteHypergraph",
     "degree_stats",
-    "intersection_size_profile",
     "is_intersecting",
     "read_rhg",
     "write_rhg",
     "CoverResult",
     "MatchingResult",
-    "brute_force_cover_oracle",
     "cover_number",
     "matching_number",
     "verify_ryser_ratio",
     "ConstructionSpec",
     "DegreeProfile",
     "build_extension",
-    "cover_mirror",
     "extract_pair_subhypergraph",
     "profile_count",
     "select_f_by_profile",

@@ -27,15 +27,16 @@ before type 2.  A candidate holds one vertex of every side or that
 side's fresh vertex, so it is of type 1 for i exactly when it contains
 F_i, and of type 2 exactly when it contains F_i - s_i + v_i: one mask
 test per pair edge of `ConstructionSpec.pair_edges`.  The candidates,
-for every fresh side and for none, are the minimum covers of one
-cover-search enumeration on `solver._candidate_instance`, which gives
-each side a fresh vertex and lets a cover pick at most one of them.
+for every fresh side and for none, come from one call of
+`solver.covering_transversals`, which gives each side a fresh vertex
+and lets a cover pick at most one of them.  The solver owns the search
+and its id layout; this module reads only vertex ids of h.
 """
 
 import warnings
 from collections import Counter
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import groupby
 from typing import Optional
 
 from .construct import ConstructionSpec
@@ -49,12 +50,10 @@ from .hypergraph import PartiteHypergraph, degree_stats, is_intersecting
 from .solver import (
     DEFAULT_TIMEOUT,
     CoverResult,
-    _budget_search,
     _Deadline,
-    _candidate_instance,
-    _instance,
     cover_number,
     cover_without_edge,
+    covering_transversals,
 )
 
 
@@ -119,13 +118,12 @@ def minimize(
     initial = cover_number(h, upper_hint=target, timeout=deadline.remaining())
     if initial.tau != target:
         raise NotExtremalError(f"cover number is {initial.tau}, expected {target}")
-    inst = _instance(h)
     alive = (1 << h.num_edges) - 1
     deleted = []
     kept_certs = {}
     scan = range(h.num_edges) if order == "asc" else range(h.num_edges - 1, -1, -1)
     for i in scan:
-        witness, nodes = cover_without_edge(inst, alive, i, target - 1, deadline)
+        witness, nodes = cover_without_edge(h, alive, i, target - 1, deadline)
         if witness is None:
             cert = CoverResult(target, initial.witness, None, nodes)
             deleted.append(DeletedEdge(i, h.edges[i], h.edge_labels[i], cert))
@@ -256,23 +254,6 @@ class ExtensionClassification:
                                   # was kept) and the candidate enumeration
 
 
-def enumerate_candidates_brute(h):
-    """Pruning-free cross-check: every (fresh_side, transversal) choice
-    via full cartesian products, filtered by a direct cover test."""
-    out = []
-    masks = h.edge_masks
-    gid = h.gid
-    for fresh in [None] + list(range(h.num_sides)):
-        active = [s for s in range(h.num_sides) if s != fresh]
-        for combo in product(*[[(s, p) for p in range(len(h.sides[s]))] for s in active]):
-            m = 0
-            for v in combo:
-                m |= 1 << gid(v)
-            if all(e & m for e in masks):
-                out.append((fresh, tuple(sorted(combo))))
-    return out
-
-
 def classify_extensions(
     h: PartiteHypergraph,
     spec: ConstructionSpec,
@@ -308,24 +289,16 @@ def classify_extensions(
     res = cover_number(h, upper_hint=r, timeout=deadline.remaining())
     if res.tau != r:
         raise NotExtremalError(f"cover number is {res.tau}, expected {r}")
-    _, sols, found = _budget_search(_candidate_instance(h), r + 1, True, deadline)
-    # Keyed by fresh side (-1 for none) and sorted real ids; global ids
-    # follow vertex order, so each group comes out sorted by vertices.
-    n = h.num_vertices
-    keyed = []
-    for sol in sols:
-        gids = sorted(sol)
-        keyed.append((gids.pop() - n if gids[-1] >= n else -1, gids))
-    vids = tuple(h.vertices())
-    for side, gids in sorted(keyed):
+    transversals, found = covering_transversals(h, deadline.remaining())
+    vids = tuple(h.vertices())  # in global id order, so candidates list theirs sorted
+    for side, gids in transversals:
         cand = sum(1 << g for g in gids)
-        if side < 0 and cand in present:
+        if side is None and cand in present:
             kind, index = "already_present", None
         else:
             kind, index = next(((k, i) for k, i, pair in pair_masks if not pair & ~cand),
                                ("violation", None))
-        candidates.append(ExtensionCandidate(None if side < 0 else side,
-                                             tuple([vids[g] for g in gids]), kind, index))
+        candidates.append(ExtensionCandidate(side, tuple([vids[g] for g in gids]), kind, index))
     counts = dict(Counter(c.kind for c in candidates))
     violations = tuple(c for c in candidates if c.kind == "violation")
     return ExtensionClassification(

@@ -43,8 +43,8 @@ from .construct import (
     uniformize,
     validate_spec,
 )
-from .errors import ConfigError, RyserError, SolverTimeout
-from .gf import FiniteField
+from .errors import ConfigError, RyserError, SizeExceededError, SolverTimeout
+from .gf import MAX_ORDER, FiniteField
 from .hypergraph import atomic_write_text, dumps_rhg, is_intersecting, read_rhg, vid_str
 from .plane import bruck_ryser_excluded, build_plane, truncate
 from .report import (
@@ -105,7 +105,14 @@ def factor_prime_power(q: int):
     return p, k
 
 
+def _check_order(q: int):
+    """Refuse a plane order above the field bound before factoring it."""
+    if q > MAX_ORDER:
+        raise SizeExceededError(f"field order {q} exceeds {MAX_ORDER}")
+
+
 def build_truncation(q: int, vertex=None):
+    _check_order(q)
     return truncate(build_plane(FiniteField(*factor_prime_power(q))), vertex)
 
 
@@ -162,6 +169,7 @@ def cmd_field(args):
 def cmd_plane(args):
     if args.q < 2:
         raise ConfigError(f"plane order must be at least 2, got {args.q}")
+    _check_order(args.q)
     try:
         p, k = factor_prime_power(args.q)
     except ConfigError:

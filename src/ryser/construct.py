@@ -232,12 +232,13 @@ def build_extension(
     (r-1)-cover: if the base passes `truncated_plane_order` and none of
     the 2r sets "side j" and "side j with s_j swapped for v_j" covers
     the result, no set of r-1 vertices does.  A cover C of at most r-1
-    vertices maps by `cover_mirror` to a cover of the base minus the
-    anchor edge, of at most r-1 = tau vertices, so to a whole side j;
-    C is then side j or side j with s_j swapped for v_j.  Nothing is
-    tested here; copies made by `without_edge` or `with_edge`, and
-    hypergraphs read from files, carry no spec.  `check` runs
-    `validate_spec` first; perfbench/ alone turns its cover part off.
+    vertices, with each mirror vertex v_i replaced by its anchor vertex
+    s_i, covers the base minus the anchor edge with at most r-1 = tau
+    vertices, so it is a whole side j; C is then side j or side j with
+    s_j swapped for v_j.  Nothing is tested here; copies made by
+    `without_edge` or `with_edge`, and hypergraphs read from files,
+    carry no spec.  `check` runs `validate_spec` first; perfbench/
+    alone turns its cover part off.
 
     E1 lifting walks the bits of each anchor vertex's incidence mask
     less the anchor edge: O(m) in all.  `validate_spec` tests the
@@ -291,24 +292,6 @@ def build_extension(
     h = PartiteHypergraph._from_canonical(sides, tuple(edges), tuple(labels), name)
     h._spec = spec
     return h
-
-
-def cover_mirror(cover, spec: ConstructionSpec) -> frozenset:
-    """Map a vertex set of the extension back to the base: replace each
-    mirror vertex v_i by its anchor vertex s_i and drop the final side.
-
-    When the input covers the extension, the output covers the base
-    minus the anchor edge.
-    """
-    r = spec.base.num_sides
-    anchor = spec.anchor_vertices()
-    out = set()
-    for s, p in cover:
-        if s == r:
-            out.add(anchor[p])
-        else:
-            out.add((s, p))
-    return frozenset(out)
 
 
 def uniformize(h: PartiteHypergraph) -> PartiteHypergraph:

@@ -99,11 +99,15 @@ class FiniteField:
     def __init__(self, p: int, k: int = 1):
         if k < 1:
             raise DegenerateDegreeError(f"extension degree must be >= 1, got {k}")
+        # The bound comes first, and p**k is formed only for p and 2**k
+        # within it; the message names a larger order p^k.
+        small = p <= MAX_ORDER and k < MAX_ORDER.bit_length()
+        if p > 1 and not (small and p ** k <= MAX_ORDER):
+            order = p ** k if small or k == 1 else f"{p}^{k}"
+            raise SizeExceededError(f"field order {order} exceeds {MAX_ORDER}")
         if not is_prime(p):
             raise NotPrimeError(f"{p} is not prime")
         q = p ** k
-        if q > MAX_ORDER:
-            raise SizeExceededError(f"field order {q} exceeds {MAX_ORDER}")
         self.p = p
         self.k = k
         self.q = q

@@ -30,7 +30,6 @@ import os
 import re
 import tempfile
 from bisect import bisect_right
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -342,18 +341,6 @@ def truncated_plane_order(base: PartiteHypergraph):
     edge met twice (not S, which misses C), and such an edge holds one
     pair, so C has exactly one pair in different sides: q = 2."""
     return base._plane_order
-
-
-def intersection_size_profile(h: PartiteHypergraph) -> Counter:
-    """Multiset of |e_i ∩ e_j| over all unordered edge pairs."""
-    masks = h.edge_masks
-    m = len(masks)
-    out = Counter()
-    for i in range(m):
-        mi = masks[i]
-        for j in range(i + 1, m):
-            out[(mi & masks[j]).bit_count()] += 1
-    return out
 
 
 @dataclass(frozen=True)

@@ -81,11 +81,12 @@ A branch child also excludes its vertex's `closes` mask, in a cover
 instance the vertex alone.  The candidate edges of a hypergraph with k
 sides, one vertex from every side or a fresh vertex in place of one
 side's, meeting every edge, are the minimum covers of one enumeration on
-`_candidate_instance`: the edges, then per side one edge holding the
-whole side and a fresh vertex of its own, branched on after every real
-edge.  Its budget is k, which is exact: a k-cover meets each of the k
-disjoint side edges once, so a pick closes its side edge, and a pick of
-a fresh vertex closes the other fresh vertices too.
+`_candidate_instance`, which `covering_transversals` runs and decodes:
+the edges, then per side one edge holding the whole side and a fresh
+vertex of its own, branched on after every real edge.  Its budget is k,
+which is exact: a k-cover meets each of the k disjoint side edges once,
+so a pick closes its side edge, and a pick of a fresh vertex closes the
+other fresh vertices too.
 
 The matching search carries the mask of the later edges disjoint from
 every edge taken so far and takes each in turn, lowest index first, so
@@ -95,8 +96,11 @@ Like the cover search, it tests each child's bound in the parent and
 counts a child that fails as one node without entering it.
 
 `cover_without_edge` decides whether deleting one edge lowers the
-cover number with one decide run on the whole hypergraph's instance,
-from a root node that drops the edge and excludes its vertices.
+cover number with one decide run on the hypergraph's instance, from a
+root node that drops the edge and excludes its vertices.
+`cover_number`, `covering_transversals` and `cover_without_edge` are
+the search's only callers; no other module reads an instance or
+decodes its ids.
 
 All tie-breaking is by smallest global vertex index / smallest edge
 index, so identical inputs give identical certificates.  Every search
@@ -106,11 +110,10 @@ runs in the calling process.
 import time
 from dataclasses import dataclass, replace
 from heapq import heappush, heapreplace
-from itertools import accumulate, combinations
-from math import comb
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
-from .errors import EmptyHypergraphError, NonUniformError, SolverTimeout, TooLargeError
+from .errors import EmptyHypergraphError, NonUniformError, SolverTimeout
 from .hypergraph import PartiteHypergraph, truncated_plane_order
 
 DEFAULT_TIMEOUT = 60.0
@@ -479,19 +482,34 @@ def cover_number(
                        nodes_total + nodes)
 
 
-def cover_without_edge(inst, alive, edge, budget, deadline):
+def covering_transversals(h: PartiteHypergraph, timeout: Optional[float] = DEFAULT_TIMEOUT):
+    """The candidate edges of h, one vertex of every side, or of every
+    side but one with that side's fresh vertex in its place, meeting
+    every edge, as (fresh side or None, ascending global ids of h's
+    vertices): None first, then by side and ids.  Returns them with the
+    node count of the one enumeration that finds them."""
+    n = h.num_vertices
+    _, sols, nodes = _budget_search(_candidate_instance(h), h.num_sides, True, _Deadline(timeout))
+    keyed = []
+    for sol in sols:
+        gids = sorted(sol)
+        keyed.append((gids.pop() - n if gids[-1] >= n else -1, tuple(gids)))
+    return [(None if side < 0 else side, gids) for side, gids in sorted(keyed)], nodes
+
+
+def cover_without_edge(h, alive, edge, budget, deadline):
     """One decide run at `budget` for a cover of the `alive` edges (a
-    mask) other than `edge` that avoids the vertices of `edge` and the
-    dominated ones, within the caller's `_Deadline`.  Returns (the
+    mask) of h other than `edge` that avoids the vertices of `edge` and
+    the dominated ones, within the caller's `_Deadline`.  Returns (the
     cover's global ids or None, nodes explored).
 
-    `inst` is the `_instance` of a hypergraph, and its `alive` edges
-    must have cover number budget + 1.  A cover is then found exactly
-    when deleting `edge` lowers the cover number: a `budget`-set that
-    covers the other edges and meets `edge` would cover them all.  A
-    dominated vertex of such a set can be swapped for a vertex of its
-    edge that is not dominated, and that vertex is not on `edge` either,
-    by the same argument."""
+    The `alive` edges must have cover number budget + 1.  A cover is
+    then found exactly when deleting `edge` lowers the cover number: a
+    `budget`-set that covers the other edges and meets `edge` would
+    cover them all.  A dominated vertex of such a set can be swapped
+    for a vertex of its edge that is not dominated, and that vertex is
+    not on `edge` either, by the same argument."""
+    inst = _instance(h)
     excluded = inst.dominated
     for g in inst.gid_lists[edge]:
         excluded |= 1 << g
@@ -558,26 +576,3 @@ def verify_ryser_ratio(
     nu = matching_number(h, timeout=timeout).nu
     tau = cover_number(h, upper_hint=(r - 1) * nu, timeout=deadline.remaining()).tau
     return RatioReport(r, tau, nu, tau / nu, tau == (r - 1) * nu)
-
-
-def brute_force_cover_oracle(h: PartiteHypergraph, limit: Optional[int] = None) -> int:
-    """Independent tau oracle: exhaustive subset enumeration in size
-    order.  Guarded to n <= 24 vertices unless a small limit keeps the
-    subset count under 10^7."""
-    if h.num_edges == 0:
-        raise EmptyHypergraphError("cover number is undefined without edges")
-    n = h.num_vertices
-    lim = n if limit is None else min(limit, n)
-    if n > 24:
-        if limit is None or sum(comb(n, i) for i in range(lim + 1)) > 10 ** 7:
-            raise TooLargeError(f"{n} vertices is past the brute-force guard")
-    masks = h.edge_masks
-    bits = [1 << g for g in range(n)]
-    for s in range(lim + 1):
-        for combo in combinations(range(n), s):
-            m = 0
-            for g in combo:
-                m |= bits[g]
-            if all(e & m for e in masks):
-                return s
-    raise TooLargeError(f"no cover of size <= {lim} found within the limit")

@@ -13,14 +13,12 @@ import pytest
 from ryser.analysis import (
     classify_extensions,
     degree_fingerprint,
-    enumerate_candidates_brute,
     minimize,
 )
 from ryser.cli import build_truncation, corpus_generate
 from ryser.construct import (
     DegreeProfile,
     build_extension,
-    cover_mirror,
     extract_pair_subhypergraph,
     profile_count,
     select_f_by_profile,
@@ -32,17 +30,22 @@ from ryser.gf import FiniteField
 from ryser.hypergraph import (
     degree_stats,
     dumps_rhg,
-    intersection_size_profile,
     is_intersecting,
     loads_rhg,
     read_rhg,
 )
 from ryser.plane import bruck_ryser_excluded, build_plane
 from ryser.solver import (
-    brute_force_cover_oracle,
     cover_number,
     matching_number,
     verify_ryser_ratio,
+)
+
+from oracles import (
+    brute_force_cover_oracle,
+    cover_mirror,
+    enumerate_candidates_brute,
+    intersection_size_profile,
 )
 
 PLANE_ORDERS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 5: (5, 1), 7: (7, 1), 8: (2, 3), 9: (3, 2)}

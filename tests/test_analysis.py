@@ -12,7 +12,6 @@ from ryser.analysis import (
     ExtensionClassification,
     classify_extensions,
     degree_fingerprint,
-    enumerate_candidates_brute,
     exact_isomorphic,
     fingerprint_str,
     maximal_closure_description,
@@ -36,6 +35,8 @@ from ryser.gf import FiniteField
 from ryser.hypergraph import PartiteHypergraph
 from ryser.plane import build_plane, truncate
 from ryser.solver import cover_number
+
+from oracles import enumerate_candidates_brute
 
 
 def make_t(q):

@@ -73,6 +73,23 @@ def test_a_large_prime_order_is_factored_by_trial_division_to_its_root(capsys):
     assert "Bruck-Ryser" in capsys.readouterr().out
 
 
+def test_orders_past_the_field_bound_are_refused_before_factoring(monkeypatch, capsys, tmp_path):
+    # the field order used to be formatted (past the int-to-str limit)
+    # or factored (1.6 s for 10000019^2) before the bound refused it
+    assert run("field", "--p", 2, "--k", 100000) == 2
+    assert "field order 2^100000 exceeds 65536" in capsys.readouterr().err
+
+    def no_factoring(q):
+        raise AssertionError(f"factor_prime_power({q}) ran before the order bound")
+
+    monkeypatch.setattr(cli, "factor_prime_power", no_factoring)
+    for argv in (["plane", "--q", 100000380000361],
+                 ["truncate", "--q", 65537, "--out", tmp_path / "t.rhg"],
+                 ["plane", "--q", 65538]):  # not a prime power: no Bruck-Ryser verdict
+        assert run(*argv) == 2
+        assert f"field order {argv[2]} exceeds 65536" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("q", [1, 0, -3])
 def test_plane_order_below_two_is_a_config_error(q, tmp_path, capsys):
     j = tmp_path / "plane.json"

@@ -19,7 +19,6 @@ from ryser.construct import (
     ConstructionSpec,
     DegreeProfile,
     build_extension,
-    cover_mirror,
     extract_pair_subhypergraph,
     profile_count,
     select_f_by_profile,
@@ -32,11 +31,12 @@ from ryser.gf import FiniteField
 from ryser.hypergraph import (
     PartiteHypergraph,
     degree_stats,
-    intersection_size_profile,
     is_intersecting,
 )
 from ryser.plane import build_plane, truncate
-from ryser.solver import brute_force_cover_oracle, cover_number
+from ryser.solver import cover_number
+
+from oracles import brute_force_cover_oracle, cover_mirror, intersection_size_profile
 
 
 def make_t(q):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from ryser import gf
 from ryser.errors import DegenerateDegreeError, NotPrimeError, SizeExceededError, ZeroInverseError
 from ryser.gf import FiniteField, least_irreducible
 
@@ -81,6 +82,22 @@ def test_build_errors():
         FiniteField(2, 17)
     with pytest.raises(ZeroInverseError):
         FiniteField(7).inv(0)
+
+
+def test_order_bound_is_checked_before_any_arithmetic(monkeypatch):
+    # 2^100000 has 30,103 digits, past Python's int-to-str limit, and
+    # trial division of a 14-digit p took half a second before the bound
+    with pytest.raises(SizeExceededError, match=r"field order 2\^100000 exceeds 65536"):
+        FiniteField(2, 100000)
+
+    def no_primality_test(n):
+        raise AssertionError(f"is_prime({n}) ran before the order bound")
+
+    monkeypatch.setattr(gf, "is_prime", no_primality_test)
+    with pytest.raises(SizeExceededError, match="field order 10000000000037 exceeds 65536"):
+        FiniteField(10000000000037)
+    with pytest.raises(SizeExceededError, match="field order 66049 exceeds 65536"):
+        FiniteField(257, 2)
 
 
 @pytest.mark.parametrize("p,k", SMALL_ORDERS)

@@ -28,13 +28,14 @@ from ryser.hypergraph import (
     _tokenize,
     degree_stats,
     dumps_rhg,
-    intersection_size_profile,
     is_intersecting,
     loads_rhg,
     read_rhg,
     write_rhg,
 )
 from ryser.plane import build_plane, truncate
+
+from oracles import intersection_size_profile
 
 
 @pytest.fixture(scope="module")

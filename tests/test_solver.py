@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ryser import solver
-from ryser.analysis import classify_extensions, enumerate_candidates_brute, minimize
+from ryser.analysis import classify_extensions, minimize
 from ryser import hypergraph
 from ryser.construct import (
     ConstructionSpec,
@@ -50,11 +50,13 @@ from ryser.solver import (
     _instance,
     _Instance,
     _ranked_degrees,
-    brute_force_cover_oracle,
     cover_number,
+    covering_transversals,
     matching_number,
     verify_ryser_ratio,
 )
+
+from oracles import brute_force_cover_oracle, enumerate_candidates_brute
 
 
 @pytest.fixture(scope="module")
@@ -616,18 +618,10 @@ def test_budget_search_matches_reference(h):
 
 
 def transversal_enumerations(h):
-    """The (fresh side or None, sorted vertices) of every minimum cover of
-    the `_candidate_instance` enumeration, None first, then by side and
-    vertices, with the run's node count."""
-    n = h.num_vertices
-    _, sols, nodes = _budget_search(_candidate_instance(h), h.num_sides, True, _Deadline(None))
-    found = []
-    for sol in sols:
-        fresh = [g - n for g in sol if g >= n]
-        assert len(fresh) <= 1
-        verts = tuple(h.vid(g) for g in sorted(sol) if g < n)
-        found.append((fresh[0] if fresh else -1, verts))
-    return [(None if fresh < 0 else fresh, verts) for fresh, verts in sorted(found)], nodes
+    """The (fresh side or None, sorted vertices) of every candidate edge
+    `covering_transversals` finds, in its order, with its node count."""
+    found, nodes = covering_transversals(h, None)
+    return [(fresh, tuple(map(h.vid, gids))) for fresh, gids in found], nodes
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
