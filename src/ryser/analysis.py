@@ -41,6 +41,7 @@ from typing import Optional
 
 from .construct import ConstructionSpec
 from .errors import (
+    EmptyHypergraphError,
     NonUniformError,
     NotExtremalError,
     TooLargeError,
@@ -106,6 +107,8 @@ def minimize(
     minimal hypergraph, possibly a different one."""
     if order not in ("asc", "desc"):
         raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
+    if h.num_edges == 0:
+        raise EmptyHypergraphError("minimization is undefined without edges")
     k = h.num_sides
     target = k - 1
     if h.uniformity != k:

@@ -35,6 +35,20 @@ with two picks left enters its children untested.  A refuted child
 counts as one node, so every prune, witness, enumeration and node count
 is that of a search that enters every child.
 
+A decide run first walks its first descent: from its start node, the
+first free vertex of each branch edge, excluding its `closes` mask,
+until the edges are covered or the budget is spent.  When that path
+covers, it is the run's answer, with one node per pick and one for the
+leaf, and no node ranks a vertex or tests a bound.  The search enters
+children in the same order, and its node and child tests are sound, so
+they never prune a node on a path that completes within its picks: its
+first cover would be this path, at this node count.  Otherwise the
+search runs as above, and the walk has cost at most `budget` lookups of
+a branch edge.  The paper's instances are built so that the descent
+meets a minimum cover: a truncated plane's side 0, and an extension's
+side 0 with the side-1 vertex of E3(1), each of the size that the
+degree-sum or the mirror bound proves.
+
 A degree-1 vertex is dominated by any other vertex of its edge: swapping
 it for that vertex leaves a cover of no greater size.  The instance
 builder finds them in its one walk of the incidence masks, a degree-1
@@ -310,6 +324,10 @@ def _budget_search(inst, budget, collect, deadline, node=None):
     every minimum cover is found.  Returns (first_found, solutions, nodes).
     The deadline is checked on entry, so a run never starts past it.
 
+    A decide run returns the first descent from `node` when that path
+    covers within the budget (see the module docstring), with the nodes
+    the search would count on it, one per pick and the leaf.
+
     A node with three or more picks left tests each branch child's
     bound before entering it, and one with a single pick left scans its
     children without entering them; a refuted child counts as one node,
@@ -317,9 +335,6 @@ def _budget_search(inst, budget, collect, deadline, node=None):
     enters every child."""
     deadline.check(force=True)
     gid_lists, incidence, size_classes, dominated, closes = inst
-    first = None
-    sols = [] if collect else None
-    nodes = 0
 
     def branch_edge(uncovered):
         # the uncovered edge of smallest (free size, index)
@@ -327,6 +342,28 @@ def _budget_search(inst, budget, collect, deadline, node=None):
             branch = uncovered & cls
             if branch:
                 return (branch & -branch).bit_length() - 1
+
+    if node is None:
+        node = ((), (1 << len(gid_lists)) - 1, 0 if collect else dominated)
+    if not collect:
+        # The first descent: the first child of every node, down to a
+        # cover or to the budget.  A cover it reaches is the run's first,
+        # one node per level plus the leaf.
+        path, uncovered, excluded = node
+        while uncovered and len(path) < budget:
+            for g in gid_lists[branch_edge(uncovered)]:
+                if not incidence[g][1] & excluded:
+                    break
+            else:
+                break  # a dead edge
+            path += (g,)
+            uncovered &= ~incidence[g][2]
+            excluded |= closes[g]
+        if not uncovered:
+            return path, None, len(path) - len(node[0]) + 1
+    first = None
+    sols = [] if collect else None
+    nodes = 0
 
     def rec(chosen, uncovered, excluded, candidates=incidence):
         nonlocal first, nodes
@@ -376,8 +413,6 @@ def _budget_search(inst, budget, collect, deadline, node=None):
             acc |= bit
         return False
 
-    if node is None:
-        node = ((), (1 << len(gid_lists)) - 1, 0 if collect else dominated)
     rec(*node)
     return first, sols, nodes
 
@@ -567,6 +602,8 @@ def verify_ryser_ratio(
     uniformized h; when it is not yet known, the cover search takes
     (r-1)*nu as its hint, which on an extremal input is one success run
     and one refutation.  The two searches share one `timeout`."""
+    if h.num_edges == 0:
+        raise EmptyHypergraphError("Ryser ratio is undefined without edges")
     r = h.num_sides
     if h.uniformity != r:
         raise NonUniformError(

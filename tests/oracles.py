@@ -80,3 +80,39 @@ def cover_mirror(cover, spec: ConstructionSpec) -> frozenset:
         else:
             out.add((s, p))
     return frozenset(out)
+
+
+def first_cover_reference(gid_lists, size_classes, closes, node, budget):
+    """The first cover of at most `budget` vertices that a depth-first
+    search with no bound finds below `node`, a (chosen, uncovered edge
+    mask, excluded vertex mask) triple, or None.  It branches on the
+    uncovered edge of the first class in `size_classes` that holds one,
+    least index first, over that edge's vertices not excluded, in order;
+    a child excludes its vertex's `closes` mask and its earlier
+    siblings.  Returns (cover in pick order or None, whether the cover
+    is reached through the first child at every level)."""
+    inc = {}
+    for i, gids in enumerate(gid_lists):
+        for g in gids:
+            inc[g] = inc.get(g, 0) | 1 << i
+
+    def rec(chosen, uncovered, excluded, leftmost):
+        if not uncovered:
+            return chosen, leftmost
+        if len(chosen) >= budget:
+            return None
+        branch = next(uncovered & cls for cls in size_classes if uncovered & cls)
+        edge = gid_lists[(branch & -branch).bit_length() - 1]
+        first_child = True
+        for g in edge:
+            if excluded >> g & 1:
+                continue
+            found = rec(chosen + (g,), uncovered & ~inc[g], excluded | closes[g],
+                        leftmost and first_child)
+            if found:
+                return found
+            first_child = False
+            excluded |= 1 << g
+        return None
+
+    return rec(*node, True) or (None, False)

@@ -176,6 +176,18 @@ def test_verify_ratio(t4_file, tmp_path):
     assert (cert["r"], cert["tau"], cert["nu"]) == (4, 3, 1)
 
 
+@pytest.mark.parametrize("args, message", [
+    (["verify", "--ratio"], "Ryser ratio is undefined without edges"),
+    (["minimize", "--out", "m.rhg"], "minimization is undefined without edges"),
+])
+def test_edgeless_input_is_refused_as_empty(args, message, tmp_path, monkeypatch, capsys):
+    # it used to be refused as non-uniform
+    monkeypatch.chdir(tmp_path)
+    write_rhg(PartiteHypergraph([["a", "b"], ["c", "d"]], []), "empty.rhg")
+    assert run(args[0], "empty.rhg", *args[1:]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def count_searches(monkeypatch):
     """Lists that grow by one per `_budget_search` call, and by the
     number of such calls inside each `verify_ryser_ratio` call that the

@@ -56,7 +56,7 @@ from ryser.solver import (
     verify_ryser_ratio,
 )
 
-from oracles import brute_force_cover_oracle, enumerate_candidates_brute
+from oracles import brute_force_cover_oracle, enumerate_candidates_brute, first_cover_reference
 
 
 @pytest.fixture(scope="module")
@@ -141,6 +141,10 @@ def test_empty_raises():
         cover_number(h)
     with pytest.raises(EmptyHypergraphError):
         brute_force_cover_oracle(h)
+    with pytest.raises(EmptyHypergraphError, match="Ryser ratio is undefined without edges"):
+        verify_ryser_ratio(h)
+    with pytest.raises(EmptyHypergraphError, match="minimization is undefined without edges"):
+        minimize(h)
 
 
 def test_matching_numbers(t4):
@@ -1001,6 +1005,83 @@ def test_pg25_anchor_chain_totals():
         matching += matching_number(u).nodes_explored
     assert (len(results), sum(r.nodes_explored for r in results)) == (51, 181)
     assert matching == 900
+
+
+def degree_sum_bound(h):
+    """The least k whose k largest vertex degrees sum to the edge count."""
+    total = 0
+    for k, d in enumerate(sorted(map(int.bit_count, h.incidence_masks), reverse=True), 1):
+        total += d
+        if total >= h.num_edges:
+            return k
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_hypergraph().filter(lambda h: h.num_vertices <= 12), st.integers(0, 2 ** 32 - 1))
+def test_decide_run_finds_the_first_cover_of_a_search_without_bounds(h, seed):
+    # From the root, and from roots that drop one edge of an alive set
+    # and exclude its vertices, a decide run's first cover is the first
+    # one a search with no bound reaches in the same order; one reached
+    # through every first child takes one node per level and the leaf.
+    inst = _instance(h)
+    rnd = random.Random(seed)
+    full = (1 << h.num_edges) - 1
+    edge = rnd.randrange(h.num_edges)
+    excluded = inst.dominated | sum(1 << g for g in inst.gid_lists[edge])
+    roots = [((), full, inst.dominated)]
+    for alive in (full, rnd.getrandbits(h.num_edges)):
+        roots.append(((), alive & ~(1 << edge), excluded))
+    tau = brute_force_cover_oracle(h)
+    for node in roots:
+        for budget in range(degree_sum_bound(h), tau + 2):
+            first, _, nodes = _budget_search(inst, budget, False, _Deadline(None), node)
+            want, leftmost = first_cover_reference(inst.gid_lists, inst.size_classes,
+                                                   inst.closes, node, budget)
+            assert first == want, (node, budget)
+            if leftmost:
+                assert nodes == len(first) + 1, (node, budget)
+
+
+@contextmanager
+def no_ranking(monkeypatch):
+    """Fails the block if any search node ranks its free vertices."""
+    ranked = []
+    rank = solver._ranked_degrees
+    monkeypatch.setattr(solver, "_ranked_degrees", lambda *a: ranked.append(a) or rank(*a))
+    yield
+    assert ranked == []
+
+
+@pytest.mark.parametrize("field", [(3,), (2, 2), (5,), (7,), (2, 3), (3, 2), (7, 2)])
+def test_truncated_plane_is_answered_by_the_first_descent(field, monkeypatch):
+    # The first descent picks side 0, a q-cover that the degree-sum
+    # bound proves minimum: one node per pick and the leaf, no ranking.
+    t = truncate(build_plane(FiniteField(*field)))
+    q = len(t.sides[0])
+    with no_ranking(monkeypatch):
+        res = cover_number(t)
+    side0 = tuple(sorted(side_vertex_set(t, 0)))
+    assert (res.tau, res.witness, res.nodes_explored) == (q, side0, q + 1)
+
+
+def e3_side_one_vertex(ext):
+    return next(v for v in ext.edges[ext.edge_labels.index("E3(1)")] if v[0] == 1)
+
+
+def test_extensions_are_answered_by_the_first_descent(monkeypatch):
+    # Side 0 and the side-1 vertex of E3(1) cover the extension with r
+    # vertices, the mirror bound: r + 1 nodes and no ranking, at every
+    # anchor of PG(2,5) and for a strict profile at q=16.
+    t5 = truncate(build_plane(FiniteField(5)))
+    specs = [select_f_default(t5, anchor) for anchor in range(25)]
+    t16 = truncate(build_plane(FiniteField(2, 4)))
+    specs.append(select_f_by_profile(t16, 0, DegreeProfile(17, (4,))))
+    for spec in specs:
+        ext = build_extension(spec, check=False)
+        with no_ranking(monkeypatch):
+            res = cover_number(ext)
+        witness = tuple(sorted(side_vertex_set(ext, 0) | {e3_side_one_vertex(ext)}))
+        assert (res.tau, res.witness, res.nodes_explored) == (spec.r, witness, spec.r + 1)
 
 
 def uniformizable(h):
