@@ -5,13 +5,16 @@ An extremal uniform hypergraph (k sides, k-uniform, cover number k-1)
 is minimal when deleting any single edge drops the cover number.  The
 reducer tries every edge once, in scan order, and deletes it when its
 removal keeps the cover number.  It makes one `cover_number` call, for
-the input, and then one decide run per edge at budget k-2 on the
-input's search instance.  Deleting one edge lowers the cover number by
-at most one, and a (k-2)-set that covers the rest cannot meet the
-tried edge, so that one run decides the edge.  Deleting edges never
-raises the cover number, so an edge found critical stays critical: the
-size-(k-2) cover found when it was tried still covers the final
-hypergraph without it, and that scan result is its criticality
+the input, and then decides each edge at budget k-2: an edge is kept
+when some (k-2)-set covers the rest.  Deleting one edge lowers the
+cover number by at most one, and such a set cannot meet the tried
+edge, so one decide run on the input's search instance settles the
+edge; an edge for which such a set is already known needs no run.
+Such sets come from the mirror sets of a linked extension and from the
+near misses that refuted runs scan (see `minimize`).  Deleting edges
+never raises the cover number, so an edge found critical stays
+critical: the size-(k-2) cover known when it was tried still covers
+the final hypergraph without it, and that is its criticality
 certificate.
 
 Addable-edge classification enumerates every covering transversal of
@@ -52,6 +55,7 @@ from .solver import (
     DEFAULT_TIMEOUT,
     CoverResult,
     _Deadline,
+    _mirror_near_covers,
     cover_number,
     cover_without_edge,
     covering_transversals,
@@ -98,13 +102,24 @@ def minimize(
 ) -> MinimizationTrace:
     """Try each edge once (least index first; "desc" scans from the
     highest index instead) and delete it when the cover number stays at
-    sides-1.  Makes one `cover_number` call, for the input, then one
-    `cover_without_edge` decide run per edge at budget sides-2, all in
-    this process and within one `timeout`.  A deleted edge is certified
-    by the input's minimum cover, which covers what is left; a kept edge
-    by the cover of size sides-2 found without it, which also covers the
+    sides-1.  Makes one `cover_number` call, for the input, then decides
+    each edge at budget sides-2, all in this process and within one
+    `timeout`: from the pool of known near-covers when it holds the
+    edge, with 0 nodes, and otherwise by one `cover_without_edge`
+    decide run.  A deleted edge is certified by the input's minimum
+    cover, which covers what is left; a kept edge by the set of size
+    sides-2 that covers the other alive edges, which also covers the
     final hypergraph without that edge.  Any scan order reaches a
-    minimal hypergraph, possibly a different one."""
+    minimal hypergraph, possibly a different one.
+
+    The pool maps an edge to a (sides-2)-set that covers every alive
+    edge but that one, so the edge is kept exactly as its run would
+    keep it.  It starts with the mirror sets of a linked input that
+    miss one edge each (`solver._mirror_near_covers`), and takes in the
+    near misses of each refuted run: sets that miss the deleted edge
+    and one other, which then miss only the other among the alive
+    edges.  Deletions only shrink the alive edges, so an entry stays
+    true until its edge is tried."""
     if order not in ("asc", "desc"):
         raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
     if h.num_edges == 0:
@@ -124,9 +139,18 @@ def minimize(
     alive = (1 << h.num_edges) - 1
     deleted = []
     kept_certs = {}
+    # edge -> a (k-2)-set covering every alive edge but that one
+    pool = _mirror_near_covers(h)
     scan = range(h.num_edges) if order == "asc" else range(h.num_edges - 1, -1, -1)
     for i in scan:
-        witness, nodes = cover_without_edge(h, alive, i, target - 1, deadline)
+        if i in pool:
+            witness, nodes = pool[i], 0
+        else:
+            near = {}
+            witness, nodes = cover_without_edge(h, alive, i, target - 1, deadline, near)
+            if witness is None:
+                # i goes, so each near miss now misses only its key
+                pool = near | pool
         if witness is None:
             cert = CoverResult(target, initial.witness, None, nodes)
             deleted.append(DeletedEdge(i, h.edges[i], h.edge_labels[i], cert))

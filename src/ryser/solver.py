@@ -111,7 +111,15 @@ counts a child that fails as one node without entering it.
 
 `cover_without_edge` decides whether deleting one edge lowers the
 cover number with one decide run on the hypergraph's instance, from a
-root node that drops the edge and excludes its vertices.
+root node that drops the edge and excludes its vertices.  `minimize`
+calls it only for an edge with no known near-cover, a set of the run's
+budget that covers every alive edge but that one: such a set answers
+the trial without a search.  A linked extension's mirror sets that miss
+one edge each (`_mirror_near_covers`) are near-covers from the start.
+A run given a dict also records its near misses, budget-sets that
+cover all but one of its uncovered edges, which its one-pick nodes scan
+anyway; once the run is refuted and its edge deleted, each of them is
+a near-cover of the edge it misses.
 `cover_number`, `covering_transversals` and `cover_without_edge` are
 the search's only callers; no other module reads an instance or
 decodes its ids.
@@ -316,7 +324,7 @@ def _candidate_instance(h):
     return _Instance(tuple(gid_lists), entries, tuple(classes), 0, tuple(closes))
 
 
-def _budget_search(inst, budget, collect, deadline, node=None):
+def _budget_search(inst, budget, collect, deadline, node=None, near=None):
     """Exhaustive search for covers of size <= budget below `node`, a
     (chosen, uncovered edge mask, excluded vertex mask) triple that
     defaults to the root.  The root of a decide run excludes the
@@ -332,7 +340,12 @@ def _budget_search(inst, budget, collect, deadline, node=None):
     bound before entering it, and one with a single pick left scans its
     children without entering them; a refuted child counts as one node,
     so the tree, the order and the node count are those of a search that
-    enters every child."""
+    enters every child.
+
+    `near`, a dict, collects near misses: a one-pick node with no leaf
+    records, for each child g whose pick would leave a single edge j
+    uncovered, {j: chosen + (g,)} unless j is there already.  Each such
+    set covers every edge uncovered at `node` but j, and misses j."""
     deadline.check(force=True)
     gid_lists, incidence, size_classes, dominated, closes = inst
 
@@ -386,6 +399,11 @@ def _budget_search(inst, budget, collect, deadline, node=None):
             free = [g for g in branch if not incidence[g][1] & excluded]
             leaves = [g for g in free if incidence[g][2] & uncovered == uncovered]
             if not leaves:
+                if near is not None:
+                    for g in free:
+                        rest = uncovered & ~incidence[g][2]
+                        if not rest & (rest - 1):
+                            near.setdefault(rest.bit_length() - 1, chosen + (g,))
                 return False
             if first is None:
                 first = chosen + (leaves[0],)
@@ -417,27 +435,61 @@ def _budget_search(inst, budget, collect, deadline, node=None):
     return first, sols, nodes
 
 
+def _mirror_sets(h, spec):
+    """The 2r mirror sets of an extension linked to `spec`, in h's global
+    ids: per side j of the spec's base, side j, and side j with s_j
+    swapped for v_j.  Yields, per side, its ids, the mask of the edges
+    its vertices other than s_j meet (an OR of incidence masks), and the
+    ids of s_j and v_j.  h is the extension or a uniformized copy, which
+    keeps every (side, pos) and puts its tails after them."""
+    inc, off = h.incidence_masks, h.offsets
+    for j, s in enumerate(spec.anchor_vertices()):
+        anchor = h.gid(s)
+        side = range(off[j], off[j] + len(spec.base.sides[j]))
+        covered = 0
+        for g in side:
+            if g != anchor:
+                covered |= inc[g]
+        yield side, covered, anchor, h.gid(spec.mirror_vertex(j))
+
+
 def _mirror_bound(h):
     """r when the mirror argument proves tau(h) >= r, else 0.  It applies
     to an extension that `build_extension` linked to its spec (see
     there): the spec's base passes `truncated_plane_order`, and none of
-    the 2r sets side j, and side j with s_j swapped for v_j, covers h.
-    Each set is tested as the OR of its q incidence masks."""
+    the 2r sets of `_mirror_sets` covers h."""
     spec = h._spec
     if spec is None or truncated_plane_order(spec.base) is None:
         return 0
-    inc, off = h.incidence_masks, h.offsets
+    inc = h.incidence_masks
     everything = (1 << h.num_edges) - 1
-    for j, s in enumerate(spec.anchor_vertices()):
-        anchor = h.gid(s)
-        rest = 0
-        for g in range(off[j], off[j + 1]):
-            if g != anchor:
-                rest |= inc[g]
-        mirror = h.gid(spec.mirror_vertex(j))
-        if rest | inc[anchor] == everything or rest | inc[mirror] == everything:
+    for _, covered, anchor, mirror in _mirror_sets(h, spec):
+        if covered | inc[anchor] == everything or covered | inc[mirror] == everything:
             return 0
     return spec.r
+
+
+def _mirror_near_covers(h):
+    """The mirror sets of `_mirror_sets` that miss exactly one edge of h
+    and hold sides-2 vertices, as {that edge: the set's global ids}, the
+    first set kept per edge; {} unless h or its source is linked to a
+    spec.  Each covers every other edge of h within the budget of a
+    `minimize` trial, so that trial keeps its edge."""
+    spec = (h._source or h)._spec
+    seeds = {}
+    if spec is None:
+        return seeds
+    inc = h.incidence_masks
+    everything = (1 << h.num_edges) - 1
+    for side, covered, anchor, mirror in _mirror_sets(h, spec):
+        if len(side) != h.num_sides - 2:
+            continue
+        for g in (anchor, mirror):
+            missed = everything & ~(covered | inc[g])
+            if missed and not missed & (missed - 1):
+                seeds.setdefault(missed.bit_length() - 1,
+                                 tuple([g if x == anchor else x for x in side]))
+    return seeds
 
 
 def cover_number(
@@ -532,11 +584,13 @@ def covering_transversals(h: PartiteHypergraph, timeout: Optional[float] = DEFAU
     return [(None if side < 0 else side, gids) for side, gids in sorted(keyed)], nodes
 
 
-def cover_without_edge(h, alive, edge, budget, deadline):
+def cover_without_edge(h, alive, edge, budget, deadline, near=None):
     """One decide run at `budget` for a cover of the `alive` edges (a
     mask) of h other than `edge` that avoids the vertices of `edge` and
     the dominated ones, within the caller's `_Deadline`.  Returns (the
-    cover's global ids or None, nodes explored).
+    cover's global ids or None, nodes explored).  A `near` dict collects
+    the run's near misses (see `_budget_search`): `budget`-sets that
+    cover every alive edge but `edge` and one other, the key.
 
     The `alive` edges must have cover number budget + 1.  A cover is
     then found exactly when deleting `edge` lowers the cover number: a
@@ -549,7 +603,7 @@ def cover_without_edge(h, alive, edge, budget, deadline):
     for g in inst.gid_lists[edge]:
         excluded |= 1 << g
     node = ((), alive & ~(1 << edge), excluded)
-    first, _, nodes = _budget_search(inst, budget, False, deadline, node)
+    first, _, nodes = _budget_search(inst, budget, False, deadline, node, near)
     return first, nodes
 
 

@@ -1,6 +1,7 @@
 """Independent oracles the tests check the package against: subset and
 product enumerations without pruning, the pairwise intersection-size
-profile, and the mirror map of the extension's cover argument."""
+profile, the mirror map of the extension's cover argument, and a
+minimality reduction that searches every edge."""
 
 from collections import Counter
 from itertools import combinations, product
@@ -10,6 +11,7 @@ from typing import Optional
 from ryser.construct import ConstructionSpec
 from ryser.errors import EmptyHypergraphError, TooLargeError
 from ryser.hypergraph import PartiteHypergraph
+from ryser.solver import _Deadline, cover_without_edge
 
 
 def brute_force_cover_oracle(h: PartiteHypergraph, limit: Optional[int] = None) -> int:
@@ -116,3 +118,24 @@ def first_cover_reference(gid_lists, size_classes, closes, node, budget):
         return None
 
     return rec(*node, True) or (None, False)
+
+
+def reference_minimize(h: PartiteHypergraph, order: str = "asc"):
+    """`minimize`'s scan with no pool of known near-covers: one
+    `cover_without_edge` run per edge, at budget sides-2, deleting the
+    edge when the run is refuted.  h must have cover number sides-1.
+    Returns the deleted edge indices in scan order and the final
+    hypergraph."""
+    budget = h.num_sides - 2
+    deadline = _Deadline(None)
+    alive = (1 << h.num_edges) - 1
+    deleted = []
+    scan = range(h.num_edges) if order == "asc" else range(h.num_edges - 1, -1, -1)
+    for i in scan:
+        if cover_without_edge(h, alive, i, budget, deadline)[0] is None:
+            deleted.append(i)
+            alive &= ~(1 << i)
+    kept = [i for i in range(h.num_edges) if alive >> i & 1]
+    final = PartiteHypergraph(h.sides, [h.edges[i] for i in kept],
+                              [h.edge_labels[i] for i in kept], name=h.name)
+    return deleted, final

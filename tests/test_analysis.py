@@ -1,13 +1,15 @@
 """Minimization traces, fingerprints, isomorphism, extension classes."""
 
+import os
 import random
+import tempfile
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ryser import analysis
+from ryser import analysis, solver
 from ryser.analysis import (
     ExtensionClassification,
     classify_extensions,
@@ -32,11 +34,13 @@ from ryser.errors import (
     ViolationsPresentError,
 )
 from ryser.gf import FiniteField
-from ryser.hypergraph import PartiteHypergraph
+from ryser.hypergraph import PartiteHypergraph, write_rhg
 from ryser.plane import build_plane, truncate
+from ryser.report import (Check, input_entry, make_report, minimization_certificate,
+                          recheck_report)
 from ryser.solver import cover_number
 
-from oracles import enumerate_candidates_brute
+from oracles import enumerate_candidates_brute, reference_minimize
 
 
 def make_t(q):
@@ -156,7 +160,7 @@ def test_minimize_single_pass_matches_restart_loop(q, f_mode, order, monkeypatch
 
 @lru_cache(maxsize=None)
 def plane(q):
-    return build_plane(FiniteField(*{3: (3, 1), 4: (2, 2)}[q]))
+    return build_plane(FiniteField(*{3: (3, 1), 4: (2, 2), 5: (5, 1)}[q]))
 
 
 @st.composite
@@ -188,6 +192,128 @@ def test_minimize_matches_restart_loop_on_random_extensions(u):
     # an equal copy gives the same trace, kept witnesses and node counts included
     copy = PartiteHypergraph(u.sides, u.edges, u.edge_labels, name=u.name)
     assert minimize(copy) == traces["asc"]
+
+
+@st.composite
+def linked_extensions(draw):
+    """A uniformized extension of a truncation of PG(2, q), q in
+    {3, 4, 5}, at a random point and anchor, default or profile F,
+    linked to its spec, or an unlinked copy with its edges in a random
+    order; and a scan order."""
+    q = draw(st.sampled_from([3, 4, 5]))
+    t = truncate(plane(q), draw(st.integers(0, q * q + q)))
+    anchor = draw(st.integers(0, q * q - 1))
+    if draw(st.booleans()):
+        spec = select_f_default(t, anchor)
+    else:
+        spec = select_f_by_profile(t, anchor, DegreeProfile(q + 1, (1,)), strict=False)
+    u = uniformize(build_extension(spec, check=False))
+    if draw(st.booleans()):
+        perm = draw(st.permutations(range(u.num_edges)))
+        u = PartiteHypergraph(u.sides, [u.edges[i] for i in perm],
+                              [u.edge_labels[i] for i in perm], name=u.name)
+    return u, draw(st.sampled_from(["asc", "desc"]))
+
+
+def searched_trials(monkeypatch):
+    """The (alive mask, edge) of every `cover_without_edge` run that
+    `minimize` makes while the spy is installed."""
+    calls = []
+    run = analysis.cover_without_edge
+
+    def spy(h, alive, edge, *args):
+        calls.append((alive, edge))
+        return run(h, alive, edge, *args)
+
+    monkeypatch.setattr(analysis, "cover_without_edge", spy)
+    return calls
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(linked_extensions())
+def test_minimize_pool_matches_the_pool_free_reference(case):
+    # The pool of known near-covers changes no decision: the deletions
+    # and the final hypergraph are those of a scan that searches every
+    # edge, each kept witness replays clean, and each edge the pool
+    # answers has a witness that misses it and covers every other edge
+    # alive at its turn.
+    u, order = case
+    with pytest.MonkeyPatch.context() as mp:
+        calls = searched_trials(mp)
+        trace = minimize(u, order=order)
+    deleted, final = reference_minimize(u, order)
+    assert [d.original_index for d in trace.deleted] == deleted
+    assert trace.final == final
+
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "u.rhg")
+        write_rhg(u, path)
+        with Check("minimality-reduction") as c:
+            c.ok(True, minimization_certificate(trace))
+        assert recheck_report(make_report("minimize", {}, [input_entry(path)], [c])) == []
+
+    scan = range(u.num_edges) if order == "asc" else range(u.num_edges - 1, -1, -1)
+    gone = {d.original_index for d in trace.deleted}
+    kept = {k.original_index: k for k in trace.kept}
+    alive = (1 << u.num_edges) - 1
+    searched = []
+    for i in scan:
+        if i in kept and kept[i].cert.nodes_explored == 0:
+            witness = sum(1 << u.gid(v) for v in kept[i].cert.witness)
+            missed = [j for j, e in enumerate(u.edge_masks) if alive >> j & 1 and not e & witness]
+            assert missed == [i]
+        else:
+            searched.append((alive, i))
+        if i in gone:
+            alive &= ~(1 << i)
+    assert calls == searched
+    if (u._source or u)._spec is not None:
+        assert len(searched) < u.num_edges
+
+
+@pytest.mark.parametrize("q, mode, searched", [
+    (4, "default", 8), (4, "profile", 9), (7, "default", 36),
+])
+def test_the_pool_leaves_these_trials_to_search(q, mode, searched, monkeypatch):
+    # The trials minimize searches at anchor 0, out of one per edge, as
+    # measured when the pool was added: the rest are answered from the
+    # mirror sets and from the near misses of refuted trials.
+    t = make_t(q)
+    spec = (select_f_default(t, 0) if mode == "default"
+            else select_f_by_profile(t, 0, DegreeProfile(q + 1, (1,)), strict=False))
+    u = uniformize(build_extension(spec, check=False))
+    calls = searched_trials(monkeypatch)
+    minimize(u)
+    assert (len(calls), u.num_edges) == (searched, (q + 1) ** 2)
+
+
+def missed_edges(h, gids):
+    cover = sum(1 << g for g in gids)
+    return [j for j, e in enumerate(h.edge_masks) if not e & cover]
+
+
+def test_mirror_sets_that_miss_one_edge_seed_the_pool():
+    # Side j misses E3(j) alone, and side j with s_j swapped for v_j
+    # misses E2(j) alone, so a linked extension's seeds are its pair
+    # edges; an unlinked copy has none.
+    t = make_t(4)
+    u = uniformize(build_extension(select_f_default(t, 0), check=False))
+    seeds = solver._mirror_near_covers(u)
+    assert sorted(u.edge_labels[j] for j in seeds) == sorted(
+        lab for lab in u.edge_labels if lab.startswith(("E2(", "E3(")))
+    for j, gids in seeds.items():
+        assert len(gids) == u.num_sides - 2 and missed_edges(u, gids) == [j]
+    assert solver._mirror_near_covers(PartiteHypergraph(u.sides, u.edges, u.edge_labels)) == {}
+    # With F_1 = F_2 the anchor edge S (built unchecked; the result is
+    # not intersecting), side 1 with s_1 swapped for v_1 misses S and
+    # E3(2), side 2's swap misses S and E3(1), and the other swaps miss
+    # four edges, so no swap is a seed.
+    f = (0, 0) + select_f_default(t, 0).f_edges[2:]
+    odd = uniformize(build_extension(ConstructionSpec(t, 0, f), check=False))
+    seeds = solver._mirror_near_covers(odd)
+    assert sorted(odd.edge_labels[j] for j in seeds) == [f"E3({i})" for i in range(1, 6)]
+    for j, gids in seeds.items():
+        assert missed_edges(odd, gids) == [j]
 
 
 def test_minimize_rejects_non_extremal():

@@ -51,6 +51,7 @@ from ryser.solver import (
     _Instance,
     _ranked_degrees,
     cover_number,
+    cover_without_edge,
     covering_transversals,
     matching_number,
     verify_ryser_ratio,
@@ -977,7 +978,7 @@ def test_node_bound_from_ranking_matches_heap_walk(h, seed):
 
 
 @pytest.mark.parametrize("q, classify_nodes, trial_nodes", [
-    (4, 245, 314), (5, 571, 1131), (7, 2983, 18223),
+    (4, 245, 62), (5, 571, 450), (7, 2983, 8488),
 ])
 def test_anchor_zero_search_totals(q, classify_nodes, trial_nodes):
     # The search nodes of the classification and of minimize's trials on
@@ -1040,6 +1041,30 @@ def test_decide_run_finds_the_first_cover_of_a_search_without_bounds(h, seed):
             assert first == want, (node, budget)
             if leftmost:
                 assert nodes == len(first) + 1, (node, budget)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(any_hypergraph().filter(lambda h: h.num_vertices <= 12), st.integers(0, 2 ** 32 - 1))
+def test_near_misses_each_miss_one_edge_of_the_trial(h, seed):
+    # A trial that collects near misses returns what it returns without
+    # them, and each one is a budget-set, off the tried edge, that
+    # misses exactly its key among the trial's other alive edges.
+    rnd = random.Random(seed)
+    full = (1 << h.num_edges) - 1
+    edge = rnd.randrange(h.num_edges)
+    masks = h.edge_masks
+    tau = brute_force_cover_oracle(h)
+    for alive in (full, rnd.getrandbits(h.num_edges) | 1 << edge):
+        others = alive & ~(1 << edge)
+        for budget in range(max(tau - 2, 0), tau + 1):
+            near = {}
+            got = cover_without_edge(h, alive, edge, budget, _Deadline(None), near)
+            assert got == cover_without_edge(h, alive, edge, budget, _Deadline(None))
+            for j, gids in near.items():
+                cover = sum(1 << g for g in gids)
+                missed = [i for i, e in enumerate(masks) if others >> i & 1 and not e & cover]
+                assert (missed, len(gids)) == ([j], budget), (alive, budget)
+                assert not cover & masks[edge]
 
 
 @contextmanager
