@@ -339,7 +339,13 @@ def cmd_verify(args):
     checks = []
     if args.tau or args.enumerate_min_covers or run_all:
         with Check("cover-number") as c:
-            res = cover_number(h, enumerate_all=args.enumerate_min_covers, timeout=args.timeout)
+            # a k-uniform intersecting input on k sides has nu = 1, so its
+            # first budget is verify_ryser_ratio's hint (k-1)*nu
+            k = h.num_sides
+            hint = (k - 1 if h.num_edges and h.uniformity == k and is_intersecting(h)[0]
+                    else None)
+            res = cover_number(h, enumerate_all=args.enumerate_min_covers, upper_hint=hint,
+                               timeout=args.timeout)
             c.ok(True, cover_certificate(res))
             print(f"tau = {res.tau}" + (
                 f" ({len(res.all_min_covers)} minimum covers)"

@@ -28,7 +28,6 @@ per ref, and does not sort an edge that names every side in side order.
 
 import os
 import re
-import tempfile
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
@@ -574,9 +573,19 @@ def loads_rhg(text: str, name: str = "") -> PartiteHypergraph:
 
 
 def atomic_write_text(path, text: str):
+    """Write `text` to a fresh uniquely named file beside `path`, then
+    rename it over `path`.  The file is created with mode 0o666 less the
+    umask, as `open(path, "w")` creates one; an existing file's mode is
+    not kept."""
     path = os.fspath(path)
     d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=".part")
+    while True:
+        tmp = os.path.join(d, f".tmp-{os.urandom(6).hex()}.part")
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:  # a name in use: draw another
+            pass
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

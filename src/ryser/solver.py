@@ -80,7 +80,11 @@ tau from the kept answer, searching for it and keeping it first when
 there is none, then runs only the enumeration, on its own instance,
 whose incidence masks come from a walk of the copy's own edges.
 `matching_number` reads the source's `edge_meets`, and an extension's
-masks come from its base's (see `hypergraph`).
+masks come from its base's (see `hypergraph`).  So do an extension's
+E1 rows of global ids, once the base has an instance, as it has after
+its own search: they are the base's rows less the anchor edge's, each
+with its mirror vertex appended, and only the E2 and E3 rows are
+walked.
 
 An extension that `construct.build_extension` made records its spec.
 When the spec's base passes `hypergraph.truncated_plane_order` and none
@@ -89,7 +93,12 @@ argument (see `build_extension`), and the budget loop starts from that
 bound: it stops at its first r-cover instead of refuting r-1 by search.
 The runs it skips are refutations, so tau, the witness and every
 enumeration are those of the full loop; only the node count drops.  A
-uniformized extension gets the bound through its source.
+uniformized extension gets the bound through its source.  Each set is
+side j of the base, or side j with s_j swapped for v_j, and the edges
+that side j less s_j meets are read from s_j's incidence mask alone
+(`_mirror_sets`): on an r-uniform base every edge of the extension holds
+one old side-j vertex, except E3(j) when F_j holds s_j.  A spec whose
+base is not r-uniform has no mirror sets.
 
 A branch child also excludes its vertex's `closes` mask, in a cover
 instance the vertex alone.  The candidate edges of a hypergraph with k
@@ -107,7 +116,11 @@ every edge taken so far and takes each in turn, lowest index first, so
 it recurses nu + 1 deep; its bound is the popcount of that mask.  An
 edge's disjoint edges are the complement of its cached `edge_meets`.
 Like the cover search, it tests each child's bound in the parent and
-counts a child that fails as one node without entering it.
+counts a child that fails as one node without entering it.  When no
+two edges are disjoint, every disjoint-edge mask is 0, and the answer
+is the search's without running it: the root takes edge 0, then
+refutes each later edge but the last as one node, so nu = 1 with
+witness (0,) in max(m, 2) nodes.
 
 `cover_without_edge` decides whether deleting one edge lowers the
 cover number with one decide run on the hypergraph's instance, from a
@@ -260,7 +273,19 @@ def _instance(h):
 
 def _build_instance(h):
     off = h.offsets
-    gid_lists = tuple([tuple([off[s] + p for s, p in e]) for e in h.edges])
+    spec = h._spec
+    base_search = None if spec is None else spec.base._search
+    if base_search is None:
+        gid_lists = tuple([tuple([off[s] + p for s, p in e]) for e in h.edges])
+    else:
+        # An extension's E1 edges are its base's less the anchor edge, in
+        # order, each with a mirror vertex (r, j) appended, and the base
+        # keeps its gids: only the E2 and E3 edges that follow are walked.
+        a, mirror, edges = spec.s_edge, off[spec.r], h.edges
+        rows = base_search.gid_lists
+        lifted = rows[:a] + rows[a + 1:]
+        gid_lists = tuple([row + (mirror + e[-1][1],) for row, e in zip(lifted, edges)]
+                          + [tuple([off[s] + p for s, p in e]) for e in edges[len(lifted):]])
     inc = h.incidence_masks
     bits = [1 << g for g in range(len(inc))]
     entries = []
@@ -439,18 +464,30 @@ def _mirror_sets(h, spec):
     """The 2r mirror sets of an extension linked to `spec`, in h's global
     ids: per side j of the spec's base, side j, and side j with s_j
     swapped for v_j.  Yields, per side, its ids, the mask of the edges
-    its vertices other than s_j meet (an OR of incidence masks), and the
-    ids of s_j and v_j.  h is the extension or a uniformized copy, which
-    keeps every (side, pos) and puts its tails after them."""
-    inc, off = h.incidence_masks, h.offsets
-    for j, s in enumerate(spec.anchor_vertices()):
-        anchor = h.gid(s)
-        side = range(off[j], off[j] + len(spec.base.sides[j]))
-        covered = 0
-        for g in side:
-            if g != anchor:
-                covered |= inc[g]
-        yield side, covered, anchor, h.gid(spec.mirror_vertex(j))
+    its vertices other than s_j meet, and the ids of s_j and v_j; yields
+    nothing unless the base is r-uniform.  h is the extension or a
+    uniformized copy, which keeps every (side, pos) and the edge order
+    and puts its tails after them.
+
+    The mask is read from s_j's incidence mask alone.  Every edge of h
+    then holds exactly one old side-j vertex, except E3(j), the edge
+    m - r + j, when F_j holds s_j: an E1 or E2 edge holds a base edge,
+    and F_i - s_i + v_i loses only its side-i vertex.  So the side-j
+    vertices other than s_j meet every edge but those through s_j and
+    that E3(j)."""
+    base, r = spec.base, spec.r
+    if base.uniformity != r:
+        return
+    inc, off, m = h.incidence_masks, h.offsets, h.num_edges
+    everything = (1 << m) - 1
+    edges, f_edges, sides = base.edges, spec.f_edges, base.sides
+    for j, s in enumerate(spec.anchor_vertices()):  # s = (j, pos)
+        anchor = off[j] + s[1]
+        covered = everything & ~inc[anchor]
+        if s in edges[f_edges[j]]:
+            covered &= ~(1 << (m - r + j))
+        # v_j, `spec.mirror_vertex(j)`, is vertex j of the final side
+        yield range(off[j], off[j] + len(sides[j])), covered, anchor, off[r] + j
 
 
 def _mirror_bound(h):
@@ -473,8 +510,9 @@ def _mirror_near_covers(h):
     """The mirror sets of `_mirror_sets` that miss exactly one edge of h
     and hold sides-2 vertices, as {that edge: the set's global ids}, the
     first set kept per edge; {} unless h or its source is linked to a
-    spec.  Each covers every other edge of h within the budget of a
-    `minimize` trial, so that trial keeps its edge."""
+    spec whose base is r-uniform.  Each covers every other edge of h
+    within the budget of a `minimize` trial, so that trial keeps its
+    edge."""
     spec = (h._source or h)._spec
     seeds = {}
     if spec is None:
@@ -617,9 +655,15 @@ def matching_number(
     its matching plus that mask cannot beat the best matching found.
     A child that could not beat it either is counted as one node and
     not entered, so nu, the witness and the node count are those of a
-    search that enters every child."""
+    search that enters every child.  An input with edges, no two of them
+    disjoint, gets the search's answer without it (see the module
+    docstring)."""
     full = (1 << h.num_edges) - 1
     apart = [full ^ meets for meets in h.edge_meets]  # per edge, the edges disjoint from it
+    if full and not any(apart):
+        # No two edges are disjoint: the search takes edge 0, then
+        # refutes each later edge but the last as one node.
+        return MatchingResult(1, (0,), max(h.num_edges, 2))
     deadline = _Deadline(timeout)
     best = []
     nodes = 0

@@ -1,7 +1,9 @@
 """Independent oracles the tests check the package against: subset and
 product enumerations without pruning, the pairwise intersection-size
-profile, the mirror map of the extension's cover argument, and a
-minimality reduction that searches every edge."""
+profile, the mirror map of the extension's cover argument and its
+mirror sets by a walk of the side, the matching search without its
+closed form for intersecting inputs, and a minimality reduction that
+searches every edge."""
 
 from collections import Counter
 from itertools import combinations, product
@@ -11,7 +13,7 @@ from typing import Optional
 from ryser.construct import ConstructionSpec
 from ryser.errors import EmptyHypergraphError, TooLargeError
 from ryser.hypergraph import PartiteHypergraph
-from ryser.solver import _Deadline, cover_without_edge
+from ryser.solver import MatchingResult, _Deadline, cover_without_edge
 
 
 def brute_force_cover_oracle(h: PartiteHypergraph, limit: Optional[int] = None) -> int:
@@ -82,6 +84,57 @@ def cover_mirror(cover, spec: ConstructionSpec) -> frozenset:
         else:
             out.add((s, p))
     return frozenset(out)
+
+
+def mirror_sets_walk(h, spec: ConstructionSpec):
+    """Per side j of the spec's base, as `solver._mirror_sets` yields it:
+    the global ids of side j, the OR of the incidence masks of its
+    vertices other than s_j, and the ids of s_j and v_j."""
+    inc, off = h.incidence_masks, h.offsets
+    out = []
+    for j, s in enumerate(spec.anchor_vertices()):
+        anchor = h.gid(s)
+        side = range(off[j], off[j] + len(spec.base.sides[j]))
+        covered = 0
+        for g in side:
+            if g != anchor:
+                covered |= inc[g]
+        out.append((side, covered, anchor, h.gid(spec.mirror_vertex(j))))
+    return out
+
+
+def reference_matching(h: PartiteHypergraph, timeout=None) -> MatchingResult:
+    """`solver.matching_number`'s branch and bound with no closed form for
+    an intersecting input: a node carries the mask of the later edges
+    disjoint from every edge it took and takes each in turn, lowest index
+    first, while its matching plus that mask can beat the best; a child
+    that cannot is one node, not entered."""
+    full = (1 << h.num_edges) - 1
+    apart = [full ^ meets for meets in h.edge_meets]
+    deadline = _Deadline(timeout)
+    best = []
+    nodes = 0
+
+    def rec(avail, cur):
+        nonlocal best, nodes
+        nodes += 1
+        deadline.check()
+        if len(cur) > len(best):
+            best = list(cur)
+        while avail and len(cur) + avail.bit_count() > len(best):
+            low = avail & -avail
+            avail ^= low
+            i = low.bit_length() - 1
+            rest = avail & apart[i]
+            if len(cur) + 1 + rest.bit_count() <= len(best):
+                nodes += 1
+                continue
+            cur.append(i)
+            rec(rest, cur)
+            cur.pop()
+
+    rec(full, [])
+    return MatchingResult(len(best), tuple(best), nodes)
 
 
 def first_cover_reference(gid_lists, size_classes, closes, node, budget):

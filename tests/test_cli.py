@@ -12,9 +12,9 @@ import pytest
 from ryser import cli, solver
 from ryser.analysis import minimize
 from ryser.cli import corpus_generate, factor_prime_power, main
-from ryser.hypergraph import PartiteHypergraph, write_rhg
-from ryser.report import (REPORT_SCHEMA, input_entry, make_report, recheck_report,
-                          write_json_atomic)
+from ryser.hypergraph import PartiteHypergraph, read_rhg, write_rhg
+from ryser.report import (REPORT_SCHEMA, cover_certificate, input_entry, make_report,
+                          recheck_report, write_json_atomic)
 
 
 def run(*argv):
@@ -229,6 +229,32 @@ def test_verify_tau_then_ratio_searches_tau_once(tmp_path, monkeypatch):
         assert ratio_searches == [0] and searches, flag
         assert checks["cover-number"]["certificate"]["tau"] == 6
         assert checks["ryser-ratio"]["certificate"] == load(alone)["checks"][0]["certificate"]
+
+
+def test_verify_starts_an_intersecting_uniform_file_at_its_ratio_hint(tmp_path, monkeypatch):
+    # a file carries no spec link, so no mirror bound; an intersecting
+    # k-uniform input on k sides has nu = 1, and the cover-number check
+    # starts at the ratio check's hint k-1 with the certificate a search
+    # from the degree-sum bound gives
+    t6, u = tmp_path / "t6.rhg", tmp_path / "u.rhg"
+    assert run("truncate", "--q", 5, "--out", t6) == 0
+    assert run("construct", "--base", t6, "--s-edge", 0, "--f-default",
+               "--uniformize", "--out", u) == 0
+    budgets = []
+    budget_search = solver._budget_search
+
+    def spy(inst, budget, *args, **kwargs):
+        budgets.append(budget)
+        return budget_search(inst, budget, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_budget_search", spy)
+    rep = tmp_path / "v.json"
+    assert run("verify", u, "--tau", "--json", rep) == 0
+    assert budgets[0] == 6  # 7 sides
+    budgets.clear()
+    plain = solver.cover_number(read_rhg(u))
+    assert budgets[0] < 6
+    assert load(rep)["checks"][0]["certificate"] == cover_certificate(plain)
 
 
 def test_verify_timeout_exit_code(t4_file, tmp_path):

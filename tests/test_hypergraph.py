@@ -1,6 +1,8 @@
 """PartiteHypergraph construction rules, predicates, and .rhg round trips."""
 
+import os
 import random
+import stat
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from ryser.gf import FiniteField
 from ryser.hypergraph import (
     PartiteHypergraph,
     _tokenize,
+    atomic_write_text,
     degree_stats,
     dumps_rhg,
     is_intersecting,
@@ -135,6 +138,29 @@ def test_rhg_roundtrip_structure(t4, tmp_path):
     assert back == t4
     # canonical files round-trip byte-exactly
     assert dumps_rhg(back) == p.read_text()
+
+
+def test_written_files_take_the_mode_a_plain_open_gives(t4, tmp_path):
+    # the temporary file used to keep mkstemp's 0600 whatever the umask,
+    # and an overwrite reset the mode to it
+    def mode(path):
+        return stat.S_IMODE(os.stat(path).st_mode)
+
+    old = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o077, 0o002):
+            os.umask(umask)
+            plain = tmp_path / f"plain-{umask:o}"
+            with open(plain, "w"):
+                pass
+            text, rhg = tmp_path / f"text-{umask:o}", tmp_path / f"t4-{umask:o}.rhg"
+            for _ in range(2):  # a new file, then an overwrite
+                atomic_write_text(text, "x\n")
+                write_rhg(t4, rhg)
+                assert mode(text) == mode(rhg) == mode(plain) == 0o666 & ~umask
+    finally:
+        os.umask(old)
+    assert not [p for p in os.listdir(tmp_path) if p.startswith(".tmp-")]
 
 
 def test_rhg_labels_roundtrip():

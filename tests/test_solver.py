@@ -57,7 +57,13 @@ from ryser.solver import (
     verify_ryser_ratio,
 )
 
-from oracles import brute_force_cover_oracle, enumerate_candidates_brute, first_cover_reference
+from oracles import (
+    brute_force_cover_oracle,
+    enumerate_candidates_brute,
+    first_cover_reference,
+    mirror_sets_walk,
+    reference_matching,
+)
 
 
 @pytest.fixture(scope="module")
@@ -1426,12 +1432,66 @@ def check_extension_chain(spec):
     for h in (u, ext):  # u first, so that its reads derive ext's data too
         assert_derived_as_plain(h)
         assert_search_as_parent(h)
+        assert list(solver._mirror_sets(h, spec)) == mirror_sets_walk(h, spec)
+    # with the base's instance built, the E1 rows are read from it
+    _instance(spec.base)
+    assert _build_instance(ext) == _build_instance(unlinked(ext))
 
 
 @pytest.mark.parametrize("q", [3, 4, 5])
 def test_extension_chain_data_match_a_plain_copy(q):
     for spec in extension_specs(truncation(q), q):
         check_extension_chain(spec)
+
+
+def test_extension_rows_with_and_without_a_base_instance():
+    t = unlinked(truncation(5))
+    for anchor in (0, 7, 24):
+        ext = build_extension(select_f_default(t, anchor), check=False)
+        if anchor == 0:
+            assert t._search is None
+            walked = _build_instance(ext)
+            _instance(t)
+            assert _build_instance(ext) == walked
+        assert _build_instance(ext) == _build_instance(unlinked(ext)) == parent_build_instance(ext)
+
+
+@pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 1), (7, 1)])
+def test_mirror_sets_match_a_walk_of_each_side(p, k):
+    # every anchor, default and profile F, and F edges that repeat, that
+    # are the anchor edge or that miss their anchor vertex
+    q = p ** k
+    t = truncation(q)
+    specs = list(extension_specs(t, q))
+    for anchor in (0, q * q - 1):
+        f = select_f_default(t, anchor).f_edges
+        stray = next(i for i in range(q * q) if t.edges[anchor][1] not in t.edges[i])
+        for odd in ((anchor,) + f[1:], (anchor, anchor) + f[2:], (anchor,) * (q + 1),
+                    f[:1] + (stray,) + f[2:]):
+            specs.append(ConstructionSpec(t, anchor, odd))
+    for spec in specs:
+        ext = build_extension(spec, check=False)
+        for h in (ext, uniformize(ext)):
+            assert list(solver._mirror_sets(h, spec)) == mirror_sets_walk(h, spec), spec
+
+
+def test_linked_spec_on_a_non_uniform_base_has_no_mirror_sets():
+    # a base edge that loses a vertex off the anchor edge still meets it
+    # once, so the unchecked build succeeds; its sides no longer hold a
+    # vertex of every edge, and the mirror sets are not derived
+    t = truncation(4)
+    f = select_f_default(t, 0).f_edges
+    i = next(i for i in range(1, t.num_edges) if i not in f)
+    gone = next(v for v in t.edges[i] if v not in t.edges[0])
+    edges = list(t.edges)
+    edges[i] = tuple(v for v in edges[i] if v != gone)
+    spec = ConstructionSpec(PartiteHypergraph(t.sides, edges), 0, f)
+    assert [v.code for v in validate_spec(spec)] == ["base-not-uniform"]
+    ext = build_extension(spec, check=False)
+    for h in (ext, uniformize(ext)):
+        assert list(solver._mirror_sets(h, spec)) == []
+        assert solver._mirror_near_covers(h) == {}
+    assert solver._mirror_bound(ext) == 0
 
 
 @st.composite
@@ -1480,3 +1540,30 @@ def test_instance_and_matching_match_the_parent_search(h):
         u = uniformize(h)
         assert_derived_as_plain(u)
         assert_search_as_parent(u)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(any_hypergraph(), disjoint_unions()))
+def test_matching_number_matches_the_search(h):
+    # about half of partite_hypergraphs' draws are intersecting, and those
+    # are answered without a search, with the search's witness and nodes
+    assert matching_number(h) == reference_matching(h)
+
+
+def test_intersecting_matching_is_the_first_edge():
+    empty = PartiteHypergraph([["a"]], [])
+    one = PartiteHypergraph([["a"], ["b"]], [[(0, 0), (1, 0)]])
+    meet = PartiteHypergraph([["a", "b"], ["c"]], [[(0, 0), (1, 0)], [(0, 1), (1, 0)]])
+    apart = PartiteHypergraph([["a", "b"], ["c", "d"]], [[(0, 0), (1, 0)], [(0, 1), (1, 1)]])
+    expect = {empty: (0, (), 1), one: (1, (0,), 2), meet: (1, (0,), 2), apart: (2, (0, 1), 3)}
+    for h, want in expect.items():
+        assert matching_number(h) == reference_matching(h) == MatchingResult(*want)
+    for q in (3, 4, 5):
+        t = truncation(q)
+        chain = [t]
+        for spec in extension_specs(t, q):
+            ext = build_extension(spec, check=False)
+            chain += [ext, uniformize(ext)]
+        for h in chain:
+            assert matching_number(h) == reference_matching(h) == \
+                MatchingResult(1, (0,), h.num_edges)
