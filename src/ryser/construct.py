@@ -58,13 +58,17 @@ class ConstructionSpec:
         """Per side i, the pair (F_{i+1}, F_{i+1} - s_{i+1} + v_{i+1}) as
         sorted vertex tuples: the extension's E2 and E3 edges, and the
         fixed parts of its two twin families for side i.  The mirror
-        vertex sorts last, being in the final side."""
+        vertex sorts last, being in the final side.  F_i - s_i drops
+        slot i when s_i is there, as it is on an r-uniform base, where
+        slot i holds the side-i vertex; any other F_i is filtered."""
         edges = self.base.edges
         anchor = self.anchor_vertices()
         out = []
         for i in range(self.r):
             f = edges[self.f_edges[i]]
-            out.append((f, tuple(v for v in f if v != anchor[i]) + (self.mirror_vertex(i),)))
+            s = anchor[i]
+            rest = f[:i] + f[i + 1:] if i < len(f) and f[i] == s else tuple(v for v in f if v != s)
+            out.append((f, rest + (self.mirror_vertex(i),)))
         return tuple(out)
 
 

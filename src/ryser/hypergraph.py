@@ -14,7 +14,12 @@ the answers of `is_intersecting` and `truncated_plane_order`.
 extension (`_spec` set), which builds them from its base's, whose E1
 edges it keeps in order less the anchor edge, and ORs in its E2 and E3
 edges: O(n + r^2).  A uniformized copy (`_source` set) reads its
-source's `edge_meets`.
+source's `edge_meets` and its answer of `is_intersecting`.
+`edge_meets` is built on its first read, which `is_intersecting` makes
+on most hypergraphs; an extension whose base is known to be
+intersecting answers it from its r E3 edges instead, so its
+`edge_meets` is built only when that test fails or something else reads
+it.
 
 The constructor validates partiteness, duplicate-freeness and the
 edge-size profile (all one size, or two consecutive sizes).  Builders
@@ -196,10 +201,12 @@ class PartiteHypergraph:
     @cached_property
     def edge_meets(self):
         """Per edge, the mask of the edges that share a vertex with it,
-        itself included: the OR of its vertices' incidence masks.  A
-        uniformized copy reads its source's, which are equal, since its
-        tails are private and it keeps edge order, so it walks none of its
-        own edges for them."""
+        itself included: the OR of its vertices' incidence masks, built
+        on first read.  A uniformized copy reads its source's, which are
+        equal, since its tails are private and it keeps edge order, so it
+        walks none of its own edges for them.  `is_intersecting` and
+        `matching_number` on an extension whose base is known to be
+        intersecting read it only when an E3 edge misses an edge."""
         if self._source is not None:
             return self._source.edge_meets
         off = self.offsets
@@ -214,10 +221,32 @@ class PartiteHypergraph:
 
     @cached_property
     def _intersecting(self):
-        """`is_intersecting`'s answer."""
+        """`is_intersecting`'s answer.  A uniformized copy takes its
+        source's: its tails are private and it keeps edge order.  An
+        extension whose base is known to be intersecting, and whose
+        `edge_meets` is not built yet, tests its last r edges, the E3
+        edges, alone: every other edge is a base edge, with or without a
+        mirror vertex, so any two of them share a base vertex.  When an
+        E3 edge misses some edge, the walk below names the first disjoint
+        pair."""
         if not self.edges:
             raise EmptyHypergraphError("intersecting is undefined without edges")
+        if self._source is not None:
+            return self._source._intersecting
         full = (1 << len(self.edges)) - 1
+        spec = self._spec
+        if (spec is not None and "edge_meets" not in vars(self)
+                and vars(spec.base).get("_intersecting", (False,))[0]):
+            off = self.offsets
+            inc = self.incidence_masks
+            for e in self.edges[-spec.r:]:
+                meet = 0
+                for s, p in e:
+                    meet |= inc[off[s] + p]
+                if meet != full:
+                    break
+            else:
+                return True, None
         for i, meet in enumerate(self.edge_meets):
             missed = (full ^ meet) >> (i + 1)
             if missed:
@@ -305,9 +334,12 @@ def is_intersecting(h: PartiteHypergraph):
 
     Each edge's `edge_meets` mask, the OR of its vertices' incident-edge
     masks, names the edges it meets, so the cost is O(m*r) mask
-    operations rather than m^2/2 pair tests, and O(m) on a uniformized
-    copy, which reads its source's `edge_meets`.  The answer is a cached
-    property of the hypergraph, so later calls return it at once."""
+    operations rather than m^2/2 pair tests, building `edge_meets`.  An
+    extension whose base is known to be intersecting ORs the masks of its
+    r E3 edges only, O(r^2), and builds `edge_meets` only when one of them
+    misses an edge; a uniformized copy returns its source's answer.  The
+    answer is a cached property of the hypergraph, so later calls return
+    it at once."""
     return h._intersecting
 
 

@@ -296,11 +296,30 @@ def _check_matching_cert(cert, h, problems, where):
         used |= masks[ei]
     if len(cert["witness_edges"]) != cert["nu"]:
         problems.append(f"{where}: witness size differs from nu")
+    elif problem := _nu_problem(cert["nu"], h):
+        problems.append(f"{where}: {problem}")
+
+
+def _nu_problem(nu, h):
+    """What is wrong with a claim of matching number nu on h, in the half
+    of it that is decidable offline: nu = 0 needs an input with no edges,
+    and nu = 1 an intersecting one, as two disjoint edges are a matching.
+    A claim of nu >= 2 is trusted.  None when nothing is found."""
+    if nu == 0 and h.edges:
+        return f"nu 0 but the input has {h.num_edges} edges"
+    if nu == 1:
+        if not h.edges:
+            return "nu 1 but the input has no edges"
+        ok, pair = is_intersecting(h)
+        if not ok:
+            return f"nu 1 but edges {pair[0]} and {pair[1]} of the input are disjoint"
+    return None
 
 
 def _check_ratio_cert(cert, h, problems, where):
     """A passing ratio certificate claims tau = (r-1)*nu with nu >= 1 and
-    ratio tau/nu, and r is the input's side count when there is an input."""
+    ratio tau/nu, and r is the input's side count when there is an input,
+    against which nu = 1 is replayed as `_nu_problem` does."""
     r, tau, nu = cert["r"], cert["tau"], cert["nu"]
     if nu < 1:
         problems.append(f"{where}: nu {nu} is below 1")
@@ -312,6 +331,8 @@ def _check_ratio_cert(cert, h, problems, where):
         problems.append(f"{where}: passes with a ratio that is not Ryser-extremal")
     if h is not None and r != h.num_sides:
         problems.append(f"{where}: r {r} differs from the input's {h.num_sides} sides")
+    if h is not None and nu >= 1 and (problem := _nu_problem(nu, h)):
+        problems.append(f"{where}: {problem}")
 
 
 def minimization_certificate(trace):
@@ -409,7 +430,12 @@ def recheck_report(report, base_dir="."):
     """Re-verify a report's digests and certificates against its input
     files.  An input that is missing, differs from its digest or does
     not load is a problem, and recheck goes on without it.  Witness
-    validity is checked directly; search optimality is not re-proved.
+    validity is checked directly; search optimality is not re-proved,
+    except for the half of a matching number that is decidable offline:
+    a matching or ratio certificate's nu = 0 needs an input with no
+    edges, and nu = 1 an intersecting input.  A claim of nu >= 2 is
+    trusted beyond its witness, which shows only that nu is at least
+    that.
     A minimization certificate is replayed against the
     input: its final hypergraph, and each kept edge's witness of
     criticality.  The kinds in _UNREPLAYED_KINDS (the pipeline's
@@ -419,7 +445,8 @@ def recheck_report(report, base_dir="."):
     testing the input base again, and an intersecting one that claims
     true by testing the input.  A passing ratio certificate needs
     nu >= 1, ratio tau/nu, a true extremality flag that agrees with
-    tau = (r-1)*nu, and r the input's side count.  A passing cover, matching,
+    tau = (r-1)*nu, and r the input's side count and, for nu = 1, an
+    intersecting input, when there is one.  A passing cover, matching,
     intersecting, plane-counting or minimization certificate with no
     input hypergraph to check it against is a problem, and so is a
     certificate lacking a field that recheck reads or holding one of

@@ -79,7 +79,7 @@ own decide search would be the source's.  An enumeration call takes
 tau from the kept answer, searching for it and keeping it first when
 there is none, then runs only the enumeration, on its own instance,
 whose incidence masks come from a walk of the copy's own edges.
-`matching_number` reads the source's `edge_meets`, and an extension's
+`matching_number` reads the source's answers, and an extension's
 masks come from its base's (see `hypergraph`).  So do an extension's
 E1 rows of global ids, once the base has an instance, as it has after
 its own search: they are the base's rows less the anchor edge's, each
@@ -117,10 +117,13 @@ it recurses nu + 1 deep; its bound is the popcount of that mask.  An
 edge's disjoint edges are the complement of its cached `edge_meets`.
 Like the cover search, it tests each child's bound in the parent and
 counts a child that fails as one node without entering it.  When no
-two edges are disjoint, every disjoint-edge mask is 0, and the answer
-is the search's without running it: the root takes edge 0, then
-refutes each later edge but the last as one node, so nu = 1 with
-witness (0,) in max(m, 2) nodes.
+two edges are disjoint, the answer is the search's without running it:
+the root takes edge 0, then refutes each later edge but the last as
+one node, so nu = 1 with witness (0,) in max(m, 2) nodes.  That test
+reads the input's cached `is_intersecting` answer before any
+disjoint-edge mask is built, so an extension whose base is known to be
+intersecting answers it from its r E3 edges and builds no `edge_meets`
+(see `hypergraph`); only an input that is not intersecting builds them.
 
 `cover_without_edge` decides whether deleting one edge lowers the
 cover number with one decide run on the hypergraph's instance, from a
@@ -143,7 +146,7 @@ runs in the calling process.
 """
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from heapq import heappush, heapreplace
 from itertools import accumulate
 from typing import NamedTuple, Optional
@@ -594,11 +597,10 @@ def cover_number(
             if smaller is None:
                 break
             first = smaller
-        source._decided = CoverResult(len(first), tuple(source.vid(g) for g in sorted(first)),
-                                      None, 0)
+        source._decided = CoverResult(len(first), tuple(map(source.vid, sorted(first))), None, 0)
     kept = source._decided
     if not enumerate_all:
-        return replace(kept, nodes_explored=nodes_total)
+        return CoverResult(kept.tau, kept.witness, None, nodes_total)
     first, sols, nodes = _budget_search(_instance(h), kept.tau, True, deadline)
     all_covers = tuple(sorted(
         tuple(h.vid(g) for g in sorted(sol)) for sol in sols
@@ -658,12 +660,12 @@ def matching_number(
     search that enters every child.  An input with edges, no two of them
     disjoint, gets the search's answer without it (see the module
     docstring)."""
-    full = (1 << h.num_edges) - 1
-    apart = [full ^ meets for meets in h.edge_meets]  # per edge, the edges disjoint from it
-    if full and not any(apart):
+    if h.edges and h._intersecting[0]:
         # No two edges are disjoint: the search takes edge 0, then
         # refutes each later edge but the last as one node.
         return MatchingResult(1, (0,), max(h.num_edges, 2))
+    full = (1 << h.num_edges) - 1
+    apart = [full ^ meets for meets in h.edge_meets]  # per edge, the edges disjoint from it
     deadline = _Deadline(timeout)
     best = []
     nodes = 0

@@ -1,9 +1,10 @@
 """Independent oracles the tests check the package against: subset and
 product enumerations without pruning, the pairwise intersection-size
 profile, the mirror map of the extension's cover argument and its
-mirror sets by a walk of the side, the matching search without its
-closed form for intersecting inputs, and a minimality reduction that
-searches every edge."""
+mirror sets by a walk of the side, the intersecting test as a walk of
+every edge, the matching search without its closed form for
+intersecting inputs, and a minimality reduction that searches every
+edge."""
 
 from collections import Counter
 from itertools import combinations, product
@@ -101,6 +102,28 @@ def mirror_sets_walk(h, spec: ConstructionSpec):
                 covered |= inc[g]
         out.append((side, covered, anchor, h.gid(spec.mirror_vertex(j))))
     return out
+
+
+def intersecting_walk(h: PartiteHypergraph):
+    """`hypergraph.is_intersecting` without its shortcuts for linked
+    copies: per edge, the OR of the incident-edge masks of its vertices,
+    built here from h's edges, names the edges it meets, and the first
+    edge that misses a later one gives the first disjoint pair."""
+    if not h.edges:
+        raise EmptyHypergraphError("intersecting is undefined without edges")
+    inc = {}
+    for i, e in enumerate(h.edges):
+        for v in e:
+            inc[v] = inc.get(v, 0) | 1 << i
+    full = (1 << len(h.edges)) - 1
+    for i, e in enumerate(h.edges):
+        meet = 0
+        for v in e:
+            meet |= inc[v]
+        missed = (full ^ meet) >> (i + 1)
+        if missed:
+            return False, (i, i + (missed & -missed).bit_length())
+    return True, None
 
 
 def reference_matching(h: PartiteHypergraph, timeout=None) -> MatchingResult:

@@ -154,6 +154,32 @@ def test_recheck_replays_a_claim_of_intersecting(t4_file, tmp_path):
         assert recheck_report(rep, base_dir=".") == expect
 
 
+def test_recheck_replays_a_matching_number_of_zero_or_one(t4_file, tmp_path):
+    # nu = 2 on two disjoint edges, edited down to 1 or 0 with a witness
+    # of that size, used to recheck with no problem
+    two = tmp_path / "two.rhg"
+    write_rhg(PartiteHypergraph([["a", "b"], ["c", "d"]],
+                                [[(0, 0), (1, 0)], [(0, 1), (1, 1)]]), two)
+    rep_path = tmp_path / "v.json"
+    assert run("verify", two, "--nu", "--ratio", "--json", rep_path) == 0
+    rep = load(rep_path)
+    matching, ratio = (c["certificate"] for c in rep["checks"])
+    assert (matching["nu"], matching["witness_edges"], ratio["nu"]) == (2, [0, 1], 2)
+    assert recheck_report(rep, base_dir=".") == []
+    forged = "nu 1 but edges 0 and 1 of the input are disjoint"
+    matching.update(nu=1, witness_edges=[0])
+    assert recheck_report(rep, base_dir=".") == [f"matching-number: {forged}"]
+    matching.update(nu=0, witness_edges=[])
+    assert recheck_report(rep, base_dir=".") == [
+        "matching-number: nu 0 but the input has 2 edges"]
+    matching.update(nu=2, witness_edges=[0, 1])
+    ratio.update(tau=1, nu=1, ratio=1.0)  # tau = (r-1)*nu at r = 2
+    assert recheck_report(rep, base_dir=".") == [f"ryser-ratio: {forged}"]
+    # an intersecting input keeps its nu = 1
+    assert run("verify", t4_file, "--nu", "--ratio", "--json", rep_path) == 0
+    assert recheck_report(load(rep_path), base_dir=".") == []
+
+
 def test_recheck_reports_an_input_that_does_not_load(t4_file, tmp_path):
     # a parse error or a byte that is not UTF-8 raised out of recheck
     broken, binary = tmp_path / "broken.rhg", tmp_path / "binary.rhg"

@@ -61,6 +61,7 @@ from oracles import (
     brute_force_cover_oracle,
     enumerate_candidates_brute,
     first_cover_reference,
+    intersecting_walk,
     mirror_sets_walk,
     reference_matching,
 )
@@ -1010,6 +1011,8 @@ def test_pg25_anchor_chain_totals():
         u = uniformize(ext)
         results += [cover_number(ext, upper_hint=6), cover_number(u, upper_hint=6)]
         matching += matching_number(u).nodes_explored
+        # nu = 1 is read from the E3 edges: no edge_meets is built
+        assert not {"edge_meets"} & (vars(ext).keys() | vars(u).keys())
     assert (len(results), sum(r.nodes_explored for r in results)) == (51, 181)
     assert matching == 900
 
@@ -1567,3 +1570,92 @@ def test_intersecting_matching_is_the_first_edge():
         for h in chain:
             assert matching_number(h) == reference_matching(h) == \
                 MatchingResult(1, (0,), h.num_edges)
+
+
+@st.composite
+def linked_extensions(draw):
+    """(extension linked to its spec, whether its base's intersecting
+    answer was read first).  The base is a fresh copy of a truncation of
+    order 2, 3, 4 or 5 at a drawn point, with a drawn anchor; F is the
+    default, the relaxed (1,)-profile one (q >= 3), or drawn per side
+    from the edges through the anchor vertex of the side or from a pool
+    of three edges and the anchor edge, so that F edges that miss their
+    anchor vertex, repeat, or are the anchor edge (whose extension is not
+    intersecting) are common."""
+    q = draw(st.sampled_from([2, 3, 4, 5]))
+    t = unlinked(truncation(q, draw(st.integers(0, q * q + q))))
+    s_edge = draw(st.integers(0, t.num_edges - 1))
+    mode = draw(st.sampled_from(["default", "drawn"] + (["profile"] if q >= 3 else [])))
+    if mode == "default":
+        spec = select_f_default(t, s_edge)
+    elif mode == "profile":
+        spec = select_f_by_profile(t, s_edge, DegreeProfile(q + 1, (1,)), strict=False)
+    else:
+        pool = draw(st.lists(st.integers(0, t.num_edges - 1), min_size=3, max_size=3))
+        pool.append(s_edge)
+        f = []
+        for v in t.edges[s_edge]:
+            through = [i for i, e in enumerate(t.edges) if v in e]
+            f.append(draw(st.sampled_from(through) | st.sampled_from(pool)))
+        spec = ConstructionSpec(t, s_edge, tuple(f))
+    known = draw(st.booleans())
+    if known:
+        is_intersecting(t)
+    return build_extension(spec, check=False), known
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(linked_extensions(), st.booleans())
+def test_linked_extension_intersecting_and_matching_match_a_walk(drawn, matching_first):
+    # Once the base is known to be intersecting, the extension reads its
+    # answer from its E3 edges and builds no edge_meets unless one of
+    # them misses an edge; the answer, the first disjoint pair and the
+    # matching are those of an unlinked copy, on it and its uniformized copy.
+    ext, known = drawn
+    u = uniformize(ext)
+    want = intersecting_walk(ext)
+    nus = [matching_number(u), matching_number(ext)] if matching_first else None
+    assert (is_intersecting(u), is_intersecting(ext)) == (want, want) == \
+        (intersecting_walk(u), is_intersecting(unlinked(ext)))
+    assert ("edge_meets" in vars(ext)) == (not known or not want[0])
+    nus = nus or [matching_number(u), matching_number(ext)]
+    assert nus == [reference_matching(unlinked(u)), reference_matching(unlinked(ext))]
+
+
+def test_extension_of_a_base_with_disjoint_edges_names_the_first_pair():
+    # X and Y are disjoint and meet the anchor S once each (in s1 and s2),
+    # and every E3 edge meets every edge of the extension, so only the
+    # base's answer tells the extension that its lifts of X and Y are
+    # disjoint.  Sides 0..3 hold s_j at 0; X, Y, F_1..F_4 follow S.
+    S = [(0, 0), (1, 0), (2, 0), (3, 0)]
+    X = [(0, 0), (1, 1), (2, 1), (3, 2)]
+    Y = [(0, 1), (1, 0), (2, 2), (3, 3)]
+    F = [[(0, 0), (1, 1), (2, 2), (3, 1)], [(0, 1), (1, 0), (2, 1), (3, 1)],
+         [(0, 1), (1, 1), (2, 0), (3, 1)], [(0, 1), (1, 1), (2, 3), (3, 0)]]
+    base = PartiteHypergraph([["a", "b"], ["c", "d"], ["e", "f", "g", "h"], ["i", "j", "k", "l"]],
+                             [S, X, Y, *F])
+    spec = ConstructionSpec(base, 0, (3, 4, 5, 6))
+    for known in (False, True):
+        ext = build_extension(spec, check=False)
+        full = (1 << ext.num_edges) - 1
+        e3 = [sum(1 << i for i, e in enumerate(ext.edges) if set(e) & set(g)) for g in ext.edges[-4:]]
+        assert e3 == [full] * 4
+        if known:
+            assert is_intersecting(base) == intersecting_walk(base) == (False, (1, 2))
+        assert is_intersecting(ext) == intersecting_walk(ext) == (False, (0, 1))
+        u = uniformize(ext)
+        assert is_intersecting(u) == (False, (0, 1))
+        assert matching_number(u) == reference_matching(unlinked(u))
+        assert matching_number(u).nu >= 2
+
+
+def test_extension_of_a_one_side_base_has_two_disjoint_edges():
+    # r = 1: the base is its anchor edge, intersecting, and the extension
+    # is F_1 = {s_1} and its one E3 edge {v_1}, which every other edge
+    # misses; no E3 edge but the last one may be left untested.
+    base = PartiteHypergraph([["a"]], [[(0, 0)]])
+    assert is_intersecting(base) == (True, None)
+    ext = build_extension(ConstructionSpec(base, 0, (0,)), check=False)
+    assert ext.edges == (((0, 0),), ((1, 0),))
+    assert is_intersecting(ext) == intersecting_walk(ext) == (False, (0, 1))
+    assert matching_number(ext) == MatchingResult(2, (0, 1), 3)
