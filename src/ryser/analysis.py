@@ -224,7 +224,7 @@ def exact_isomorphic(a: PartiteHypergraph, b: PartiteHypergraph) -> IsoResult:
 
     def assign_side(si):
         if si == k:
-            mapped = {sum(1 << mapping[g] for g in map(a.gid, e)) for e in a.edges}
+            mapped = {sum([1 << mapping[g] for g in row]) for row in a.edge_gids}
             return mapped == b_masks
         for tj in range(k):
             if tj in side_perm or dsb.side_degrees[tj] != dsa.side_degrees[si]:

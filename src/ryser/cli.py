@@ -4,9 +4,11 @@ Exit codes: 0 all requested checks passed, 1 a check failed, 2 usage or
 config error, 3 a search timed out (result incomplete).  Every
 subcommand accepts --json PATH.  truncate, construct, verify, minimize,
 maximal-check and pipeline write a `ryser-report/1` report there, with
-certificates and input digests (see report.py); field, plane,
-fingerprint, iso, profiles and corpus write a plain JSON object of
-their results.  RYSER_TIMEOUT_SECS overrides the default solver budget.
+certificates and the digests of the input files (see report.py);
+truncate and pipeline read no file, so theirs list none (`inputs: []`).
+field, plane, fingerprint, iso, profiles and corpus write a plain JSON
+object of their results.  RYSER_TIMEOUT_SECS overrides the default
+solver budget.
 
 `main` builds its argument parser on the first call and reuses it, so
 an in-process caller making many calls pays for argparse once; no

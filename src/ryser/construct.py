@@ -100,8 +100,8 @@ def _anchor_misfits(base, s_edge):
     `ones` holds the edges met at least once, `twos` at least twice."""
     inc = base.incidence_masks
     ones = twos = 0
-    for v in base.edges[s_edge]:
-        m = inc[base.gid(v)]
+    for g in base.edge_gids[s_edge]:
+        m = inc[g]
         twos |= ones & m
         ones |= m
     return (twos | ~ones) & ((1 << base.num_edges) - 1) & ~(1 << s_edge)
@@ -160,13 +160,12 @@ def validate_spec(
         out.append(Violation("selected-count", f"need {r} selected edges, got {len(spec.f_edges)}"))
         return out
     anchor = spec.anchor_vertices()
-    off = base.offsets
     rests = []  # per side i, the vertex mask of F_i - s_i
     for i, fe in enumerate(spec.f_edges):
         if not 0 <= fe < base.num_edges:
             out.append(Violation("selected-index", f"F_{i+1} edge index {fe} out of range"))
             return out
-        fmask = sum(1 << (off[s] + p) for s, p in base.edges[fe])
+        fmask = sum([1 << g for g in base.edge_gids[fe]])
         sbit = 1 << base.gid(anchor[i])
         rests.append(fmask & ~sbit)
         if not fmask & sbit:
@@ -274,8 +273,8 @@ def build_extension(
     sides = base.sides + (tuple(f"{MIRROR_LABEL_PREFIX}{i+1}" for i in range(r)),)
     lift = [None] * base.num_edges
     inc = base.incidence_masks
-    for v in anchor:
-        for idx in _bits(inc[base.gid(v)] & ~(1 << s_edge)):
+    for v, g in zip(anchor, base.edge_gids[s_edge]):
+        for idx in _bits(inc[g] & ~(1 << s_edge)):
             lift[idx] = mirror[v[0]]
     edges = [e + (lift[idx],) for idx, e in enumerate(base.edges) if idx != s_edge]
     labels = [f"E1({idx})" for idx in range(base.num_edges) if idx != s_edge]

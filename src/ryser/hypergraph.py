@@ -6,18 +6,19 @@ tuples plus a parallel bitmask over the side-major global numbering, so
 intersection tests are single AND operations.  Instances are immutable
 after construction, so every value one derives from its own sides and
 edges is a `functools.cached_property`, computed on first read and kept
-in the instance: the views `offsets`, `edge_masks`, `incidence_masks`,
-`edge_meets` (per edge, the edges that share a vertex with it), and
-the answers of `is_intersecting` and `truncated_plane_order`.
-`uniformity` is set by the constructor, from the edge sizes it checks.
-`incidence_masks` are one O(m*r) walk of the edges, except on an
-extension (`_spec` set), which builds them from its base's, whose E1
-edges it keeps in order less the anchor edge, and ORs in its E2 and E3
-edges: O(n + r^2).  A uniformized copy (`_source` set) reads its
-source's `edge_meets` and its answer of `is_intersecting`.
-`edge_meets` is built on its first read, which `is_intersecting` makes
-on most hypergraphs; an extension whose base is known to be
-intersecting answers it from its r E3 edges instead, so its
+in the instance: the views `offsets`, `edge_gids` (per edge, the global
+ids of its vertices, the one map from an edge's vertices to ids, which
+every edge walk reads), `edge_masks`, `incidence_masks`, `edge_meets`
+(per edge, the edges that share a vertex with it), and the answers of
+`is_intersecting` and `truncated_plane_order`.  `uniformity` is set by
+the constructor, from the edge sizes it checks.  An extension (`_spec`
+set) keeps its base's E1 edges in order less the anchor edge, each with
+one mirror vertex, so it builds its `edge_gids` and `incidence_masks`
+from its base's and walks only its E2 and E3 edges.  A uniformized copy
+(`_source` set) reads its source's `edge_meets` and its answer of
+`is_intersecting`.  `edge_meets` is built on its first read, which
+`is_intersecting` makes on most hypergraphs; an extension whose base is
+known to be intersecting answers it from its r E3 edges instead, so its
 `edge_meets` is built only when that test fails or something else reads
 it.
 
@@ -145,7 +146,10 @@ class PartiteHypergraph:
         return tuple(off)
 
     def gid(self, v) -> int:
-        return self.offsets[v[0]] + v[1]
+        s, p = v
+        if not (0 <= s < len(self.sides) and 0 <= p < len(self.sides[s])):
+            raise ValueError(f"vertex {s}.{p} out of range: side sizes {self.side_sizes}")
+        return self.offsets[s] + p
 
     def vid(self, gid: int) -> Vid:
         off = self.offsets
@@ -160,9 +164,23 @@ class PartiteHypergraph:
                 yield (s, p)
 
     @cached_property
-    def edge_masks(self):
+    def edge_gids(self):
+        """Per edge, the global ids of its vertices in order.  An
+        extension's E1 rows are its base's less the anchor edge's, each
+        with its mirror vertex's id appended; only E2 and E3 are walked."""
         off = self.offsets
-        return tuple(sum(1 << (off[s] + p) for s, p in e) for e in self.edges)
+        spec = self._spec
+        rows = []
+        if spec is not None:
+            a, mirror, base_rows = spec.s_edge, off[spec.r], spec.base.edge_gids
+            rows = [row + (mirror + e[-1][1],)
+                    for row, e in zip(base_rows[:a] + base_rows[a + 1:], self.edges)]
+        rows += [tuple([off[s] + p for s, p in e]) for e in self.edges[len(rows):]]
+        return tuple(rows)
+
+    @cached_property
+    def edge_masks(self):
+        return tuple(sum([1 << g for g in row]) for row in self.edge_gids)
 
     @cached_property
     def incidence_masks(self):
@@ -171,12 +189,11 @@ class PartiteHypergraph:
         masks from its base's (see the module docstring)."""
         if self._spec is not None:
             return self._extension_incidence()
-        off = self.offsets
-        inc = [0] * off[-1]
+        inc = [0] * self.offsets[-1]
         bit = 1
-        for e in self.edges:
-            for s, p in e:
-                inc[off[s] + p] |= bit
+        for row in self.edge_gids:
+            for g in row:
+                inc[g] |= bit
             bit <<= 1
         return tuple(inc)
 
@@ -190,12 +207,12 @@ class PartiteHypergraph:
         a = spec.s_edge
         below = (1 << a) - 1
         inc = [(mask & below) | (mask >> (a + 1) << a) for mask in base.incidence_masks]
-        inc += [inc[base.gid(v)] for v in spec.anchor_vertices()]
-        off = self.offsets
-        for i in range(base.num_edges - 1, len(self.edges)):
+        inc += [inc[g] for g in base.edge_gids[a]]
+        rows = self.edge_gids
+        for i in range(base.num_edges - 1, len(rows)):
             bit = 1 << i
-            for s, p in self.edges[i]:
-                inc[off[s] + p] |= bit
+            for g in rows[i]:
+                inc[g] |= bit
         return tuple(inc)
 
     @cached_property
@@ -209,13 +226,12 @@ class PartiteHypergraph:
         intersecting read it only when an E3 edge misses an edge."""
         if self._source is not None:
             return self._source.edge_meets
-        off = self.offsets
         inc = self.incidence_masks
         out = []
-        for e in self.edges:
+        for row in self.edge_gids:
             meet = 0
-            for s, p in e:
-                meet |= inc[off[s] + p]
+            for g in row:
+                meet |= inc[g]
             out.append(meet)
         return tuple(out)
 
@@ -237,12 +253,11 @@ class PartiteHypergraph:
         spec = self._spec
         if (spec is not None and "edge_meets" not in vars(self)
                 and vars(spec.base).get("_intersecting", (False,))[0]):
-            off = self.offsets
             inc = self.incidence_masks
-            for e in self.edges[-spec.r:]:
+            for row in self.edge_gids[-spec.r:]:
                 meet = 0
-                for s, p in e:
-                    meet |= inc[off[s] + p]
+                for g in row:
+                    meet |= inc[g]
                 if meet != full:
                     break
             else:
@@ -263,10 +278,9 @@ class PartiteHypergraph:
         if self.uniformity != r or not is_intersecting(self)[0]:
             return None
         degree = [mask.bit_count() for mask in self.incidence_masks]
-        off = self.offsets
         each = q * q - 1 + r
-        for e in self.edges:
-            if sum(degree[off[s] + p] for s, p in e) != each:
+        for row in self.edge_gids:
+            if sum([degree[g] for g in row]) != each:
                 return None
         return q
 

@@ -79,12 +79,9 @@ own decide search would be the source's.  An enumeration call takes
 tau from the kept answer, searching for it and keeping it first when
 there is none, then runs only the enumeration, on its own instance,
 whose incidence masks come from a walk of the copy's own edges.
-`matching_number` reads the source's answers, and an extension's
-masks come from its base's (see `hypergraph`).  So do an extension's
-E1 rows of global ids, once the base has an instance, as it has after
-its own search: they are the base's rows less the anchor edge's, each
-with its mirror vertex appended, and only the E2 and E3 rows are
-walked.
+`matching_number` reads the source's answers.  An instance's rows are
+the hypergraph's `edge_gids`, which an extension, like its incidence
+masks, builds from its base's (see `hypergraph`).
 
 An extension that `construct.build_extension` made records its spec.
 When the spec's base passes `hypergraph.truncated_plane_order` and none
@@ -275,20 +272,7 @@ def _instance(h):
 
 
 def _build_instance(h):
-    off = h.offsets
-    spec = h._spec
-    base_search = None if spec is None else spec.base._search
-    if base_search is None:
-        gid_lists = tuple([tuple([off[s] + p for s, p in e]) for e in h.edges])
-    else:
-        # An extension's E1 edges are its base's less the anchor edge, in
-        # order, each with a mirror vertex (r, j) appended, and the base
-        # keeps its gids: only the E2 and E3 edges that follow are walked.
-        a, mirror, edges = spec.s_edge, off[spec.r], h.edges
-        rows = base_search.gid_lists
-        lifted = rows[:a] + rows[a + 1:]
-        gid_lists = tuple([row + (mirror + e[-1][1],) for row, e in zip(lifted, edges)]
-                          + [tuple([off[s] + p for s, p in e]) for e in edges[len(lifted):]])
+    gid_lists = h.edge_gids
     inc = h.incidence_masks
     bits = [1 << g for g in range(len(inc))]
     entries = []
@@ -332,7 +316,7 @@ def _candidate_instance(h):
     which meets no edge of h.  Edge m+s, side s with its fresh vertex,
     follows h's m edges, in a last branching class."""
     off, n, m, k = h.offsets, h.num_vertices, h.num_edges, h.num_sides
-    gid_lists = list(_instance(h).gid_lists)
+    gid_lists = list(h.edge_gids)
     classes = [sum(1 << i for i, gids in enumerate(gid_lists) if len(gids) == size)
                for size in sorted({len(gids) for gids in gid_lists})]
     classes.append(((1 << k) - 1) << m)
@@ -485,7 +469,7 @@ def _mirror_sets(h, spec):
     everything = (1 << m) - 1
     edges, f_edges, sides = base.edges, spec.f_edges, base.sides
     for j, s in enumerate(spec.anchor_vertices()):  # s = (j, pos)
-        anchor = off[j] + s[1]
+        anchor = h.gid(s)
         covered = everything & ~inc[anchor]
         if s in edges[f_edges[j]]:
             covered &= ~(1 << (m - r + j))

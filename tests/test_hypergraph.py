@@ -72,6 +72,11 @@ def test_gid_vid_roundtrip(t4):
         for gid in (-1, h.num_vertices, h.num_vertices + 5):
             with pytest.raises(ValueError, match="out of range"):
                 h.vid(gid)
+    # a position past its side, a side before the first, a negative
+    # position, a side past the last, and a vertex of an empty side
+    for h, v in ((t4, (0, 3)), (t4, (-1, 0)), (t4, (0, -1)), (t4, (4, 0)), (uneven, (1, 0))):
+        with pytest.raises(ValueError, match="out of range"):
+            h.gid(v)
 
 
 def test_is_intersecting(t4):

@@ -1436,7 +1436,7 @@ def check_extension_chain(spec):
         assert_derived_as_plain(h)
         assert_search_as_parent(h)
         assert list(solver._mirror_sets(h, spec)) == mirror_sets_walk(h, spec)
-    # with the base's instance built, the E1 rows are read from it
+    # the E1 rows do not depend on whether the base has an instance
     _instance(spec.base)
     assert _build_instance(ext) == _build_instance(unlinked(ext))
 
@@ -1457,6 +1457,49 @@ def test_extension_rows_with_and_without_a_base_instance():
             _instance(t)
             assert _build_instance(ext) == walked
         assert _build_instance(ext) == _build_instance(unlinked(ext)) == parent_build_instance(ext)
+
+
+@settings(max_examples=40, deadline=None)
+@given(q=st.sampled_from([3, 4, 5]), data=st.data(), profile=st.booleans(),
+       base_first=st.booleans())
+def test_lifted_rows_match_a_walk_of_the_edges(q, data, profile, base_first):
+    # An extension's rows and masks, lifted from its base's, and those of
+    # its uniformized copy equal an unlinked copy's, whether the base's
+    # search instance is built before the extension's views or after.
+    t = unlinked(truncation(q))
+    assert is_intersecting(t)[0]  # as validate_spec leaves it: ext tests its E3 edges
+    anchor = data.draw(st.integers(0, q * q - 1), label="anchor")
+    if profile:
+        try:
+            spec = select_f_by_profile(t, anchor, DegreeProfile(q + 1, (1,)), strict=False)
+        except RyserError:
+            spec = select_f_default(t, anchor)
+    else:
+        spec = select_f_default(t, anchor)
+    ext = build_extension(spec, check=False)
+    if base_first:
+        _instance(t)
+    for h in (ext, uniformize(ext)):
+        plain = unlinked(h)
+        assert is_intersecting(h) == is_intersecting(plain)
+        assert h.edge_gids == plain.edge_gids
+        assert h.edge_masks == plain.edge_masks
+        assert h.incidence_masks == plain.incidence_masks
+        assert h.edge_meets == plain.edge_meets
+        assert _build_instance(h) == _build_instance(plain)
+    if not base_first:
+        _instance(t)
+        assert _build_instance(ext) == _build_instance(unlinked(ext))
+    assert t.edge_gids == unlinked(t).edge_gids
+
+
+def test_covering_transversals_builds_no_cover_instance(monkeypatch):
+    built = []
+    build = solver._build_instance
+    monkeypatch.setattr(solver, "_build_instance", lambda h: built.append(h) or build(h))
+    ext = build_extension(select_f_default(truncate(build_plane(FiniteField(5))), 0), check=False)
+    found, _ = covering_transversals(ext)
+    assert found and built == []
 
 
 @pytest.mark.parametrize("p, k", [(3, 1), (2, 2), (5, 1), (7, 1)])
