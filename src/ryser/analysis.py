@@ -10,12 +10,13 @@ when some (k-2)-set covers the rest.  Deleting one edge lowers the
 cover number by at most one, and such a set cannot meet the tried
 edge, so one decide run on the input's search instance settles the
 edge; an edge for which such a set is already known needs no run.
-Such sets come from the mirror sets of a linked extension and from the
-near misses that refuted runs scan (see `minimize`).  Deleting edges
-never raises the cover number, so an edge found critical stays
-critical: the size-(k-2) cover known when it was tried still covers
-the final hypergraph without it, and that is its criticality
-certificate.
+Such sets come from the mirror sets of a linked extension, read from
+the one pass `solver._mirror_misses` that also gives the cover search
+its tau >= r bound, and from the near misses that refuted runs scan
+(see `minimize`).  Deleting edges never raises the cover number, so an
+edge found critical stays critical: the size-(k-2) cover known when it
+was tried still covers the final hypergraph without it, and that is
+its criticality certificate.
 
 Addable-edge classification enumerates every covering transversal of
 the extension hypergraph with at most one fresh vertex (a candidate
@@ -55,7 +56,7 @@ from .solver import (
     DEFAULT_TIMEOUT,
     CoverResult,
     _Deadline,
-    _mirror_near_covers,
+    _mirror_misses,
     cover_number,
     cover_without_edge,
     covering_transversals,
@@ -95,6 +96,21 @@ class MinimizationTrace:
         return self.initial.tau
 
 
+def _mirror_seeds(h):
+    """Minimize's first near-covers: the mirror sets of
+    `solver._mirror_misses` that hold sides-2 vertices and miss exactly
+    one edge of h, as {that edge: the set's global ids}, the first set
+    kept per edge."""
+    seeds = {}
+    for side, anchor, mirror, *misses in _mirror_misses(h):
+        if len(side) == h.num_sides - 2:
+            for g, missed in zip((anchor, mirror), misses):
+                j = missed.bit_length() - 1
+                if missed.bit_count() == 1 and j not in seeds:
+                    seeds[j] = tuple([g if x == anchor else x for x in side])
+    return seeds
+
+
 def minimize(
     h: PartiteHypergraph,
     timeout: Optional[float] = DEFAULT_TIMEOUT,
@@ -115,11 +131,11 @@ def minimize(
     The pool maps an edge to a (sides-2)-set that covers every alive
     edge but that one, so the edge is kept exactly as its run would
     keep it.  It starts with the mirror sets of a linked input that
-    miss one edge each (`solver._mirror_near_covers`), and takes in the
-    near misses of each refuted run: sets that miss the deleted edge
-    and one other, which then miss only the other among the alive
-    edges.  Deletions only shrink the alive edges, so an entry stays
-    true until its edge is tried."""
+    miss one edge each (`_mirror_seeds`), and takes in the near misses
+    of each refuted run: sets that miss the deleted edge and one other,
+    which then miss only the other among the alive edges.  Deletions
+    only shrink the alive edges, so an entry stays true until its edge
+    is tried."""
     if order not in ("asc", "desc"):
         raise ValueError(f"order must be 'asc' or 'desc', got {order!r}")
     if h.num_edges == 0:
@@ -140,7 +156,7 @@ def minimize(
     deleted = []
     kept_certs = {}
     # edge -> a (k-2)-set covering every alive edge but that one
-    pool = _mirror_near_covers(h)
+    pool = _mirror_seeds(h)
     scan = range(h.num_edges) if order == "asc" else range(h.num_edges - 1, -1, -1)
     for i in scan:
         if i in pool:

@@ -18,9 +18,9 @@ from its base's and walks only its E2 and E3 edges.  A uniformized copy
 (`_source` set) reads its source's `edge_meets` and its answer of
 `is_intersecting`.  `edge_meets` is built on its first read, which
 `is_intersecting` makes on most hypergraphs; an extension whose base is
-known to be intersecting answers it from its r E3 edges instead, so its
-`edge_meets` is built only when that test fails or something else reads
-it.
+known to be intersecting answers it from its r E3 edges instead, whether
+or not its `edge_meets` is built, so builds it only when that test fails
+or something else reads it.
 
 The constructor validates partiteness, duplicate-freeness and the
 edge-size profile (all one size, or two consecutive sizes).  Builders
@@ -223,7 +223,8 @@ class PartiteHypergraph:
         equal, since its tails are private and it keeps edge order, so it
         walks none of its own edges for them.  `is_intersecting` and
         `matching_number` on an extension whose base is known to be
-        intersecting read it only when an E3 edge misses an edge."""
+        intersecting read it only when an E3 edge misses an edge, whether
+        or not it is built."""
         if self._source is not None:
             return self._source.edge_meets
         inc = self.incidence_masks
@@ -239,20 +240,19 @@ class PartiteHypergraph:
     def _intersecting(self):
         """`is_intersecting`'s answer.  A uniformized copy takes its
         source's: its tails are private and it keeps edge order.  An
-        extension whose base is known to be intersecting, and whose
-        `edge_meets` is not built yet, tests its last r edges, the E3
-        edges, alone: every other edge is a base edge, with or without a
-        mirror vertex, so any two of them share a base vertex.  When an
-        E3 edge misses some edge, the walk below names the first disjoint
-        pair."""
+        extension whose base is known to be intersecting tests its last r
+        edges, the E3 edges, alone, whether or not its `edge_meets` is
+        built: every other edge is a base edge, with or without a mirror
+        vertex, so any two of them share a base vertex.  When an E3 edge
+        misses some edge, the walk of `edge_meets` below names the first
+        disjoint pair."""
         if not self.edges:
             raise EmptyHypergraphError("intersecting is undefined without edges")
         if self._source is not None:
             return self._source._intersecting
         full = (1 << len(self.edges)) - 1
         spec = self._spec
-        if (spec is not None and "edge_meets" not in vars(self)
-                and vars(spec.base).get("_intersecting", (False,))[0]):
+        if spec is not None and vars(spec.base).get("_intersecting", (False,))[0]:
             inc = self.incidence_masks
             for row in self.edge_gids[-spec.r:]:
                 meet = 0
@@ -350,10 +350,10 @@ def is_intersecting(h: PartiteHypergraph):
     masks, names the edges it meets, so the cost is O(m*r) mask
     operations rather than m^2/2 pair tests, building `edge_meets`.  An
     extension whose base is known to be intersecting ORs the masks of its
-    r E3 edges only, O(r^2), and builds `edge_meets` only when one of them
-    misses an edge; a uniformized copy returns its source's answer.  The
-    answer is a cached property of the hypergraph, so later calls return
-    it at once."""
+    r E3 edges only, O(r^2), even when its `edge_meets` is built, and
+    builds or reads `edge_meets` only when one of them misses an edge; a
+    uniformized copy returns its source's answer.  The answer is a cached
+    property of the hypergraph, so later calls return it at once."""
     return h._intersecting
 
 

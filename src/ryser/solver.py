@@ -91,11 +91,14 @@ bound: it stops at its first r-cover instead of refuting r-1 by search.
 The runs it skips are refutations, so tau, the witness and every
 enumeration are those of the full loop; only the node count drops.  A
 uniformized extension gets the bound through its source.  Each set is
-side j of the base, or side j with s_j swapped for v_j, and the edges
-that side j less s_j meets are read from s_j's incidence mask alone
-(`_mirror_sets`): on an r-uniform base every edge of the extension holds
-one old side-j vertex, except E3(j) when F_j holds s_j.  A spec whose
-base is not r-uniform has no mirror sets.
+side j of the base, or side j with s_j swapped for v_j.  One pass,
+`_mirror_misses`, yields each set with the mask of the edges it
+misses, read from the E3(j) bit and the masks of s_j and v_j: on an
+r-uniform base every edge of the extension holds one old side-j
+vertex, except E3(j) when F_j holds s_j.  It has two readers: this
+bound, which holds when every mask is nonzero, and `minimize`'s first
+near-covers (below).  A spec whose base is not r-uniform has no mirror
+sets.
 
 A branch child also excludes its vertex's `closes` mask, in a cover
 instance the vertex alone.  The candidate edges of a hypergraph with k
@@ -127,8 +130,9 @@ cover number with one decide run on the hypergraph's instance, from a
 root node that drops the edge and excludes its vertices.  `minimize`
 calls it only for an edge with no known near-cover, a set of the run's
 budget that covers every alive edge but that one: such a set answers
-the trial without a search.  A linked extension's mirror sets that miss
-one edge each (`_mirror_near_covers`) are near-covers from the start.
+the trial without a search.  A linked extension's mirror sets of
+sides-2 vertices that miss one edge each, read from `_mirror_misses`,
+are near-covers from the start.
 A run given a dict also records its near misses, budget-sets that
 cover all but one of its uncovered edges, which its one-pick nodes scan
 anyway; once the run is refuted and its edge deleted, each of them is
@@ -386,25 +390,22 @@ def _budget_search(inst, budget, collect, deadline, node=None, near=None):
             excluded |= closes[g]
         if not uncovered:
             return path, None, len(path) - len(node[0]) + 1
-    first = None
     sols = [] if collect else None
     nodes = 0
 
     def rec(chosen, uncovered, excluded, candidates=incidence):
-        nonlocal first, nodes
+        # the cover a decide run finds below this node, else None
+        nonlocal nodes
         nodes += 1
         deadline.check()
         if not uncovered:
-            sol = tuple(chosen)
-            if first is None:
-                first = sol
             if collect:
-                sols.append(sol)
-                return False
-            return True
+                sols.append(chosen)
+                return None
+            return chosen
         picks = budget - len(chosen)
         if picks <= 0:
-            return False
+            return None
         branch = gid_lists[branch_edge(uncovered)]
         if picks == 1:
             # the children are the free vertices of the branch edge
@@ -416,20 +417,18 @@ def _budget_search(inst, budget, collect, deadline, node=None, near=None):
                         rest = uncovered & ~incidence[g][2]
                         if not rest & (rest - 1):
                             near.setdefault(rest.bit_length() - 1, chosen + (g,))
-                return False
-            if first is None:
-                first = chosen + (leaves[0],)
+                return None
             if not collect:
                 nodes += free.index(leaves[0]) + 1
-                return True
+                return chosen + (leaves[0],)
             nodes += len(free)
             sols.extend([chosen + (g,) for g in leaves])
-            return False
+            return None
         # The ranking holds this node's exact degrees, largest first,
         # so its own bound is the sum of the first `picks`.
         ranked = _ranked_degrees(candidates, uncovered, excluded)
         if ranked is None or sum([d for d, _, _ in ranked[:picks]]) < uncovered.bit_count():
-            return False
+            return None
         acc = excluded
         for g in branch:
             _, bit, inc = incidence[g]
@@ -438,83 +437,44 @@ def _budget_search(inst, budget, collect, deadline, node=None, near=None):
                 closed = acc | closes[g]
                 if picks > 2 and not _degree_sum_fits(ranked, rest, closed, picks - 1):
                     nodes += 1  # the child, refuted without being entered
-                elif rec(chosen + (g,), rest, closed, ranked):
-                    return True
+                elif (found := rec(chosen + (g,), rest, closed, ranked)) is not None:
+                    return found
             acc |= bit
-        return False
+        return None
 
-    rec(*node)
+    first = rec(*node)
+    if collect and sols:
+        first = sols[0]
     return first, sols, nodes
 
 
-def _mirror_sets(h, spec):
-    """The 2r mirror sets of an extension linked to `spec`, in h's global
-    ids: per side j of the spec's base, side j, and side j with s_j
-    swapped for v_j.  Yields, per side, its ids, the mask of the edges
-    its vertices other than s_j meet, and the ids of s_j and v_j; yields
-    nothing unless the base is r-uniform.  h is the extension or a
-    uniformized copy, which keeps every (side, pos) and the edge order
-    and puts its tails after them.
+def _mirror_misses(h):
+    """One pass over the 2r mirror sets of an extension that
+    `build_extension` linked to its spec, or of a uniformized copy of
+    one, in h's global ids: per side j of the spec's base, side j, and
+    side j with s_j swapped for v_j.  Yields, per side, its ids, the ids
+    of s_j and v_j, the mask of the edges side j misses, and that of the
+    edges the swapped set misses; yields nothing unless
+    `(h._source or h)._spec` has an r-uniform base.  A uniformized copy
+    keeps every (side, pos) and the edge order, and puts its tails after
+    them.
 
-    The mask is read from s_j's incidence mask alone.  Every edge of h
-    then holds exactly one old side-j vertex, except E3(j), the edge
-    m - r + j, when F_j holds s_j: an E1 or E2 edge holds a base edge,
-    and F_i - s_i + v_i loses only its side-i vertex.  So the side-j
-    vertices other than s_j meet every edge but those through s_j and
-    that E3(j)."""
-    base, r = spec.base, spec.r
-    if base.uniformity != r:
+    No set's masks are ORed.  Every edge of h holds exactly one old
+    side-j vertex, except E3(j), the edge m - r + j, when F_j holds s_j:
+    an E1 or E2 edge holds a base edge, and F_i - s_i + v_i loses only
+    its side-i vertex.  So side j misses that E3(j) alone, or nothing,
+    and the swapped set, as E3(j) holds v_j, the edges through s_j that
+    v_j is not on."""
+    spec = (h._source or h)._spec
+    if spec is None or spec.base.uniformity != spec.r:
         return
-    inc, off, m = h.incidence_masks, h.offsets, h.num_edges
-    everything = (1 << m) - 1
-    edges, f_edges, sides = base.edges, spec.f_edges, base.sides
+    r, inc, off, m = spec.r, h.incidence_masks, h.offsets, h.num_edges
+    edges, f_edges, sides = spec.base.edges, spec.f_edges, spec.base.sides
     for j, s in enumerate(spec.anchor_vertices()):  # s = (j, pos)
         anchor = h.gid(s)
-        covered = everything & ~inc[anchor]
-        if s in edges[f_edges[j]]:
-            covered &= ~(1 << (m - r + j))
-        # v_j, `spec.mirror_vertex(j)`, is vertex j of the final side
-        yield range(off[j], off[j] + len(sides[j])), covered, anchor, off[r] + j
-
-
-def _mirror_bound(h):
-    """r when the mirror argument proves tau(h) >= r, else 0.  It applies
-    to an extension that `build_extension` linked to its spec (see
-    there): the spec's base passes `truncated_plane_order`, and none of
-    the 2r sets of `_mirror_sets` covers h."""
-    spec = h._spec
-    if spec is None or truncated_plane_order(spec.base) is None:
-        return 0
-    inc = h.incidence_masks
-    everything = (1 << h.num_edges) - 1
-    for _, covered, anchor, mirror in _mirror_sets(h, spec):
-        if covered | inc[anchor] == everything or covered | inc[mirror] == everything:
-            return 0
-    return spec.r
-
-
-def _mirror_near_covers(h):
-    """The mirror sets of `_mirror_sets` that miss exactly one edge of h
-    and hold sides-2 vertices, as {that edge: the set's global ids}, the
-    first set kept per edge; {} unless h or its source is linked to a
-    spec whose base is r-uniform.  Each covers every other edge of h
-    within the budget of a `minimize` trial, so that trial keeps its
-    edge."""
-    spec = (h._source or h)._spec
-    seeds = {}
-    if spec is None:
-        return seeds
-    inc = h.incidence_masks
-    everything = (1 << h.num_edges) - 1
-    for side, covered, anchor, mirror in _mirror_sets(h, spec):
-        if len(side) != h.num_sides - 2:
-            continue
-        for g in (anchor, mirror):
-            missed = everything & ~(covered | inc[g])
-            if missed and not missed & (missed - 1):
-                seeds.setdefault(missed.bit_length() - 1,
-                                 tuple([g if x == anchor else x for x in side]))
-    return seeds
+        mirror = off[r] + j  # v_j, `spec.mirror_vertex(j)`, is vertex j of the final side
+        yield (range(off[j], off[j] + len(sides[j])), anchor, mirror,
+               1 << (m - r + j) if s in edges[f_edges[j]] else 0, inc[anchor] & ~inc[mirror])
 
 
 def cover_number(
@@ -543,10 +503,10 @@ def cover_number(
     search would be the source's, since the tails it adds are dominated.
 
     On an extension that `build_extension` linked to its spec, or a
-    uniformized one, the budget loop starts at the lower bound r that
-    `_mirror_bound` proves, tested here rather than at build time.  It
-    skips only refutations, so tau, the witness and the enumeration are
-    those of an unlinked copy; `nodes_explored` drops."""
+    uniformized one, the budget loop starts at the lower bound r of the
+    mirror argument, tested here on `_mirror_misses` rather than at build
+    time.  It skips only refutations, so tau, the witness and the
+    enumeration are those of an unlinked copy; `nodes_explored` drops."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if h.num_edges == 0:
@@ -561,7 +521,11 @@ def cover_number(
         # largest degrees sum to at least the edge count
         degrees = sorted([d for d, _, _ in inst.incidence], reverse=True)
         lb = next(k for k, total in enumerate(accumulate(degrees), 1) if total >= source.num_edges)
-        lb = max(lb, _mirror_bound(source))
+        # tau >= r by the mirror argument when no mirror set covers source
+        spec = source._spec
+        if spec is not None and truncated_plane_order(spec.base) is not None and all(
+                side and swap for *_, side, swap in _mirror_misses(source)):
+            lb = max(lb, spec.r)
         budget = min(max(lb, upper_hint) if upper_hint is not None else lb, n)
         refuted = lb - 1  # sizes below lb are impossible by the bound
         # Climb until a run finds a cover, then shrink it until a run fails

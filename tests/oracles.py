@@ -1,9 +1,9 @@
 """Independent oracles the tests check the package against: subset and
 product enumerations without pruning, the pairwise intersection-size
-profile, the mirror map of the extension's cover argument and its
-mirror sets by a walk of the side, the intersecting test as a walk of
-every edge, the matching search without its closed form for
-intersecting inputs, and a minimality reduction that searches every
+profile, the mirror map of the extension's cover argument and the edges
+each mirror set misses by a walk of its vertices, the intersecting test
+as a walk of every edge, the matching search without its closed form
+for intersecting inputs, and a minimality reduction that searches every
 edge."""
 
 from collections import Counter
@@ -87,20 +87,28 @@ def cover_mirror(cover, spec: ConstructionSpec) -> frozenset:
     return frozenset(out)
 
 
-def mirror_sets_walk(h, spec: ConstructionSpec):
-    """Per side j of the spec's base, as `solver._mirror_sets` yields it:
-    the global ids of side j, the OR of the incidence masks of its
-    vertices other than s_j, and the ids of s_j and v_j."""
-    inc, off = h.incidence_masks, h.offsets
+def mirror_misses_walk(h, spec: ConstructionSpec):
+    """Per side j of the spec's base, as `solver._mirror_misses` yields
+    it: the global ids of side j, the ids of s_j and v_j, and the masks
+    of the edges that side j and side j with s_j swapped for v_j miss,
+    each the complement of the OR of its vertices' incident-edge masks,
+    built here from h's edges."""
+    inc = {}
+    for i, e in enumerate(h.edges):
+        for v in e:
+            inc[v] = inc.get(v, 0) | 1 << i
+    full = (1 << len(h.edges)) - 1
     out = []
     for j, s in enumerate(spec.anchor_vertices()):
-        anchor = h.gid(s)
-        side = range(off[j], off[j] + len(spec.base.sides[j]))
-        covered = 0
-        for g in side:
-            if g != anchor:
-                covered |= inc[g]
-        out.append((side, covered, anchor, h.gid(spec.mirror_vertex(j))))
+        side = [(j, p) for p in range(len(spec.base.sides[j]))]
+        v = spec.mirror_vertex(j)
+        missed = []
+        for members in (side, [v if x == s else x for x in side]):
+            met = 0
+            for x in members:
+                met |= inc.get(x, 0)
+            missed.append(full & ~met)
+        out.append((range(h.gid(side[0]), h.gid(side[-1]) + 1), h.gid(s), h.gid(v), *missed))
     return out
 
 

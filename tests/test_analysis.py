@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ryser import analysis, solver
+from ryser import analysis
 from ryser.analysis import (
     ExtensionClassification,
     classify_extensions,
@@ -298,19 +298,19 @@ def test_mirror_sets_that_miss_one_edge_seed_the_pool():
     # edges; an unlinked copy has none.
     t = make_t(4)
     u = uniformize(build_extension(select_f_default(t, 0), check=False))
-    seeds = solver._mirror_near_covers(u)
+    seeds = analysis._mirror_seeds(u)
     assert sorted(u.edge_labels[j] for j in seeds) == sorted(
         lab for lab in u.edge_labels if lab.startswith(("E2(", "E3(")))
     for j, gids in seeds.items():
         assert len(gids) == u.num_sides - 2 and missed_edges(u, gids) == [j]
-    assert solver._mirror_near_covers(PartiteHypergraph(u.sides, u.edges, u.edge_labels)) == {}
+    assert analysis._mirror_seeds(PartiteHypergraph(u.sides, u.edges, u.edge_labels)) == {}
     # With F_1 = F_2 the anchor edge S (built unchecked; the result is
     # not intersecting), side 1 with s_1 swapped for v_1 misses S and
     # E3(2), side 2's swap misses S and E3(1), and the other swaps miss
     # four edges, so no swap is a seed.
     f = (0, 0) + select_f_default(t, 0).f_edges[2:]
     odd = uniformize(build_extension(ConstructionSpec(t, 0, f), check=False))
-    seeds = solver._mirror_near_covers(odd)
+    seeds = analysis._mirror_seeds(odd)
     assert sorted(odd.edge_labels[j] for j in seeds) == [f"E3({i})" for i in range(1, 6)]
     for j, gids in seeds.items():
         assert missed_edges(odd, gids) == [j]

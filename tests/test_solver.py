@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ryser import solver
-from ryser.analysis import classify_extensions, minimize
+from ryser.analysis import _mirror_seeds, classify_extensions, minimize
 from ryser import hypergraph
 from ryser.construct import (
     ConstructionSpec,
@@ -62,7 +62,7 @@ from oracles import (
     enumerate_candidates_brute,
     first_cover_reference,
     intersecting_walk,
-    mirror_sets_walk,
+    mirror_misses_walk,
     reference_matching,
 )
 
@@ -1262,7 +1262,6 @@ def per_hint_cover_number(h, hint):
     lb = 1
     while not _degree_sum_fits(ranked, everything, 0, lb):
         lb += 1
-    lb = max(lb, solver._mirror_bound(h))
     budget = min(max(lb, hint) if hint is not None else lb, n)
     known_fail, best, nodes_total = lb - 1, None, 0
     while True:
@@ -1435,7 +1434,7 @@ def check_extension_chain(spec):
     for h in (u, ext):  # u first, so that its reads derive ext's data too
         assert_derived_as_plain(h)
         assert_search_as_parent(h)
-        assert list(solver._mirror_sets(h, spec)) == mirror_sets_walk(h, spec)
+        assert list(solver._mirror_misses(h)) == mirror_misses_walk(h, spec)
     # the E1 rows do not depend on whether the base has an instance
     _instance(spec.base)
     assert _build_instance(ext) == _build_instance(unlinked(ext))
@@ -1518,13 +1517,14 @@ def test_mirror_sets_match_a_walk_of_each_side(p, k):
     for spec in specs:
         ext = build_extension(spec, check=False)
         for h in (ext, uniformize(ext)):
-            assert list(solver._mirror_sets(h, spec)) == mirror_sets_walk(h, spec), spec
+            assert list(solver._mirror_misses(h)) == mirror_misses_walk(h, spec), spec
 
 
 def test_linked_spec_on_a_non_uniform_base_has_no_mirror_sets():
     # a base edge that loses a vertex off the anchor edge still meets it
     # once, so the unchecked build succeeds; its sides no longer hold a
-    # vertex of every edge, and the mirror sets are not derived
+    # vertex of every edge, and the mirror sets are not derived: no seeds
+    # and no bound, so the search is an unlinked copy's
     t = truncation(4)
     f = select_f_default(t, 0).f_edges
     i = next(i for i in range(1, t.num_edges) if i not in f)
@@ -1535,9 +1535,10 @@ def test_linked_spec_on_a_non_uniform_base_has_no_mirror_sets():
     assert [v.code for v in validate_spec(spec)] == ["base-not-uniform"]
     ext = build_extension(spec, check=False)
     for h in (ext, uniformize(ext)):
-        assert list(solver._mirror_sets(h, spec)) == []
-        assert solver._mirror_near_covers(h) == {}
-    assert solver._mirror_bound(ext) == 0
+        assert list(solver._mirror_misses(h)) == []
+        assert _mirror_seeds(h) == {}
+    got, own = cover_number(ext), cover_number(unlinked(ext))
+    assert (got.tau, got.witness, got.nodes_explored) == (own.tau, own.witness, own.nodes_explored)
 
 
 @st.composite
@@ -1648,19 +1649,23 @@ def linked_extensions(draw):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(linked_extensions(), st.booleans())
-def test_linked_extension_intersecting_and_matching_match_a_walk(drawn, matching_first):
+@given(linked_extensions(), st.booleans(), st.booleans())
+def test_linked_extension_intersecting_and_matching_match_a_walk(drawn, matching_first,
+                                                                 meets_first):
     # Once the base is known to be intersecting, the extension reads its
-    # answer from its E3 edges and builds no edge_meets unless one of
-    # them misses an edge; the answer, the first disjoint pair and the
-    # matching are those of an unlinked copy, on it and its uniformized copy.
+    # answer from its E3 edges, even when its edge_meets is read first,
+    # and builds no edge_meets unless one of them misses an edge; the
+    # answer, the first disjoint pair and the matching are those of an
+    # unlinked copy, on it and its uniformized copy.
     ext, known = drawn
     u = uniformize(ext)
     want = intersecting_walk(ext)
+    if meets_first:
+        assert ext.edge_meets == unlinked(ext).edge_meets
     nus = [matching_number(u), matching_number(ext)] if matching_first else None
     assert (is_intersecting(u), is_intersecting(ext)) == (want, want) == \
         (intersecting_walk(u), is_intersecting(unlinked(ext)))
-    assert ("edge_meets" in vars(ext)) == (not known or not want[0])
+    assert ("edge_meets" in vars(ext)) == (meets_first or not known or not want[0])
     nus = nus or [matching_number(u), matching_number(ext)]
     assert nus == [reference_matching(unlinked(u)), reference_matching(unlinked(ext))]
 
