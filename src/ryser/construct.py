@@ -248,7 +248,8 @@ def build_extension(
     anchor law when `check` is set; with `check=False` the same mask
     test runs here, so an edge that misses the anchor or meets it twice
     still raises InvalidSpecError naming the edge, worded as
-    `validate_spec` words it, and so does an anchor index out of range.
+    `validate_spec` words it, and so do an anchor index out of range, a
+    selected-edge count other than r and a selected index out of range.
     """
     base = spec.base
     r = base.num_sides
@@ -262,6 +263,13 @@ def build_extension(
         if misfits := _anchor_misfits(base, s_edge):
             detail = _anchor_meet_detail(base, s_edge, _lowest(misfits))
             raise InvalidSpecError(str(Violation("anchor-intersection", detail)))
+        if len(spec.f_edges) != r:
+            detail = f"need {r} selected edges, got {len(spec.f_edges)}"
+            raise InvalidSpecError(str(Violation("selected-count", detail)))
+        for i, fe in enumerate(spec.f_edges):
+            if not 0 <= fe < base.num_edges:
+                detail = f"F_{i+1} edge index {fe} out of range"
+                raise InvalidSpecError(str(Violation("selected-index", detail)))
     anchor = base.edges[s_edge]
     mirror = tuple(spec.mirror_vertex(i) for i in range(r))
 

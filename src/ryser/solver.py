@@ -35,19 +35,30 @@ with two picks left enters its children untested.  A refuted child
 counts as one node, so every prune, witness, enumeration and node count
 is that of a search that enters every child.
 
-A decide run first walks its first descent: from its start node, the
-first free vertex of each branch edge, excluding its `closes` mask,
-until the edges are covered or the budget is spent.  When that path
-covers, it is the run's answer, with one node per pick and one for the
-leaf, and no node ranks a vertex or tests a bound.  The search enters
-children in the same order, and its node and child tests are sound, so
-they never prune a node on a path that completes within its picks: its
-first cover would be this path, at this node count.  Otherwise the
-search runs as above, and the walk has cost at most `budget` lookups of
-a branch edge.  The paper's instances are built so that the descent
-meets a minimum cover: a truncated plane's side 0, and an extension's
-side 0 with the side-1 vertex of E3(1), each of the size that the
-degree-sum or the mirror bound proves.
+A decide run first walks its first descent, `_first_descent`: from its
+start node, the first free vertex of each branch edge, excluding its
+`closes` mask, until the edges are covered or the budget is spent.
+When that path covers, it is the run's answer, with one node per pick
+and one for the leaf, and no node ranks a vertex or tests a bound.  The
+search enters children in the same order, and its node and child tests
+are sound, so they never prune a node on a path that completes within
+its picks: its first cover would be this path, at this node count.
+Otherwise the search runs as above, and the walk has cost at most
+`budget` lookups of a branch edge.  The paper's instances are built so
+that the descent meets a minimum cover: a truncated plane's side 0, and
+an extension's side 0 with the side-1 vertex of E3(1), each of the size
+that the degree-sum or the mirror bound proves.
+
+So a decide call walks the descent from the root before any search
+instance exists, at the budget of its lower bound, on the hypergraph's
+`edge_gids` and incidence masks and the size classes and dominated mask
+of `_branching`, which `_build_instance` reuses.  A pick excludes only
+itself there, and a picked vertex meets no uncovered edge, so the walk
+needs no `closes`.  The path does not depend on the budget, so when it
+covers within the bound it is the first run's answer at any budget from
+it, and no smaller cover exists: the call keeps it, with one node per
+pick and the leaf, and builds no instance.  Otherwise it builds the
+instance and runs the budget loop, first run included.
 
 A degree-1 vertex is dominated by any other vertex of its edge: swapping
 it for that vertex leaves a cover of no greater size.  The instance
@@ -88,6 +99,8 @@ When the spec's base passes `hypergraph.truncated_plane_order` and none
 of 2r candidate sets covers the extension, tau >= r by the mirror
 argument (see `build_extension`), and the budget loop starts from that
 bound: it stops at its first r-cover instead of refuting r-1 by search.
+Then tau = r, since side j and any vertex of E3(j) cover the extension,
+so the degree-sum bound, at most tau, is not computed.
 The runs it skips are refutations, so tau, the witness and every
 enumeration are those of the full loop; only the node count drops.  A
 uniformized extension gets the bound through its source.  Each set is
@@ -276,40 +289,44 @@ def _instance(h):
 
 
 def _build_instance(h):
-    gid_lists = h.edge_gids
     inc = h.incidence_masks
-    bits = [1 << g for g in range(len(inc))]
-    entries = []
+    bits = tuple([1 << g for g in range(len(inc))])
+    entries = tuple([(mask.bit_count(), bit, mask) for bit, mask in zip(bits, inc)])
+    return _Instance(h.edge_gids, entries, *_branching(h), bits)
+
+
+def _branching(h):
+    """The size classes, in branching order, and the dominated vertex
+    mask of h's cover search, from one walk of its incidence masks."""
     # A degree-1 vertex covers only its own edge, the one bit of its
     # mask, so any other vertex of that edge does at least as well.  An
     # edge of degree-1 vertices keeps its first (edges list their
     # vertices in global order, and the vertices are walked in it).
     ones = {}  # edge index -> its degree-1 vertices
-    for g, mask in enumerate(inc):
-        d = mask.bit_count()
-        entries.append((d, bits[g], mask))
-        if d == 1:
+    for g, mask in enumerate(h.incidence_masks):
+        if mask.bit_count() == 1:
             ones.setdefault(mask.bit_length() - 1, []).append(g)
-    free = [len(gids) for gids in gid_lists]
+    free = [len(gids) for gids in h.edge_gids]
     dominated = 0
     for i, tails in ones.items():
         if len(tails) == free[i]:
             del tails[0]
         free[i] -= len(tails)
         for g in tails:
-            dominated |= bits[g]
+            dominated |= 1 << g
     classes = {}
     bit = 1
     for size in free:
         classes[size] = classes.get(size, 0) | bit
         bit <<= 1
-    return _Instance(
-        gid_lists,
-        tuple(entries),
-        tuple(classes[size] for size in sorted(classes)),
-        dominated,
-        tuple(bits),
-    )
+    return tuple(classes[size] for size in sorted(classes)), dominated
+
+
+def _degree_bound(h):
+    """The degree-sum bound of the node test at the root: the least k
+    whose k largest degrees sum to at least the edge count."""
+    degrees = sorted([mask.bit_count() for mask in h.incidence_masks], reverse=True)
+    return next(k for k, total in enumerate(accumulate(degrees), 1) if total >= h.num_edges)
 
 
 def _candidate_instance(h):
@@ -340,6 +357,37 @@ def _candidate_instance(h):
     return _Instance(tuple(gid_lists), entries, tuple(classes), 0, tuple(closes))
 
 
+def _branch_edge(size_classes, uncovered):
+    """The uncovered edge of smallest (free size, index)."""
+    for cls in size_classes:
+        branch = uncovered & cls
+        if branch:
+            return (branch & -branch).bit_length() - 1
+
+
+def _first_descent(gid_lists, size_classes, mask_of, closes, budget, node):
+    """The first path of a decide search below `node`, a (chosen,
+    uncovered edge mask, excluded vertex mask) triple: the first free
+    vertex of each branch edge, until the edges are covered or `budget`
+    vertices are chosen.  Returns the chosen vertices when they cover,
+    else None.  `mask_of(g)` is the mask of the edges through g and
+    `closes[g]` the vertices a pick of g excludes; None stands for g
+    alone, which a walk need not exclude: once picked, g meets no
+    uncovered edge."""
+    path, uncovered, excluded = node
+    while uncovered and len(path) < budget:
+        for g in gid_lists[_branch_edge(size_classes, uncovered)]:
+            if not excluded >> g & 1:
+                break
+        else:
+            return None  # a dead edge
+        path += (g,)
+        uncovered &= ~mask_of(g)
+        if closes is not None:
+            excluded |= closes[g]
+    return None if uncovered else path
+
+
 def _budget_search(inst, budget, collect, deadline, node=None, near=None):
     """Exhaustive search for covers of size <= budget below `node`, a
     (chosen, uncovered edge mask, excluded vertex mask) triple that
@@ -364,31 +412,14 @@ def _budget_search(inst, budget, collect, deadline, node=None, near=None):
     set covers every edge uncovered at `node` but j, and misses j."""
     deadline.check(force=True)
     gid_lists, incidence, size_classes, dominated, closes = inst
-
-    def branch_edge(uncovered):
-        # the uncovered edge of smallest (free size, index)
-        for cls in size_classes:
-            branch = uncovered & cls
-            if branch:
-                return (branch & -branch).bit_length() - 1
-
     if node is None:
         node = ((), (1 << len(gid_lists)) - 1, 0 if collect else dominated)
     if not collect:
-        # The first descent: the first child of every node, down to a
-        # cover or to the budget.  A cover it reaches is the run's first,
-        # one node per level plus the leaf.
-        path, uncovered, excluded = node
-        while uncovered and len(path) < budget:
-            for g in gid_lists[branch_edge(uncovered)]:
-                if not incidence[g][1] & excluded:
-                    break
-            else:
-                break  # a dead edge
-            path += (g,)
-            uncovered &= ~incidence[g][2]
-            excluded |= closes[g]
-        if not uncovered:
+        # A cover the first descent reaches is the run's first, one node
+        # per level plus the leaf.
+        path = _first_descent(gid_lists, size_classes, lambda g: incidence[g][2], closes,
+                              budget, node)
+        if path is not None:
             return path, None, len(path) - len(node[0]) + 1
     sols = [] if collect else None
     nodes = 0
@@ -406,7 +437,7 @@ def _budget_search(inst, budget, collect, deadline, node=None, near=None):
         picks = budget - len(chosen)
         if picks <= 0:
             return None
-        branch = gid_lists[branch_edge(uncovered)]
+        branch = gid_lists[_branch_edge(size_classes, uncovered)]
         if picks == 1:
             # the children are the free vertices of the branch edge
             free = [g for g in branch if not incidence[g][1] & excluded]
@@ -493,7 +524,10 @@ def cover_number(
     A decide call (no `enumerate_all`) is answered once per hypergraph:
     its result is kept on h, and every later decide call returns it at
     once, whatever its `upper_hint` or timeout, with `nodes_explored` 0.
-    The hint only sets the first budget (see the module docstring).  An
+    A first decide call walks the search's first descent at its lower
+    bound before it builds a search instance, and builds none when that
+    path covers.  The hint only sets the first budget of the loop that
+    runs otherwise (see the module docstring).  An
     enumeration call takes tau from the kept result, searching for it
     first when there is none, then runs only the budget-tau enumeration
     on h, which is not kept.  A call that times out before tau is known
@@ -515,36 +549,44 @@ def cover_number(
     deadline = _Deadline(timeout)
     nodes_total = 0
     if source._decided is None:
-        inst = _instance(source)
-        n = source.num_vertices
-        # the degree-sum bound of the node test: the least k whose k
-        # largest degrees sum to at least the edge count
-        degrees = sorted([d for d, _, _ in inst.incidence], reverse=True)
-        lb = next(k for k, total in enumerate(accumulate(degrees), 1) if total >= source.num_edges)
-        # tau >= r by the mirror argument when no mirror set covers source
+        # tau >= r by the mirror argument when no mirror set covers
+        # source, and then tau = r: side j and a vertex of E3(j) cover it.
+        # Otherwise the degree-sum bound of the node test.
         spec = source._spec
         if spec is not None and truncated_plane_order(spec.base) is not None and all(
                 side and swap for *_, side, swap in _mirror_misses(source)):
-            lb = max(lb, spec.r)
-        budget = min(max(lb, upper_hint) if upper_hint is not None else lb, n)
-        refuted = lb - 1  # sizes below lb are impossible by the bound
-        # Climb until a run finds a cover, then shrink it until a run fails
-        # or it is one more than the largest refuted budget.
-        while True:
-            first, _, nodes = _budget_search(inst, budget, False, deadline)
-            nodes_total += nodes
-            if first is not None:
-                break
-            refuted = budget
-            budget += 1
-            if budget > n:
-                raise AssertionError("no cover found over the full vertex set")
-        while len(first) > refuted + 1:
-            smaller, _, nodes = _budget_search(inst, len(first) - 1, False, deadline)
-            nodes_total += nodes
-            if smaller is None:
-                break
-            first = smaller
+            lb = spec.r
+        else:
+            lb = _degree_bound(source)
+        size_classes, dominated = _branching(source)
+        deadline.check(force=True)
+        first = _first_descent(source.edge_gids, size_classes, source.incidence_masks.__getitem__,
+                               None, lb, ((), (1 << source.num_edges) - 1, dominated))
+        if first is not None:
+            # the first run's answer at any budget from lb (see the module docstring)
+            nodes_total = lb + 1
+        else:
+            inst = _instance(source)
+            n = source.num_vertices
+            budget = min(max(lb, upper_hint) if upper_hint is not None else lb, n)
+            refuted = lb - 1  # sizes below lb are impossible by the bound
+            # Climb until a run finds a cover, then shrink it until a run
+            # fails or it is one more than the largest refuted budget.
+            while True:
+                first, _, nodes = _budget_search(inst, budget, False, deadline)
+                nodes_total += nodes
+                if first is not None:
+                    break
+                refuted = budget
+                budget += 1
+                if budget > n:
+                    raise AssertionError("no cover found over the full vertex set")
+            while len(first) > refuted + 1:
+                smaller, _, nodes = _budget_search(inst, len(first) - 1, False, deadline)
+                nodes_total += nodes
+                if smaller is None:
+                    break
+                first = smaller
         source._decided = CoverResult(len(first), tuple(map(source.vid, sorted(first))), None, 0)
     kept = source._decided
     if not enumerate_all:

@@ -215,13 +215,16 @@ def test_edgeless_input_is_refused_as_empty(args, message, tmp_path, monkeypatch
 
 
 def count_searches(monkeypatch):
-    """Lists that grow by one per `_budget_search` call, and by the
-    number of such calls inside each `verify_ryser_ratio` call that the
-    command line makes."""
+    """Lists that grow by one per `_budget_search` call and per first
+    descent (a decide call walks one before it builds a search, and a
+    decide run inside `_budget_search` one more), and by the number of
+    such calls inside each `verify_ryser_ratio` call that the command
+    line makes."""
     searches = []
-    budget_search = solver._budget_search
-    monkeypatch.setattr(solver, "_budget_search",
-                        lambda *a, **k: searches.append(1) or budget_search(*a, **k))
+    for name in ("_budget_search", "_first_descent"):
+        search = getattr(solver, name)
+        monkeypatch.setattr(solver, name,
+                            lambda *a, search=search, **k: searches.append(1) or search(*a, **k))
     ratio_searches = []
     verify = cli.verify_ryser_ratio
 

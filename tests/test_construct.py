@@ -473,7 +473,8 @@ def reference_structural_violations(spec):
 
 def reference_build_extension(spec):
     """`build_extension(spec, check=False)` lifting each E1 edge by one
-    frozenset intersection with the anchor."""
+    frozenset intersection with the anchor, and refusing a selected
+    index out of range once the E1 edges are built."""
     base = spec.base
     r = base.num_sides
     anchor = spec.anchor_vertices()
@@ -487,6 +488,9 @@ def reference_build_extension(spec):
         ((si, _),) = anchor_set.intersection(e)
         edges.append(e + (mirror[si],))
         labels.append(f"E1({idx})")
+    for i, fe in enumerate(spec.f_edges):
+        if fe not in range(base.num_edges):
+            raise InvalidSpecError(f"selected-index: F_{i+1} edge index {fe} out of range")
     seen = {}
     for i in range(r):
         f = base.edges[spec.f_edges[i]]
@@ -585,6 +589,31 @@ def test_an_edge_off_the_anchor_law_is_named(edge, k):
         assert [str(v) for v in validate_spec(spec)][:1] == [message]
         with pytest.raises(InvalidSpecError) as ei:
             build_extension(spec)
+        assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("i, fe", [(0, -1), (1, -9), (2, 9), (3, 100)])
+def test_a_selected_index_out_of_range_is_named(t4, i, fe):
+    # -1 used to select the last edge as F_1 and build a hypergraph with
+    # tau 3 < r, and 9 = m raised IndexError from `pair_edges`
+    f = list(select_f_default(t4, 0).f_edges)
+    f[i] = fe
+    spec = ConstructionSpec(t4, 0, tuple(f))
+    message = f"selected-index: F_{i + 1} edge index {fe} out of range"
+    assert [str(v) for v in validate_spec(spec)] == [message]
+    for check in (False, True):
+        with pytest.raises(InvalidSpecError) as ei:
+            build_extension(spec, check=check)
+        assert str(ei.value) == message
+
+
+@pytest.mark.parametrize("f_edges", [(0, 0, 0), (0, 0, 0, 0, 0)])
+def test_a_selected_count_other_than_r_is_named(t4, f_edges):
+    spec = ConstructionSpec(t4, 0, f_edges)
+    message = f"selected-count: need 4 selected edges, got {len(f_edges)}"
+    for check in (False, True):
+        with pytest.raises(InvalidSpecError) as ei:
+            build_extension(spec, check=check)
         assert str(ei.value) == message
 
 

@@ -748,10 +748,10 @@ def test_search_instance_built_once_per_hypergraph(monkeypatch):
     monkeypatch.setattr(solver, "_build_instance", lambda h: built.append(h) or build(h))
     ext = build_extension(select_f_default(truncate(build_plane(FiniteField(5))), 0), check=False)
     u = uniformize(ext)
-    verify_ryser_ratio(u)  # answered from ext
+    verify_ryser_ratio(u)  # answered from ext, by its first descent
     minimize(u)            # its trials search u
     cover_number(u, enumerate_all=True)
-    assert built == [ext, u]
+    assert built == [u]
 
 
 def parent_degree_sum_fits(ranked, uncovered, excluded, picks):
@@ -1209,6 +1209,69 @@ def test_mirror_bound_needs_the_plane_test_and_the_candidates():
             own = cover_number(unlinked(h), upper_hint=hint)
             assert (got.tau, got.witness, got.nodes_explored) == \
                 (own.tau, own.witness, own.nodes_explored), (h, hint)
+
+
+def budget_loop(h, hint, lb):
+    """(tau, witness, nodes explored) of a first decide call on h with
+    lower bound lb, by the budget loop alone: every run, the first
+    included, a `_budget_search` on `_instance(h)`."""
+    inst = _instance(h)
+    n = h.num_vertices
+    budget = min(max(lb, hint) if hint is not None else lb, n)
+    refuted, nodes_total = lb - 1, 0
+    while True:
+        first, _, nodes = _budget_search(inst, budget, False, _Deadline(None))
+        nodes_total += nodes
+        if first is not None:
+            break
+        refuted, budget = budget, budget + 1
+    while len(first) > refuted + 1:
+        smaller, _, nodes = _budget_search(inst, len(first) - 1, False, _Deadline(None))
+        nodes_total += nodes
+        if smaller is None:
+            break
+        first = smaller
+    return len(first), tuple(h.vid(g) for g in sorted(first)), nodes_total
+
+
+@lru_cache(maxsize=None)
+def plane(q):
+    return build_plane(FiniteField(2, 2) if q == 4 else FiniteField(q))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.sampled_from([3, 4, 5]), st.sampled_from(["default", "profile", "unchecked"]),
+       st.sampled_from([None, 0, 2]), st.data())
+def test_first_descent_answers_as_the_budget_loop(q, mode, above_r, data):
+    # A decide call walks its first descent before it builds a search
+    # instance.  On a fresh linked extension and on its base, it answers
+    # as an unlinked copy does, with the node count of a loop whose every
+    # run is a search, from the mirror bound r when it holds, else from
+    # the degree-sum bound; and it still times out at once.
+    t = truncate(plane(q), data.draw(st.integers(0, q * q + q), label="point"))
+    r, anchor = q + 1, data.draw(st.integers(0, q * q - 1), label="anchor")
+    if mode == "default":
+        spec = select_f_default(t, anchor)
+    elif mode == "profile":
+        try:
+            spec = select_f_by_profile(t, anchor, DegreeProfile(r, (1,)), strict=False)
+        except RyserError:
+            return
+    else:  # any edge as F_i, through s_i or not
+        spec = ConstructionSpec(t, anchor, tuple(data.draw(
+            st.lists(st.integers(0, q * q - 1), min_size=r, max_size=r), label="f_edges")))
+    ext = build_extension(spec, check=False)
+    mirror = all(side and swap for *_, side, swap in mirror_misses_walk(ext, spec))
+    hint = None if above_r is None else r + above_r
+    for h, lb in ((ext, max(degree_sum_bound(ext), r) if mirror else degree_sum_bound(ext)),
+                  (t, degree_sum_bound(t))):
+        with pytest.raises(SolverTimeout):
+            cover_number(h, upper_hint=hint, timeout=0)
+        assert h._decided is None and h._search is None
+        got = cover_number(h, upper_hint=hint)
+        own = cover_number(unlinked(h), upper_hint=hint)
+        assert (got.tau, got.witness) == (own.tau, own.witness)
+        assert (got.tau, got.witness, got.nodes_explored) == budget_loop(h, hint, lb)
 
 
 def test_plane_test_runs_once_per_base(monkeypatch):
