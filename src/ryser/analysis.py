@@ -11,12 +11,13 @@ cover number by at most one, and such a set cannot meet the tried
 edge, so one decide run on the input's search instance settles the
 edge; an edge for which such a set is already known needs no run.
 Such sets come from the mirror sets of a linked extension, read from
-the one pass `solver._mirror_misses` that also gives the cover search
-its tau >= r bound, and from the near misses that refuted runs scan
-(see `minimize`).  Deleting edges never raises the cover number, so an
-edge found critical stays critical: the size-(k-2) cover known when it
-was tried still covers the final hypergraph without it, and that is
-its criticality certificate.
+the one pass `solver._mirror_misses`, whose one reader this is (the
+cover search reads its tau >= r bound off the spec's `selection`), and
+from the near misses that refuted runs scan (see `minimize`).
+Deleting edges never raises the cover number, so an edge found
+critical stays critical: the size-(k-2) cover known when it was tried
+still covers the final hypergraph without it, and that is its
+criticality certificate.
 
 Addable-edge classification enumerates every covering transversal of
 the extension hypergraph with at most one fresh vertex (a candidate

@@ -18,8 +18,9 @@ Edge labels record provenance: "E1(<base edge index>)", "E2(<i,...>)",
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb, isfinite, isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     BadEdgeSizeError,
@@ -30,6 +31,14 @@ from .errors import (
 )
 from .hypergraph import PartiteHypergraph, is_intersecting, truncated_plane_order
 from .solver import DEFAULT_TIMEOUT, cover_number
+
+
+class Selection(NamedTuple):
+    """The selected edges of a spec read side by side (see
+    `ConstructionSpec.selection`)."""
+    rests: tuple     # per side j, the mask of the base's global ids of F_j - s_j
+    holds: tuple     # per side j, whether F_j holds s_j
+    disjoint: tuple  # the pairs (i, j), i < j, whose F - s masks are disjoint
 
 
 @dataclass(frozen=True)
@@ -49,6 +58,36 @@ class ConstructionSpec:
     def anchor_vertices(self):
         """Anchor vertices ordered by side: element i lies in side i."""
         return self.base.edges[self.s_edge]
+
+    @cached_property
+    def selection(self) -> Selection:
+        """Per side j of an r-uniform base, the mask of F_j - s_j in the
+        base's global ids and whether F_j holds s_j, which is slot j of
+        F_j, the side-j vertex of an r-uniform edge; then the pairs of
+        sides whose masks are disjoint.  The sides stop before the first
+        selected index out of range, which only `validate_spec` meets:
+        `build_extension` links no such spec.  Read on first use and
+        kept on the spec, in O(r^2) operations on the rows of the anchor
+        and of the F edges; `validate_spec`, `cover_number`,
+        `is_intersecting` and `solver._mirror_misses` read it."""
+        rows, m = self.base.edge_gids, self.base.num_edges
+        anchor = rows[self.s_edge]
+        rests = []
+        holds = []
+        for j, fe in enumerate(self.f_edges):
+            if not 0 <= fe < m:
+                break
+            row = rows[fe]
+            rest = sum([1 << g for g in row])
+            held = row[j] == anchor[j]
+            if held:
+                rest ^= 1 << row[j]
+            rests.append(rest)
+            holds.append(held)
+        n = len(rests)
+        disjoint = tuple([(i, j) for i in range(n) for j in range(i + 1, n)
+                          if not rests[i] & rests[j]])
+        return Selection(tuple(rests), tuple(holds), disjoint)
 
     def mirror_vertex(self, side: int):
         """Mirror vertex v_{side+1}, placed in the new final side."""
@@ -125,7 +164,8 @@ def validate_spec(
     anchor vertices' incidence masks, O(r) mask operations once the
     base's `incidence_masks` are cached (`select_f_*` caches them), and
     counts the shared vertices only of the edges it flags.  The
-    selected-overlap test ANDs r vertex masks of F_i - s_i.
+    anchor-in-selected and selected-overlap tests read the spec's
+    `selection`, which keeps them for the solver and `is_intersecting`.
 
     The last part, cover uniqueness (the base minus the anchor edge has
     cover number r-1 and its only minimum covers are the sides), is
@@ -159,27 +199,20 @@ def validate_spec(
     if len(spec.f_edges) != r:
         out.append(Violation("selected-count", f"need {r} selected edges, got {len(spec.f_edges)}"))
         return out
-    anchor = spec.anchor_vertices()
-    rests = []  # per side i, the vertex mask of F_i - s_i
-    for i, fe in enumerate(spec.f_edges):
-        if not 0 <= fe < base.num_edges:
-            out.append(Violation("selected-index", f"F_{i+1} edge index {fe} out of range"))
-            return out
-        fmask = sum([1 << g for g in base.edge_gids[fe]])
-        sbit = 1 << base.gid(anchor[i])
-        rests.append(fmask & ~sbit)
-        if not fmask & sbit:
-            out.append(Violation(
-                "anchor-in-selected",
-                f"F_{i+1} (edge {fe}) does not contain the side-{i} anchor vertex",
-            ))
-    for i in range(r):
-        for j in range(i + 1, r):
-            if not rests[i] & rests[j]:
-                out.append(Violation(
-                    "selected-overlap",
-                    f"(F_{i+1} - s_{i+1}) and (F_{j+1} - s_{j+1}) are disjoint",
-                ))
+    sel = spec.selection
+    out += [Violation(
+        "anchor-in-selected",
+        f"F_{i+1} (edge {spec.f_edges[i]}) does not contain the side-{i} anchor vertex",
+    ) for i, held in enumerate(sel.holds) if not held]
+    if len(sel.holds) < r:
+        i = len(sel.holds)
+        detail = f"F_{i+1} edge index {spec.f_edges[i]} out of range"
+        out.append(Violation("selected-index", detail))
+        return out
+    out += [Violation(
+        "selected-overlap",
+        f"(F_{i+1} - s_{i+1}) and (F_{j+1} - s_{j+1}) are disjoint",
+    ) for i, j in sel.disjoint]
     if out or not check_cover_uniqueness:
         return out
     if jobs < 1:
@@ -238,10 +271,12 @@ def build_extension(
     vertices, with each mirror vertex v_i replaced by its anchor vertex
     s_i, covers the base minus the anchor edge with at most r-1 = tau
     vertices, so it is a whole side j; C is then side j or side j with
-    s_j swapped for v_j.  Nothing is tested here; copies made by
-    `without_edge` or `with_edge`, and hypergraphs read from files,
-    carry no spec.  `check` runs `validate_spec` first; perfbench/
-    alone turns its cover part off.
+    s_j swapped for v_j.  None of them covers exactly when every F_j
+    holds s_j, which the spec's `selection` says, so `cover_number` and
+    `is_intersecting` answer from the spec alone (see each).  Nothing
+    is tested here; copies made by `without_edge` or `with_edge`, and
+    hypergraphs read from files, carry no spec.  `check` runs
+    `validate_spec` first; perfbench/ alone turns its cover part off.
 
     E1 lifting walks the bits of each anchor vertex's incidence mask
     less the anchor edge: O(m) in all.  `validate_spec` tests the

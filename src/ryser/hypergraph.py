@@ -18,9 +18,11 @@ from its base's and walks only its E2 and E3 edges.  A uniformized copy
 (`_source` set) reads its source's `edge_meets` and its answer of
 `is_intersecting`.  `edge_meets` is built on its first read, which
 `is_intersecting` makes on most hypergraphs; an extension whose base is
-known to be intersecting answers it from its r E3 edges instead, whether
-or not its `edge_meets` is built, so builds it only when that test fails
-or something else reads it.
+known to be intersecting answers it instead, whether or not its
+`edge_meets` is built: on a plane base from its spec's `selection`
+alone, building none of its rows or masks, when that proves it
+intersecting, and otherwise from its r E3 edges.  So it builds
+`edge_meets` only when that test fails or something else reads it.
 
 The constructor validates partiteness, duplicate-freeness and the
 edge-size profile (all one size, or two consecutive sizes).  Builders
@@ -239,13 +241,30 @@ class PartiteHypergraph:
     @cached_property
     def _intersecting(self):
         """`is_intersecting`'s answer.  A uniformized copy takes its
-        source's: its tails are private and it keeps edge order.  An
-        extension whose base is known to be intersecting tests its last r
-        edges, the E3 edges, alone, whether or not its `edge_meets` is
-        built: every other edge is a base edge, with or without a mirror
-        vertex, so any two of them share a base vertex.  When an E3 edge
-        misses some edge, the walk of `edge_meets` below names the first
-        disjoint pair."""
+        source's: its tails are private and it keeps edge order.
+
+        An extension whose base is known to be intersecting reads its
+        spec's `selection` first, and answers (True, None) from it alone,
+        reading none of its rows or masks, when the base passes
+        `truncated_plane_order`, every F_j holds s_j, and no two sets
+        F_i - s_i are disjoint (`validate_spec`'s selected-overlap test).
+        Proof: two edges of a plane share exactly one vertex, and every
+        edge but the anchor S meets S once.  E1 and E2 edges hold base
+        edges, so any two of them meet.  An E1 edge E + v_i meets E3(j),
+        F_j - s_j + v_j, in v_j when i = j; otherwise E meets S only in
+        s_i, so s_j is not on E, and E meets F_j in F_j - s_j: in its
+        one vertex shared with F_j, or in all of F_j - s_j when E is F_j.
+        E3(j) holds F_j - s_j, which lies in F_j and meets every
+        F_i - s_i, i != j, by the overlap test, so it meets every E2 edge
+        F_i and every E3(i).  (The proof does not need F_j to hold s_j;
+        the test asks it so that it answers the specs `cover_number`
+        answers from `selection`, those of valid constructions.)
+
+        Otherwise it tests its last r edges, the E3 edges, alone, whether
+        or not its `edge_meets` is built: every other edge is a base
+        edge, with or without a mirror vertex, so any two of them share
+        a base vertex.  When an E3 edge misses some edge, the walk of
+        `edge_meets` below names the first disjoint pair."""
         if not self.edges:
             raise EmptyHypergraphError("intersecting is undefined without edges")
         if self._source is not None:
@@ -253,6 +272,10 @@ class PartiteHypergraph:
         full = (1 << len(self.edges)) - 1
         spec = self._spec
         if spec is not None and vars(spec.base).get("_intersecting", (False,))[0]:
+            if spec.base._plane_order is not None:
+                sel = spec.selection
+                if all(sel.holds) and not sel.disjoint:
+                    return True, None
             inc = self.incidence_masks
             for row in self.edge_gids[-spec.r:]:
                 meet = 0

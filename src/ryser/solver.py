@@ -52,13 +52,15 @@ that the degree-sum or the mirror bound proves.
 So a decide call walks the descent from the root before any search
 instance exists, at the budget of its lower bound, on the hypergraph's
 `edge_gids` and incidence masks and the size classes and dominated mask
-of `_branching`, which `_build_instance` reuses.  A pick excludes only
-itself there, and a picked vertex meets no uncovered edge, so the walk
-needs no `closes`.  The path does not depend on the budget, so when it
-covers within the bound it is the first run's answer at any budget from
-it, and no smaller cover exists: the call keeps it, with one node per
-pick and the leaf, and builds no instance.  Otherwise it builds the
-instance and runs the budget loop, first run included.
+of `_branching`, which the call hands to `_build_instance` when the
+descent does not cover, so they are computed once.  A pick excludes
+only itself there, and a picked vertex meets no uncovered edge, so the
+walk needs no `closes`.  The path does not depend on the budget, so
+when it covers within the bound it is the first run's answer at any
+budget from it, and no smaller cover exists: the call keeps it, with
+one node per pick and the leaf, and builds no instance.  Otherwise it
+builds the instance and runs the budget loop, first run included.  A
+linked plane extension's call walks neither: its path is known (below).
 
 A degree-1 vertex is dominated by any other vertex of its edge: swapping
 it for that vertex leaves a cover of no greater size.  The instance
@@ -96,22 +98,30 @@ masks, builds from its base's (see `hypergraph`).
 
 An extension that `construct.build_extension` made records its spec.
 When the spec's base passes `hypergraph.truncated_plane_order` and none
-of 2r candidate sets covers the extension, tau >= r by the mirror
-argument (see `build_extension`), and the budget loop starts from that
-bound: it stops at its first r-cover instead of refuting r-1 by search.
-Then tau = r, since side j and any vertex of E3(j) cover the extension,
-so the degree-sum bound, at most tau, is not computed.
-The runs it skips are refutations, so tau, the witness and every
-enumeration are those of the full loop; only the node count drops.  A
-uniformized extension gets the bound through its source.  Each set is
-side j of the base, or side j with s_j swapped for v_j.  One pass,
-`_mirror_misses`, yields each set with the mask of the edges it
-misses, read from the E3(j) bit and the masks of s_j and v_j: on an
-r-uniform base every edge of the extension holds one old side-j
-vertex, except E3(j) when F_j holds s_j.  It has two readers: this
-bound, which holds when every mask is nonzero, and `minimize`'s first
-near-covers (below).  A spec whose base is not r-uniform has no mirror
-sets.
+of 2r mirror sets covers the extension, tau >= r by the mirror argument
+(see `build_extension`).  Each set is side j of the base, or side j
+with s_j swapped for v_j.  On an r-uniform base every edge of the
+extension holds one old side-j vertex, except E3(j) when F_j holds s_j,
+so side j misses E3(j) exactly when F_j holds s_j, and then the swapped
+set misses the E2 edge F_j, which holds s_j and not v_j: no mirror set
+covers exactly when every F_j holds s_j, which the spec's `selection`
+says in O(r^2) operations on spec data.  Then tau = r, since side j
+and any vertex of E3(j) cover the extension, and the decide call's
+answer is the first descent's path, known without walking it: with
+q >= 3 no vertex has degree 1, so the root excludes nothing; the size-r
+edges, E2 and E3, come before the size-(r+1) E1 edges; and every edge
+lists a side-0 vertex first except E3(1), which lists F_1's side-1
+vertex x.  So every pick is in side 0 plus x, a set of r vertices that
+covers, and since tau >= r the path is exactly that set, in r + 1
+nodes.  The call keeps it and reads none of the extension's rows or
+masks; tau, the witness and the node count are those of the descent,
+and every enumeration that of the full loop.  A uniformized extension
+is answered through its source.  Any other linked extension, one with
+an F_j that misses s_j or a base that is no plane, is searched as an
+unlinked copy is.  `_mirror_misses` yields each mirror set with the
+mask of the edges it misses, read from `selection` and the masks of
+s_j and v_j; its one reader is `minimize`'s first near-covers (below).
+A spec whose base is not r-uniform has no mirror sets.
 
 A branch child also excludes its vertex's `closes` mask, in a cover
 instance the vertex alone.  The candidate edges of a hypergraph with k
@@ -135,8 +145,9 @@ the root takes edge 0, then refutes each later edge but the last as
 one node, so nu = 1 with witness (0,) in max(m, 2) nodes.  That test
 reads the input's cached `is_intersecting` answer before any
 disjoint-edge mask is built, so an extension whose base is known to be
-intersecting answers it from its r E3 edges and builds no `edge_meets`
-(see `hypergraph`); only an input that is not intersecting builds them.
+intersecting answers it from its spec's `selection` on a plane base, or
+else from its r E3 edges, and builds no `edge_meets` (see `hypergraph`);
+only an input that is not intersecting builds them.
 
 `cover_without_edge` decides whether deleting one edge lowers the
 cover number with one decide run on the hypergraph's instance, from a
@@ -281,18 +292,19 @@ class _Instance(NamedTuple):
     closes: tuple        # per global id, the mask of the vertices a pick of it excludes
 
 
-def _instance(h):
-    """The cover search instance of h, built on first use and kept on h."""
+def _instance(h, branching=None):
+    """The cover search instance of h, built on first use and kept on h,
+    from `branching`, h's `_branching`, when the caller holds it."""
     if h._search is None:
-        h._search = _build_instance(h)
+        h._search = _build_instance(h, branching)
     return h._search
 
 
-def _build_instance(h):
+def _build_instance(h, branching=None):
     inc = h.incidence_masks
     bits = tuple([1 << g for g in range(len(inc))])
     entries = tuple([(mask.bit_count(), bit, mask) for bit, mask in zip(bits, inc)])
-    return _Instance(h.edge_gids, entries, *_branching(h), bits)
+    return _Instance(h.edge_gids, entries, *(branching or _branching(h)), bits)
 
 
 def _branching(h):
@@ -491,21 +503,21 @@ def _mirror_misses(h):
     them.
 
     No set's masks are ORed.  Every edge of h holds exactly one old
-    side-j vertex, except E3(j), the edge m - r + j, when F_j holds s_j:
-    an E1 or E2 edge holds a base edge, and F_i - s_i + v_i loses only
-    its side-i vertex.  So side j misses that E3(j) alone, or nothing,
-    and the swapped set, as E3(j) holds v_j, the edges through s_j that
-    v_j is not on."""
+    side-j vertex, except E3(j), the edge m - r + j, when F_j holds s_j,
+    as the spec's `selection` says: an E1 or E2 edge holds a base edge,
+    and F_i - s_i + v_i loses only its side-i vertex.  So side j misses
+    that E3(j) alone, or nothing, and the swapped set, as E3(j) holds
+    v_j, the edges through s_j that v_j is not on."""
     spec = (h._source or h)._spec
     if spec is None or spec.base.uniformity != spec.r:
         return
     r, inc, off, m = spec.r, h.incidence_masks, h.offsets, h.num_edges
-    edges, f_edges, sides = spec.base.edges, spec.f_edges, spec.base.sides
-    for j, s in enumerate(spec.anchor_vertices()):  # s = (j, pos)
-        anchor = h.gid(s)
+    sides = spec.base.sides
+    for j, ((_, pos), held) in enumerate(zip(spec.anchor_vertices(), spec.selection.holds)):
+        anchor = off[j] + pos  # s_j = (j, pos)
         mirror = off[r] + j  # v_j, `spec.mirror_vertex(j)`, is vertex j of the final side
         yield (range(off[j], off[j] + len(sides[j])), anchor, mirror,
-               1 << (m - r + j) if s in edges[f_edges[j]] else 0, inc[anchor] & ~inc[mirror])
+               1 << (m - r + j) if held else 0, inc[anchor] & ~inc[mirror])
 
 
 def cover_number(
@@ -537,10 +549,16 @@ def cover_number(
     search would be the source's, since the tails it adds are dominated.
 
     On an extension that `build_extension` linked to its spec, or a
-    uniformized one, the budget loop starts at the lower bound r of the
-    mirror argument, tested here on `_mirror_misses` rather than at build
-    time.  It skips only refutations, so tau, the witness and the
-    enumeration are those of an unlinked copy; `nodes_explored` drops."""
+    uniformized one, whose base passes `truncated_plane_order` and whose
+    every F_j holds s_j (the spec's `selection`), the first decide call
+    reads tau = r, the witness side 0 plus F_1's side-1 vertex and
+    `nodes_explored` r + 1 off the spec, after its timeout check: the
+    first descent's answer at the mirror bound (see the module
+    docstring), with no `_branching`, no descent and none of h's rows or
+    masks.  tau and the witness are those of an unlinked copy, whose
+    search refutes r - 1 first; every other input is searched as
+    described above.  This call reads no mirror set: `_mirror_misses` has
+    one reader, `minimize`."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if h.num_edges == 0:
@@ -549,24 +567,28 @@ def cover_number(
     deadline = _Deadline(timeout)
     nodes_total = 0
     if source._decided is None:
-        # tau >= r by the mirror argument when no mirror set covers
-        # source, and then tau = r: side j and a vertex of E3(j) cover it.
-        # Otherwise the degree-sum bound of the node test.
+        deadline.check(force=True)
         spec = source._spec
         if spec is not None and truncated_plane_order(spec.base) is not None and all(
-                side and swap for *_, side, swap in _mirror_misses(source)):
+                spec.selection.holds):
+            # tau = r by the mirror argument, and the descent's path is
+            # side 0 with the side-1 vertex of E3(1), F_1 - s_1 + v_1,
+            # known without walking it (see the module docstring)
             lb = spec.r
+            first = (*range(len(source.sides[0])),
+                     source.offsets[1] + spec.base.edges[spec.f_edges[0]][1][1])
         else:
+            # the degree-sum bound of the node test
             lb = _degree_bound(source)
-        size_classes, dominated = _branching(source)
-        deadline.check(force=True)
-        first = _first_descent(source.edge_gids, size_classes, source.incidence_masks.__getitem__,
-                               None, lb, ((), (1 << source.num_edges) - 1, dominated))
+            size_classes, dominated = branching = _branching(source)
+            first = _first_descent(source.edge_gids, size_classes,
+                                   source.incidence_masks.__getitem__, None, lb,
+                                   ((), (1 << source.num_edges) - 1, dominated))
         if first is not None:
             # the first run's answer at any budget from lb (see the module docstring)
             nodes_total = lb + 1
         else:
-            inst = _instance(source)
+            inst = _instance(source, branching)
             n = source.num_vertices
             budget = min(max(lb, upper_hint) if upper_hint is not None else lb, n)
             refuted = lb - 1  # sizes below lb are impossible by the bound

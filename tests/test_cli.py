@@ -217,9 +217,10 @@ def test_edgeless_input_is_refused_as_empty(args, message, tmp_path, monkeypatch
 def count_searches(monkeypatch):
     """Lists that grow by one per `_budget_search` call and per first
     descent (a decide call walks one before it builds a search, and a
-    decide run inside `_budget_search` one more), and by the number of
-    such calls inside each `verify_ryser_ratio` call that the command
-    line makes."""
+    decide run inside `_budget_search` one more; a decide call on a
+    linked plane extension, read off its spec, walks none), and by the
+    number of such calls inside each `verify_ryser_ratio` call that the
+    command line makes."""
     searches = []
     for name in ("_budget_search", "_first_descent"):
         search = getattr(solver, name)

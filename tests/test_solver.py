@@ -745,7 +745,7 @@ def test_one_enumeration_matches_r_plus_two(q, mode):
 def test_search_instance_built_once_per_hypergraph(monkeypatch):
     built = []
     build = solver._build_instance
-    monkeypatch.setattr(solver, "_build_instance", lambda h: built.append(h) or build(h))
+    monkeypatch.setattr(solver, "_build_instance", lambda h, *_: built.append(h) or build(h))
     ext = build_extension(select_f_default(truncate(build_plane(FiniteField(5))), 0), check=False)
     u = uniformize(ext)
     verify_ryser_ratio(u)  # answered from ext, by its first descent
@@ -999,12 +999,17 @@ def test_anchor_zero_search_totals(q, classify_nodes, trial_nodes):
     assert sum(e.cert.nodes_explored for e in trace.deleted + trace.kept) == trial_nodes
 
 
-def test_pg25_anchor_chain_totals():
+def test_pg25_anchor_chain_totals(monkeypatch):
     # The PG(2,5) chain of every anchor: 181 decide nodes in 51 calls
     # (the uniformized extensions' calls are answered from their sources)
     # and 900 matching nodes.
     t = truncate(build_plane(FiniteField(5)))
     results = [cover_number(t, upper_hint=5)]
+    searched = []
+    for name in ("_branching", "_first_descent"):
+        run = getattr(solver, name)
+        monkeypatch.setattr(solver, name,
+                            lambda *args, name=name, run=run: searched.append(name) or run(*args))
     matching = 0
     for anchor in range(25):
         ext = build_extension(select_f_default(t, anchor), check=False)
@@ -1013,6 +1018,11 @@ def test_pg25_anchor_chain_totals():
         matching += matching_number(u).nodes_explored
         # nu = 1 is read from the E3 edges: no edge_meets is built
         assert not {"edge_meets"} & (vars(ext).keys() | vars(u).keys())
+        # tau and nu are read off the spec: no rows, masks or search
+        assert not {"edge_gids", "incidence_masks", "edge_meets"} & (vars(ext).keys()
+                                                                     | vars(u).keys())
+        assert ext._search is None
+    assert searched == []
     assert (len(results), sum(r.nodes_explored for r in results)) == (51, 181)
     assert matching == 900
 
@@ -1103,9 +1113,10 @@ def e3_side_one_vertex(ext):
 
 
 def test_extensions_are_answered_by_the_first_descent(monkeypatch):
-    # Side 0 and the side-1 vertex of E3(1) cover the extension with r
-    # vertices, the mirror bound: r + 1 nodes and no ranking, at every
-    # anchor of PG(2,5) and for a strict profile at q=16.
+    # The first descent's path, side 0 and the side-1 vertex of E3(1),
+    # covers the extension with r vertices, the mirror bound: it is read
+    # off the spec with the descent's r + 1 nodes and no ranking, at
+    # every anchor of PG(2,5) and for a strict profile at q=16.
     t5 = truncate(build_plane(FiniteField(5)))
     specs = [select_f_default(t5, anchor) for anchor in range(25)]
     t16 = truncate(build_plane(FiniteField(2, 4)))
@@ -1731,6 +1742,31 @@ def test_linked_extension_intersecting_and_matching_match_a_walk(drawn, matching
     assert ("edge_meets" in vars(ext)) == (meets_first or not known or not want[0])
     nus = nus or [matching_number(u), matching_number(ext)]
     assert nus == [reference_matching(unlinked(u)), reference_matching(unlinked(ext))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(linked_extensions())
+def test_spec_selection_answers_tau_and_intersecting(drawn):
+    # The spec's selection holds s_j in every F_j exactly when no mirror
+    # set covers; with a plane base that gives tau = r, and with no two
+    # F_i - s_i disjoint the extension is intersecting.  cover_number
+    # reads tau and the witness off the spec as an unlinked copy's
+    # search finds them, after the same timeout check.
+    ext, _ = drawn
+    spec = ext._spec
+    sel = spec.selection
+    walk = mirror_misses_walk(ext, spec)
+    assert all(sel.holds) == all(side and swap for *_, side, swap in walk)
+    plane = truncated_plane_order(spec.base) is not None
+    if plane and all(sel.holds) and not sel.disjoint:
+        assert intersecting_walk(ext) == (True, None)
+    with pytest.raises(SolverTimeout):
+        cover_number(ext, timeout=0)
+    for h in (ext, uniformize(build_extension(spec, check=False))):
+        got, own = cover_number(h), cover_number(unlinked(h))
+        assert (got.tau, got.witness) == (own.tau, own.witness)
+        if plane and all(sel.holds):
+            assert (got.tau, got.nodes_explored) == (spec.r, spec.r + 1)
 
 
 def test_extension_of_a_base_with_disjoint_edges_names_the_first_pair():
