@@ -15,14 +15,13 @@ the constructor, from the edge sizes it checks.  An extension (`_spec`
 set) keeps its base's E1 edges in order less the anchor edge, each with
 one mirror vertex, so it builds its `edge_gids` and `incidence_masks`
 from its base's and walks only its E2 and E3 edges.  A uniformized copy
-(`_source` set) reads its source's `edge_meets` and its answer of
-`is_intersecting`.  `edge_meets` is built on its first read, which
-`is_intersecting` makes on most hypergraphs; an extension whose base is
-known to be intersecting answers it instead, whether or not its
-`edge_meets` is built: on a plane base from its spec's `selection`
-alone, building none of its rows or masks, when that proves it
-intersecting, and otherwise from its r E3 edges.  So it builds
-`edge_meets` only when that test fails or something else reads it.
+(`_source` set) reads its source's answer of `is_intersecting`.
+`edge_meets` is built on its first read, which `is_intersecting` makes
+on most hypergraphs; an extension of a plane base known to be
+intersecting answers it from its spec's `selection` alone, building
+none of its rows or masks, when that proves it intersecting.  So it
+builds `edge_meets` only when that test does not answer or something
+else reads it.
 
 The constructor validates partiteness, duplicate-freeness and the
 edge-size profile (all one size, or two consecutive sizes).  Builders
@@ -221,14 +220,7 @@ class PartiteHypergraph:
     def edge_meets(self):
         """Per edge, the mask of the edges that share a vertex with it,
         itself included: the OR of its vertices' incidence masks, built
-        on first read.  A uniformized copy reads its source's, which are
-        equal, since its tails are private and it keeps edge order, so it
-        walks none of its own edges for them.  `is_intersecting` and
-        `matching_number` on an extension whose base is known to be
-        intersecting read it only when an E3 edge misses an edge, whether
-        or not it is built."""
-        if self._source is not None:
-            return self._source.edge_meets
+        on first read."""
         inc = self.incidence_masks
         out = []
         for row in self.edge_gids:
@@ -243,48 +235,36 @@ class PartiteHypergraph:
         """`is_intersecting`'s answer.  A uniformized copy takes its
         source's: its tails are private and it keeps edge order.
 
-        An extension whose base is known to be intersecting reads its
-        spec's `selection` first, and answers (True, None) from it alone,
-        reading none of its rows or masks, when the base passes
-        `truncated_plane_order`, every F_j holds s_j, and no two sets
-        F_i - s_i are disjoint (`validate_spec`'s selected-overlap test).
-        Proof: two edges of a plane share exactly one vertex, and every
-        edge but the anchor S meets S once.  E1 and E2 edges hold base
-        edges, so any two of them meet.  An E1 edge E + v_i meets E3(j),
-        F_j - s_j + v_j, in v_j when i = j; otherwise E meets S only in
-        s_i, so s_j is not on E, and E meets F_j in F_j - s_j: in its
-        one vertex shared with F_j, or in all of F_j - s_j when E is F_j.
-        E3(j) holds F_j - s_j, which lies in F_j and meets every
-        F_i - s_i, i != j, by the overlap test, so it meets every E2 edge
-        F_i and every E3(i).  (The proof does not need F_j to hold s_j;
-        the test asks it so that it answers the specs `cover_number`
-        answers from `selection`, those of valid constructions.)
+        An extension whose base is known to be intersecting and passes
+        `truncated_plane_order` answers (True, None) from its spec's
+        `selection` alone, reading none of its rows or masks, when every
+        F_j holds s_j and no two sets F_i - s_i are disjoint
+        (`validate_spec`'s selected-overlap test).  Proof: two edges of a
+        plane share exactly one vertex, and every edge but the anchor S
+        meets S once.  E1 and E2 edges hold base edges, so any two of
+        them meet.  An E1 edge E + v_i meets E3(j), F_j - s_j + v_j, in
+        v_j when i = j; otherwise E meets S only in s_i, so s_j is not on
+        E, and E meets F_j in F_j - s_j: in its one vertex shared with
+        F_j, or in all of F_j - s_j when E is F_j.  E3(j) holds F_j - s_j,
+        which lies in F_j and meets every F_i - s_i, i != j, by the
+        overlap test, so it meets every E2 edge F_i and every E3(i).
+        (The proof does not need F_j to hold s_j; the test asks it so
+        that it answers the specs `cover_number` answers from
+        `selection`, those of valid constructions.)
 
-        Otherwise it tests its last r edges, the E3 edges, alone, whether
-        or not its `edge_meets` is built: every other edge is a base
-        edge, with or without a mirror vertex, so any two of them share
-        a base vertex.  When an E3 edge misses some edge, the walk of
-        `edge_meets` below names the first disjoint pair."""
+        Every other input walks its `edge_meets`, which names the first
+        disjoint pair."""
         if not self.edges:
             raise EmptyHypergraphError("intersecting is undefined without edges")
         if self._source is not None:
             return self._source._intersecting
-        full = (1 << len(self.edges)) - 1
         spec = self._spec
-        if spec is not None and vars(spec.base).get("_intersecting", (False,))[0]:
-            if spec.base._plane_order is not None:
-                sel = spec.selection
-                if all(sel.holds) and not sel.disjoint:
-                    return True, None
-            inc = self.incidence_masks
-            for row in self.edge_gids[-spec.r:]:
-                meet = 0
-                for g in row:
-                    meet |= inc[g]
-                if meet != full:
-                    break
-            else:
+        if (spec is not None and vars(spec.base).get("_intersecting", (False,))[0]
+                and spec.base._plane_order is not None):
+            sel = spec.selection
+            if all(sel.holds) and not sel.disjoint:
                 return True, None
+        full = (1 << len(self.edges)) - 1
         for i, meet in enumerate(self.edge_meets):
             missed = (full ^ meet) >> (i + 1)
             if missed:
@@ -372,11 +352,11 @@ def is_intersecting(h: PartiteHypergraph):
     Each edge's `edge_meets` mask, the OR of its vertices' incident-edge
     masks, names the edges it meets, so the cost is O(m*r) mask
     operations rather than m^2/2 pair tests, building `edge_meets`.  An
-    extension whose base is known to be intersecting ORs the masks of its
-    r E3 edges only, O(r^2), even when its `edge_meets` is built, and
-    builds or reads `edge_meets` only when one of them misses an edge; a
-    uniformized copy returns its source's answer.  The answer is a cached
-    property of the hypergraph, so later calls return it at once."""
+    extension of a plane base known to be intersecting answers from its
+    spec's `selection` when that proves it intersecting, in O(r^2)
+    operations on spec data (see `_intersecting`); a uniformized copy
+    returns its source's answer.  The answer is a cached property of the
+    hypergraph, so later calls return it at once."""
     return h._intersecting
 
 

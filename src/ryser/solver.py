@@ -47,20 +47,8 @@ Otherwise the search runs as above, and the walk has cost at most
 `budget` lookups of a branch edge.  The paper's instances are built so
 that the descent meets a minimum cover: a truncated plane's side 0, and
 an extension's side 0 with the side-1 vertex of E3(1), each of the size
-that the degree-sum or the mirror bound proves.
-
-So a decide call walks the descent from the root before any search
-instance exists, at the budget of its lower bound, on the hypergraph's
-`edge_gids` and incidence masks and the size classes and dominated mask
-of `_branching`, which the call hands to `_build_instance` when the
-descent does not cover, so they are computed once.  A pick excludes
-only itself there, and a picked vertex meets no uncovered edge, so the
-walk needs no `closes`.  The path does not depend on the budget, so
-when it covers within the bound it is the first run's answer at any
-budget from it, and no smaller cover exists: the call keeps it, with
-one node per pick and the leaf, and builds no instance.  Otherwise it
-builds the instance and runs the budget loop, first run included.  A
-linked plane extension's call walks neither: its path is known (below).
+that the degree-sum or the mirror bound proves.  `cover_number` reads
+those paths off the plane test without walking them (below).
 
 A degree-1 vertex is dominated by any other vertex of its edge: swapping
 it for that vertex leaves a cover of no greater size.  The instance
@@ -96,32 +84,52 @@ whose incidence masks come from a walk of the copy's own edges.
 the hypergraph's `edge_gids`, which an extension, like its incidence
 masks, builds from its base's (see `hypergraph`).
 
-An extension that `construct.build_extension` made records its spec.
-When the spec's base passes `hypergraph.truncated_plane_order` and none
-of 2r mirror sets covers the extension, tau >= r by the mirror argument
-(see `build_extension`).  Each set is side j of the base, or side j
-with s_j swapped for v_j.  On an r-uniform base every edge of the
-extension holds one old side-j vertex, except E3(j) when F_j holds s_j,
-so side j misses E3(j) exactly when F_j holds s_j, and then the swapped
-set misses the E2 edge F_j, which holds s_j and not v_j: no mirror set
-covers exactly when every F_j holds s_j, which the spec's `selection`
-says in O(r^2) operations on spec data.  Then tau = r, since side j
-and any vertex of E3(j) cover the extension, and the decide call's
-answer is the first descent's path, known without walking it: with
-q >= 3 no vertex has degree 1, so the root excludes nothing; the size-r
-edges, E2 and E3, come before the size-(r+1) E1 edges; and every edge
-lists a side-0 vertex first except E3(1), which lists F_1's side-1
-vertex x.  So every pick is in side 0 plus x, a set of r vertices that
-covers, and since tau >= r the path is exactly that set, in r + 1
-nodes.  The call keeps it and reads none of the extension's rows or
-masks; tau, the witness and the node count are those of the descent,
-and every enumeration that of the full loop.  A uniformized extension
-is answered through its source.  Any other linked extension, one with
-an F_j that misses s_j or a base that is no plane, is searched as an
-unlinked copy is.  `_mirror_misses` yields each mirror set with the
-mask of the edges it misses, read from `selection` and the masks of
-s_j and v_j; its one reader is `minimize`'s first near-covers (below).
-A spec whose base is not r-uniform has no mirror sets.
+A first decide call answers without a search when its input passes
+`hypergraph.truncated_plane_order`, or is an extension that
+`construct.build_extension` made, which records its spec, whose base
+passes it and whose every F_j holds s_j.  The answer is the first
+descent's path, known without walking it, with one node per pick and
+one for the leaf; the call keeps it and builds no search instance.
+
+On an input that passes the test, of order q, every side has q
+vertices, every edge r = q + 1, one per side, and every vertex degree
+q, in q^2 edges (see `truncated_plane_order`).  As q >= 3, no vertex
+has degree 1, so none is dominated.  Every edge has size r, so the
+branch edge is always the lowest-index uncovered edge.  Each edge lists
+its side-0 vertex first, and while every pick is in side 0 that vertex
+is free exactly while the edge is uncovered.  So each pick is a side-0
+vertex not picked before, and after q picks the path is side 0, which
+covers.  The degree-sum bound is q, as q^2 edges have degree q each,
+so tau = q, found in q + 1 nodes at any budget from q: the budget
+loop's first run.
+
+On an extension whose base passes the test, tau >= r when none of 2r
+mirror sets covers it, by the mirror argument (see `build_extension`).
+Each set is side j of the base, or side j with s_j swapped for v_j.
+On an r-uniform base every edge of the extension holds one old side-j
+vertex, except E3(j) when F_j holds s_j, so side j misses E3(j)
+exactly when F_j holds s_j, and then the swapped set misses the E2
+edge F_j, which holds s_j and not v_j: no mirror set covers exactly
+when every F_j holds s_j, which the spec's `selection` says in O(r^2)
+operations on spec data.  Then tau = r, since side j and any vertex of
+E3(j) cover the extension.  With q >= 3 no vertex has degree 1, so the
+root excludes nothing; the size-r edges, E2 and E3, come before the
+size-(r+1) E1 edges; and every edge lists a side-0 vertex first except
+E3(1), which lists F_1's side-1 vertex x.  So every pick is in side 0
+plus x, a set of r vertices that covers, and since tau >= r the path is
+exactly that set, in r + 1 nodes.  The call reads none of the
+extension's rows or masks.
+
+In both cases tau, the witness and the node count are those of the
+budget loop from the bound that proves tau, and every enumeration is
+that of the full loop.  A uniformized extension is answered through its
+source.  Every other input, a linked extension with an F_j that misses
+s_j or a base that is no plane among them, builds its instance and runs
+the budget loop from the degree-sum bound, as an unlinked copy does.
+`_mirror_misses` yields each mirror set with the mask of the edges it
+misses, read from `selection` and the masks of s_j and v_j; its one
+reader is `minimize`'s first near-covers (below).  A spec whose base is
+not r-uniform has no mirror sets.
 
 A branch child also excludes its vertex's `closes` mask, in a cover
 instance the vertex alone.  The candidate edges of a hypergraph with k
@@ -144,10 +152,9 @@ two edges are disjoint, the answer is the search's without running it:
 the root takes edge 0, then refutes each later edge but the last as
 one node, so nu = 1 with witness (0,) in max(m, 2) nodes.  That test
 reads the input's cached `is_intersecting` answer before any
-disjoint-edge mask is built, so an extension whose base is known to be
-intersecting answers it from its spec's `selection` on a plane base, or
-else from its r E3 edges, and builds no `edge_meets` (see `hypergraph`);
-only an input that is not intersecting builds them.
+disjoint-edge mask is built, so an extension of a plane base known to
+be intersecting answers it from its spec's `selection` and builds no
+`edge_meets` when that proves it intersecting (see `hypergraph`).
 
 `cover_without_edge` decides whether deleting one edge lowers the
 cover number with one decide run on the hypergraph's instance, from a
@@ -292,30 +299,24 @@ class _Instance(NamedTuple):
     closes: tuple        # per global id, the mask of the vertices a pick of it excludes
 
 
-def _instance(h, branching=None):
-    """The cover search instance of h, built on first use and kept on h,
-    from `branching`, h's `_branching`, when the caller holds it."""
+def _instance(h):
+    """The cover search instance of h, built on first use and kept on h."""
     if h._search is None:
-        h._search = _build_instance(h, branching)
+        h._search = _build_instance(h)
     return h._search
 
 
-def _build_instance(h, branching=None):
-    inc = h.incidence_masks
-    bits = tuple([1 << g for g in range(len(inc))])
-    entries = tuple([(mask.bit_count(), bit, mask) for bit, mask in zip(bits, inc)])
-    return _Instance(h.edge_gids, entries, *(branching or _branching(h)), bits)
-
-
-def _branching(h):
-    """The size classes, in branching order, and the dominated vertex
-    mask of h's cover search, from one walk of its incidence masks."""
+def _build_instance(h):
+    """h's cover search instance, with its size classes, in branching
+    order, and its dominated vertex mask from one walk of its incidence
+    masks."""
     # A degree-1 vertex covers only its own edge, the one bit of its
     # mask, so any other vertex of that edge does at least as well.  An
     # edge of degree-1 vertices keeps its first (edges list their
     # vertices in global order, and the vertices are walked in it).
+    inc = h.incidence_masks
     ones = {}  # edge index -> its degree-1 vertices
-    for g, mask in enumerate(h.incidence_masks):
+    for g, mask in enumerate(inc):
         if mask.bit_count() == 1:
             ones.setdefault(mask.bit_length() - 1, []).append(g)
     free = [len(gids) for gids in h.edge_gids]
@@ -331,7 +332,10 @@ def _branching(h):
     for size in free:
         classes[size] = classes.get(size, 0) | bit
         bit <<= 1
-    return tuple(classes[size] for size in sorted(classes)), dominated
+    bits = tuple([1 << g for g in range(len(inc))])
+    entries = tuple([(mask.bit_count(), bit, mask) for bit, mask in zip(bits, inc)])
+    return _Instance(h.edge_gids, entries, tuple(classes[size] for size in sorted(classes)),
+                     dominated, bits)
 
 
 def _degree_bound(h):
@@ -377,26 +381,22 @@ def _branch_edge(size_classes, uncovered):
             return (branch & -branch).bit_length() - 1
 
 
-def _first_descent(gid_lists, size_classes, mask_of, closes, budget, node):
-    """The first path of a decide search below `node`, a (chosen,
-    uncovered edge mask, excluded vertex mask) triple: the first free
-    vertex of each branch edge, until the edges are covered or `budget`
-    vertices are chosen.  Returns the chosen vertices when they cover,
-    else None.  `mask_of(g)` is the mask of the edges through g and
-    `closes[g]` the vertices a pick of g excludes; None stands for g
-    alone, which a walk need not exclude: once picked, g meets no
-    uncovered edge."""
+def _first_descent(inst, budget, node):
+    """The first path of a decide search on `inst` below `node`, a
+    (chosen, uncovered edge mask, excluded vertex mask) triple: the first
+    free vertex of each branch edge, until the edges are covered or
+    `budget` vertices are chosen.  Returns the chosen vertices when they
+    cover, else None."""
     path, uncovered, excluded = node
     while uncovered and len(path) < budget:
-        for g in gid_lists[_branch_edge(size_classes, uncovered)]:
+        for g in inst.gid_lists[_branch_edge(inst.size_classes, uncovered)]:
             if not excluded >> g & 1:
                 break
         else:
             return None  # a dead edge
         path += (g,)
-        uncovered &= ~mask_of(g)
-        if closes is not None:
-            excluded |= closes[g]
+        uncovered &= ~inst.incidence[g][2]
+        excluded |= inst.closes[g]
     return None if uncovered else path
 
 
@@ -429,8 +429,7 @@ def _budget_search(inst, budget, collect, deadline, node=None, near=None):
     if not collect:
         # A cover the first descent reaches is the run's first, one node
         # per level plus the leaf.
-        path = _first_descent(gid_lists, size_classes, lambda g: incidence[g][2], closes,
-                              budget, node)
+        path = _first_descent(inst, budget, node)
         if path is not None:
             return path, None, len(path) - len(node[0]) + 1
     sols = [] if collect else None
@@ -536,29 +535,23 @@ def cover_number(
     A decide call (no `enumerate_all`) is answered once per hypergraph:
     its result is kept on h, and every later decide call returns it at
     once, whatever its `upper_hint` or timeout, with `nodes_explored` 0.
-    A first decide call walks the search's first descent at its lower
-    bound before it builds a search instance, and builds none when that
-    path covers.  The hint only sets the first budget of the loop that
-    runs otherwise (see the module docstring).  An
+    A first decide call, after its timeout check, answers without a
+    search when h passes `truncated_plane_order`, or when h is an
+    extension that `build_extension` linked to its spec, whose base
+    passes it and whose every F_j holds s_j (the spec's `selection`):
+    tau is q or r, the witness side 0, plus F_1's side-1 vertex on an
+    extension, and `nodes_explored` tau + 1, the first descent's answer
+    (see the module docstring), with no search instance, no descent and
+    no mirror set.  Every other first decide call builds h's instance
+    and runs the budget loop, whose hint only sets its first budget.  An
     enumeration call takes tau from the kept result, searching for it
     first when there is none, then runs only the budget-tau enumeration
     on h, which is not kept.  A call that times out before tau is known
     keeps nothing.  On a hypergraph that `uniformize` made, the decide
-    answer is kept on and read from the source, whose cover number is the same and whose minimum
-    covers are minimum covers of it (see `uniformize`); its own decide
-    search would be the source's, since the tails it adds are dominated.
-
-    On an extension that `build_extension` linked to its spec, or a
-    uniformized one, whose base passes `truncated_plane_order` and whose
-    every F_j holds s_j (the spec's `selection`), the first decide call
-    reads tau = r, the witness side 0 plus F_1's side-1 vertex and
-    `nodes_explored` r + 1 off the spec, after its timeout check: the
-    first descent's answer at the mirror bound (see the module
-    docstring), with no `_branching`, no descent and none of h's rows or
-    masks.  tau and the witness are those of an unlinked copy, whose
-    search refutes r - 1 first; every other input is searched as
-    described above.  This call reads no mirror set: `_mirror_misses` has
-    one reader, `minimize`."""
+    answer is kept on and read from the source, whose cover number is
+    the same and whose minimum covers are minimum covers of it (see
+    `uniformize`); its own decide search would be the source's, since
+    the tails it adds are dominated."""
     if jobs < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
     if h.num_edges == 0:
@@ -569,26 +562,18 @@ def cover_number(
     if source._decided is None:
         deadline.check(force=True)
         spec = source._spec
-        if spec is not None and truncated_plane_order(spec.base) is not None and all(
-                spec.selection.holds):
-            # tau = r by the mirror argument, and the descent's path is
-            # side 0 with the side-1 vertex of E3(1), F_1 - s_1 + v_1,
-            # known without walking it (see the module docstring)
-            lb = spec.r
-            first = (*range(len(source.sides[0])),
-                     source.offsets[1] + spec.base.edges[spec.f_edges[0]][1][1])
+        base = source if spec is None else spec.base
+        if truncated_plane_order(base) is not None and (spec is None or all(spec.selection.holds)):
+            # the first descent's path, side 0, with the side-1 vertex of
+            # E3(1), F_1 - s_1 + v_1, on a linked extension, known without
+            # walking it (see the module docstring)
+            first = (*range(len(source.sides[0])),)
+            if spec is not None:
+                first += (source.offsets[1] + base.edges[spec.f_edges[0]][1][1],)
+            nodes_total = len(first) + 1
         else:
-            # the degree-sum bound of the node test
-            lb = _degree_bound(source)
-            size_classes, dominated = branching = _branching(source)
-            first = _first_descent(source.edge_gids, size_classes,
-                                   source.incidence_masks.__getitem__, None, lb,
-                                   ((), (1 << source.num_edges) - 1, dominated))
-        if first is not None:
-            # the first run's answer at any budget from lb (see the module docstring)
-            nodes_total = lb + 1
-        else:
-            inst = _instance(source, branching)
+            lb = _degree_bound(source)  # the degree-sum bound of the node test
+            inst = _instance(source)
             n = source.num_vertices
             budget = min(max(lb, upper_hint) if upper_hint is not None else lb, n)
             refuted = lb - 1  # sizes below lb are impossible by the bound

@@ -3,9 +3,11 @@ product enumerations without pruning, the pairwise intersection-size
 profile, the mirror map of the extension's cover argument and the edges
 each mirror set misses by a walk of its vertices, the intersecting test
 as a walk of every edge, the matching search without its closed form
-for intersecting inputs, and a minimality reduction that searches every
-edge."""
+for intersecting inputs, a minimality reduction that searches every
+edge, and a random relabelling of a hypergraph's sides, positions and
+edge order."""
 
+import random
 from collections import Counter
 from itertools import combinations, product
 from math import comb
@@ -223,3 +225,27 @@ def reference_minimize(h: PartiteHypergraph, order: str = "asc"):
     final = PartiteHypergraph(h.sides, [h.edges[i] for i in kept],
                               [h.edge_labels[i] for i in kept], name=h.name)
     return deleted, final
+
+
+def shuffle_hypergraph(h, seed):
+    """Relabel: permute sides, positions within sides and the edge order."""
+    rng = random.Random(seed)
+    side_perm = list(range(h.num_sides))
+    rng.shuffle(side_perm)  # old side s -> new side side_perm[s]
+    pos_perms = []
+    for s in range(h.num_sides):
+        pp = list(range(len(h.sides[s])))
+        rng.shuffle(pp)
+        pos_perms.append(pp)
+    new_sides = [None] * h.num_sides
+    for s in range(h.num_sides):
+        labels = [None] * len(h.sides[s])
+        for p, lab in enumerate(h.sides[s]):
+            labels[pos_perms[s][p]] = lab
+        new_sides[side_perm[s]] = labels
+    new_edges = [
+        tuple(sorted((side_perm[s], pos_perms[s][p]) for s, p in e))
+        for e in h.edges
+    ]
+    rng.shuffle(new_edges)
+    return PartiteHypergraph(new_sides, new_edges, name=h.name + "-shuffled")

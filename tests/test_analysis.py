@@ -1,7 +1,6 @@
 """Minimization traces, fingerprints, isomorphism, extension classes."""
 
 import os
-import random
 import tempfile
 from functools import lru_cache
 
@@ -40,7 +39,7 @@ from ryser.report import (Check, input_entry, make_report, minimization_certific
                           recheck_report)
 from ryser.solver import cover_number
 
-from oracles import enumerate_candidates_brute, reference_minimize
+from oracles import enumerate_candidates_brute, reference_minimize, shuffle_hypergraph
 
 
 def make_t(q):
@@ -330,30 +329,6 @@ def test_fingerprints(q3_setup):
     assert degree_fingerprint(t4) == (3,) * 12
     assert fingerprint_str(degree_fingerprint(t4)) == "3^12"
     assert fingerprint_str(()) == "(empty)"
-
-
-def shuffle_hypergraph(h, seed):
-    """Relabel: permute sides and positions within sides."""
-    rng = random.Random(seed)
-    side_perm = list(range(h.num_sides))
-    rng.shuffle(side_perm)  # old side s -> new side side_perm[s]
-    pos_perms = []
-    for s in range(h.num_sides):
-        pp = list(range(len(h.sides[s])))
-        rng.shuffle(pp)
-        pos_perms.append(pp)
-    new_sides = [None] * h.num_sides
-    for s in range(h.num_sides):
-        labels = [None] * len(h.sides[s])
-        for p, lab in enumerate(h.sides[s]):
-            labels[pos_perms[s][p]] = lab
-        new_sides[side_perm[s]] = labels
-    new_edges = [
-        tuple(sorted((side_perm[s], pos_perms[s][p]) for s, p in e))
-        for e in h.edges
-    ]
-    rng.shuffle(new_edges)
-    return PartiteHypergraph(new_sides, new_edges, name=h.name + "-shuffled")
 
 
 def test_exact_isomorphic_identity_and_relabel(q3_setup):

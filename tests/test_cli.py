@@ -216,11 +216,11 @@ def test_edgeless_input_is_refused_as_empty(args, message, tmp_path, monkeypatch
 
 def count_searches(monkeypatch):
     """Lists that grow by one per `_budget_search` call and per first
-    descent (a decide call walks one before it builds a search, and a
-    decide run inside `_budget_search` one more; a decide call on a
-    linked plane extension, read off its spec, walks none), and by the
-    number of such calls inside each `verify_ryser_ratio` call that the
-    command line makes."""
+    descent (a decide run inside `_budget_search` walks one; a first
+    decide call on a truncated plane or on a linked plane extension,
+    answered by the plane test, walks none), and by the number of such
+    calls inside each `verify_ryser_ratio` call that the command line
+    makes."""
     searches = []
     for name in ("_budget_search", "_first_descent"):
         search = getattr(solver, name)
@@ -1312,14 +1312,16 @@ def test_pipeline_paper_scale_q25(tmp_path):
 
 def test_pipeline_paper_scale_q49_ratio_is_answered(tmp_path, monkeypatch):
     # The ratio check's cover call is the extension-cover-number check's
-    # question, asked of the uniformized extension's source.
+    # question, asked of the uniformized extension's source.  The plane
+    # test answers the base's and the extension's calls, so the default
+    # pipeline makes no search at all.
     searches, ratio_searches = count_searches(monkeypatch)
     rep_path = tmp_path / "p.json"
     assert run("pipeline", "--q", 49, "--f-default", "--json", rep_path) == 0
     checks = {c["name"]: c for c in load(rep_path)["checks"]}
     assert all(c["status"] == "pass" for c in checks.values())
     assert checks["ryser-ratio"]["certificate"]["tau"] == 50
-    assert ratio_searches == [0] and searches
+    assert ratio_searches == [0] and searches == []
 
 
 def readme_command_lines():

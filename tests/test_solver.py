@@ -64,6 +64,7 @@ from oracles import (
     intersecting_walk,
     mirror_misses_walk,
     reference_matching,
+    shuffle_hypergraph,
 )
 
 
@@ -745,10 +746,10 @@ def test_one_enumeration_matches_r_plus_two(q, mode):
 def test_search_instance_built_once_per_hypergraph(monkeypatch):
     built = []
     build = solver._build_instance
-    monkeypatch.setattr(solver, "_build_instance", lambda h, *_: built.append(h) or build(h))
+    monkeypatch.setattr(solver, "_build_instance", lambda h: built.append(h) or build(h))
     ext = build_extension(select_f_default(truncate(build_plane(FiniteField(5))), 0), check=False)
     u = uniformize(ext)
-    verify_ryser_ratio(u)  # answered from ext, by its first descent
+    verify_ryser_ratio(u)  # answered from ext, off its spec
     minimize(u)            # its trials search u
     cover_number(u, enumerate_all=True)
     assert built == [u]
@@ -1002,27 +1003,28 @@ def test_anchor_zero_search_totals(q, classify_nodes, trial_nodes):
 def test_pg25_anchor_chain_totals(monkeypatch):
     # The PG(2,5) chain of every anchor: 181 decide nodes in 51 calls
     # (the uniformized extensions' calls are answered from their sources)
-    # and 900 matching nodes.
+    # and 900 matching nodes, with no search instance and no descent,
+    # the base's call included.
     t = truncate(build_plane(FiniteField(5)))
-    results = [cover_number(t, upper_hint=5)]
     searched = []
-    for name in ("_branching", "_first_descent"):
+    for name in ("_build_instance", "_first_descent"):
         run = getattr(solver, name)
         monkeypatch.setattr(solver, name,
                             lambda *args, name=name, run=run: searched.append(name) or run(*args))
+    results = [cover_number(t, upper_hint=5)]
     matching = 0
     for anchor in range(25):
         ext = build_extension(select_f_default(t, anchor), check=False)
         u = uniformize(ext)
         results += [cover_number(ext, upper_hint=6), cover_number(u, upper_hint=6)]
         matching += matching_number(u).nodes_explored
-        # nu = 1 is read from the E3 edges: no edge_meets is built
+        # nu = 1 is read off the spec's selection: no edge_meets is built
         assert not {"edge_meets"} & (vars(ext).keys() | vars(u).keys())
         # tau and nu are read off the spec: no rows, masks or search
         assert not {"edge_gids", "incidence_masks", "edge_meets"} & (vars(ext).keys()
                                                                      | vars(u).keys())
         assert ext._search is None
-    assert searched == []
+    assert t._search is None and searched == []
     assert (len(results), sum(r.nodes_explored for r in results)) == (51, 181)
     assert matching == 900
 
@@ -1106,6 +1108,7 @@ def test_truncated_plane_is_answered_by_the_first_descent(field, monkeypatch):
         res = cover_number(t)
     side0 = tuple(sorted(side_vertex_set(t, 0)))
     assert (res.tau, res.witness, res.nodes_explored) == (q, side0, q + 1)
+    assert t._search is None
 
 
 def e3_side_one_vertex(ext):
@@ -1254,11 +1257,12 @@ def plane(q):
 @given(st.sampled_from([3, 4, 5]), st.sampled_from(["default", "profile", "unchecked"]),
        st.sampled_from([None, 0, 2]), st.data())
 def test_first_descent_answers_as_the_budget_loop(q, mode, above_r, data):
-    # A decide call walks its first descent before it builds a search
-    # instance.  On a fresh linked extension and on its base, it answers
-    # as an unlinked copy does, with the node count of a loop whose every
-    # run is a search, from the mirror bound r when it holds, else from
-    # the degree-sum bound; and it still times out at once.
+    # A first decide call on a fresh linked extension, on its base and
+    # on a relabelled copy of the base answers as an unlinked copy does,
+    # with the node count of a loop whose every run is a search, from the
+    # mirror bound r when it holds, else from the degree-sum bound,
+    # whether the plane test answers it or a search does; and it still
+    # times out at once.
     t = truncate(plane(q), data.draw(st.integers(0, q * q + q), label="point"))
     r, anchor = q + 1, data.draw(st.integers(0, q * q - 1), label="anchor")
     if mode == "default":
@@ -1274,8 +1278,9 @@ def test_first_descent_answers_as_the_budget_loop(q, mode, above_r, data):
     ext = build_extension(spec, check=False)
     mirror = all(side and swap for *_, side, swap in mirror_misses_walk(ext, spec))
     hint = None if above_r is None else r + above_r
+    shuffled = shuffle_hypergraph(t, data.draw(st.integers(0, 2 ** 32 - 1), label="relabel"))
     for h, lb in ((ext, max(degree_sum_bound(ext), r) if mirror else degree_sum_bound(ext)),
-                  (t, degree_sum_bound(t))):
+                  (t, degree_sum_bound(t)), (shuffled, degree_sum_bound(shuffled))):
         with pytest.raises(SolverTimeout):
             cover_number(h, upper_hint=hint, timeout=0)
         assert h._decided is None and h._search is None
@@ -1540,7 +1545,7 @@ def test_lifted_rows_match_a_walk_of_the_edges(q, data, profile, base_first):
     # its uniformized copy equal an unlinked copy's, whether the base's
     # search instance is built before the extension's views or after.
     t = unlinked(truncation(q))
-    assert is_intersecting(t)[0]  # as validate_spec leaves it: ext tests its E3 edges
+    assert is_intersecting(t)[0]  # as validate_spec leaves it
     anchor = data.draw(st.integers(0, q * q - 1), label="anchor")
     if profile:
         try:
@@ -1726,11 +1731,12 @@ def linked_extensions(draw):
 @given(linked_extensions(), st.booleans(), st.booleans())
 def test_linked_extension_intersecting_and_matching_match_a_walk(drawn, matching_first,
                                                                  meets_first):
-    # Once the base is known to be intersecting, the extension reads its
-    # answer from its E3 edges, even when its edge_meets is read first,
-    # and builds no edge_meets unless one of them misses an edge; the
-    # answer, the first disjoint pair and the matching are those of an
-    # unlinked copy, on it and its uniformized copy.
+    # Once the base is known to be an intersecting plane, the extension
+    # reads its answer from its spec's selection, even when its
+    # edge_meets is read first, and builds no edge_meets when every F_j
+    # holds s_j and no two F_i - s_i are disjoint; the answer, the first
+    # disjoint pair and the matching are those of an unlinked copy, on
+    # it and its uniformized copy.
     ext, known = drawn
     u = uniformize(ext)
     want = intersecting_walk(ext)
@@ -1739,7 +1745,10 @@ def test_linked_extension_intersecting_and_matching_match_a_walk(drawn, matching
     nus = [matching_number(u), matching_number(ext)] if matching_first else None
     assert (is_intersecting(u), is_intersecting(ext)) == (want, want) == \
         (intersecting_walk(u), is_intersecting(unlinked(ext)))
-    assert ("edge_meets" in vars(ext)) == (meets_first or not known or not want[0])
+    sel = ext._spec.selection
+    answered = (known and truncated_plane_order(ext._spec.base) is not None
+                and all(sel.holds) and not sel.disjoint)
+    assert ("edge_meets" in vars(ext)) == (meets_first or not answered)
     nus = nus or [matching_number(u), matching_number(ext)]
     assert nus == [reference_matching(unlinked(u)), reference_matching(unlinked(ext))]
 
