@@ -36,9 +36,8 @@ from .solver import DEFAULT_TIMEOUT, cover_number
 class Selection(NamedTuple):
     """The selected edges of a spec read side by side (see
     `ConstructionSpec.selection`)."""
-    rests: tuple     # per side j, the mask of the base's global ids of F_j - s_j
     holds: tuple     # per side j, whether F_j holds s_j
-    disjoint: tuple  # the pairs (i, j), i < j, whose F - s masks are disjoint
+    disjoint: tuple  # the pairs (i, j), i < j, whose sets F - s are disjoint
 
 
 @dataclass(frozen=True)
@@ -61,10 +60,10 @@ class ConstructionSpec:
 
     @cached_property
     def selection(self) -> Selection:
-        """Per side j of an r-uniform base, the mask of F_j - s_j in the
-        base's global ids and whether F_j holds s_j, which is slot j of
-        F_j, the side-j vertex of an r-uniform edge; then the pairs of
-        sides whose masks are disjoint.  The sides stop before the first
+        """Per side j of an r-uniform base, whether F_j holds s_j, which
+        is slot j of F_j, the side-j vertex of an r-uniform edge; then the
+        pairs of sides whose sets F - s are disjoint, tested on their
+        masks in the base's global ids.  The sides stop before the first
         selected index out of range, which only `validate_spec` meets:
         `build_extension` links no such spec.  Read on first use and
         kept on the spec, in O(r^2) operations on the rows of the anchor
@@ -87,7 +86,7 @@ class ConstructionSpec:
         n = len(rests)
         disjoint = tuple([(i, j) for i in range(n) for j in range(i + 1, n)
                           if not rests[i] & rests[j]])
-        return Selection(tuple(rests), tuple(holds), disjoint)
+        return Selection(tuple(holds), disjoint)
 
     def mirror_vertex(self, side: int):
         """Mirror vertex v_{side+1}, placed in the new final side."""

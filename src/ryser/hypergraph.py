@@ -11,11 +11,10 @@ ids of its vertices, the one map from an edge's vertices to ids, which
 every edge walk reads), `edge_masks`, `incidence_masks`, `edge_meets`
 (per edge, the edges that share a vertex with it), and the answers of
 `is_intersecting` and `truncated_plane_order`.  `uniformity` is set by
-the constructor, from the edge sizes it checks.  An extension (`_spec`
-set) keeps its base's E1 edges in order less the anchor edge, each with
-one mirror vertex, so it builds its `edge_gids` and `incidence_masks`
-from its base's and walks only its E2 and E3 edges.  A uniformized copy
-(`_source` set) reads its source's answer of `is_intersecting`.
+the constructor, from the edge sizes it checks.  Every hypergraph
+builds its `edge_gids` and `incidence_masks` by one walk of its own
+edges.  A uniformized copy (`_source` set) reads its source's answer of
+`is_intersecting`.
 `edge_meets` is built on its first read, which `is_intersecting` makes
 on most hypergraphs; an extension of a plane base known to be
 intersecting answers it from its spec's `selection` alone, building
@@ -166,18 +165,9 @@ class PartiteHypergraph:
 
     @cached_property
     def edge_gids(self):
-        """Per edge, the global ids of its vertices in order.  An
-        extension's E1 rows are its base's less the anchor edge's, each
-        with its mirror vertex's id appended; only E2 and E3 are walked."""
+        """Per edge, the global ids of its vertices in order."""
         off = self.offsets
-        spec = self._spec
-        rows = []
-        if spec is not None:
-            a, mirror, base_rows = spec.s_edge, off[spec.r], spec.base.edge_gids
-            rows = [row + (mirror + e[-1][1],)
-                    for row, e in zip(base_rows[:a] + base_rows[a + 1:], self.edges)]
-        rows += [tuple([off[s] + p for s, p in e]) for e in self.edges[len(rows):]]
-        return tuple(rows)
+        return tuple([tuple([off[s] + p for s, p in e]) for e in self.edges])
 
     @cached_property
     def edge_masks(self):
@@ -186,34 +176,13 @@ class PartiteHypergraph:
     @cached_property
     def incidence_masks(self):
         """Per global vertex id, the mask of the edges through that vertex;
-        its popcount is the vertex's degree.  An extension derives its
-        masks from its base's (see the module docstring)."""
-        if self._spec is not None:
-            return self._extension_incidence()
+        its popcount is the vertex's degree."""
         inc = [0] * self.offsets[-1]
         bit = 1
         for row in self.edge_gids:
             for g in row:
                 inc[g] |= bit
             bit <<= 1
-        return tuple(inc)
-
-    def _extension_incidence(self):
-        """The E1 edges are the base's less the anchor edge, in order, so a
-        base vertex's E1 mask is its base mask with the anchor's bit
-        dropped, and mirror vertex j's is anchor vertex j's; the E2 and E3
-        edges that follow are ORed in."""
-        spec = self._spec
-        base = spec.base
-        a = spec.s_edge
-        below = (1 << a) - 1
-        inc = [(mask & below) | (mask >> (a + 1) << a) for mask in base.incidence_masks]
-        inc += [inc[g] for g in base.edge_gids[a]]
-        rows = self.edge_gids
-        for i in range(base.num_edges - 1, len(rows)):
-            bit = 1 << i
-            for g in rows[i]:
-                inc[g] |= bit
         return tuple(inc)
 
     @cached_property

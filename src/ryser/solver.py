@@ -35,21 +35,6 @@ with two picks left enters its children untested.  A refuted child
 counts as one node, so every prune, witness, enumeration and node count
 is that of a search that enters every child.
 
-A decide run first walks its first descent, `_first_descent`: from its
-start node, the first free vertex of each branch edge, excluding its
-`closes` mask, until the edges are covered or the budget is spent.
-When that path covers, it is the run's answer, with one node per pick
-and one for the leaf, and no node ranks a vertex or tests a bound.  The
-search enters children in the same order, and its node and child tests
-are sound, so they never prune a node on a path that completes within
-its picks: its first cover would be this path, at this node count.
-Otherwise the search runs as above, and the walk has cost at most
-`budget` lookups of a branch edge.  The paper's instances are built so
-that the descent meets a minimum cover: a truncated plane's side 0, and
-an extension's side 0 with the side-1 vertex of E3(1), each of the size
-that the degree-sum or the mirror bound proves.  `cover_number` reads
-those paths off the plane test without walking them (below).
-
 A degree-1 vertex is dominated by any other vertex of its edge: swapping
 it for that vertex leaves a cover of no greater size.  The instance
 builder finds them in its one walk of the incidence masks, a degree-1
@@ -80,16 +65,18 @@ own decide search would be the source's.  An enumeration call takes
 tau from the kept answer, searching for it and keeping it first when
 there is none, then runs only the enumeration, on its own instance,
 whose incidence masks come from a walk of the copy's own edges.
-`matching_number` reads the source's answers.  An instance's rows are
-the hypergraph's `edge_gids`, which an extension, like its incidence
-masks, builds from its base's (see `hypergraph`).
+`matching_number` reads the source's answers.
 
 A first decide call answers without a search when its input passes
 `hypergraph.truncated_plane_order`, or is an extension that
 `construct.build_extension` made, which records its spec, whose base
-passes it and whose every F_j holds s_j.  The answer is the first
-descent's path, known without walking it, with one node per pick and
-one for the leaf; the call keeps it and builds no search instance.
+passes it and whose every F_j holds s_j.  The answer is the search's
+first path, known without walking it: from the root, the first free
+vertex of each branch edge, until the edges are covered.  When that
+path covers within the budget it is the run's first cover, with one
+node per pick and one for the leaf, as the node and child tests are
+sound and so prune no node on a path that completes within its picks.
+The call keeps it and builds no search instance.
 
 On an input that passes the test, of order q, every side has q
 vertices, every edge r = q + 1, one per side, and every vertex degree
@@ -381,25 +368,6 @@ def _branch_edge(size_classes, uncovered):
             return (branch & -branch).bit_length() - 1
 
 
-def _first_descent(inst, budget, node):
-    """The first path of a decide search on `inst` below `node`, a
-    (chosen, uncovered edge mask, excluded vertex mask) triple: the first
-    free vertex of each branch edge, until the edges are covered or
-    `budget` vertices are chosen.  Returns the chosen vertices when they
-    cover, else None."""
-    path, uncovered, excluded = node
-    while uncovered and len(path) < budget:
-        for g in inst.gid_lists[_branch_edge(inst.size_classes, uncovered)]:
-            if not excluded >> g & 1:
-                break
-        else:
-            return None  # a dead edge
-        path += (g,)
-        uncovered &= ~inst.incidence[g][2]
-        excluded |= inst.closes[g]
-    return None if uncovered else path
-
-
 def _budget_search(inst, budget, collect, deadline, node=None, near=None):
     """Exhaustive search for covers of size <= budget below `node`, a
     (chosen, uncovered edge mask, excluded vertex mask) triple that
@@ -407,10 +375,6 @@ def _budget_search(inst, budget, collect, deadline, node=None, near=None):
     dominated vertices; that of an enumeration excludes none, so that
     every minimum cover is found.  Returns (first_found, solutions, nodes).
     The deadline is checked on entry, so a run never starts past it.
-
-    A decide run returns the first descent from `node` when that path
-    covers within the budget (see the module docstring), with the nodes
-    the search would count on it, one per pick and the leaf.
 
     A node with three or more picks left tests each branch child's
     bound before entering it, and one with a single pick left scans its
@@ -426,12 +390,6 @@ def _budget_search(inst, budget, collect, deadline, node=None, near=None):
     gid_lists, incidence, size_classes, dominated, closes = inst
     if node is None:
         node = ((), (1 << len(gid_lists)) - 1, 0 if collect else dominated)
-    if not collect:
-        # A cover the first descent reaches is the run's first, one node
-        # per level plus the leaf.
-        path = _first_descent(inst, budget, node)
-        if path is not None:
-            return path, None, len(path) - len(node[0]) + 1
     sols = [] if collect else None
     nodes = 0
 
@@ -540,9 +498,9 @@ def cover_number(
     extension that `build_extension` linked to its spec, whose base
     passes it and whose every F_j holds s_j (the spec's `selection`):
     tau is q or r, the witness side 0, plus F_1's side-1 vertex on an
-    extension, and `nodes_explored` tau + 1, the first descent's answer
-    (see the module docstring), with no search instance, no descent and
-    no mirror set.  Every other first decide call builds h's instance
+    extension, and `nodes_explored` tau + 1, read off the search's first
+    path (see the module docstring), with no search instance and no
+    mirror set.  Every other first decide call builds h's instance
     and runs the budget loop, whose hint only sets its first budget.  An
     enumeration call takes tau from the kept result, searching for it
     first when there is none, then runs only the budget-tau enumeration
@@ -564,7 +522,7 @@ def cover_number(
         spec = source._spec
         base = source if spec is None else spec.base
         if truncated_plane_order(base) is not None and (spec is None or all(spec.selection.holds)):
-            # the first descent's path, side 0, with the side-1 vertex of
+            # the search's first path, side 0, with the side-1 vertex of
             # E3(1), F_1 - s_1 + v_1, on a linked extension, known without
             # walking it (see the module docstring)
             first = (*range(len(source.sides[0])),)

@@ -215,17 +215,14 @@ def test_edgeless_input_is_refused_as_empty(args, message, tmp_path, monkeypatch
 
 
 def count_searches(monkeypatch):
-    """Lists that grow by one per `_budget_search` call and per first
-    descent (a decide run inside `_budget_search` walks one; a first
-    decide call on a truncated plane or on a linked plane extension,
-    answered by the plane test, walks none), and by the number of such
-    calls inside each `verify_ryser_ratio` call that the command line
-    makes."""
+    """Lists that grow by one per `_budget_search` call (a first decide
+    call on a truncated plane or on a linked plane extension, answered
+    by the plane test, makes none), and by the number of such calls
+    inside each `verify_ryser_ratio` call that the command line makes."""
     searches = []
-    for name in ("_budget_search", "_first_descent"):
-        search = getattr(solver, name)
-        monkeypatch.setattr(solver, name,
-                            lambda *a, search=search, **k: searches.append(1) or search(*a, **k))
+    search = solver._budget_search
+    monkeypatch.setattr(solver, "_budget_search",
+                        lambda *a, **k: searches.append(1) or search(*a, **k))
     ratio_searches = []
     verify = cli.verify_ryser_ratio
 

@@ -1003,14 +1003,12 @@ def test_anchor_zero_search_totals(q, classify_nodes, trial_nodes):
 def test_pg25_anchor_chain_totals(monkeypatch):
     # The PG(2,5) chain of every anchor: 181 decide nodes in 51 calls
     # (the uniformized extensions' calls are answered from their sources)
-    # and 900 matching nodes, with no search instance and no descent,
-    # the base's call included.
+    # and 900 matching nodes, with no search instance, the base's call
+    # included.
     t = truncate(build_plane(FiniteField(5)))
     searched = []
-    for name in ("_build_instance", "_first_descent"):
-        run = getattr(solver, name)
-        monkeypatch.setattr(solver, name,
-                            lambda *args, name=name, run=run: searched.append(name) or run(*args))
+    run = solver._build_instance
+    monkeypatch.setattr(solver, "_build_instance", lambda *args: searched.append(args) or run(*args))
     results = [cover_number(t, upper_hint=5)]
     matching = 0
     for anchor in range(25):
@@ -1064,6 +1062,28 @@ def test_decide_run_finds_the_first_cover_of_a_search_without_bounds(h, seed):
                 assert nodes == len(first) + 1, (node, budget)
 
 
+@pytest.mark.parametrize("q", [4, 5])
+def test_trials_on_a_uniformized_extension_find_the_first_cover(q):
+    # minimize's trials on the anchor-0 default uniformized extension,
+    # whose edges come in two size classes and whose tails are dominated:
+    # each run's cover is the first one a search with no bound reaches
+    # from the same root, in len + 1 nodes when it is reached through
+    # every first child.
+    u = uniformize(build_extension(select_f_default(truncation(q), 0), check=False))
+    inst = _instance(u)
+    assert len(inst.size_classes) == 2 and inst.dominated
+    full = (1 << u.num_edges) - 1
+    budget = u.num_sides - 2
+    for edge in range(u.num_edges):
+        first, nodes = cover_without_edge(u, full, edge, budget, _Deadline(None))
+        excluded = inst.dominated | sum(1 << g for g in inst.gid_lists[edge])
+        want, leftmost = first_cover_reference(inst.gid_lists, inst.size_classes, inst.closes,
+                                               ((), full & ~(1 << edge), excluded), budget)
+        assert first == want, edge
+        if leftmost:
+            assert nodes == len(first) + 1, edge
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(any_hypergraph().filter(lambda h: h.num_vertices <= 12), st.integers(0, 2 ** 32 - 1))
 def test_near_misses_each_miss_one_edge_of_the_trial(h, seed):
@@ -1100,7 +1120,7 @@ def no_ranking(monkeypatch):
 
 @pytest.mark.parametrize("field", [(3,), (2, 2), (5,), (7,), (2, 3), (3, 2), (7, 2)])
 def test_truncated_plane_is_answered_by_the_first_descent(field, monkeypatch):
-    # The first descent picks side 0, a q-cover that the degree-sum
+    # The search's first path picks side 0, a q-cover that the degree-sum
     # bound proves minimum: one node per pick and the leaf, no ranking.
     t = truncate(build_plane(FiniteField(*field)))
     q = len(t.sides[0])
@@ -1116,9 +1136,9 @@ def e3_side_one_vertex(ext):
 
 
 def test_extensions_are_answered_by_the_first_descent(monkeypatch):
-    # The first descent's path, side 0 and the side-1 vertex of E3(1),
+    # The search's first path, side 0 and the side-1 vertex of E3(1),
     # covers the extension with r vertices, the mirror bound: it is read
-    # off the spec with the descent's r + 1 nodes and no ranking, at
+    # off the spec with the path's r + 1 nodes and no ranking, at
     # every anchor of PG(2,5) and for a strict profile at q=16.
     t5 = truncate(build_plane(FiniteField(5)))
     specs = [select_f_default(t5, anchor) for anchor in range(25)]
@@ -1526,6 +1546,8 @@ def test_extension_chain_data_match_a_plain_copy(q):
 
 
 def test_extension_rows_with_and_without_a_base_instance():
+    # An extension's search instance equals an unlinked copy's, whether
+    # or not its base has built its own instance first.
     t = unlinked(truncation(5))
     for anchor in (0, 7, 24):
         ext = build_extension(select_f_default(t, anchor), check=False)
@@ -1541,9 +1563,9 @@ def test_extension_rows_with_and_without_a_base_instance():
 @given(q=st.sampled_from([3, 4, 5]), data=st.data(), profile=st.booleans(),
        base_first=st.booleans())
 def test_lifted_rows_match_a_walk_of_the_edges(q, data, profile, base_first):
-    # An extension's rows and masks, lifted from its base's, and those of
-    # its uniformized copy equal an unlinked copy's, whether the base's
-    # search instance is built before the extension's views or after.
+    # An extension's rows and masks and those of its uniformized copy
+    # equal an unlinked copy's, whether the base's search instance is
+    # built before the extension's views or after.
     t = unlinked(truncation(q))
     assert is_intersecting(t)[0]  # as validate_spec leaves it
     anchor = data.draw(st.integers(0, q * q - 1), label="anchor")
