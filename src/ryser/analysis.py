@@ -1,4 +1,4 @@
-"""Minimality reduction, non-isomorphism certification, and desk-scale
+"""Minimality reduction, non-isomorphism certification, and
 classification of addable edges.
 
 An extremal uniform hypergraph (k sides, k-uniform, cover number k-1)
@@ -19,23 +19,88 @@ critical stays critical: the size-(k-2) cover known when it was tried
 still covers the final hypergraph without it, and that is its
 criticality certificate.
 
-Addable-edge classification enumerates every covering transversal of
-the extension hypergraph with at most one fresh vertex (a candidate
-with two or more fresh vertices meets at most r-1 < tau existing
-vertices, so it misses some edge and cannot keep the family
-intersecting) and sorts each candidate into: already present (an edge
-of the extension; only a candidate without a fresh vertex can be), a
-twin of a selected edge (type 1: F_i plus a final-side vertex), a twin
-of a mirrored selected edge (type 2: F_i - s_i + v_i plus a side-i
-vertex), or a violation of that pattern, testing type 1 for every i
-before type 2.  A candidate holds one vertex of every side or that
-side's fresh vertex, so it is of type 1 for i exactly when it contains
-F_i, and of type 2 exactly when it contains F_i - s_i + v_i: one mask
-test per pair edge of `ConstructionSpec.pair_edges`.  The candidates,
-for every fresh side and for none, come from one call of
-`solver.covering_transversals`, which gives each side a fresh vertex
+Addable-edge classification lists every candidate: one vertex of every
+side of the extension hypergraph, or of every side but one with a
+fresh vertex in its place, meeting every edge (a candidate with two or
+more fresh vertices meets at most r-1 < tau existing vertices, so it
+misses some edge and cannot keep the family intersecting).  It sorts
+each candidate into: already present (an edge of the extension; only a
+candidate without a fresh vertex can be), a twin of a selected edge
+(type 1: F_i plus a final-side vertex), a twin of a mirrored selected
+edge (type 2: F_i - s_i + v_i plus a side-i vertex), or a violation of
+that pattern, testing type 1 for every i before type 2.  A candidate
+holds one vertex of every side or that side's fresh vertex, so it is of
+type 1 for i exactly when it contains F_i, and of type 2 exactly when
+it contains F_i - s_i + v_i: one mask test per pair edge of
+`ConstructionSpec.pair_edges`.
+
+The candidates, for every fresh side and for none, come from one call
+of `solver.covering_transversals`, which gives each side a fresh vertex
 and lets a cover pick at most one of them.  The solver owns the search
-and its id layout; this module reads only vertex ids of h.
+and its id layout; this module reads only vertex ids of h.  A
+plane-linked extension is the exception: one that `build_extension`
+linked to the very spec it is classified against, whose base passes
+`truncated_plane_order` and whose every F_i holds s_i and is not the
+anchor edge S.  Its candidates are listed from the pair edges with no
+search: every E1 edge; F_i plus each final-side vertex v_k, and plus
+the fresh final-side vertex; F_i - s_i + v_i plus each side-i vertex,
+and plus the fresh side-i vertex.  Each listed set is checked to meet
+every edge by ORing its vertices' incidence masks, which raises
+AssertionError on a miss, and the proof below says no candidate is
+left out, so on these inputs the check tests this proof, not a fresh
+search.  Every other input runs the enumeration: an extension read
+from a file, which carries no spec; a spec with some F_i = S; a base
+that is no plane.
+
+The proof.  The base has r = q + 1 >= 4 sides of q vertices and q^2
+edges, the lines, of one vertex per side; two vertices of different
+sides lie on exactly one line, every vertex on q lines (see
+`truncated_plane_order`).  For a set B of base vertices, t_E is
+|E & B|.  When B holds one vertex per side, the lines through a vertex
+y hold each vertex of B outside y's side once: sum t_E = q over them
+for y not in B, and sum (t_E - 1) = q for y in B.  As no F_i is S,
+F_i meets S in s_i alone, and F_i meets F_j, j != i, in one vertex off
+S.
+
+(a) If B, one vertex per side, meets every line that avoids a vertex s
+of side k, then B is a line, or L - s + y for a line L through s and a
+side-k vertex y != s.  With s in B, B meets every line, so each line
+through a vertex outside B meets B once; some line through a vertex of
+B meets B twice (over them sum (t_E - 1) = q > 0), so it lies in B and
+is B.  With s not in B and B no line: the q lines through a vertex y !=
+s of side k outside B avoid s, so each meets B once; of the q lines
+through a vertex y outside B and outside side k, the q - 1 that avoid
+s meet B, so line ys meets B at most once and each other line at most
+twice.  So a line that avoids s meets B at most twice, or it would lie
+in B.  Then for x in B outside side k, sum (t_E - 1) = q over x's
+lines, and the q - 1 that avoid s give at most 1 each, so line xs
+meets B twice; by the above it has no vertex outside B but s, so B
+outside side k is xs - s.
+
+(b) If B, one vertex per side, meets every line but S, it is a line:
+by (a) with s = s_0, as L - s_0 + y misses the q - 2 >= 1 lines
+through s_0 other than L and S.
+
+(c) Every candidate is listed.  Let B be its base vertices.  If it
+holds v_k and no fresh vertex, B meets every line that avoids s_k (the
+E1 edges without v_k), F_k (E2) and each F_i - s_i, i != k (E3).  By
+(a), B is a line through s_k other than S, which misses F_i - s_i: an
+E1 edge; or a line through some s_j, j != k, that meets F_j - s_j, so
+F_j: F_j + v_k; or L - s_k + y, which meets F_k only when L = F_k:
+F_k - s_k + v_k + y.  With the fresh final-side vertex, B meets every
+line but S and each F_i - s_i, so by (b) it is some F_j, as before.
+With the fresh side-i vertex and v_k, B has q vertices, none in side
+i, on q lines each, and meets all q^2 - q lines that avoid s_k.  If
+k != i, the lines through s_k hold B's q - 1 vertices outside sides i
+and k once each, and q more if s_k is in B, which would leave (q-1)^2
+< q^2 - q for the others; so the others hold q^2 - q + 1, at most one
+of them meets B twice, and they carry at most one of B's C(q, 2)
+pairs, each on one line.  The lines through s_k, holding q - 1
+vertices of B, carry at most C(q - 1, 2), and 1 + C(q - 1, 2) <
+C(q, 2).  So k = i: each vertex of B lies on one line through s_i, so
+every other line meets B once, and the lines through s_i carry all
+C(q, 2) pairs of q vertices: one line L holds B, B = L - s_i, and it
+meets F_i only when L = F_i.
 """
 
 import warnings
@@ -52,7 +117,7 @@ from .errors import (
     TooLargeError,
     ViolationsPresentError,
 )
-from .hypergraph import PartiteHypergraph, degree_stats, is_intersecting
+from .hypergraph import PartiteHypergraph, degree_stats, is_intersecting, truncated_plane_order
 from .solver import (
     DEFAULT_TIMEOUT,
     CoverResult,
@@ -295,7 +360,34 @@ class ExtensionClassification:
     counts: dict
     violations: tuple
     nodes: int = 0                # search nodes of the cover-number check (0 when its answer
-                                  # was kept) and the candidate enumeration
+                                  # was kept) and the candidate enumeration (0 when the
+                                  # candidates were listed from the pair edges)
+
+
+def _listed_transversals(h, pairs):
+    """The candidates of a plane-linked extension h, as
+    `covering_transversals` gives them, listed from its spec's pair
+    edges and each checked to meet every edge of h (see the module
+    docstring)."""
+    r, off = len(pairs), h.offsets
+    final = range(off[r], off[r + 1])
+    whole = {row for row in h.edge_gids if len(row) == r + 1}  # the E1 edges
+    fresh = []
+    for i, (f, shifted) in enumerate(pairs):
+        f, shifted = tuple(map(h.gid, f)), tuple(map(h.gid, shifted))
+        whole.update([f + (v,) for v in final])
+        # shifted holds one vertex of each side but i, so side i is slot i
+        whole.update([shifted[:i] + (y,) + shifted[i:] for y in range(off[i], off[i + 1])])
+        fresh += [(r, f), (i, shifted)]
+    listed = [(None, gids) for gids in sorted(whole)] + sorted(fresh)
+    inc, full = h.incidence_masks, (1 << h.num_edges) - 1
+    for _, gids in listed:
+        met = 0
+        for g in gids:
+            met |= inc[g]
+        if met != full:
+            raise AssertionError(f"listed candidate {[h.vid(g) for g in gids]} misses an edge")
+    return listed
 
 
 def classify_extensions(
@@ -310,8 +402,11 @@ def classify_extensions(
     r, its existing-vertex part must be a covering transversal, leaving
     room for at most one fresh vertex.  The cover-number check and one
     enumeration, whose covers hold a fresh vertex of at most one side,
-    run in this process and share one `timeout`.  The candidates come
-    grouped by fresh side, none first, and sorted within each group.
+    run in this process and share one `timeout`.  On a plane-linked
+    extension, a timeout check and a checked list from the pair edges
+    replace the enumeration (see the module docstring).  The
+    candidates come grouped by fresh side, none first, and sorted
+    within each group.
     """
     r = spec.base.num_sides
     if h.num_sides != r + 1:
@@ -333,7 +428,12 @@ def classify_extensions(
     res = cover_number(h, upper_hint=r, timeout=deadline.remaining())
     if res.tau != r:
         raise NotExtremalError(f"cover number is {res.tau}, expected {r}")
-    transversals, found = covering_transversals(h, deadline.remaining())
+    if (h._spec is spec and truncated_plane_order(spec.base) is not None
+            and all(spec.selection.holds) and spec.s_edge not in spec.f_edges):
+        deadline.check(force=True)
+        transversals, found = _listed_transversals(h, pairs), 0
+    else:
+        transversals, found = covering_transversals(h, deadline.remaining())
     vids = tuple(h.vertices())  # in global id order, so candidates list theirs sorted
     for side, gids in transversals:
         cand = sum(1 << g for g in gids)

@@ -23,17 +23,19 @@ node's exact degrees, largest first, with its excluded vertices
 dropped, so the node's own test reads it: the first k degrees must sum
 to the number of uncovered edges, and a dead edge leaves no ranking.
 With k >= 3 the node then tests each branch child's bound before
-entering it: the parent's degrees bound the child's from above, so the
-child test walks the ranking, recounts each vertex's degree on the
-child's uncovered edges, and stops once its k-1 largest are at least
-the next parent degree.  A child that passes runs the full test,
-dead-edge check included.  A node with one pick left scans its
-children, the free vertices of its branch edge, once, in O(r): a leaf
-meets every uncovered edge.  With no leaf the node fails; otherwise each
-child counts as a node, up to the first leaf of a decide run.  So a node
-with two picks left enters its children untested.  A refuted child
-counts as one node, so every prune, witness, enumeration and node count
-is that of a search that enters every child.
+entering it: the parent's degrees bound the child's from above, so a
+child whose uncovered edges outnumber the sum of the node's k-1
+largest degrees fails at once, and otherwise the child test walks the
+ranking, recounts each vertex's degree on the child's uncovered edges,
+and stops once its k-1 largest are at least the next parent degree.  A
+child that passes runs the full test, dead-edge check included.  A
+node with one pick left scans its children, the free vertices of its
+branch edge, once, in O(r): a leaf meets every uncovered edge.  With
+no leaf the node fails; otherwise each child counts as a node, up to
+the first leaf of a decide run.  So a node with two picks left enters
+its children untested.  A refuted child counts as one node, so every
+prune, witness, enumeration and node count is that of a search that
+enters every child.
 
 A degree-1 vertex is dominated by any other vertex of its edge: swapping
 it for that vertex leaves a cover of no greater size.  The instance
@@ -425,9 +427,13 @@ def _budget_search(inst, budget, collect, deadline, node=None, near=None):
             sols.extend([chosen + (g,) for g in leaves])
             return None
         # The ranking holds this node's exact degrees, largest first,
-        # so its own bound is the sum of the first `picks`.
+        # so its own bound is the sum of the first `picks`, and `tops`,
+        # that of the first picks - 1, bounds every child's.
         ranked = _ranked_degrees(candidates, uncovered, excluded)
-        if ranked is None or sum([d for d, _, _ in ranked[:picks]]) < uncovered.bit_count():
+        if ranked is None:
+            return None
+        tops = sum([d for d, _, _ in ranked[:picks - 1]])
+        if tops + (ranked[picks - 1][0] if len(ranked) >= picks else 0) < uncovered.bit_count():
             return None
         acc = excluded
         for g in branch:
@@ -435,7 +441,8 @@ def _budget_search(inst, budget, collect, deadline, node=None, near=None):
             if not bit & acc:
                 rest = uncovered & ~inc
                 closed = acc | closes[g]
-                if picks > 2 and not _degree_sum_fits(ranked, rest, closed, picks - 1):
+                if picks > 2 and (tops < rest.bit_count()
+                                  or not _degree_sum_fits(ranked, rest, closed, picks - 1)):
                     nodes += 1  # the child, refuted without being entered
                 elif (found := rec(chosen + (g,), rest, closed, ranked)) is not None:
                     return found

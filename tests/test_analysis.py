@@ -394,6 +394,77 @@ def test_classification_counts(q, mode):
                           "type2": q * (q + 1)}
 
 
+def candidate_rows(cls):
+    return [(c.fresh_side, c.vertices, c.kind, c.index) for c in cls.candidates]
+
+
+def unlinked_copy(h):
+    """An equal hypergraph with no spec, as a file read back gives."""
+    return PartiteHypergraph(h.sides, h.edges, h.edge_labels)
+
+
+@pytest.mark.filterwarnings("ignore:uniformity r=4")
+@pytest.mark.parametrize("q", [3, 4, 5])
+@pytest.mark.parametrize("mode", ["default", "profile"])
+def test_listed_candidates_match_the_enumeration_at_every_anchor(q, mode):
+    # A linked extension lists its candidates from its pair edges and
+    # counts only its cover check, r + 1 nodes; an unlinked copy
+    # enumerates them.  Both give the same list, kinds included.
+    t = make_t(q)
+    for anchor in range(t.num_edges):
+        spec = (select_f_default(t, anchor) if mode == "default"
+                else select_f_by_profile(t, anchor, DegreeProfile(q + 1, (1,)), strict=False))
+        h = build_extension(spec, check=False)
+        listed = classify_extensions(h, spec)
+        assert listed.nodes == q + 2
+        assert candidate_rows(listed) == candidate_rows(classify_extensions(unlinked_copy(h), spec))
+
+
+@st.composite
+def plane_specs(draw):
+    """A spec on a truncation of PG(2, q), q in {3, 4, 5}, at a random
+    point and anchor S, each F_j any line through s_j other than S."""
+    q = draw(st.sampled_from([3, 4, 5]))
+    t = truncate(plane(q), draw(st.integers(0, q * q + q)))
+    anchor = draw(st.integers(0, q * q - 1))
+    f = []
+    for g in t.edge_gids[anchor]:
+        lines = [e for e in range(t.num_edges) if t.incidence_masks[g] >> e & 1 and e != anchor]
+        f.append(draw(st.sampled_from(lines)))
+    return ConstructionSpec(t, anchor, tuple(f))
+
+
+@pytest.mark.filterwarnings("ignore:uniformity r=4")
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(plane_specs())
+def test_listed_candidates_match_the_enumeration_for_any_selection(spec):
+    h = build_extension(spec, check=False)
+    listed = classify_extensions(h, spec)
+    assert listed.nodes == spec.r + 1
+    assert candidate_rows(listed) == candidate_rows(classify_extensions(unlinked_copy(h), spec))
+
+
+@pytest.mark.filterwarnings("ignore:uniformity r=4")
+@pytest.mark.parametrize("q", [3, 4])
+def test_unlinked_and_anchor_selecting_inputs_enumerate(q, monkeypatch):
+    # An extension with no spec, and one whose F_1 is the anchor edge S,
+    # run the enumeration, which finds every candidate.
+    runs = []
+    enumerate_ = analysis.covering_transversals
+    monkeypatch.setattr(analysis, "covering_transversals",
+                        lambda h, timeout: runs.append(h) or enumerate_(h, timeout))
+    t = make_t(q)
+    spec = select_f_default(t, 0)
+    anchored = ConstructionSpec(t, 0, (0,) + spec.f_edges[1:])
+    inputs = [(unlinked_copy(build_extension(spec, check=False)), spec),
+              (build_extension(anchored, check=False), anchored)]
+    for h, s in inputs:
+        cls = classify_extensions(h, s)
+        assert runs[-1] is h
+        assert [(c.fresh_side, c.vertices) for c in cls.candidates] == enumerate_candidates_brute(h)
+    assert len(runs) == 2
+
+
 def test_classification_honours_its_timeout(clock_jumps_after_cover_check):
     t = make_t(5)
     spec = select_f_default(t, 0)

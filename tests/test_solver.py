@@ -653,13 +653,18 @@ def test_transversal_node_ceiling():
 
 
 def test_classification_counts_its_search_nodes():
+    # An unlinked copy enumerates its candidates; the linked extension
+    # lists them from its pair edges, so its call counts the cover check.
     spec = select_f_default(truncate(build_plane(FiniteField(7))), 0)
     ext = build_extension(spec, check=False)
-    precondition = cover_number(build_extension(spec, check=False), upper_hint=8).nodes_explored
-    serial = classify_extensions(ext, spec)
+    copy = unlinked(ext)
+    precondition = cover_number(unlinked(ext), upper_hint=8).nodes_explored
+    serial = classify_extensions(copy, spec)
     assert serial.nodes - precondition == 2974  # the candidate enumeration
     # a repeat call finds the cover-number check answered
-    assert classify_extensions(ext, spec).nodes == 2974
+    assert classify_extensions(copy, spec).nodes == 2974
+    check = cover_number(build_extension(spec, check=False), upper_hint=8).nodes_explored
+    assert classify_extensions(ext, spec).nodes == check == 9
 
 
 def r_plus_two_instance(h, fresh):
@@ -993,9 +998,15 @@ def test_anchor_zero_search_totals(q, classify_nodes, trial_nodes):
     # the anchor-0 default spec, pinned when a node's bound was first read
     # from its ranking (the classification's again when one candidate
     # enumeration replaced r+2): a change that prunes differently moves them.
+    # The classification's are the linked extension's cover check, r + 1
+    # nodes, and the enumeration, which now runs on an unlinked copy.
     field = FiniteField(2, 2) if q == 4 else FiniteField(q)
     spec = select_f_default(truncate(build_plane(field)), 0)
-    assert classify_extensions(build_extension(spec, check=False), spec).nodes == classify_nodes
+    ext = build_extension(spec, check=False)
+    copy = unlinked(ext)
+    cover_number(copy)  # answered first, so the call counts the enumeration alone
+    assert q + 2 + classify_extensions(copy, spec).nodes == classify_nodes
+    assert classify_extensions(ext, spec).nodes == q + 2
     trace = minimize(uniformize(build_extension(spec, check=False)))
     assert sum(e.cert.nodes_explored for e in trace.deleted + trace.kept) == trial_nodes
 
